@@ -1,83 +1,4 @@
 """Desk-scale lab for evolution-triangle multimodal retrieval attacks on
 synthetic image-text tasks with toy differentiable encoders."""
-from .core import (
-    AttackConfig,
-    DEFAULT_SCALES,
-    SimplexWeights,
-    convex_combine,
-    linf_project,
-    scale_augment,
-    scale_augment_adjoint,
-    similarity_loss,
-)
-from .encoders import (
-    BagOfWordsTextEncoder,
-    EncoderPair,
-    LinearImageEncoder,
-    encode_image,
-    encode_text,
-    finite_difference_grad,
-    grad_loss_wrt_image,
-    make_base_encoders,
-    make_model_pool,
-    pair_loss,
-)
-from .harness import (
-    DatasetDims,
-    DegenerateAlphaError,
-    ExperimentReport,
-    SyntheticDataset,
-    TRANSFER_EMBED_DIM,
-    UndefinedASRError,
-    alpha_metric,
-    attack_success_rate,
-    clean_recall_at_1,
-    craft_adversarial_pairs,
-    default_model_pool,
-    load_dataset_descriptor,
-    mean_diagonal_asr,
-    mean_transfer_alpha,
-    mean_transfer_asr,
-    resolve_variant,
-    retrieval_rank,
-    run_transfer_experiment,
-    save_dataset_descriptor,
-    synth_dataset,
-    write_report,
-)
-from .image_attack import (
-    AttackTrace,
-    TrajectoryState,
-    run_image_attack,
-    run_sga_attack,
-    sample_sub_triangle,
-    sample_sub_triangle_A,
-)
-from .subspace import (
-    DegenerateCorpusError,
-    ProjectionBasis,
-    SemanticCorpus,
-    build_projection,
-    projected_similarity_loss,
-    sample_corpus,
-)
-from .text_attack import (
-    UnsupportedBudgetError,
-    build_word_candidates,
-    enumerate_text_candidates,
-    run_text_attack,
-    select_adversarial_text,
-)
-from .theory import (
-    QuadraticLoss,
-    TheoremReport,
-    closed_form_coefficients,
-    expected_interaction,
-    interaction_moments,
-    residual_slope,
-    simulate_exact_updates,
-    simulate_linearized_updates,
-    verify_theorem,
-)
 
 __version__ = "0.1.0"

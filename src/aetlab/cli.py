@@ -11,14 +11,13 @@ from __future__ import annotations
 import argparse
 import secrets
 import sys
-from dataclasses import fields, replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from . import matio
 from .core import AttackConfig
-from .encoders import encode_text
 from .harness import (
     DEFAULT_HELD_OUT,
     DEFAULT_HELD_OUT_LEN,
@@ -28,20 +27,24 @@ from .harness import (
     DEFAULT_TABLE_JITTER,
     DEFAULT_TEXT_NOISE,
     DatasetDims,
+    attack_pairs,
     clean_recall_at_1,
-    craft_adversarial_pairs,
     default_model_pool,
     load_dataset_descriptor,
-    resolve_variant,
     run_transfer_experiment,
     save_dataset_descriptor,
+    surrogate_projector,
     synth_dataset,
     write_report,
 )
-from .image_attack import run_image_attack
-from .subspace import DegenerateCorpusError, build_projection, sample_corpus
-from .text_attack import run_text_attack
+from .subspace import DegenerateCorpusError
 from .theory import QuadraticLoss, verify_theorem
+
+# Not called here: perfbench/tracing.py wraps these names at this import site.
+from .encoders import encode_text  # noqa: F401
+from .image_attack import run_image_attack  # noqa: F401
+from .subspace import build_projection, sample_corpus  # noqa: F401
+from .text_attack import run_text_attack  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -49,6 +52,7 @@ EXIT_IO = 3
 EXIT_VERIFY = 4
 
 # AttackConfig fields settable from a config file or flags, with their parsers.
+# The seed is not among them: it comes from --seed/--entropy alone.
 _CONFIG_PARSERS = {
     "eps_image": float,
     "step_size": float,
@@ -95,22 +99,17 @@ def _usage_exit(msg: str) -> int:
 
 def build_attack_config(args, seed: int) -> AttackConfig:
     """Precedence: built-in defaults < config file < explicit flags."""
-    values: dict = {"master_seed": seed}
+    values: dict = {}
     if args.config is not None:
-        kv = matio.load_keyvalues(args.config)
-        known = {f.name for f in fields(AttackConfig)}
-        for key, raw in kv.items():
-            if key not in known:
+        for key, raw in matio.load_keyvalues(args.config).items():
+            if key not in _CONFIG_PARSERS:
                 raise ValueError(f"unknown config key {key!r}")
-            if key in _CONFIG_PARSERS:
-                values[key] = _CONFIG_PARSERS[key](raw)
-            else:
-                values[key] = int(raw)
+            values[key] = _CONFIG_PARSERS[key](raw)
     for name in _CONFIG_PARSERS:
         flag_val = getattr(args, name)
         if flag_val is not None:
             values[name] = flag_val
-    return replace(AttackConfig(), **values)
+    return AttackConfig(master_seed=seed, **values)
 
 
 def cmd_synth(args) -> int:
@@ -147,27 +146,11 @@ def cmd_attack(args) -> int:
     seed = _resolve_seed(args)
     cfg = build_attack_config(args, seed)
     ds = load_dataset_descriptor(args.dataset)
-    run_cfg, use_projector, forced = resolve_variant(args.variant, cfg)
-    enc = ds.base
-    projector = None
-    if use_projector:
-        corpus = sample_corpus(
-            ds.held_out_texts,
-            run_cfg.corpus_proportion,
-            np.random.SeedSequence([seed, 0, 0xC0]),
-        )
-        emb = np.stack([encode_text(enc.text, c) for c in corpus.texts])
-        projector = build_projection(emb)
+    pairs = attack_pairs(ds, ds.base, cfg, args.variant)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     n = ds.n_pairs if args.limit is None else min(args.limit, ds.n_pairs)
-    for p in range(n):
-        x, cap = ds.images[p], ds.captions[p]
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0, p]))
-        adv, prev, trace = run_image_attack(
-            x, cap, enc, projector, run_cfg, rng, forced_weights=forced
-        )
-        adv_cap, _ = run_text_attack(cap, x, prev, adv, enc, projector, run_cfg)
+    for p, (adv, adv_cap, trace) in enumerate(islice(pairs, n)):
         matio.save_matrix(adv, out_dir / f"adv_{p}.txt")
         with open(out_dir / f"trace_{p}.csv", "w") as fh:
             fh.write("step,loss,lambda,beta,gamma,chosen_index\n")
@@ -237,20 +220,19 @@ def cmd_theory(args) -> int:
 
 def cmd_subspace(args) -> int:
     seed = _resolve_seed(args)
+    cfg = build_attack_config(args, seed)
     ds = load_dataset_descriptor(args.dataset)
-    proportion = args.corpus_proportion if args.corpus_proportion is not None else 0.40
     try:
-        corpus = sample_corpus(ds.held_out_texts, proportion, seed)
-        emb = np.stack([encode_text(ds.base.text, c) for c in corpus.texts])
-        pb = build_projection(emb)
+        pb = surrogate_projector(ds, ds.base, cfg)
     except DegenerateCorpusError as exc:
         print(f"error: degenerate corpus: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     matio.save_matrix(pb.projector, args.out)
     residual = float(np.max(np.abs(pb.projector @ pb.projector - pb.projector)))
     print(
-        f"wrote {args.out}: corpus {len(corpus)}/{corpus.source_size}, "
-        f"rank {pb.rank}, idempotence residual {residual:.3e}"
+        f"wrote {args.out}: corpus proportion {cfg.corpus_proportion} of "
+        f"{len(ds.held_out_texts)} held-out texts, rank {pb.rank}, "
+        f"idempotence residual {residual:.3e}"
     )
     return EXIT_OK
 

@@ -12,11 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matio
 from .core import scale_augment, scale_augment_adjoint, similarity_loss, validate_image
-from .subspace import ProjectionBasis
-
-FD_STEP = 1e-5
+from .subspace import ProjectionBasis, build_projection
 
 
 @dataclass(frozen=True)
@@ -130,23 +127,6 @@ def grad_loss_wrt_image(
     return scale_augment_adjoint(back, x.shape, scale)
 
 
-def finite_difference_grad(fn, x: np.ndarray, step: float = FD_STEP) -> np.ndarray:
-    """Central finite differences of a scalar function per pixel."""
-    if step <= 0:
-        raise ValueError("step must be > 0")
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    it = np.nditer(x, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        xp = x.copy()
-        xp[idx] += step
-        xm = x.copy()
-        xm[idx] -= step
-        grad[idx] = (fn(xp) - fn(xm)) / (2.0 * step)
-    return grad
-
-
 def make_base_encoders(
     height: int,
     width: int,
@@ -185,15 +165,6 @@ def make_base_encoders(
     )
 
 
-def semantic_projector(table: np.ndarray, semantic_dims: int) -> np.ndarray:
-    """Projector onto the dominant right-singular subspace of a token table."""
-    if not (1 <= semantic_dims <= table.shape[1]):
-        raise ValueError("semantic_dims must be in [1, embed_dim]")
-    _, _, vt = np.linalg.svd(table, full_matrices=False)
-    v = vt[:semantic_dims]
-    return v.T @ v
-
-
 def make_model_pool(
     base: EncoderPair,
     n_models: int,
@@ -223,9 +194,9 @@ def make_model_pool(
         text_noise = rel_noise
     nonsem = None
     if semantic_dims is not None:
-        nonsem = np.eye(base.text.embed_dim) - semantic_projector(
-            base.text.table, semantic_dims
-        )
+        nonsem = np.eye(base.text.embed_dim) - build_projection(
+            base.text.table, rank=semantic_dims
+        ).projector
     pool = []
     w_std = float(np.std(base.image.weight))
     t_std = float(np.std(base.text.table))
@@ -246,18 +217,6 @@ def make_model_pool(
             )
         )
     return pool
-
-
-def save_encoder_pair(pair: EncoderPair, image_path, text_path) -> None:
-    matio.save_matrix(pair.image.weight, image_path)
-    matio.save_matrix(pair.text.table, text_path)
-
-
-def load_encoder_pair(image_path, text_path, model_id: str = "loaded") -> EncoderPair:
-    return EncoderPair(
-        LinearImageEncoder(matio.load_matrix(image_path), model_id),
-        BagOfWordsTextEncoder(matio.load_matrix(text_path), model_id),
-    )
 
 
 def _seed_int(seed) -> int:

@@ -9,6 +9,7 @@ margins small enough for budgeted attacks to flip ranks.
 from __future__ import annotations
 
 import csv
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -23,8 +24,8 @@ from .encoders import (
     make_base_encoders,
     make_model_pool,
 )
-from .image_attack import run_image_attack
-from .subspace import build_projection, sample_corpus
+from .image_attack import AttackTrace, run_image_attack
+from .subspace import ProjectionBasis, build_projection, sample_corpus
 from .text_attack import Caption, run_text_attack
 
 # Generator and pool constants (frozen after the reference tuning run; see
@@ -39,8 +40,6 @@ DEFAULT_TEXT_NOISE = 2.0
 # Embedding dimension used by the reference transfer experiments: wide enough
 # that the non-semantic directions carry most of the pool disagreement.
 TRANSFER_EMBED_DIM = 64
-
-VARIANTS = ("saaet", "dra", "sga")
 
 
 class UndefinedASRError(ValueError):
@@ -374,6 +373,54 @@ def resolve_variant(variant: str, cfg: AttackConfig):
     raise ValueError(f"unknown attack variant {variant!r}")
 
 
+def surrogate_projector(
+    ds: SyntheticDataset,
+    surrogate: EncoderPair,
+    cfg: AttackConfig,
+    stream: int = 0,
+) -> ProjectionBasis:
+    """Semantic projector of one surrogate: the span of its embeddings of a
+    corpus_proportion sample of the held-out texts, drawn from
+    SeedSequence([master_seed, stream, 0xC0])."""
+    corpus = sample_corpus(
+        ds.held_out_texts,
+        cfg.corpus_proportion,
+        np.random.SeedSequence([cfg.master_seed, stream, 0xC0]),
+    )
+    return build_projection(np.stack([encode_text(surrogate.text, c) for c in corpus.texts]))
+
+
+def attack_pairs(
+    ds: SyntheticDataset,
+    surrogate: EncoderPair,
+    cfg: AttackConfig,
+    variant: str = "saaet",
+    stream: int = 0,
+) -> Iterator[tuple[np.ndarray, Caption, AttackTrace]]:
+    """Attack the dataset pairs in order on one surrogate, yielding
+    (adv_img, adv_cap, trace) per pair: image attack, then the
+    triangle-scored caption attack.
+
+    The variant and projector are resolved before the first pair. Pair p
+    draws its noise from SeedSequence([master_seed, stream, p]), so its
+    output does not depend on how many pairs are consumed; stream isolates
+    the RNG of different surrogates under one master seed.
+    """
+    run_cfg, use_projector, forced = resolve_variant(variant, cfg)
+    projector = surrogate_projector(ds, surrogate, cfg, stream) if use_projector else None
+
+    def attack(p: int) -> tuple[np.ndarray, Caption, AttackTrace]:
+        x, cap = ds.images[p], ds.captions[p]
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, stream, p]))
+        adv_img, prev_img, trace = run_image_attack(
+            x, cap, surrogate, projector, run_cfg, rng, forced_weights=forced
+        )
+        adv_cap, _ = run_text_attack(cap, x, prev_img, adv_img, surrogate, projector, run_cfg)
+        return adv_img, adv_cap, trace
+
+    return map(attack, range(ds.n_pairs))
+
+
 def craft_adversarial_pairs(
     ds: SyntheticDataset,
     surrogate: EncoderPair,
@@ -381,30 +428,8 @@ def craft_adversarial_pairs(
     variant: str = "saaet",
     stream: int = 0,
 ) -> list[tuple[np.ndarray, Caption]]:
-    """Attack every dataset pair on one surrogate: image attack, then the
-    triangle-scored caption attack. stream isolates the RNG of different
-    surrogates under one master seed."""
-    run_cfg, use_projector, forced = resolve_variant(variant, cfg)
-    projector = None
-    if use_projector:
-        corpus = sample_corpus(
-            ds.held_out_texts,
-            run_cfg.corpus_proportion,
-            np.random.SeedSequence([cfg.master_seed, stream, 0xC0]),
-        )
-        emb = np.stack([encode_text(surrogate.text, c) for c in corpus.texts])
-        projector = build_projection(emb)
-    out = []
-    for p, (x, cap) in enumerate(zip(ds.images, ds.captions)):
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, stream, p]))
-        adv_img, prev_img, _ = run_image_attack(
-            x, cap, surrogate, projector, run_cfg, rng, forced_weights=forced
-        )
-        adv_cap, _ = run_text_attack(
-            cap, x, prev_img, adv_img, surrogate, projector, run_cfg
-        )
-        out.append((adv_img, adv_cap))
-    return out
+    """Every pair of attack_pairs, without the traces."""
+    return [(img, cap) for img, cap, _ in attack_pairs(ds, surrogate, cfg, variant, stream)]
 
 
 def run_transfer_experiment(

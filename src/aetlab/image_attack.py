@@ -56,8 +56,6 @@ class StepRecord:
 @dataclass
 class AttackTrace:
     records: list[StepRecord] = field(default_factory=list)
-    final: np.ndarray | None = None
-    seed: object = None
     intermediates: list[np.ndarray] | None = None
 
 
@@ -118,10 +116,6 @@ def sample_sub_triangle(m: int, rng: np.random.Generator, region: str = "A") -> 
         vals[k] = 1.0 - sum(v for j, v in enumerate(vals) if j != k)
         out.append(SimplexWeights(*vals))
     return out
-
-
-def sample_sub_triangle_A(m: int, rng: np.random.Generator) -> list[SimplexWeights]:
-    return sample_sub_triangle(m, rng, "A")
 
 
 def init_adversarial(
@@ -220,7 +214,7 @@ def run_image_attack(
     consuming RNG; with (0, 0, 1) and samples=1 the loop reduces exactly to
     the multi-scale sign-gradient baseline.
     """
-    trace = AttackTrace(seed=None)
+    trace = AttackTrace()
     state = init_adversarial(x, caption, enc_pair, projector, cfg, rng)
     if keep_intermediates:
         trace.intermediates = [state.prev.copy(), state.cur.copy()]
@@ -256,31 +250,5 @@ def run_image_attack(
                 chosen_index=o,
             )
         )
-    trace.final = state.cur
     return state.cur, state.prev, trace
 
-
-def run_sga_attack(
-    x: np.ndarray,
-    caption,
-    enc_pair: EncoderPair,
-    projector: ProjectionBasis | None,
-    cfg: AttackConfig,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Direct multi-scale sign-gradient baseline (no triangle machinery).
-
-    Regression oracle for run_image_attack with forced weights (0, 0, 1) and
-    samples=1: both must produce bitwise-identical output for the same seed.
-    """
-    cur = linf_project(
-        x + cfg.eps_image * rng.standard_normal(x.shape), x, cfg.eps_image
-    )
-    prev = cur
-    for _ in range(cfg.steps):
-        g = _multiscale_grad(cur, caption, enc_pair, projector, cfg)
-        prev = cur
-        cur = linf_project(
-            cur + cfg.step_size * _normalized_sign(g), x, cfg.eps_image
-        )
-    return cur, prev

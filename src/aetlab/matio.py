@@ -1,5 +1,5 @@
-"""Plain-text matrix and key=value file formats shared by encoders, the
-subspace projector, and the CLI.
+"""Plain-text matrix and key=value file formats shared by the harness and
+the CLI.
 
 Matrix files: first line "rows cols", then one whitespace-separated row per
 line, written with repr-level precision so round-trips are exact.

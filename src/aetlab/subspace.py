@@ -1,4 +1,4 @@
-"""Semantic corpus subspace: SVD basis, projector, and projected loss.
+"""Semantic corpus subspace: corpus sampling, SVD basis and projector.
 
 The projector maps features onto the span of a corpus of text embeddings;
 both modalities are projected symmetrically before the dot-product loss.
@@ -10,10 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import similarity_loss
-
 SV_CUTOFF_REL = 1e-10
-PROJECTOR_TOL = 1e-9
 
 
 class DegenerateCorpusError(ValueError):
@@ -48,10 +45,6 @@ class ProjectionBasis:
             )
         return self.projector @ v
 
-    @property
-    def dim(self) -> int:
-        return self.projector.shape[0]
-
 
 def sample_corpus(all_texts, proportion: float, seed) -> SemanticCorpus:
     """Uniform without-replacement sample of ceil(proportion*M) texts."""
@@ -67,30 +60,20 @@ def sample_corpus(all_texts, proportion: float, seed) -> SemanticCorpus:
     return SemanticCorpus(tuple(texts[i] for i in idx), m, proportion)
 
 
-def build_projection(corpus_embeddings: np.ndarray) -> ProjectionBasis:
+def build_projection(corpus_embeddings: np.ndarray, rank: int | None = None) -> ProjectionBasis:
     """Orthonormal basis of the corpus row span and its projector.
 
     Right-singular directions with singular value above a relative cutoff
-    are kept; an all-zero corpus matrix is rejected.
+    are kept, or the leading `rank` of them when rank is given; an all-zero
+    corpus matrix is rejected.
     """
     emb = np.atleast_2d(np.asarray(corpus_embeddings, dtype=np.float64))
     if emb.size == 0 or not np.all(np.isfinite(emb)):
         raise ValueError("corpus embeddings must be a nonempty finite matrix")
+    if rank is not None and not (1 <= rank <= min(emb.shape)):
+        raise ValueError("rank must be in [1, min(corpus size, embed_dim)]")
     _, sv, vt = np.linalg.svd(emb, full_matrices=False)
     if sv.size == 0 or sv[0] <= 0.0:
         raise DegenerateCorpusError("corpus embedding matrix is all zero")
-    keep = sv > SV_CUTOFF_REL * sv[0]
-    basis = vt[keep]
-    projector = basis.T @ basis
-    return ProjectionBasis(basis=basis, projector=projector, rank=int(keep.sum()))
-
-
-def project_embedding(v: np.ndarray, pb: ProjectionBasis) -> np.ndarray:
-    return pb.project(v)
-
-
-def projected_similarity_loss(
-    img_emb: np.ndarray, txt_emb: np.ndarray, pb: ProjectionBasis
-) -> float:
-    """Dot-product loss of both embeddings after semantic projection."""
-    return similarity_loss(pb.project(img_emb), pb.project(txt_emb))
+    basis = vt[:rank] if rank is not None else vt[sv > SV_CUTOFF_REL * sv[0]]
+    return ProjectionBasis(basis=basis, projector=basis.T @ basis, rank=basis.shape[0])

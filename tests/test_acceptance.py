@@ -14,12 +14,7 @@ import pytest
 from scipy.stats import spearmanr
 
 from aetlab.core import AttackConfig, DEFAULT_SCALES, SimplexWeights
-from aetlab.encoders import (
-    finite_difference_grad,
-    grad_loss_wrt_image,
-    make_base_encoders,
-    pair_loss,
-)
+from aetlab.encoders import grad_loss_wrt_image, make_base_encoders, pair_loss
 from aetlab.harness import (
     DatasetDims,
     TRANSFER_EMBED_DIM,
@@ -28,9 +23,10 @@ from aetlab.harness import (
     mean_transfer_alpha,
     mean_transfer_asr,
     run_transfer_experiment,
+    surrogate_projector,
     synth_dataset,
 )
-from aetlab.image_attack import run_image_attack, run_sga_attack, sample_sub_triangle_A
+from aetlab.image_attack import run_image_attack, sample_sub_triangle
 from aetlab.subspace import build_projection
 from aetlab.text_attack import run_text_attack
 from aetlab.theory import (
@@ -41,6 +37,7 @@ from aetlab.theory import (
     simulate_linearized_updates,
     verify_theorem,
 )
+from oracles import finite_difference_grad, run_sga_attack
 
 # Frozen after the reference oracle run; the criterion demands >= 2.0.
 MIN_TRANSFER_GAP = 2.0
@@ -213,14 +210,7 @@ def test_criterion_6_attack_feasibility(capsys):
     ds = synth_dataset(seed=0, n_pairs=100,
                        dims=DatasetDims(embed_dim=TRANSFER_EMBED_DIM))
     cfg = AttackConfig(master_seed=0)
-    from aetlab.encoders import encode_text
-    from aetlab.subspace import sample_corpus
-
-    corpus = sample_corpus(ds.held_out_texts, cfg.corpus_proportion,
-                           np.random.SeedSequence([0, 0, 0xC0]))
-    projector = build_projection(
-        np.stack([encode_text(ds.base.text, c) for c in corpus.texts])
-    )
+    projector = surrogate_projector(ds, ds.base, cfg)
     eps_ok = True
     text_ok = True
     for p in range(ds.n_pairs):
@@ -313,7 +303,7 @@ def test_criterion_10_alpha_metric_sanity(capsys, sweep):
 def test_criterion_11_simplex_sampling(capsys):
     start = time.time()
     rng = np.random.default_rng(6)
-    draws = sample_sub_triangle_A(100_000, rng)
+    draws = sample_sub_triangle(100_000, rng, "A")
     arr = np.array([w.as_tuple() for w in draws])
     means = arr.mean(axis=0)
     target = np.array([11.0, 5.0, 2.0]) / 18.0

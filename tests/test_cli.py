@@ -5,6 +5,8 @@ import pytest
 
 from aetlab import matio
 from aetlab.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from aetlab.core import AttackConfig
+from aetlab.harness import craft_adversarial_pairs, load_dataset_descriptor, surrogate_projector
 
 SMALL_SYNTH = [
     "--pairs", "6", "--height", "8", "--width", "8", "--embed-dim", "16",
@@ -63,8 +65,6 @@ class TestAttack:
             assert len(caption) == 4
 
     def test_budget_respected(self, dataset_file, tmp_path):
-        from aetlab.harness import load_dataset_descriptor
-
         out_dir = tmp_path / "adv"
         main([
             "attack", "--seed", "5", "--dataset", str(dataset_file),
@@ -74,6 +74,29 @@ class TestAttack:
         ds = load_dataset_descriptor(dataset_file)
         adv = matio.load_matrix(out_dir / "adv_0.txt")
         assert np.max(np.abs(adv - ds.images[0])) <= 8.0 / 255.0 + 1e-12
+
+    @pytest.mark.parametrize("variant", ["saaet", "sga"])
+    def test_files_equal_library_pairs(self, dataset_file, tmp_path, variant):
+        out_dir = tmp_path / "adv"
+        rc = main(["attack", "--seed", "5", "--dataset", str(dataset_file),
+                   "--variant", variant, "--out-dir", str(out_dir)])
+        assert rc == EXIT_OK
+        ds = load_dataset_descriptor(dataset_file)
+        crafted = craft_adversarial_pairs(ds, ds.base, AttackConfig(master_seed=5), variant)
+        assert len(crafted) == 6
+        for p, (img, cap) in enumerate(crafted):
+            assert np.array_equal(matio.load_matrix(out_dir / f"adv_{p}.txt"), img)
+            written = (out_dir / f"adv_caption_{p}.txt").read_text().split()
+            assert tuple(int(t) for t in written) == cap
+
+    def test_limit_is_a_prefix_of_full_run(self, dataset_file, tmp_path):
+        for name, extra in (("full", []), ("head", ["--limit", "2"])):
+            assert main(["attack", "--seed", "5", "--dataset", str(dataset_file),
+                         *extra, "--out-dir", str(tmp_path / name)]) == EXIT_OK
+        assert len(list((tmp_path / "head").iterdir())) == 3 * 2
+        for p in range(2):
+            for f in (f"adv_{p}.txt", f"adv_caption_{p}.txt", f"trace_{p}.csv"):
+                assert (tmp_path / "head" / f).read_text() == (tmp_path / "full" / f).read_text()
 
     def test_missing_dataset_is_io_error(self, tmp_path):
         rc = main([
@@ -130,6 +153,25 @@ class TestSubspace:
         assert p.shape == (16, 16)
         np.testing.assert_allclose(p @ p, p, atol=1e-9)
 
+    def test_equals_attack_projector(self, dataset_file, tmp_path):
+        out = tmp_path / "proj.txt"
+        main(["subspace", "--seed", "5", "--dataset", str(dataset_file), "--out", str(out)])
+        ds = load_dataset_descriptor(dataset_file)
+        expect = surrogate_projector(ds, ds.base, AttackConfig(master_seed=5)).projector
+        assert np.array_equal(matio.load_matrix(out), expect)
+
+    def test_config_corpus_proportion_honoured(self, dataset_file, tmp_path):
+        cfg_file = tmp_path / "cfg.txt"
+        cfg_file.write_text("corpus_proportion=1.0\n")
+        for name, extra in (("default", []), ("full", ["--config", str(cfg_file)])):
+            assert main(["subspace", "--seed", "5", "--dataset", str(dataset_file),
+                         *extra, "--out", str(tmp_path / f"{name}.txt")]) == EXIT_OK
+        default, full = (matio.load_matrix(tmp_path / f"{n}.txt") for n in ("default", "full"))
+        assert not np.array_equal(default, full)
+        ds = load_dataset_descriptor(dataset_file)
+        cfg = AttackConfig(master_seed=5, corpus_proportion=1.0)
+        assert np.array_equal(full, surrogate_projector(ds, ds.base, cfg).projector)
+
 
 class TestConfigPrecedence:
     def test_config_file_overrides_defaults(self, dataset_file, tmp_path):
@@ -158,10 +200,12 @@ class TestConfigPrecedence:
         assert len(trace) == 1 + 2  # the --steps flag won
 
     def test_unknown_config_key_is_usage_error(self, dataset_file, tmp_path):
+        # master_seed is not a config key: the seed comes from --seed alone
         cfg_file = tmp_path / "cfg.txt"
-        cfg_file.write_text("warp_factor=9\n")
-        rc = main([
-            "attack", "--seed", "5", "--dataset", str(dataset_file),
-            "--config", str(cfg_file),
-        ])
-        assert rc == EXIT_USAGE
+        for line in ("warp_factor=9\n", "master_seed=7\n"):
+            cfg_file.write_text(line)
+            rc = main([
+                "attack", "--seed", "5", "--dataset", str(dataset_file),
+                "--config", str(cfg_file),
+            ])
+            assert rc == EXIT_USAGE

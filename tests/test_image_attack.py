@@ -11,11 +11,10 @@ from aetlab.image_attack import (
     mismatch_grad,
     mismatch_value,
     run_image_attack,
-    run_sga_attack,
     sample_sub_triangle,
-    sample_sub_triangle_A,
     text_guided_select,
 )
+from oracles import run_sga_attack
 
 REGION_ORDERINGS = {
     # region -> (smallest, middle, largest) component names
@@ -43,11 +42,6 @@ class TestSampleSubTriangle:
     def test_deterministic_given_rng_state(self):
         a = sample_sub_triangle(5, np.random.default_rng(7), "A")
         b = sample_sub_triangle(5, np.random.default_rng(7), "A")
-        assert [x.as_tuple() for x in a] == [x.as_tuple() for x in b]
-
-    def test_region_a_alias(self):
-        a = sample_sub_triangle_A(4, np.random.default_rng(3))
-        b = sample_sub_triangle(4, np.random.default_rng(3), "A")
         assert [x.as_tuple() for x in a] == [x.as_tuple() for x in b]
 
     def test_invalid_arguments(self):

@@ -2,12 +2,8 @@ import numpy as np
 import pytest
 
 from aetlab.core import similarity_loss
-from aetlab.subspace import (
-    DegenerateCorpusError,
-    build_projection,
-    projected_similarity_loss,
-    sample_corpus,
-)
+from aetlab.encoders import encode_image, encode_text, pair_loss
+from aetlab.subspace import DegenerateCorpusError, build_projection, sample_corpus
 
 
 class TestSampleCorpus:
@@ -94,18 +90,18 @@ class TestBuildProjection:
 
 
 class TestProjectedLoss:
-    def test_matches_manual_projection(self, rng):
-        pb = build_projection(rng.standard_normal((3, 8)))
-        img = rng.standard_normal(8)
-        txt = rng.standard_normal(8)
+    def test_matches_manual_projection(self, rng, tiny_pair, tiny_image, tiny_caption):
+        pb = build_projection(rng.standard_normal((3, 16)))
+        img = encode_image(tiny_pair.image, tiny_image)
+        txt = encode_text(tiny_pair.text, tiny_caption)
         expect = similarity_loss(pb.projector @ img, pb.projector @ txt)
-        assert projected_similarity_loss(img, txt, pb) == pytest.approx(expect)
+        assert pair_loss(tiny_pair, tiny_image, tiny_caption, pb) == pytest.approx(expect)
 
     def test_projection_only_needed_on_one_side(self, rng):
         # P symmetric idempotent: <Pa, Pb> = <a, Pb>
         pb = build_projection(rng.standard_normal((4, 8)))
         img = rng.standard_normal(8)
         txt = rng.standard_normal(8)
-        assert projected_similarity_loss(img, txt, pb) == pytest.approx(
+        assert similarity_loss(pb.project(img), pb.project(txt)) == pytest.approx(
             similarity_loss(img, pb.projector @ txt)
         )
