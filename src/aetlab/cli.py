@@ -69,13 +69,17 @@ _CONFIG_PARSERS = {
 }
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_seed(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="master seed")
     parser.add_argument(
         "--entropy",
         action="store_true",
         help="explicitly opt in to a fresh random seed instead of --seed",
     )
+
+
+def _add_attack_config(parser: argparse.ArgumentParser) -> None:
+    _add_seed(parser)
     parser.add_argument("--config", type=str, default=None, help="key=value config file")
     for name, parse in _CONFIG_PARSERS.items():
         flag = "--" + name.replace("_", "-")
@@ -180,6 +184,8 @@ def cmd_transfer(args) -> int:
 
 def cmd_theory(args) -> int:
     seed = _resolve_seed(args)
+    if args.instances < 1:
+        return _usage_exit("--instances must be >= 1")
     rng = np.random.default_rng(seed)
     rows = []
     all_passed = True
@@ -245,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a seeded dataset descriptor")
-    _add_common(p)
+    _add_seed(p)
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--height", type=int, default=DatasetDims().height)
     p.add_argument("--width", type=int, default=DatasetDims().width)
@@ -261,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("attack", help="attack dataset pairs and write traces")
-    _add_common(p)
+    _add_attack_config(p)
     p.add_argument("--dataset", type=str, required=True)
     p.add_argument("--variant", type=str, default="saaet")
     p.add_argument("--limit", type=int, default=None, help="attack only the first N pairs")
@@ -269,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser("transfer", help="run the surrogate/target transfer sweep")
-    _add_common(p)
+    _add_attack_config(p)
     p.add_argument("--dataset", type=str, required=True)
     p.add_argument("--models", type=int, default=4)
     p.add_argument("--noise", type=float, default=DEFAULT_POOL_NOISE)
@@ -279,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_transfer)
 
     p = sub.add_parser("theory", help="verify the interaction-growth result")
-    _add_common(p)
+    _add_seed(p)
     p.add_argument("--instances", type=int, default=20)
     p.add_argument("--dim", type=int, default=16)
     p.add_argument("--beta", type=float, default=0.25)
@@ -289,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_theory)
 
     p = sub.add_parser("subspace", help="build and save the semantic projector")
-    _add_common(p)
+    _add_attack_config(p)
     p.add_argument("--dataset", type=str, required=True)
     p.add_argument("--out", type=str, default="projector.txt")
     p.set_defaults(func=cmd_subspace)

@@ -80,6 +80,19 @@ def encode_text(enc: BagOfWordsTextEncoder, caption) -> np.ndarray:
     return enc.table[tokens].mean(axis=0)
 
 
+def embed_pairs(enc: EncoderPair, images, captions) -> tuple[np.ndarray, np.ndarray]:
+    """Image and caption embeddings of n pairs as (n, d) matrices. Token rows
+    are summed position by position, the order encode_text's mean adds them
+    in, so each text row equals encode_text bit for bit."""
+    img = np.stack(images).reshape(len(images), -1) @ enc.image.weight.T
+    tokens = np.asarray(captions, dtype=np.int64).T
+    txt = enc.text.table[tokens[0]]
+    for row in tokens[1:]:
+        txt += enc.text.table[row]
+    txt /= len(tokens)
+    return img, txt
+
+
 def text_direction(
     enc_t: BagOfWordsTextEncoder, caption, projector: ProjectionBasis | None
 ) -> np.ndarray:

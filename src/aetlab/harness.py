@@ -16,17 +16,14 @@ from pathlib import Path
 import numpy as np
 
 from . import matio
-from .core import AttackConfig, SimplexWeights, similarity_loss
-from .encoders import (
-    EncoderPair,
-    encode_image,
-    encode_text,
-    make_base_encoders,
-    make_model_pool,
-)
+from .core import AttackConfig, SimplexWeights
+from .encoders import EncoderPair, embed_pairs, encode_text, make_base_encoders, make_model_pool
 from .image_attack import AttackTrace, run_image_attack
 from .subspace import ProjectionBasis, build_projection, sample_corpus
 from .text_attack import Caption, run_text_attack
+
+# Not called here: perfbench/tracing.py wraps this name at this import site.
+from .encoders import encode_image  # noqa: F401
 
 # Generator and pool constants (frozen after the reference tuning run; see
 # README for the recorded reference numbers).
@@ -40,6 +37,8 @@ DEFAULT_TEXT_NOISE = 2.0
 # Embedding dimension used by the reference transfer experiments: wide enough
 # that the non-semantic directions carry most of the pool disagreement.
 TRANSFER_EMBED_DIM = 64
+# Query rows per similarity block of retrieval_rank; bounds its scratch matrix.
+_RANK_BLOCK = 64
 
 
 class UndefinedASRError(ValueError):
@@ -282,20 +281,20 @@ def load_dataset_descriptor(path: str | Path) -> SyntheticDataset:
         raise ValueError(f"{path}: missing descriptor key {exc}") from None
 
 
-def retrieval_rank(
-    query_emb: np.ndarray, gallery_embs: np.ndarray, pair_index: int
-) -> int:
-    """1 + number of gallery items strictly more similar than the true match.
-
-    Ties rank the true pair best (optimistic convention).
-    """
-    gallery_embs = np.asarray(gallery_embs, dtype=np.float64)
-    if gallery_embs.ndim != 2 or gallery_embs.shape[0] < 1:
-        raise ValueError("gallery must be a nonempty (n, d) matrix")
-    if not (0 <= pair_index < gallery_embs.shape[0]):
-        raise ValueError(f"pair_index {pair_index} out of range")
-    sims = gallery_embs @ np.asarray(query_emb, dtype=np.float64)
-    return int(1 + np.sum(sims > sims[pair_index]))
+def retrieval_rank(queries: np.ndarray, gallery: np.ndarray) -> np.ndarray:
+    """Rank of each query's true match (gallery row i for query i): 1 + the
+    number of gallery rows strictly more similar. Ties rank the true pair
+    best (optimistic convention)."""
+    queries = np.asarray(queries, dtype=np.float64)
+    gallery = np.asarray(gallery, dtype=np.float64)
+    if gallery.ndim != 2 or gallery.shape[0] < 1 or queries.shape != gallery.shape:
+        raise ValueError("queries and gallery must be nonempty (n, d) matrices of one shape")
+    ranks = np.empty(len(queries), dtype=np.int64)
+    for lo in range(0, len(queries), _RANK_BLOCK):
+        sims = queries[lo : lo + _RANK_BLOCK] @ gallery.T
+        own = np.diagonal(sims, lo)[:, None]  # from the block it is compared against
+        ranks[lo : lo + len(sims)] = 1 + np.count_nonzero(sims > own, axis=1)
+    return ranks
 
 
 def attack_success_rate(clean_ranks, adv_ranks) -> float:
@@ -311,44 +310,29 @@ def attack_success_rate(clean_ranks, adv_ranks) -> float:
 
 
 def alpha_metric(
-    target_pair: EncoderPair,
-    clean_pair: tuple[np.ndarray, Caption],
-    surrogate_adv: tuple[np.ndarray, Caption],
-    target_adv: tuple[np.ndarray, Caption],
-) -> float:
-    """How much of the white-box loss increase the transferred pair retains.
+    clean_loss: np.ndarray, surrogate_loss: np.ndarray, target_loss: np.ndarray
+) -> np.ndarray:
+    """How much of the white-box loss increase each transferred pair retains.
 
-    Ratio of the target-model loss increases over the clean pair: the
-    surrogate-crafted adversarial pair in the numerator, the target-crafted
-    (white-box) one in the denominator. Identical pairs give exactly 1.0;
-    a numerator pair equal to the clean pair gives 0.0. The white-box
-    increase in the denominator is the attack's own maximized objective, so
-    it is bounded away from zero whenever the attack does anything at all.
+    Per pair, the ratio of the target-model loss increases over the clean
+    pair: the surrogate-crafted adversarial pair in the numerator, the
+    target-crafted (white-box) one in the denominator. Identical pairs give
+    exactly 1.0; a numerator pair equal to the clean pair gives 0.0. The
+    white-box increase is the attack's own maximized objective, so it is
+    bounded away from zero whenever the attack does anything at all.
     """
-
-    def loss(pair: tuple[np.ndarray, Caption]) -> float:
-        return similarity_loss(
-            encode_image(target_pair.image, pair[0]),
-            encode_text(target_pair.text, pair[1]),
-        )
-
-    clean = loss(clean_pair)
-    num = clean - loss(surrogate_adv)
-    den = clean - loss(target_adv)
-    if den == 0.0:
+    den = clean_loss - target_loss
+    if np.any(den == 0.0):
         raise DegenerateAlphaError("target-crafted pair has zero loss increase")
-    return num / den
+    return (clean_loss - surrogate_loss) / den
 
 
 def clean_recall_at_1(ds: SyntheticDataset, enc: EncoderPair) -> tuple[float, float]:
     """(TR, IR) R@1 percentages of the clean dataset under one encoder pair."""
-    img = np.stack([encode_image(enc.image, x) for x in ds.images])
-    txt = np.stack([encode_text(enc.text, c) for c in ds.captions])
-    tr = [retrieval_rank(img[p], txt, p) for p in range(ds.n_pairs)]
-    ir = [retrieval_rank(txt[p], img, p) for p in range(ds.n_pairs)]
+    img, txt = embed_pairs(enc, ds.images, ds.captions)
     return (
-        float(100.0 * np.mean(np.asarray(tr) == 1)),
-        float(100.0 * np.mean(np.asarray(ir) == 1)),
+        float(100.0 * np.mean(retrieval_rank(img, txt) == 1)),
+        float(100.0 * np.mean(retrieval_rank(txt, img) == 1)),
     )
 
 
@@ -439,43 +423,34 @@ def run_transfer_experiment(
     variant: str = "saaet",
 ) -> list[ExperimentReport]:
     """Every ordered (surrogate, target) cell of the pool, including the
-    white-box diagonal."""
+    white-box diagonal. Each target embeds the clean and its own crafted
+    pairs once; each cell embeds one surrogate's crafted pairs once."""
     if len(model_pool) < 2:
         raise ValueError("model pool must contain at least 2 encoder pairs")
     crafted = [
         craft_adversarial_pairs(ds, sur, cfg, variant, stream=s)
         for s, sur in enumerate(model_pool)
     ]
+
+    def losses(img, txt):  # similarity_loss of each (image row, text row) pair
+        return np.einsum("ij,ij->i", img, txt) / img.shape[1]
+
     reports = []
-    for t_idx, tgt in enumerate(model_pool):
-        img_gal = np.stack([encode_image(tgt.image, x) for x in ds.images])
-        txt_gal = np.stack([encode_text(tgt.text, c) for c in ds.captions])
-        clean_tr = [retrieval_rank(img_gal[p], txt_gal, p) for p in range(ds.n_pairs)]
-        clean_ir = [retrieval_rank(txt_gal[p], img_gal, p) for p in range(ds.n_pairs)]
-        for s_idx, sur in enumerate(model_pool):
-            adv_tr = [
-                retrieval_rank(encode_image(tgt.image, img), txt_gal, p)
-                for p, (img, _) in enumerate(crafted[s_idx])
-            ]
-            adv_ir = [
-                retrieval_rank(encode_text(tgt.text, cap), img_gal, p)
-                for p, (_, cap) in enumerate(crafted[s_idx])
-            ]
-            alphas = [
-                alpha_metric(
-                    tgt,
-                    (ds.images[p], ds.captions[p]),
-                    crafted[s_idx][p],
-                    crafted[t_idx][p],
-                )
-                for p in range(ds.n_pairs)
-            ]
+    for tgt, white_box in zip(model_pool, crafted):
+        img_gal, txt_gal = embed_pairs(tgt, ds.images, ds.captions)
+        clean_tr = retrieval_rank(img_gal, txt_gal)
+        clean_ir = retrieval_rank(txt_gal, img_gal)
+        clean_loss = losses(img_gal, txt_gal)
+        white_box_loss = losses(*embed_pairs(tgt, *zip(*white_box)))
+        for sur, pairs in zip(model_pool, crafted):
+            adv_img, adv_txt = embed_pairs(tgt, *zip(*pairs))
+            alphas = alpha_metric(clean_loss, losses(adv_img, adv_txt), white_box_loss)
             reports.append(
                 ExperimentReport(
                     surrogate=sur.model_id,
                     target=tgt.model_id,
-                    tr_asr=attack_success_rate(clean_tr, adv_tr),
-                    ir_asr=attack_success_rate(clean_ir, adv_ir),
+                    tr_asr=attack_success_rate(clean_tr, retrieval_rank(adv_img, txt_gal)),
+                    ir_asr=attack_success_rate(clean_ir, retrieval_rank(adv_txt, img_gal)),
                     alpha_mean=float(np.mean(alphas)),
                     seed=cfg.master_seed,
                 )

@@ -1,7 +1,9 @@
 """Reference implementations the tests compare the package against."""
 import numpy as np
 
-from aetlab.core import linf_project
+from aetlab.core import linf_project, similarity_loss
+from aetlab.encoders import encode_image, encode_text
+from aetlab.harness import ExperimentReport, attack_success_rate, craft_adversarial_pairs
 from aetlab.image_attack import _multiscale_grad, _normalized_sign
 
 FD_STEP = 1e-5
@@ -41,3 +43,68 @@ def run_sga_attack(x, caption, enc_pair, projector, cfg, rng):
             cur + cfg.step_size * _normalized_sign(g), x, cfg.eps_image
         )
     return cur, prev
+
+
+def retrieval_rank_per_pair(query_emb, gallery_embs, pair_index: int) -> int:
+    """1 + number of gallery items strictly more similar than the true match
+    (ties rank the true pair best), for one query."""
+    sims = np.asarray(gallery_embs, dtype=np.float64) @ np.asarray(query_emb, dtype=np.float64)
+    return int(1 + np.sum(sims > sims[pair_index]))
+
+
+def alpha_per_pair(target_pair, clean_pair, surrogate_adv, target_adv) -> float:
+    """Target-model loss increase of the surrogate-crafted pair over that of
+    the target-crafted pair, for one pair."""
+
+    def loss(pair):
+        return similarity_loss(
+            encode_image(target_pair.image, pair[0]),
+            encode_text(target_pair.text, pair[1]),
+        )
+
+    clean = loss(clean_pair)
+    return (clean - loss(surrogate_adv)) / (clean - loss(target_adv))
+
+
+def transfer_reports_per_pair(ds, model_pool, cfg, variant="saaet"):
+    """Transfer cells scored pair by pair with one encode call per pair.
+
+    Reference for run_transfer_experiment, which scores on embedding
+    matrices: the ASRs must be equal and the alphas agree to rounding.
+    """
+    crafted = [
+        craft_adversarial_pairs(ds, sur, cfg, variant, stream=s)
+        for s, sur in enumerate(model_pool)
+    ]
+    reports = []
+    for t_idx, tgt in enumerate(model_pool):
+        img_gal = np.stack([encode_image(tgt.image, x) for x in ds.images])
+        txt_gal = np.stack([encode_text(tgt.text, c) for c in ds.captions])
+        clean_tr = [retrieval_rank_per_pair(img_gal[p], txt_gal, p) for p in range(ds.n_pairs)]
+        clean_ir = [retrieval_rank_per_pair(txt_gal[p], img_gal, p) for p in range(ds.n_pairs)]
+        for s_idx, sur in enumerate(model_pool):
+            adv_tr = [
+                retrieval_rank_per_pair(encode_image(tgt.image, img), txt_gal, p)
+                for p, (img, _) in enumerate(crafted[s_idx])
+            ]
+            adv_ir = [
+                retrieval_rank_per_pair(encode_text(tgt.text, cap), img_gal, p)
+                for p, (_, cap) in enumerate(crafted[s_idx])
+            ]
+            alphas = [
+                alpha_per_pair(
+                    tgt, (ds.images[p], ds.captions[p]), crafted[s_idx][p], crafted[t_idx][p]
+                )
+                for p in range(ds.n_pairs)
+            ]
+            reports.append(
+                ExperimentReport(
+                    surrogate=sur.model_id,
+                    target=tgt.model_id,
+                    tr_asr=attack_success_rate(clean_tr, adv_tr),
+                    ir_asr=attack_success_rate(clean_ir, adv_ir),
+                    alpha_mean=float(np.mean(alphas)),
+                    seed=cfg.master_seed,
+                )
+            )
+    return reports

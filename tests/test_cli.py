@@ -142,6 +142,12 @@ class TestTheory:
         assert len(rows) == 4
         assert all(row[-1] == "True" for row in rows[1:])
 
+    def test_zero_instances_is_usage_error(self, tmp_path, capsys):
+        rc = main(["theory", "--seed", "0", "--instances", "0",
+                   "--out", str(tmp_path / "theory.csv")])
+        assert rc == EXIT_USAGE
+        assert "pass" not in capsys.readouterr().out
+
 
 class TestSubspace:
     def test_writes_projector(self, dataset_file, tmp_path):
@@ -174,6 +180,15 @@ class TestSubspace:
 
 
 class TestConfigPrecedence:
+    @pytest.mark.parametrize("argv", [
+        ["theory", "--seed", "0", "--instances", "1", "--kappa", "9"],
+        ["synth", "--seed", "5", *SMALL_SYNTH, "--config", "cfg.txt"],
+    ])
+    def test_attack_options_only_on_attack_subcommands(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "out.txt")])
+        assert exc.value.code == EXIT_USAGE
+
     def test_config_file_overrides_defaults(self, dataset_file, tmp_path):
         cfg_file = tmp_path / "cfg.txt"
         cfg_file.write_text("steps=3\nsamples=2\nscales=1.0\n")

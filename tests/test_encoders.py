@@ -6,6 +6,7 @@ from aetlab.core import similarity_loss
 from aetlab.encoders import (
     BagOfWordsTextEncoder,
     LinearImageEncoder,
+    embed_pairs,
     encode_image,
     encode_text,
     grad_loss_wrt_image,
@@ -36,6 +37,16 @@ class TestEncoding:
             encode_text(tiny_pair.text, (0, 64))
         with pytest.raises(ValueError):
             encode_text(tiny_pair.text, ())
+
+    @pytest.mark.parametrize("length", [1, 4, 12])
+    def test_embed_pairs_rows_are_per_pair_encodings(self, tiny_pair, rng, length):
+        images = [np.clip(0.5 + 0.2 * rng.standard_normal((8, 8)), 0.0, 1.0) for _ in range(6)]
+        captions = [tuple(rng.integers(0, 64, length).tolist()) for _ in range(6)]
+        img, txt = embed_pairs(tiny_pair, images, captions)
+        np.testing.assert_allclose(
+            img, np.stack([encode_image(tiny_pair.image, x) for x in images]), rtol=0, atol=1e-12
+        )
+        assert np.array_equal(txt, np.stack([encode_text(tiny_pair.text, c) for c in captions]))
 
     def test_pair_loss_matches_similarity(self, tiny_pair, tiny_image, tiny_caption):
         val = pair_loss(tiny_pair, tiny_image, tiny_caption)
