@@ -103,39 +103,33 @@ def text_direction(
     return u
 
 
-def pair_loss(
-    enc_pair: EncoderPair,
+def image_loss(
+    enc_i: LinearImageEncoder,
     x: np.ndarray,
-    caption,
+    u: np.ndarray,
     projector: ProjectionBasis | None = None,
     scale: float = 1.0,
 ) -> float:
-    """Similarity of the (optionally scale-augmented, projected) pair."""
-    img = encode_image(enc_pair.image, scale_augment(x, scale) if scale != 1.0 else x)
-    txt = encode_text(enc_pair.text, caption)
+    """Similarity of the (optionally scale-augmented, projected) image
+    embedding with the text direction u (see text_direction)."""
+    img = encode_image(enc_i, scale_augment(x, scale) if scale != 1.0 else x)
     if projector is not None:
         img = projector.project(img)
-        txt = projector.project(txt)
-    return similarity_loss(img, txt)
+    return similarity_loss(img, u)
 
 
 def grad_loss_wrt_image(
-    enc_i: LinearImageEncoder,
-    enc_t: BagOfWordsTextEncoder,
-    x: np.ndarray,
-    caption,
-    scale: float = 1.0,
-    projector: ProjectionBasis | None = None,
+    enc_i: LinearImageEncoder, x: np.ndarray, u: np.ndarray, scale: float = 1.0
 ) -> np.ndarray:
-    """Exact gradient of the similarity of the scale-augmented pair w.r.t. x.
+    """Exact gradient of image_loss w.r.t. x for the text direction u.
 
     The loss is bilinear, so the gradient is the adjoint chain
-    augment^T(W^T u) / d with u the (projected) text embedding.
+    augment^T(W^T u) / d; the projector is already folded into u, since
+    <P a, P b> = <a, P b> for the symmetric idempotent P.
     """
     x = validate_image(x)
     if x.size != enc_i.weight.shape[1]:
         raise ValueError("image shape does not match encoder")
-    u = text_direction(enc_t, caption, projector)
     back = (enc_i.weight.T @ u).reshape(x.shape) / enc_i.embed_dim
     return scale_augment_adjoint(back, x.shape, scale)
 

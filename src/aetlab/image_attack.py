@@ -9,7 +9,8 @@ sample and projects back into the L-inf budget.
 
 The optimized objective is the image-text mismatch, i.e. the negated
 (optionally subspace-projected) dot-product similarity: driving the true
-pair's similarity down is what breaks retrieval.
+pair's similarity down is what breaks retrieval. The caption enters only
+through its (projected) text direction u, computed once per attack.
 """
 from __future__ import annotations
 
@@ -18,7 +19,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import AttackConfig, SimplexWeights, convex_combine, linf_project
-from .encoders import EncoderPair, grad_loss_wrt_image, pair_loss
+from .encoders import (
+    EncoderPair,
+    LinearImageEncoder,
+    grad_loss_wrt_image,
+    image_loss,
+    text_direction,
+)
 from .subspace import ProjectionBasis
 
 # Sub-triangle orderings: which of (max, median, min) of a uniform simplex
@@ -60,22 +67,20 @@ class AttackTrace:
 
 
 def mismatch_value(
-    x: np.ndarray, caption, enc_pair: EncoderPair, projector: ProjectionBasis | None
+    x: np.ndarray,
+    u: np.ndarray,
+    enc_i: LinearImageEncoder,
+    projector: ProjectionBasis | None,
 ) -> float:
-    """Attack objective: negated (projected) similarity of the pair."""
-    return -pair_loss(enc_pair, x, caption, projector)
+    """Attack objective: negated (projected) similarity of x with the text
+    direction u."""
+    return -image_loss(enc_i, x, u, projector)
 
 
 def mismatch_grad(
-    x: np.ndarray,
-    caption,
-    enc_pair: EncoderPair,
-    projector: ProjectionBasis | None,
-    scale: float = 1.0,
+    x: np.ndarray, u: np.ndarray, enc_i: LinearImageEncoder, scale: float = 1.0
 ) -> np.ndarray:
-    return -grad_loss_wrt_image(
-        enc_pair.image, enc_pair.text, x, caption, scale, projector
-    )
+    return -grad_loss_wrt_image(enc_i, x, u, scale)
 
 
 def _normalized_sign(g: np.ndarray) -> np.ndarray:
@@ -87,11 +92,11 @@ def _normalized_sign(g: np.ndarray) -> np.ndarray:
 
 
 def _multiscale_grad(
-    x: np.ndarray, caption, enc_pair, projector, cfg: AttackConfig
+    x: np.ndarray, u: np.ndarray, enc_i: LinearImageEncoder, cfg: AttackConfig
 ) -> np.ndarray:
     total = np.zeros_like(x)
     for scale in cfg.scales:
-        total += mismatch_grad(x, caption, enc_pair, projector, scale)
+        total += mismatch_grad(x, u, enc_i, scale)
     return total
 
 
@@ -120,9 +125,8 @@ def sample_sub_triangle(m: int, rng: np.random.Generator, region: str = "A") -> 
 
 def init_adversarial(
     x: np.ndarray,
-    caption,
-    enc_pair: EncoderPair,
-    projector: ProjectionBasis | None,
+    u: np.ndarray,
+    enc_i: LinearImageEncoder,
     cfg: AttackConfig,
     rng: np.random.Generator,
 ) -> TrajectoryState:
@@ -131,7 +135,7 @@ def init_adversarial(
     x0 = linf_project(
         x + cfg.eps_image * rng.standard_normal(x.shape), x, cfg.eps_image
     )
-    g = _multiscale_grad(x0, caption, enc_pair, projector, cfg)
+    g = _multiscale_grad(x0, u, enc_i, cfg)
     x1 = linf_project(x0 + cfg.step_size * _normalized_sign(g), x, cfg.eps_image)
     return TrajectoryState(clean=x, prev=x0, cur=x1, step=1)
 
@@ -139,9 +143,8 @@ def init_adversarial(
 def candidate_directions(
     state: TrajectoryState,
     weights: list[SimplexWeights],
-    caption,
-    enc_pair: EncoderPair,
-    projector: ProjectionBasis | None,
+    u: np.ndarray,
+    enc_i: LinearImageEncoder,
     cfg: AttackConfig,
 ) -> list[np.ndarray]:
     """One sign-gradient perturbation direction per sampled triangle point."""
@@ -150,7 +153,7 @@ def candidate_directions(
     dirs = []
     for w in weights:
         s = convex_combine(state.clean, state.prev, state.cur, w)
-        g = mismatch_grad(s, caption, enc_pair, projector)
+        g = mismatch_grad(s, u, enc_i)
         dirs.append(cfg.step_size * _normalized_sign(g))
     return dirs
 
@@ -158,8 +161,8 @@ def candidate_directions(
 def text_guided_select(
     state: TrajectoryState,
     directions: list[np.ndarray],
-    caption,
-    enc_pair: EncoderPair,
+    u: np.ndarray,
+    enc_i: LinearImageEncoder,
     projector: ProjectionBasis | None,
     cfg: AttackConfig,
 ) -> int:
@@ -171,7 +174,7 @@ def text_guided_select(
     best_val = -np.inf
     for k, eps_k in enumerate(directions):
         cand = linf_project(state.cur + eps_k, state.clean, cfg.eps_image)
-        val = mismatch_value(cand, caption, enc_pair, projector)
+        val = mismatch_value(cand, u, enc_i, projector)
         if val > best_val:
             best_val = val
             best_idx = k
@@ -181,14 +184,13 @@ def text_guided_select(
 def attack_step(
     state: TrajectoryState,
     chosen_sample: np.ndarray,
-    caption,
-    enc_pair: EncoderPair,
-    projector: ProjectionBasis | None,
+    u: np.ndarray,
+    enc_i: LinearImageEncoder,
     cfg: AttackConfig,
 ) -> TrajectoryState:
     """Multi-scale sign step taken at the selected sample, applied to the
     current adversarial image and projected into the budget."""
-    g = _multiscale_grad(chosen_sample, caption, enc_pair, projector, cfg)
+    g = _multiscale_grad(chosen_sample, u, enc_i, cfg)
     new_cur = linf_project(
         state.cur + cfg.step_size * _normalized_sign(g), state.clean, cfg.eps_image
     )
@@ -215,13 +217,15 @@ def run_image_attack(
     the multi-scale sign-gradient baseline.
     """
     trace = AttackTrace()
-    state = init_adversarial(x, caption, enc_pair, projector, cfg, rng)
+    u = text_direction(enc_pair.text, caption, projector)
+    enc_i = enc_pair.image
+    state = init_adversarial(x, u, enc_i, cfg, rng)
     if keep_intermediates:
         trace.intermediates = [state.prev.copy(), state.cur.copy()]
     trace.records.append(
         StepRecord(
             step=1,
-            loss=mismatch_value(state.cur, caption, enc_pair, projector),
+            loss=mismatch_value(state.cur, u, enc_i, projector),
             lam=0.0,
             beta=0.0,
             gamma=1.0,
@@ -233,17 +237,17 @@ def run_image_attack(
             weights = [forced_weights] * cfg.samples
         else:
             weights = sample_sub_triangle(cfg.samples, rng, cfg.region)
-        dirs = candidate_directions(state, weights, caption, enc_pair, projector, cfg)
-        o = text_guided_select(state, dirs, caption, enc_pair, projector, cfg)
+        dirs = candidate_directions(state, weights, u, enc_i, cfg)
+        o = text_guided_select(state, dirs, u, enc_i, projector, cfg)
         s_o = convex_combine(state.clean, state.prev, state.cur, weights[o])
-        state = attack_step(state, s_o, caption, enc_pair, projector, cfg)
+        state = attack_step(state, s_o, u, enc_i, cfg)
         if keep_intermediates:
             trace.intermediates.append(state.cur.copy())
         w = weights[o]
         trace.records.append(
             StepRecord(
                 step=state.step,
-                loss=mismatch_value(state.cur, caption, enc_pair, projector),
+                loss=mismatch_value(state.cur, u, enc_i, projector),
                 lam=w.lam,
                 beta=w.beta,
                 gamma=w.gamma,

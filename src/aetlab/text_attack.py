@@ -44,8 +44,7 @@ def build_word_candidates(
     for tok in caption:
         scores = enc.table @ enc.table[int(tok)]
         order = np.argsort(-scores, kind="stable")
-        picks = [int(i) for i in order if int(i) != int(tok)][:word_list_size]
-        per_position.append(tuple(picks))
+        per_position.append(tuple(order[order != int(tok)][:word_list_size].tolist()))
     return WordCandidateList(tuple(per_position))
 
 
@@ -72,18 +71,17 @@ def score_text_candidate(
     clean_img_emb: np.ndarray,
     prev_adv_emb: np.ndarray,
     cur_adv_emb: np.ndarray,
-    enc_pair: EncoderPair,
+    enc_t: BagOfWordsTextEncoder,
     projector: ProjectionBasis | None,
     cfg: AttackConfig,
 ) -> float:
     """kappa/mu/nu-weighted mismatch of the candidate caption against the
-    clean, previous adversarial, and final adversarial image embeddings."""
-    txt = encode_text(enc_pair.text, cand)
+    clean, previous adversarial, and final adversarial image embeddings,
+    which the caller has already projected; only the caption is projected
+    here."""
+    txt = encode_text(enc_t, cand)
     if projector is not None:
         txt = projector.project(txt)
-        clean_img_emb = projector.project(clean_img_emb)
-        prev_adv_emb = projector.project(prev_adv_emb)
-        cur_adv_emb = projector.project(cur_adv_emb)
     return -(
         cfg.kappa * similarity_loss(clean_img_emb, txt)
         + cfg.mu * similarity_loss(prev_adv_emb, txt)
@@ -122,14 +120,12 @@ def run_text_attack(
     base = tuple(int(t) for t in caption)
     wcl = build_word_candidates(base, enc_pair.text, cfg.word_list_size)
     candidates = enumerate_text_candidates(base, wcl, cfg.text_budget)
-    clean_emb = encode_image(enc_pair.image, clean_img)
-    prev_emb = encode_image(enc_pair.image, prev_adv)
-    cur_emb = encode_image(enc_pair.image, cur_adv)
+    embs = [encode_image(enc_pair.image, x) for x in (clean_img, prev_adv, cur_adv)]
+    if projector is not None:
+        embs = [projector.project(e) for e in embs]
 
     def scorer(cand):
-        return score_text_candidate(
-            cand, clean_emb, prev_emb, cur_emb, enc_pair, projector, cfg
-        )
+        return score_text_candidate(cand, *embs, enc_pair.text, projector, cfg)
 
     chosen = select_adversarial_text(candidates, scorer, original=base)
     return chosen, chosen != base

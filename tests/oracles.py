@@ -2,7 +2,7 @@
 import numpy as np
 
 from aetlab.core import linf_project, similarity_loss
-from aetlab.encoders import encode_image, encode_text
+from aetlab.encoders import encode_image, encode_text, image_loss, text_direction
 from aetlab.harness import ExperimentReport, attack_success_rate, craft_adversarial_pairs
 from aetlab.image_attack import _multiscale_grad, _normalized_sign
 
@@ -26,18 +26,26 @@ def finite_difference_grad(fn, x: np.ndarray, step: float = FD_STEP) -> np.ndarr
     return grad
 
 
+def pair_loss(enc_pair, x, caption, projector=None, scale=1.0) -> float:
+    """Similarity of the (optionally scale-augmented, projected) pair: the
+    function grad_loss_wrt_image differentiates, composed from the caption."""
+    u = text_direction(enc_pair.text, caption, projector)
+    return image_loss(enc_pair.image, x, u, projector, scale)
+
+
 def run_sga_attack(x, caption, enc_pair, projector, cfg, rng):
     """Direct multi-scale sign-gradient baseline (no triangle machinery).
 
     Regression oracle for run_image_attack with forced weights (0, 0, 1) and
     samples=1: both must produce bitwise-identical output for the same seed.
     """
+    u = text_direction(enc_pair.text, caption, projector)
     cur = linf_project(
         x + cfg.eps_image * rng.standard_normal(x.shape), x, cfg.eps_image
     )
     prev = cur
     for _ in range(cfg.steps):
-        g = _multiscale_grad(cur, caption, enc_pair, projector, cfg)
+        g = _multiscale_grad(cur, u, enc_pair.image, cfg)
         prev = cur
         cur = linf_project(
             cur + cfg.step_size * _normalized_sign(g), x, cfg.eps_image

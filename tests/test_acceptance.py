@@ -14,7 +14,7 @@ import pytest
 from scipy.stats import spearmanr
 
 from aetlab.core import AttackConfig, DEFAULT_SCALES, SimplexWeights
-from aetlab.encoders import grad_loss_wrt_image, make_base_encoders, pair_loss
+from aetlab.encoders import grad_loss_wrt_image, make_base_encoders, text_direction
 from aetlab.harness import (
     DatasetDims,
     TRANSFER_EMBED_DIM,
@@ -37,7 +37,7 @@ from aetlab.theory import (
     simulate_linearized_updates,
     verify_theorem,
 )
-from oracles import finite_difference_grad, run_sga_attack
+from oracles import finite_difference_grad, pair_loss, run_sga_attack
 
 # Frozen after the reference oracle run; the criterion demands >= 2.0.
 MIN_TRANSFER_GAP = 2.0
@@ -192,7 +192,7 @@ def test_criterion_5_gradient_fidelity(capsys):
         if k % 2 == 1:
             projector = build_projection(rng.standard_normal((5, 16)))
         analytic = grad_loss_wrt_image(
-            pair.image, pair.text, x, caption, scale, projector
+            pair.image, x, text_direction(pair.text, caption, projector), scale
         )
         fd = finite_difference_grad(
             lambda z: pair_loss(pair, z, caption, projector, scale), x

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from aetlab import matio
-from aetlab.core import similarity_loss
+from aetlab.core import scale_augment, similarity_loss
 from aetlab.encoders import (
     BagOfWordsTextEncoder,
     LinearImageEncoder,
@@ -10,12 +10,13 @@ from aetlab.encoders import (
     encode_image,
     encode_text,
     grad_loss_wrt_image,
+    image_loss,
     make_base_encoders,
     make_model_pool,
-    pair_loss,
+    text_direction,
 )
 from aetlab.subspace import build_projection
-from oracles import finite_difference_grad
+from oracles import finite_difference_grad, pair_loss
 
 
 class TestEncoding:
@@ -56,6 +57,22 @@ class TestEncoding:
         )
         assert val == pytest.approx(expect)
 
+    @pytest.mark.parametrize("scale", [1.0, 0.75])
+    @pytest.mark.parametrize("use_projector", [False, True])
+    def test_image_loss_is_the_projected_pair_similarity(
+        self, tiny_pair, tiny_image, tiny_caption, rng, scale, use_projector
+    ):
+        # projecting both embeddings and taking their similarity must give
+        # the same bits as projecting the caption once into u
+        projector = build_projection(rng.standard_normal((5, 16))) if use_projector else None
+        x = scale_augment(tiny_image, scale) if scale != 1.0 else tiny_image
+        img = encode_image(tiny_pair.image, x)
+        txt = encode_text(tiny_pair.text, tiny_caption)
+        if projector is not None:
+            img, txt = projector.project(img), projector.project(txt)
+        u = text_direction(tiny_pair.text, tiny_caption, projector)
+        assert image_loss(tiny_pair.image, tiny_image, u, projector, scale) == similarity_loss(img, txt)
+
     def test_encoder_validation(self):
         with pytest.raises(ValueError):
             LinearImageEncoder(np.array([1.0, 2.0]))
@@ -73,9 +90,8 @@ class TestGradients:
         if use_projector:
             emb = rng.standard_normal((5, tiny_pair.image.embed_dim))
             projector = build_projection(emb)
-        analytic = grad_loss_wrt_image(
-            tiny_pair.image, tiny_pair.text, tiny_image, tiny_caption, scale, projector
-        )
+        u = text_direction(tiny_pair.text, tiny_caption, projector)
+        analytic = grad_loss_wrt_image(tiny_pair.image, tiny_image, u, scale)
         fd = finite_difference_grad(
             lambda z: pair_loss(tiny_pair, z, tiny_caption, projector, scale),
             tiny_image,

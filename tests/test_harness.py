@@ -1,4 +1,6 @@
 import csv
+from collections import Counter
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from aetlab import image_attack, text_attack
 from aetlab.core import AttackConfig
 from aetlab.harness import (
     DatasetDims,
@@ -13,6 +16,7 @@ from aetlab.harness import (
     ExperimentReport,
     UndefinedASRError,
     alpha_metric,
+    attack_pairs,
     attack_success_rate,
     clean_recall_at_1,
     craft_adversarial_pairs,
@@ -306,6 +310,61 @@ class TestCraftAdversarialPairs:
         a = craft_adversarial_pairs(small_ds, small_ds.base, tiny_cfg, "dra", stream=0)
         b = craft_adversarial_pairs(small_ds, small_ds.base, tiny_cfg, "dra", stream=1)
         assert any(not np.array_equal(x[0], y[0]) for x, y in zip(a, b))
+
+    @pytest.mark.parametrize(
+        "variant, overrides, grads",
+        [
+            ("saaet", {}, 95),
+            ("dra", {}, 95),
+            ("subtriangle-C", {}, 95),
+            ("sga", {}, 59),
+            ("saaet", dict(steps=2, samples=1, scales=(1.0,)), 3),
+            ("sga", dict(steps=2, samples=1, scales=(1.0,)), 3),
+        ],
+    )
+    def test_counted_calls_per_pair(self, monkeypatch, variant, overrides, grads):
+        # perfbench's traced run wraps these two import sites and expects
+        # exactly these counts per pair: 5 scales + 9 steps x (samples +
+        # 5 scales) gradients, and 1 + 5 words x 10 candidate captions
+        ds = synth_dataset(seed=2, n_pairs=3)
+        counts = Counter()
+        for mod, name in ((image_attack, "grad_loss_wrt_image"), (text_attack, "score_text_candidate")):
+            def counted(*args, _fn=getattr(mod, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(mod, name, counted)
+        craft_adversarial_pairs(ds, ds.base, AttackConfig(master_seed=2, **overrides), variant)
+        assert counts == {"grad_loss_wrt_image": 3 * grads, "score_text_candidate": 3 * 51}
+
+
+class TestAttackPairsProperties:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        variant=st.sampled_from(["saaet", "dra", "sga", "subtriangle-C"]),
+        eps_image=st.floats(0.5 / 255, 16 / 255),
+        step_size=st.floats(0.25 / 255, 4 / 255),
+        n_pairs=st.integers(2, 4),
+        data=st.data(),
+    )
+    def test_budgets_and_prefix_independence(
+        self, seed, variant, eps_image, step_size, n_pairs, data
+    ):
+        ds = synth_dataset(seed, n_pairs, dims=SMALL_DIMS, held_out=10, held_out_len=12)
+        cfg = AttackConfig(eps_image=eps_image, step_size=step_size, master_seed=seed)
+        full = list(attack_pairs(ds, ds.base, cfg, variant))
+        assert len(full) == n_pairs
+        for p, (img, cap, _) in enumerate(full):
+            assert np.max(np.abs(img - ds.images[p])) <= eps_image + 1e-12
+            assert img.min() >= 0.0 and img.max() <= 1.0
+            assert len(cap) == len(ds.captions[p])
+            assert sum(a != b for a, b in zip(cap, ds.captions[p])) <= cfg.text_budget
+        p = data.draw(st.integers(0, n_pairs - 1), label="pair")
+        *_, (img, cap, trace) = islice(attack_pairs(ds, ds.base, cfg, variant), p + 1)
+        assert np.array_equal(img, full[p][0])
+        assert cap == full[p][1]
+        assert trace.records == full[p][2].records
 
 
 class TestWriteReport:

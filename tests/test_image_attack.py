@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from aetlab.core import AttackConfig, SimplexWeights, convex_combine, linf_project
-from aetlab.encoders import pair_loss
+from aetlab.encoders import text_direction
 from aetlab.image_attack import (
     REGION_ASSIGNMENTS,
     TrajectoryState,
@@ -14,7 +14,8 @@ from aetlab.image_attack import (
     sample_sub_triangle,
     text_guided_select,
 )
-from oracles import run_sga_attack
+from aetlab.subspace import build_projection
+from oracles import pair_loss, run_sga_attack
 
 REGION_ORDERINGS = {
     # region -> (smallest, middle, largest) component names
@@ -62,94 +63,97 @@ class TestNormalizedSign:
         np.testing.assert_array_equal(_normalized_sign(g), np.sign(g))
 
 
-class TestObjective:
-    def test_mismatch_is_negated_similarity(self, tiny_pair, tiny_image, tiny_caption):
-        assert mismatch_value(tiny_image, tiny_caption, tiny_pair, None) == pytest.approx(
-            -pair_loss(tiny_pair, tiny_image, tiny_caption)
-        )
+@pytest.fixture
+def tiny_u(tiny_pair, tiny_caption):
+    return text_direction(tiny_pair.text, tiny_caption, None)
 
-    def test_step_along_gradient_increases_mismatch(
-        self, tiny_pair, tiny_image, tiny_caption
-    ):
-        g = mismatch_grad(tiny_image, tiny_caption, tiny_pair, None)
-        before = mismatch_value(tiny_image, tiny_caption, tiny_pair, None)
-        after = mismatch_value(
-            tiny_image + 1e-4 * g, tiny_caption, tiny_pair, None
-        )
+
+class TestObjective:
+    def test_mismatch_is_negated_similarity(self, tiny_pair, tiny_image, tiny_caption, rng):
+        for projector in (None, build_projection(rng.standard_normal((5, 16)))):
+            u = text_direction(tiny_pair.text, tiny_caption, projector)
+            assert mismatch_value(tiny_image, u, tiny_pair.image, projector) == -pair_loss(
+                tiny_pair, tiny_image, tiny_caption, projector
+            )
+
+    def test_step_along_gradient_increases_mismatch(self, tiny_pair, tiny_image, tiny_u):
+        g = mismatch_grad(tiny_image, tiny_u, tiny_pair.image)
+        before = mismatch_value(tiny_image, tiny_u, tiny_pair.image, None)
+        after = mismatch_value(tiny_image + 1e-4 * g, tiny_u, tiny_pair.image, None)
         assert after > before
 
 
 class TestTextGuidedSelect:
-    def test_picks_argmax_direction(self, tiny_pair, tiny_image, tiny_caption, fast_cfg):
+    def test_picks_argmax_direction(self, tiny_pair, tiny_image, tiny_u, fast_cfg):
         state = TrajectoryState(
             clean=tiny_image, prev=tiny_image, cur=tiny_image, step=1
         )
         good = fast_cfg.step_size * _normalized_sign(
-            mismatch_grad(tiny_image, tiny_caption, tiny_pair, None)
+            mismatch_grad(tiny_image, tiny_u, tiny_pair.image)
         )
         bad = -good
         assert text_guided_select(
-            state, [bad, good], tiny_caption, tiny_pair, None, fast_cfg
+            state, [bad, good], tiny_u, tiny_pair.image, None, fast_cfg
         ) == 1
 
-    def test_tie_goes_to_lowest_index(self, tiny_pair, tiny_image, tiny_caption, fast_cfg):
+    def test_tie_goes_to_lowest_index(self, tiny_pair, tiny_image, tiny_u, fast_cfg):
         state = TrajectoryState(
             clean=tiny_image, prev=tiny_image, cur=tiny_image, step=1
         )
         d = np.zeros_like(tiny_image)
         assert text_guided_select(
-            state, [d, d.copy()], tiny_caption, tiny_pair, None, fast_cfg
+            state, [d, d.copy()], tiny_u, tiny_pair.image, None, fast_cfg
         ) == 0
 
     def test_selection_evaluates_feasible_candidate(
-        self, tiny_pair, tiny_image, tiny_caption, fast_cfg
+        self, tiny_pair, tiny_image, tiny_u, fast_cfg
     ):
         # a huge direction must be judged by its projected (feasible) effect
         state = TrajectoryState(
             clean=tiny_image, prev=tiny_image, cur=tiny_image, step=1
         )
-        g = mismatch_grad(tiny_image, tiny_caption, tiny_pair, None)
+        g = mismatch_grad(tiny_image, tiny_u, tiny_pair.image)
         huge = 100.0 * _normalized_sign(g)
         small = fast_cfg.step_size * _normalized_sign(g)
         idx = text_guided_select(
-            state, [huge, small], tiny_caption, tiny_pair, None, fast_cfg
+            state, [huge, small], tiny_u, tiny_pair.image, None, fast_cfg
         )
         cand_huge = linf_project(state.cur + huge, tiny_image, fast_cfg.eps_image)
         cand_small = linf_project(state.cur + small, tiny_image, fast_cfg.eps_image)
         vals = [
-            mismatch_value(c, tiny_caption, tiny_pair, None)
+            mismatch_value(c, tiny_u, tiny_pair.image, None)
             for c in (cand_huge, cand_small)
         ]
         assert idx == int(np.argmax(vals))
 
-    def test_empty_directions_rejected(self, tiny_pair, tiny_image, tiny_caption, fast_cfg):
+    def test_empty_directions_rejected(self, tiny_pair, tiny_image, tiny_u, fast_cfg):
         state = TrajectoryState(tiny_image, tiny_image, tiny_image, 1)
         with pytest.raises(ValueError):
-            text_guided_select(state, [], tiny_caption, tiny_pair, None, fast_cfg)
+            text_guided_select(state, [], tiny_u, tiny_pair.image, None, fast_cfg)
 
 
 class TestCandidateDirections:
-    def test_one_direction_per_weight(self, tiny_pair, tiny_image, tiny_caption, fast_cfg):
+    def test_one_direction_per_weight(self, tiny_pair, tiny_image, tiny_u, fast_cfg):
         state = TrajectoryState(tiny_image, tiny_image, tiny_image, 1)
         weights = sample_sub_triangle(3, np.random.default_rng(0))
         dirs = candidate_directions(
-            state, weights, tiny_caption, tiny_pair, None, fast_cfg
+            state, weights, tiny_u, tiny_pair.image, fast_cfg
         )
         assert len(dirs) == 3
         for d in dirs:
             assert np.max(np.abs(d)) <= fast_cfg.step_size + 1e-15
 
     def test_direction_is_sign_gradient_at_sample(
-        self, tiny_pair, tiny_image, tiny_caption, fast_cfg, rng
+        self, tiny_pair, tiny_image, tiny_u, fast_cfg, rng
     ):
         prev = np.clip(tiny_image + 0.01 * rng.standard_normal(tiny_image.shape), 0, 1)
         cur = np.clip(tiny_image - 0.01 * rng.standard_normal(tiny_image.shape), 0, 1)
         state = TrajectoryState(tiny_image, prev, cur, 2)
         w = SimplexWeights(0.5, 0.3, 0.2)
-        [d] = candidate_directions(state, [w], tiny_caption, tiny_pair, None, fast_cfg)
+        [d] = candidate_directions(state, [w], tiny_u, tiny_pair.image, fast_cfg)
         s = convex_combine(tiny_image, prev, cur, w)
         expect = fast_cfg.step_size * _normalized_sign(
-            mismatch_grad(s, tiny_caption, tiny_pair, None)
+            mismatch_grad(s, tiny_u, tiny_pair.image)
         )
         np.testing.assert_array_equal(d, expect)
 
@@ -192,8 +196,9 @@ class TestRunImageAttack:
             tiny_image, tiny_caption, tiny_pair, None, fast_cfg,
             np.random.default_rng(0),
         )
-        assert mismatch_value(adv, tiny_caption, tiny_pair, None) > mismatch_value(
-            tiny_image, tiny_caption, tiny_pair, None
+        u = text_direction(tiny_pair.text, tiny_caption, None)
+        assert mismatch_value(adv, u, tiny_pair.image, None) > mismatch_value(
+            tiny_image, u, tiny_pair.image, None
         )
 
     def test_forced_weights_reduce_to_sga(self, tiny_pair, tiny_image, tiny_caption):

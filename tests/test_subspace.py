@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from aetlab.core import similarity_loss
-from aetlab.encoders import encode_image, encode_text, pair_loss
+from aetlab.encoders import encode_image, encode_text
 from aetlab.subspace import DegenerateCorpusError, build_projection, sample_corpus
+from oracles import pair_loss
 
 
 class TestSampleCorpus:

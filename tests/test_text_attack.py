@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from aetlab.core import AttackConfig, similarity_loss
-from aetlab.encoders import encode_image, encode_text
+from aetlab.encoders import BagOfWordsTextEncoder, encode_image, encode_text
 from aetlab.subspace import build_projection
 from aetlab.text_attack import (
     UnsupportedBudgetError,
@@ -45,6 +45,18 @@ class TestWordCandidates:
         with pytest.raises(ValueError):
             build_word_candidates(tiny_caption, tiny_pair.text, word_list_size=-1)
 
+    @pytest.mark.parametrize("size", [0, 3, 10, 39])
+    def test_tied_scores_match_list_comprehension(self, rng, size):
+        # 40 tokens that share 4 distinct rows: every score ties with nine
+        # others, the original token's own row included
+        table = rng.standard_normal((4, 6))[rng.integers(0, 4, 40)]
+        enc = BagOfWordsTextEncoder(table)
+        caption = (0, 7, 7, 39, 21)
+        wcl = build_word_candidates(caption, enc, word_list_size=size)
+        for tok, cands in zip(caption, wcl.per_position):
+            order = np.argsort(-(table @ table[tok]), kind="stable")
+            assert cands == tuple([int(i) for i in order if int(i) != tok][:size])
+
 
 class TestEnumerateCandidates:
     def test_original_first_and_counts(self, tiny_pair, tiny_caption):
@@ -70,7 +82,7 @@ class TestScoring:
         clean = encode_image(tiny_pair.image, tiny_image)
         prev = clean + 0.1 * rng.standard_normal(clean.shape)
         cur = clean - 0.1 * rng.standard_normal(clean.shape)
-        got = score_text_candidate(tiny_caption, clean, prev, cur, tiny_pair, None, cfg)
+        got = score_text_candidate(tiny_caption, clean, prev, cur, tiny_pair.text, None, cfg)
         txt = encode_text(tiny_pair.text, tiny_caption)
         expect = -(
             0.6 * similarity_loss(clean, txt)
@@ -82,11 +94,35 @@ class TestScoring:
     def test_projected_scoring(self, tiny_pair, tiny_image, tiny_caption, rng):
         cfg = AttackConfig()
         pb = build_projection(rng.standard_normal((4, tiny_pair.image.embed_dim)))
-        clean = encode_image(tiny_pair.image, tiny_image)
-        got = score_text_candidate(tiny_caption, clean, clean, clean, tiny_pair, pb, cfg)
+        clean = pb.project(encode_image(tiny_pair.image, tiny_image))
+        got = score_text_candidate(tiny_caption, clean, clean, clean, tiny_pair.text, pb, cfg)
         txt = pb.project(encode_text(tiny_pair.text, tiny_caption))
-        expect = -similarity_loss(pb.project(clean), txt)
+        expect = -similarity_loss(clean, txt)
         assert got == pytest.approx(expect)
+
+    @pytest.mark.parametrize("use_projector", [False, True])
+    def test_preprojected_images_equal_projecting_everything(
+        self, tiny_pair, tiny_image, tiny_caption, rng, use_projector
+    ):
+        # projecting all four vectors per candidate and projecting the three
+        # image embeddings once beforehand must give the same bits
+        cfg = AttackConfig(kappa=0.5, mu=0.3, nu=0.2)
+        pb = build_projection(rng.standard_normal((4, 16))) if use_projector else None
+        imgs = [
+            encode_image(tiny_pair.image, np.clip(tiny_image + 0.03 * rng.standard_normal((8, 8)), 0, 1))
+            for _ in range(3)
+        ]
+        proj = (lambda v: v) if pb is None else pb.project
+        pre = [proj(e) for e in imgs]
+        wcl = build_word_candidates(tiny_caption, tiny_pair.text, word_list_size=5)
+        for cand in enumerate_text_candidates(tiny_caption, wcl):
+            txt = proj(encode_text(tiny_pair.text, cand))
+            expect = -(
+                cfg.kappa * similarity_loss(proj(imgs[0]), txt)
+                + cfg.mu * similarity_loss(proj(imgs[1]), txt)
+                + cfg.nu * similarity_loss(proj(imgs[2]), txt)
+            )
+            assert score_text_candidate(cand, *pre, tiny_pair.text, pb, cfg) == expect
 
 
 class TestSelection:
@@ -131,7 +167,7 @@ class TestRunTextAttack:
         )
         clean = encode_image(tiny_pair.image, tiny_image)
         score = lambda c: score_text_candidate(
-            c, clean, clean, clean, tiny_pair, None, cfg
+            c, clean, clean, clean, tiny_pair.text, None, cfg
         )
         assert score(chosen) >= score(tiny_caption)
 
