@@ -147,6 +147,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    if args.limit is not None and args.limit < 0:
+        return _usage_exit("--limit must be >= 0")
     seed = _resolve_seed(args)
     cfg = build_attack_config(args, seed)
     ds = load_dataset_descriptor(args.dataset)

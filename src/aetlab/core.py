@@ -1,4 +1,4 @@
-"""Shared numeric primitives: contrastive loss, convex combination, L-inf
+"""Shared numeric primitives: contrastive loss, simplex weights, L-inf
 projection, and bilinear scale augmentation.
 
 Images are float64 arrays of shape (H, W) with pixels in [0, 1]. Captions are
@@ -27,11 +27,7 @@ class SimplexWeights:
     gamma: float
 
     def __post_init__(self):
-        for name, v in (("lam", self.lam), ("beta", self.beta), ("gamma", self.gamma)):
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name}={v} outside [0, 1]")
-        if abs(self.lam + self.beta + self.gamma - 1.0) > SIMPLEX_TOL:
-            raise ValueError("weights must sum to 1 within 1e-12")
+        validate_simplex(np.array([self.as_tuple()]))
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.lam, self.beta, self.gamma)
@@ -76,8 +72,8 @@ class AttackConfig:
             raise ValueError("mu + nu must be > 0 (adversarial-image share cannot vanish)")
         if not (0.0 < self.corpus_proportion <= 1.0):
             raise ValueError("corpus_proportion must be in (0, 1]")
-        if not all(s > 0 for s in self.scales):
-            raise ValueError("scales must be positive")
+        if not self.scales or not all(s > 0 for s in self.scales):
+            raise ValueError("scales must be a nonempty tuple of positive values")
         if self.region not in "ABCDEF":
             raise ValueError(f"unknown sub-triangle region {self.region!r}")
 
@@ -100,18 +96,22 @@ def similarity_loss(img_emb: np.ndarray, txt_emb: np.ndarray) -> float:
     return float(img_emb @ txt_emb) / img_emb.shape[0]
 
 
-def convex_combine(
-    x: np.ndarray, x_prev: np.ndarray, x_cur: np.ndarray, w: SimplexWeights
-) -> np.ndarray:
-    """Pixelwise lam*x + beta*x_prev + gamma*x_cur."""
-    if x.shape != x_prev.shape or x.shape != x_cur.shape:
-        raise ValueError("convex_combine: shape mismatch")
-    return w.lam * x + w.beta * x_prev + w.gamma * x_cur
+def validate_simplex(weights: np.ndarray) -> np.ndarray:
+    """Check (m, 3) rows of (lam, beta, gamma): each component in [0, 1] and
+    each row summing to 1 within SIMPLEX_TOL."""
+    if weights.ndim != 2 or weights.shape[1] != 3:
+        raise ValueError(f"simplex weights must have shape (m, 3), got {weights.shape}")
+    if not (weights.min() >= 0.0 and weights.max() <= 1.0):  # NaN fails too
+        raise ValueError("simplex weight outside [0, 1]")
+    if np.abs(weights[:, 0] + weights[:, 1] + weights[:, 2] - 1.0).max() > SIMPLEX_TOL:
+        raise ValueError("weights must sum to 1 within 1e-12")
+    return weights
 
 
 def linf_project(candidate: np.ndarray, origin: np.ndarray, eps: float) -> np.ndarray:
-    """Clamp candidate into the eps L-inf ball around origin, then into [0, 1]."""
-    if candidate.shape != origin.shape:
+    """Clamp candidate, one image or a stack of images of origin's shape,
+    into the eps L-inf ball around origin, then into [0, 1]."""
+    if candidate.shape[candidate.ndim - origin.ndim :] != origin.shape:
         raise ValueError("linf_project: shape mismatch")
     if eps <= 0:
         raise ValueError("eps must be > 0")

@@ -80,17 +80,26 @@ def encode_text(enc: BagOfWordsTextEncoder, caption) -> np.ndarray:
     return enc.table[tokens].mean(axis=0)
 
 
-def embed_pairs(enc: EncoderPair, images, captions) -> tuple[np.ndarray, np.ndarray]:
-    """Image and caption embeddings of n pairs as (n, d) matrices. Token rows
+def embed_captions(enc: BagOfWordsTextEncoder, captions) -> np.ndarray:
+    """Embeddings of n equal-length captions as an (n, d) matrix. Token rows
     are summed position by position, the order encode_text's mean adds them
-    in, so each text row equals encode_text bit for bit."""
+    in, so each row equals encode_text bit for bit."""
+    tokens = np.asarray(captions, dtype=np.int64)
+    if tokens.ndim != 2 or tokens.size < 1:
+        raise ValueError("captions must be a nonempty (n, L) token matrix")
+    if tokens.min() < 0 or tokens.max() >= enc.vocab_size:
+        raise ValueError("caption token outside vocabulary")
+    txt = enc.table[tokens[:, 0]]
+    for col in tokens.T[1:]:
+        txt += enc.table[col]
+    txt /= tokens.shape[1]
+    return txt
+
+
+def embed_pairs(enc: EncoderPair, images, captions) -> tuple[np.ndarray, np.ndarray]:
+    """Image and caption embeddings of n pairs as (n, d) matrices."""
     img = np.stack(images).reshape(len(images), -1) @ enc.image.weight.T
-    tokens = np.asarray(captions, dtype=np.int64).T
-    txt = enc.text.table[tokens[0]]
-    for row in tokens[1:]:
-        txt += enc.text.table[row]
-    txt /= len(tokens)
-    return img, txt
+    return img, embed_captions(enc.text, captions)
 
 
 def text_direction(
@@ -118,20 +127,25 @@ def image_loss(
     return similarity_loss(img, u)
 
 
-def grad_loss_wrt_image(
-    enc_i: LinearImageEncoder, x: np.ndarray, u: np.ndarray, scale: float = 1.0
-) -> np.ndarray:
-    """Exact gradient of image_loss w.r.t. x for the text direction u.
+def back_project(enc_i: LinearImageEncoder, u: np.ndarray) -> np.ndarray:
+    """W^T u / d: the gradient of image_loss at scale 1.0, as flat pixels.
 
-    The loss is bilinear, so the gradient is the adjoint chain
-    augment^T(W^T u) / d; the projector is already folded into u, since
-    <P a, P b> = <a, P b> for the symmetric idempotent P.
+    The loss is bilinear, so this does not depend on the image; the
+    projector is already folded into u, since <P a, P b> = <a, P b> for the
+    symmetric idempotent P.
     """
+    return enc_i.weight.T @ u / enc_i.embed_dim
+
+
+def grad_loss_wrt_image(
+    enc_i: LinearImageEncoder, x: np.ndarray, back: np.ndarray, scale: float = 1.0
+) -> np.ndarray:
+    """Exact gradient of image_loss w.r.t. x for the text direction u, given
+    back = back_project(enc_i, u): the adjoint chain augment^T(W^T u) / d."""
     x = validate_image(x)
     if x.size != enc_i.weight.shape[1]:
         raise ValueError("image shape does not match encoder")
-    back = (enc_i.weight.T @ u).reshape(x.shape) / enc_i.embed_dim
-    return scale_augment_adjoint(back, x.shape, scale)
+    return scale_augment_adjoint(back.reshape(x.shape), x.shape, scale)
 
 
 def make_base_encoders(

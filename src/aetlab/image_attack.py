@@ -10,7 +10,9 @@ sample and projects back into the L-inf budget.
 The optimized objective is the image-text mismatch, i.e. the negated
 (optionally subspace-projected) dot-product similarity: driving the true
 pair's similarity down is what breaks retrieval. The caption enters only
-through its (projected) text direction u, computed once per attack.
+through its (projected) text direction u and that direction's pixel-space
+back-projection, both computed once per attack. The m triangle samples,
+their directions and their feasible candidates are (m, H, W) stacks.
 """
 from __future__ import annotations
 
@@ -18,10 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import AttackConfig, SimplexWeights, convex_combine, linf_project
+from .core import AttackConfig, SimplexWeights, linf_project, validate_simplex
 from .encoders import (
     EncoderPair,
     LinearImageEncoder,
+    back_project,
     grad_loss_wrt_image,
     image_loss,
     text_direction,
@@ -78,30 +81,33 @@ def mismatch_value(
 
 
 def mismatch_grad(
-    x: np.ndarray, u: np.ndarray, enc_i: LinearImageEncoder, scale: float = 1.0
+    x: np.ndarray, back: np.ndarray, enc_i: LinearImageEncoder, scale: float = 1.0
 ) -> np.ndarray:
-    return -grad_loss_wrt_image(enc_i, x, u, scale)
+    """Gradient of mismatch_value; back = back_project(enc_i, u)."""
+    return -grad_loss_wrt_image(enc_i, x, back, scale)
 
 
 def _normalized_sign(g: np.ndarray) -> np.ndarray:
-    """sign(g / ||g||) with sign(0) = 0; normalization cannot flip signs."""
-    n = np.linalg.norm(g)
-    if n == 0.0:
-        return np.zeros_like(g)
-    return np.sign(g / n)
+    """sign(g / ||g||) of one (H, W) image or of each image in a stack, with
+    an all-zero image giving zeros; normalization cannot flip signs. Each
+    norm is sqrt(r . r), the arithmetic of np.linalg.norm."""
+    flat = g.reshape(-1, g.shape[-2] * g.shape[-1])
+    n = np.sqrt([r.dot(r) for r in flat]).reshape(g.shape[:-2] + (1, 1))
+    return np.sign(np.divide(g, n, out=np.zeros_like(g), where=n != 0.0))
 
 
 def _multiscale_grad(
-    x: np.ndarray, u: np.ndarray, enc_i: LinearImageEncoder, cfg: AttackConfig
+    x: np.ndarray, back: np.ndarray, enc_i: LinearImageEncoder, cfg: AttackConfig
 ) -> np.ndarray:
     total = np.zeros_like(x)
     for scale in cfg.scales:
-        total += mismatch_grad(x, u, enc_i, scale)
+        total += mismatch_grad(x, back, enc_i, scale)
     return total
 
 
-def sample_sub_triangle(m: int, rng: np.random.Generator, region: str = "A") -> list[SimplexWeights]:
-    """m weight triples uniform over one strict-ordering region of the simplex.
+def sample_sub_triangle(m: int, rng: np.random.Generator, region: str = "A") -> np.ndarray:
+    """(m, 3) rows of (lam, beta, gamma) uniform over one strict-ordering
+    region of the simplex.
 
     Draws uniform on the full simplex and assigns the sorted components
     according to the region's ordering, e.g. region A gives gamma < beta < lam.
@@ -113,19 +119,17 @@ def sample_sub_triangle(m: int, rng: np.random.Generator, region: str = "A") -> 
     except KeyError:
         raise ValueError(f"unknown sub-triangle region {region!r}") from None
     draws = np.sort(rng.dirichlet(np.ones(3), size=m), axis=1)[:, ::-1]  # descending
+    weights = draws[:, list(assign)]
+    # renormalize the largest component so each triple sums to 1 exactly
     k = int(np.argmin(assign))  # which of (lam, beta, gamma) got the largest draw
-    out = []
-    for draw in draws:
-        vals = [float(draw[i]) for i in assign]
-        # renormalize the largest component so the triple sums to 1 exactly
-        vals[k] = 1.0 - sum(v for j, v in enumerate(vals) if j != k)
-        out.append(SimplexWeights(*vals))
-    return out
+    a, b = (j for j in range(3) if j != k)
+    weights[:, k] = 1.0 - (weights[:, a] + weights[:, b])
+    return validate_simplex(weights)
 
 
 def init_adversarial(
     x: np.ndarray,
-    u: np.ndarray,
+    back: np.ndarray,
     enc_i: LinearImageEncoder,
     cfg: AttackConfig,
     rng: np.random.Generator,
@@ -135,32 +139,32 @@ def init_adversarial(
     x0 = linf_project(
         x + cfg.eps_image * rng.standard_normal(x.shape), x, cfg.eps_image
     )
-    g = _multiscale_grad(x0, u, enc_i, cfg)
+    g = _multiscale_grad(x0, back, enc_i, cfg)
     x1 = linf_project(x0 + cfg.step_size * _normalized_sign(g), x, cfg.eps_image)
     return TrajectoryState(clean=x, prev=x0, cur=x1, step=1)
 
 
 def candidate_directions(
     state: TrajectoryState,
-    weights: list[SimplexWeights],
-    u: np.ndarray,
+    weights: np.ndarray,
+    back: np.ndarray,
     enc_i: LinearImageEncoder,
     cfg: AttackConfig,
-) -> list[np.ndarray]:
-    """One sign-gradient perturbation direction per sampled triangle point."""
-    if not weights:
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (m, H, W) triangle samples lam*clean + beta*prev + gamma*cur of
+    the (m, 3) weights, and one sign-gradient perturbation direction per
+    sample."""
+    if len(weights) == 0:
         raise ValueError("weights must be nonempty")
-    dirs = []
-    for w in weights:
-        s = convex_combine(state.clean, state.prev, state.cur, w)
-        g = mismatch_grad(s, u, enc_i)
-        dirs.append(cfg.step_size * _normalized_sign(g))
-    return dirs
+    lam, beta, gamma = weights.T[:, :, None, None]
+    samples = lam * state.clean + beta * state.prev + gamma * state.cur
+    grads = np.stack([mismatch_grad(s, back, enc_i) for s in samples])
+    return samples, cfg.step_size * _normalized_sign(grads)
 
 
 def text_guided_select(
     state: TrajectoryState,
-    directions: list[np.ndarray],
+    directions: np.ndarray,
     u: np.ndarray,
     enc_i: LinearImageEncoder,
     projector: ProjectionBasis | None,
@@ -168,29 +172,23 @@ def text_guided_select(
 ) -> int:
     """Index of the direction whose feasible application to the current
     adversarial image most increases the mismatch; ties go to the lowest index."""
-    if not directions:
+    if len(directions) == 0:
         raise ValueError("directions must be nonempty")
-    best_idx = 0
-    best_val = -np.inf
-    for k, eps_k in enumerate(directions):
-        cand = linf_project(state.cur + eps_k, state.clean, cfg.eps_image)
-        val = mismatch_value(cand, u, enc_i, projector)
-        if val > best_val:
-            best_val = val
-            best_idx = k
-    return best_idx
+    cands = linf_project(state.cur + directions, state.clean, cfg.eps_image)
+    vals = [mismatch_value(c, u, enc_i, projector) for c in cands]
+    return vals.index(max(vals))
 
 
 def attack_step(
     state: TrajectoryState,
     chosen_sample: np.ndarray,
-    u: np.ndarray,
+    back: np.ndarray,
     enc_i: LinearImageEncoder,
     cfg: AttackConfig,
 ) -> TrajectoryState:
     """Multi-scale sign step taken at the selected sample, applied to the
     current adversarial image and projected into the budget."""
-    g = _multiscale_grad(chosen_sample, u, enc_i, cfg)
+    g = _multiscale_grad(chosen_sample, back, enc_i, cfg)
     new_cur = linf_project(
         state.cur + cfg.step_size * _normalized_sign(g), state.clean, cfg.eps_image
     )
@@ -219,7 +217,8 @@ def run_image_attack(
     trace = AttackTrace()
     u = text_direction(enc_pair.text, caption, projector)
     enc_i = enc_pair.image
-    state = init_adversarial(x, u, enc_i, cfg, rng)
+    back = back_project(enc_i, u)
+    state = init_adversarial(x, back, enc_i, cfg, rng)
     if keep_intermediates:
         trace.intermediates = [state.prev.copy(), state.cur.copy()]
     trace.records.append(
@@ -234,23 +233,22 @@ def run_image_attack(
     )
     for _ in range(cfg.steps - 1):
         if forced_weights is not None:
-            weights = [forced_weights] * cfg.samples
+            weights = np.array([forced_weights.as_tuple()] * cfg.samples)
         else:
             weights = sample_sub_triangle(cfg.samples, rng, cfg.region)
-        dirs = candidate_directions(state, weights, u, enc_i, cfg)
+        samples, dirs = candidate_directions(state, weights, back, enc_i, cfg)
         o = text_guided_select(state, dirs, u, enc_i, projector, cfg)
-        s_o = convex_combine(state.clean, state.prev, state.cur, weights[o])
-        state = attack_step(state, s_o, u, enc_i, cfg)
+        state = attack_step(state, samples[o], back, enc_i, cfg)
         if keep_intermediates:
             trace.intermediates.append(state.cur.copy())
-        w = weights[o]
+        lam, beta, gamma = weights[o].tolist()
         trace.records.append(
             StepRecord(
                 step=state.step,
                 loss=mismatch_value(state.cur, u, enc_i, projector),
-                lam=w.lam,
-                beta=w.beta,
-                gamma=w.gamma,
+                lam=lam,
+                beta=beta,
+                gamma=gamma,
                 chosen_index=o,
             )
         )

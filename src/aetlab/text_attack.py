@@ -4,7 +4,8 @@ Candidate words per position are the nearest vocabulary tokens by embedding
 dot product; the search exhaustively scores the original caption plus every
 single substitution and keeps the one that deviates most from the final
 evolution triangle of the image attack (weighted mismatch against the clean,
-previous-step, and final adversarial image).
+previous-step, and final adversarial image). The candidates are encoded
+together as one (n_cand, L) token matrix.
 """
 from __future__ import annotations
 
@@ -13,8 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import AttackConfig, similarity_loss
-from .encoders import BagOfWordsTextEncoder, EncoderPair, encode_image, encode_text
+from .encoders import BagOfWordsTextEncoder, EncoderPair, embed_captions, encode_image
 from .subspace import ProjectionBasis
+
+# Not called here: perfbench/tracing.py wraps this name at this import site.
+from .encoders import encode_text  # noqa: F401
 
 Caption = tuple[int, ...]
 
@@ -67,19 +71,17 @@ def enumerate_text_candidates(
 
 
 def score_text_candidate(
-    cand,
+    txt: np.ndarray,
     clean_img_emb: np.ndarray,
     prev_adv_emb: np.ndarray,
     cur_adv_emb: np.ndarray,
-    enc_t: BagOfWordsTextEncoder,
     projector: ProjectionBasis | None,
     cfg: AttackConfig,
 ) -> float:
-    """kappa/mu/nu-weighted mismatch of the candidate caption against the
-    clean, previous adversarial, and final adversarial image embeddings,
-    which the caller has already projected; only the caption is projected
-    here."""
-    txt = encode_text(enc_t, cand)
+    """kappa/mu/nu-weighted mismatch of a candidate caption's embedding txt
+    against the clean, previous adversarial, and final adversarial image
+    embeddings, which the caller has already projected; only the caption is
+    projected here."""
     if projector is not None:
         txt = projector.project(txt)
     return -(
@@ -87,23 +89,6 @@ def score_text_candidate(
         + cfg.mu * similarity_loss(prev_adv_emb, txt)
         + cfg.nu * similarity_loss(cur_adv_emb, txt)
     )
-
-
-def select_adversarial_text(candidates, scorer, original: Caption | None = None) -> Caption:
-    """Candidate with maximal score; ties prefer the original caption, then
-    the lowest index."""
-    cands = [tuple(int(t) for t in c) for c in candidates]
-    if not cands:
-        raise ValueError("candidates must be nonempty")
-    scores = [scorer(c) for c in cands]
-    best = max(scores)
-    winners = [i for i, s in enumerate(scores) if s == best]
-    if original is not None:
-        orig = tuple(int(t) for t in original)
-        for i in winners:
-            if cands[i] == orig:
-                return cands[i]
-    return cands[winners[0]]
 
 
 def run_text_attack(
@@ -116,16 +101,16 @@ def run_text_attack(
     cfg: AttackConfig,
 ) -> tuple[Caption, bool]:
     """Full caption attack; returns the selected caption and whether a
-    substitution occurred."""
+    substitution occurred. The first maximum score wins: ties go to the
+    original caption (candidate 0, which no substitution reproduces), then
+    to the lowest index."""
     base = tuple(int(t) for t in caption)
     wcl = build_word_candidates(base, enc_pair.text, cfg.word_list_size)
     candidates = enumerate_text_candidates(base, wcl, cfg.text_budget)
+    txt = embed_captions(enc_pair.text, candidates)
     embs = [encode_image(enc_pair.image, x) for x in (clean_img, prev_adv, cur_adv)]
     if projector is not None:
         embs = [projector.project(e) for e in embs]
-
-    def scorer(cand):
-        return score_text_candidate(cand, *embs, enc_pair.text, projector, cfg)
-
-    chosen = select_adversarial_text(candidates, scorer, original=base)
+    scores = [score_text_candidate(t, *embs, projector, cfg) for t in txt]
+    chosen = candidates[scores.index(max(scores))]
     return chosen, chosen != base

@@ -98,6 +98,14 @@ class TestAttack:
             for f in (f"adv_{p}.txt", f"adv_caption_{p}.txt", f"trace_{p}.csv"):
                 assert (tmp_path / "head" / f).read_text() == (tmp_path / "full" / f).read_text()
 
+    def test_negative_limit_is_usage_error(self, dataset_file, tmp_path, capsys):
+        out_dir = tmp_path / "adv"
+        rc = main(["attack", "--seed", "5", "--dataset", str(dataset_file),
+                   "--limit", "-1", "--out-dir", str(out_dir)])
+        assert rc == EXIT_USAGE
+        assert "--limit" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_missing_dataset_is_io_error(self, tmp_path):
         rc = main([
             "attack", "--seed", "5", "--dataset", str(tmp_path / "nope.txt"),

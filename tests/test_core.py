@@ -5,12 +5,13 @@ from hypothesis import given, strategies as st
 from aetlab.core import (
     AttackConfig,
     SimplexWeights,
-    convex_combine,
     linf_project,
     scale_augment,
     scale_augment_adjoint,
     similarity_loss,
+    validate_simplex,
 )
+from oracles import convex_combine
 
 
 class TestSimplexWeights:
@@ -28,6 +29,13 @@ class TestSimplexWeights:
 
     def test_vertex_weights_allowed(self):
         assert SimplexWeights(0.0, 0.0, 1.0).gamma == 1.0
+
+    @pytest.mark.parametrize("bad", [(0.5, 0.3, 0.3), (1.2, -0.1, -0.1), (np.nan, 0.5, 0.5)])
+    def test_rows_checked_together(self, bad):
+        rows = np.array([(0.5, 0.3, 0.2), bad, (0.0, 0.0, 1.0)])
+        with pytest.raises(ValueError):
+            validate_simplex(rows)
+        assert validate_simplex(rows[[0, 2]]) is not None
 
 
 class TestAttackConfig:
@@ -57,6 +65,7 @@ class TestAttackConfig:
             {"corpus_proportion": 1.5},
             {"scales": (0.5, -1.0)},
             {"region": "Z"},
+            {"scales": ()},
         ],
     )
     def test_invalid_configs(self, kwargs):
@@ -124,6 +133,15 @@ class TestLinfProject:
     def test_invalid_eps(self):
         with pytest.raises(ValueError):
             linf_project(np.ones((2, 2)), np.ones((2, 2)), 0.0)
+
+    def test_stack_equals_per_image_projection(self, rng):
+        origin = rng.uniform(0, 1, size=(4, 4))
+        stack = origin + rng.uniform(-0.5, 0.5, size=(3, 4, 4))
+        out = linf_project(stack, origin, 0.1)
+        for got, cand in zip(out, stack):
+            assert np.array_equal(got, linf_project(cand, origin, 0.1))
+        with pytest.raises(ValueError):
+            linf_project(np.ones((3, 4, 5)), origin, 0.1)
 
 
 class TestScaleAugment:

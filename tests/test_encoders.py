@@ -6,6 +6,8 @@ from aetlab.core import scale_augment, similarity_loss
 from aetlab.encoders import (
     BagOfWordsTextEncoder,
     LinearImageEncoder,
+    back_project,
+    embed_captions,
     embed_pairs,
     encode_image,
     encode_text,
@@ -16,7 +18,7 @@ from aetlab.encoders import (
     text_direction,
 )
 from aetlab.subspace import build_projection
-from oracles import finite_difference_grad, pair_loss
+from oracles import finite_difference_grad, mismatch_grad_per_call, pair_loss
 
 
 class TestEncoding:
@@ -48,6 +50,11 @@ class TestEncoding:
             img, np.stack([encode_image(tiny_pair.image, x) for x in images]), rtol=0, atol=1e-12
         )
         assert np.array_equal(txt, np.stack([encode_text(tiny_pair.text, c) for c in captions]))
+
+    def test_embed_captions_rejects_bad_token_matrices(self, tiny_pair):
+        for bad in ([(0, 64)], [(0, -1)], [()], [], [0, 1]):
+            with pytest.raises(ValueError):
+                embed_captions(tiny_pair.text, bad)
 
     def test_pair_loss_matches_similarity(self, tiny_pair, tiny_image, tiny_caption):
         val = pair_loss(tiny_pair, tiny_image, tiny_caption)
@@ -91,12 +98,25 @@ class TestGradients:
             emb = rng.standard_normal((5, tiny_pair.image.embed_dim))
             projector = build_projection(emb)
         u = text_direction(tiny_pair.text, tiny_caption, projector)
-        analytic = grad_loss_wrt_image(tiny_pair.image, tiny_image, u, scale)
+        back = back_project(tiny_pair.image, u)
+        analytic = grad_loss_wrt_image(tiny_pair.image, tiny_image, back, scale)
         fd = finite_difference_grad(
             lambda z: pair_loss(tiny_pair, z, tiny_caption, projector, scale),
             tiny_image,
         )
         np.testing.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-10)
+
+    @pytest.mark.parametrize("scale", [1.0, 0.5, 1.25])
+    def test_back_projection_once_equals_per_call(
+        self, tiny_pair, tiny_image, tiny_caption, rng, scale
+    ):
+        projector = build_projection(rng.standard_normal((5, tiny_pair.image.embed_dim)))
+        u = text_direction(tiny_pair.text, tiny_caption, projector)
+        back = back_project(tiny_pair.image, u)
+        assert np.array_equal(
+            -grad_loss_wrt_image(tiny_pair.image, tiny_image, back, scale),
+            mismatch_grad_per_call(tiny_image, u, tiny_pair.image, scale),
+        )
 
     def test_finite_difference_requires_positive_step(self, tiny_image):
         with pytest.raises(ValueError):

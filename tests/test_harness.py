@@ -32,7 +32,7 @@ from aetlab.harness import (
     synth_dataset,
     write_report,
 )
-from oracles import transfer_reports_per_pair
+from oracles import attack_pairs_per_sample, transfer_reports_per_pair
 
 SMALL_DIMS = DatasetDims(height=8, width=8, embed_dim=16, vocab_size=128, caption_len=4)
 
@@ -336,6 +336,24 @@ class TestCraftAdversarialPairs:
             monkeypatch.setattr(mod, name, counted)
         craft_adversarial_pairs(ds, ds.base, AttackConfig(master_seed=2, **overrides), variant)
         assert counts == {"grad_loss_wrt_image": 3 * grads, "score_text_candidate": 3 * 51}
+
+
+class TestAttackPairsOracle:
+    @pytest.mark.parametrize("variant", ["saaet", "dra", "sga", "subtriangle-C"])
+    def test_equals_per_sample_oracle(self, variant):
+        # stacked triangle samples, one back-projection per pair and one
+        # token gather per caption search reproduce the per-sample and
+        # per-candidate path bit for bit
+        ds = synth_dataset(seed=7, n_pairs=4, dims=DatasetDims(embed_dim=64))
+        pool = default_model_pool(ds, n_models=2)
+        cfg = AttackConfig(master_seed=7)
+        got = list(attack_pairs(ds, pool[1], cfg, variant, stream=1))
+        want = attack_pairs_per_sample(ds, pool[1], cfg, variant, stream=1)
+        assert len(got) == len(want) == 4
+        for (img, cap, trace), (o_img, o_cap, o_trace) in zip(got, want):
+            assert np.array_equal(img, o_img)
+            assert cap == o_cap
+            assert trace.records == o_trace.records
 
 
 class TestAttackPairsProperties:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from aetlab.core import AttackConfig, SimplexWeights, convex_combine, linf_project
-from aetlab.encoders import text_direction
+from aetlab.core import AttackConfig, SimplexWeights, linf_project
+from aetlab.encoders import back_project, text_direction
 from aetlab.image_attack import (
     REGION_ASSIGNMENTS,
     TrajectoryState,
@@ -15,16 +15,16 @@ from aetlab.image_attack import (
     text_guided_select,
 )
 from aetlab.subspace import build_projection
-from oracles import pair_loss, run_sga_attack
+from oracles import convex_combine, pair_loss, run_sga_attack, sample_sub_triangle_loop
 
 REGION_ORDERINGS = {
     # region -> (smallest, middle, largest) component names
-    "A": lambda w: w.gamma <= w.beta <= w.lam,
-    "B": lambda w: w.gamma <= w.lam <= w.beta,
-    "C": lambda w: w.lam <= w.gamma <= w.beta,
-    "D": lambda w: w.lam <= w.beta <= w.gamma,
-    "E": lambda w: w.beta <= w.lam <= w.gamma,
-    "F": lambda w: w.beta <= w.gamma <= w.lam,
+    "A": lambda lam, beta, gamma: gamma <= beta <= lam,
+    "B": lambda lam, beta, gamma: gamma <= lam <= beta,
+    "C": lambda lam, beta, gamma: lam <= gamma <= beta,
+    "D": lambda lam, beta, gamma: lam <= beta <= gamma,
+    "E": lambda lam, beta, gamma: beta <= lam <= gamma,
+    "F": lambda lam, beta, gamma: beta <= gamma <= lam,
 }
 
 
@@ -33,17 +33,28 @@ class TestSampleSubTriangle:
     def test_ordering_holds(self, region):
         r = np.random.default_rng(0)
         for w in sample_sub_triangle(200, r, region):
-            assert REGION_ORDERINGS[region](w)
+            assert REGION_ORDERINGS[region](*w)
 
     def test_sums_to_one_within_simplex_tolerance(self):
         r = np.random.default_rng(1)
-        for w in sample_sub_triangle(100, r, "A"):
-            assert abs(w.lam + w.beta + w.gamma - 1.0) <= 1e-12
+        for lam, beta, gamma in sample_sub_triangle(100, r, "A"):
+            assert abs(lam + beta + gamma - 1.0) <= 1e-12
 
     def test_deterministic_given_rng_state(self):
         a = sample_sub_triangle(5, np.random.default_rng(7), "A")
         b = sample_sub_triangle(5, np.random.default_rng(7), "A")
-        assert [x.as_tuple() for x in a] == [x.as_tuple() for x in b]
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("region", sorted(REGION_ASSIGNMENTS))
+    def test_rows_equal_validated_loop(self, region):
+        # the (m, 3) array and one SimplexWeights per draw, from the same
+        # RNG state, agree row for row and leave the RNG in the same state
+        r_arr, r_loop = np.random.default_rng(11), np.random.default_rng(11)
+        arr = sample_sub_triangle(300, r_arr, region)
+        loop = sample_sub_triangle_loop(300, r_loop, region)
+        assert arr.shape == (300, 3)
+        assert np.array_equal(arr, np.array([w.as_tuple() for w in loop]))
+        assert r_arr.random() == r_loop.random()
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -62,10 +73,22 @@ class TestNormalizedSign:
         g = rng.standard_normal((4, 4))
         np.testing.assert_array_equal(_normalized_sign(g), np.sign(g))
 
+    def test_stack_is_signed_image_by_image(self, rng):
+        g = rng.standard_normal((3, 4, 4))
+        g[1] = 0.0
+        g[2] *= 1e-170  # squared norm underflows to 0: the image counts as zero
+        expect = np.stack([np.sign(g[0]), np.zeros((4, 4)), np.zeros((4, 4))])
+        np.testing.assert_array_equal(_normalized_sign(g), expect)
+
 
 @pytest.fixture
 def tiny_u(tiny_pair, tiny_caption):
     return text_direction(tiny_pair.text, tiny_caption, None)
+
+
+@pytest.fixture
+def tiny_back(tiny_pair, tiny_u):
+    return back_project(tiny_pair.image, tiny_u)
 
 
 class TestObjective:
@@ -76,20 +99,20 @@ class TestObjective:
                 tiny_pair, tiny_image, tiny_caption, projector
             )
 
-    def test_step_along_gradient_increases_mismatch(self, tiny_pair, tiny_image, tiny_u):
-        g = mismatch_grad(tiny_image, tiny_u, tiny_pair.image)
+    def test_step_along_gradient_increases_mismatch(self, tiny_pair, tiny_image, tiny_u, tiny_back):
+        g = mismatch_grad(tiny_image, tiny_back, tiny_pair.image)
         before = mismatch_value(tiny_image, tiny_u, tiny_pair.image, None)
         after = mismatch_value(tiny_image + 1e-4 * g, tiny_u, tiny_pair.image, None)
         assert after > before
 
 
 class TestTextGuidedSelect:
-    def test_picks_argmax_direction(self, tiny_pair, tiny_image, tiny_u, fast_cfg):
+    def test_picks_argmax_direction(self, tiny_pair, tiny_image, tiny_u, tiny_back, fast_cfg):
         state = TrajectoryState(
             clean=tiny_image, prev=tiny_image, cur=tiny_image, step=1
         )
         good = fast_cfg.step_size * _normalized_sign(
-            mismatch_grad(tiny_image, tiny_u, tiny_pair.image)
+            mismatch_grad(tiny_image, tiny_back, tiny_pair.image)
         )
         bad = -good
         assert text_guided_select(
@@ -106,13 +129,13 @@ class TestTextGuidedSelect:
         ) == 0
 
     def test_selection_evaluates_feasible_candidate(
-        self, tiny_pair, tiny_image, tiny_u, fast_cfg
+        self, tiny_pair, tiny_image, tiny_u, tiny_back, fast_cfg
     ):
         # a huge direction must be judged by its projected (feasible) effect
         state = TrajectoryState(
             clean=tiny_image, prev=tiny_image, cur=tiny_image, step=1
         )
-        g = mismatch_grad(tiny_image, tiny_u, tiny_pair.image)
+        g = mismatch_grad(tiny_image, tiny_back, tiny_pair.image)
         huge = 100.0 * _normalized_sign(g)
         small = fast_cfg.step_size * _normalized_sign(g)
         idx = text_guided_select(
@@ -133,29 +156,42 @@ class TestTextGuidedSelect:
 
 
 class TestCandidateDirections:
-    def test_one_direction_per_weight(self, tiny_pair, tiny_image, tiny_u, fast_cfg):
+    def test_one_direction_per_weight(self, tiny_pair, tiny_image, tiny_back, fast_cfg):
         state = TrajectoryState(tiny_image, tiny_image, tiny_image, 1)
         weights = sample_sub_triangle(3, np.random.default_rng(0))
-        dirs = candidate_directions(
-            state, weights, tiny_u, tiny_pair.image, fast_cfg
+        samples, dirs = candidate_directions(
+            state, weights, tiny_back, tiny_pair.image, fast_cfg
         )
-        assert len(dirs) == 3
+        assert samples.shape == dirs.shape == (3, 8, 8)
         for d in dirs:
             assert np.max(np.abs(d)) <= fast_cfg.step_size + 1e-15
 
     def test_direction_is_sign_gradient_at_sample(
-        self, tiny_pair, tiny_image, tiny_u, fast_cfg, rng
+        self, tiny_pair, tiny_image, tiny_back, fast_cfg, rng
     ):
         prev = np.clip(tiny_image + 0.01 * rng.standard_normal(tiny_image.shape), 0, 1)
         cur = np.clip(tiny_image - 0.01 * rng.standard_normal(tiny_image.shape), 0, 1)
         state = TrajectoryState(tiny_image, prev, cur, 2)
         w = SimplexWeights(0.5, 0.3, 0.2)
-        [d] = candidate_directions(state, [w], tiny_u, tiny_pair.image, fast_cfg)
-        s = convex_combine(tiny_image, prev, cur, w)
+        [s], [d] = candidate_directions(
+            state, np.array([w.as_tuple()]), tiny_back, tiny_pair.image, fast_cfg
+        )
+        assert np.array_equal(s, convex_combine(tiny_image, prev, cur, w))
         expect = fast_cfg.step_size * _normalized_sign(
-            mismatch_grad(s, tiny_u, tiny_pair.image)
+            mismatch_grad(s, tiny_back, tiny_pair.image)
         )
         np.testing.assert_array_equal(d, expect)
+
+    def test_samples_equal_per_row_convex_combination(
+        self, tiny_pair, tiny_image, tiny_back, fast_cfg, rng
+    ):
+        prev = np.clip(tiny_image + 0.01 * rng.standard_normal(tiny_image.shape), 0, 1)
+        cur = np.clip(tiny_image - 0.01 * rng.standard_normal(tiny_image.shape), 0, 1)
+        state = TrajectoryState(tiny_image, prev, cur, 2)
+        weights = sample_sub_triangle(7, rng, "C")
+        samples, _ = candidate_directions(state, weights, tiny_back, tiny_pair.image, fast_cfg)
+        for s, w in zip(samples, weights):
+            assert np.array_equal(s, convex_combine(tiny_image, prev, cur, SimplexWeights(*w)))
 
 
 class TestRunImageAttack:

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from aetlab.core import AttackConfig, similarity_loss
-from aetlab.encoders import BagOfWordsTextEncoder, encode_image, encode_text
+from aetlab.encoders import (
+    BagOfWordsTextEncoder,
+    EncoderPair,
+    LinearImageEncoder,
+    encode_image,
+    encode_text,
+)
 from aetlab.subspace import build_projection
 from aetlab.text_attack import (
     UnsupportedBudgetError,
@@ -10,8 +16,8 @@ from aetlab.text_attack import (
     enumerate_text_candidates,
     run_text_attack,
     score_text_candidate,
-    select_adversarial_text,
 )
+from oracles import run_text_attack_per_candidate, select_adversarial_text
 
 
 def hamming(a, b):
@@ -82,8 +88,8 @@ class TestScoring:
         clean = encode_image(tiny_pair.image, tiny_image)
         prev = clean + 0.1 * rng.standard_normal(clean.shape)
         cur = clean - 0.1 * rng.standard_normal(clean.shape)
-        got = score_text_candidate(tiny_caption, clean, prev, cur, tiny_pair.text, None, cfg)
         txt = encode_text(tiny_pair.text, tiny_caption)
+        got = score_text_candidate(txt, clean, prev, cur, None, cfg)
         expect = -(
             0.6 * similarity_loss(clean, txt)
             + 0.2 * similarity_loss(prev, txt)
@@ -95,7 +101,7 @@ class TestScoring:
         cfg = AttackConfig()
         pb = build_projection(rng.standard_normal((4, tiny_pair.image.embed_dim)))
         clean = pb.project(encode_image(tiny_pair.image, tiny_image))
-        got = score_text_candidate(tiny_caption, clean, clean, clean, tiny_pair.text, pb, cfg)
+        got = score_text_candidate(encode_text(tiny_pair.text, tiny_caption), clean, clean, clean, pb, cfg)
         txt = pb.project(encode_text(tiny_pair.text, tiny_caption))
         expect = -similarity_loss(clean, txt)
         assert got == pytest.approx(expect)
@@ -122,7 +128,7 @@ class TestScoring:
                 + cfg.mu * similarity_loss(proj(imgs[1]), txt)
                 + cfg.nu * similarity_loss(proj(imgs[2]), txt)
             )
-            assert score_text_candidate(cand, *pre, tiny_pair.text, pb, cfg) == expect
+            assert score_text_candidate(encode_text(tiny_pair.text, cand), *pre, pb, cfg) == expect
 
 
 class TestSelection:
@@ -167,7 +173,7 @@ class TestRunTextAttack:
         )
         clean = encode_image(tiny_pair.image, tiny_image)
         score = lambda c: score_text_candidate(
-            c, clean, clean, clean, tiny_pair.text, None, cfg
+            encode_text(tiny_pair.text, c), clean, clean, clean, None, cfg
         )
         assert score(chosen) >= score(tiny_caption)
 
@@ -180,3 +186,57 @@ class TestRunTextAttack:
             tiny_caption, tiny_image, tiny_image, tiny_image, tiny_pair, None, cfg
         )
         assert a == b
+
+    @pytest.mark.parametrize("use_projector", [False, True])
+    def test_equals_per_candidate_oracle(self, tiny_pair, tiny_image, tiny_caption, rng, use_projector):
+        # one token gather for all candidates picks the caption that one
+        # encode_text call per candidate picks
+        pb = build_projection(rng.standard_normal((4, 16))) if use_projector else None
+        cfg = AttackConfig(word_list_size=15)
+        for _ in range(5):
+            prev, cur = (
+                np.clip(tiny_image + 0.05 * rng.standard_normal((8, 8)), 0, 1) for _ in range(2)
+            )
+            args = (tiny_caption, tiny_image, prev, cur, tiny_pair, pb, cfg)
+            assert run_text_attack(*args) == run_text_attack_per_candidate(*args)
+
+
+def _tied_pair(n_rows, vocab, rng):
+    """Encoders whose vocab tokens share n_rows distinct embedding rows
+    (token t has row t % n_rows), so substitutions tie exactly."""
+    rows = rng.standard_normal((n_rows, 6))
+    return EncoderPair(
+        LinearImageEncoder(rng.standard_normal((6, 64))),
+        BagOfWordsTextEncoder(rows[np.arange(vocab) % n_rows]),
+    )
+
+
+class TestCaptionTies:
+    def test_tie_prefers_original(self, tiny_image, rng):
+        # every token has the same row: all 1 + 4 x 11 candidates tie
+        pair = _tied_pair(1, 12, rng)
+        cfg = AttackConfig(word_list_size=11)
+        cur = np.clip(tiny_image + 0.05 * rng.standard_normal((8, 8)), 0, 1)
+        caption = (4, 9, 0, 7)
+        assert run_text_attack(caption, tiny_image, tiny_image, cur, pair, None, cfg) == (caption, False)
+
+    def test_tie_without_original_takes_lowest_index(self, tiny_image, rng):
+        # 12 tokens on 3 rows: each substitution ties with the three other
+        # tokens of its row at that position
+        cfg = AttackConfig(word_list_size=11)
+        caption = (0, 1, 2, 3)
+        exercised = 0
+        for _ in range(10):
+            pair = _tied_pair(3, 12, rng)
+            cur = np.clip(tiny_image + 0.05 * rng.standard_normal((8, 8)), 0, 1)
+            chosen, changed = run_text_attack(caption, tiny_image, tiny_image, cur, pair, None, cfg)
+            embs = [encode_image(pair.image, x) for x in (tiny_image, tiny_image, cur)]
+            cands = enumerate_text_candidates(caption, build_word_candidates(caption, pair.text, 11))
+            scores = [
+                score_text_candidate(encode_text(pair.text, c), *embs, None, cfg) for c in cands
+            ]
+            winners = [i for i, v in enumerate(scores) if v == max(scores)]
+            assert chosen == cands[winners[0]]
+            assert changed == (winners[0] != 0)
+            exercised += winners[0] != 0 and len(winners) > 1
+        assert exercised > 0
