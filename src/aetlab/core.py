@@ -74,7 +74,9 @@ class AttackConfig:
             raise ValueError("corpus_proportion must be in (0, 1]")
         if not self.scales or not all(s > 0 for s in self.scales):
             raise ValueError("scales must be a nonempty tuple of positive values")
-        if self.region not in "ABCDEF":
+        if self.text_budget != 1:
+            raise ValueError(f"text_budget {self.text_budget} not supported (only 1)")
+        if self.region not in tuple("ABCDEF"):
             raise ValueError(f"unknown sub-triangle region {self.region!r}")
 
 
@@ -82,7 +84,7 @@ def validate_image(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"image must be 2-D, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("image has non-finite pixels")
     return x
 
@@ -103,7 +105,8 @@ def validate_simplex(weights: np.ndarray) -> np.ndarray:
         raise ValueError(f"simplex weights must have shape (m, 3), got {weights.shape}")
     if not (weights.min() >= 0.0 and weights.max() <= 1.0):  # NaN fails too
         raise ValueError("simplex weight outside [0, 1]")
-    if np.abs(weights[:, 0] + weights[:, 1] + weights[:, 2] - 1.0).max() > SIMPLEX_TOL:
+    sums = weights[:, 0] + weights[:, 1] + weights[:, 2]
+    if not (sums.min() >= 1.0 - SIMPLEX_TOL and sums.max() <= 1.0 + SIMPLEX_TOL):
         raise ValueError("weights must sum to 1 within 1e-12")
     return weights
 
@@ -115,8 +118,8 @@ def linf_project(candidate: np.ndarray, origin: np.ndarray, eps: float) -> np.nd
         raise ValueError("linf_project: shape mismatch")
     if eps <= 0:
         raise ValueError("eps must be > 0")
-    out = np.clip(candidate, origin - eps, origin + eps)
-    return np.clip(out, 0.0, 1.0)
+    out = np.minimum(np.maximum(candidate, origin - eps), origin + eps)
+    return np.minimum(np.maximum(out, 0.0, out=out), 1.0, out=out)
 
 
 @lru_cache(maxsize=None)

@@ -141,11 +141,13 @@ def grad_loss_wrt_image(
     enc_i: LinearImageEncoder, x: np.ndarray, back: np.ndarray, scale: float = 1.0
 ) -> np.ndarray:
     """Exact gradient of image_loss w.r.t. x for the text direction u, given
-    back = back_project(enc_i, u): the adjoint chain augment^T(W^T u) / d."""
+    back = back_project(enc_i, u): the adjoint chain augment^T(W^T u) / d.
+    Scale 1.0 is the identity augmentation, so its adjoint is a copy of back."""
     x = validate_image(x)
     if x.size != enc_i.weight.shape[1]:
         raise ValueError("image shape does not match encoder")
-    return scale_augment_adjoint(back.reshape(x.shape), x.shape, scale)
+    g = back.reshape(x.shape)
+    return g.copy() if scale == 1.0 else scale_augment_adjoint(g, x.shape, scale)
 
 
 def make_base_encoders(

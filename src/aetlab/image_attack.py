@@ -118,10 +118,12 @@ def sample_sub_triangle(m: int, rng: np.random.Generator, region: str = "A") -> 
         assign = REGION_ASSIGNMENTS[region]
     except KeyError:
         raise ValueError(f"unknown sub-triangle region {region!r}") from None
-    draws = np.sort(rng.dirichlet(np.ones(3), size=m), axis=1)[:, ::-1]  # descending
-    weights = draws[:, list(assign)]
+    # rng.dirichlet(np.ones(3), size=m), bit for bit and draw for draw
+    e = rng.standard_exponential((m, 3))
+    draws = e * (1.0 / ((e[:, 0] + e[:, 1]) + e[:, 2]))[:, None]
+    weights = np.sort(draws, axis=1)[:, [2 - i for i in assign]]  # assign is descending
     # renormalize the largest component so each triple sums to 1 exactly
-    k = int(np.argmin(assign))  # which of (lam, beta, gamma) got the largest draw
+    k = assign.index(0)  # which of (lam, beta, gamma) got the largest draw
     a, b = (j for j in range(3) if j != k)
     weights[:, k] = 1.0 - (weights[:, a] + weights[:, b])
     return validate_simplex(weights)

@@ -3,7 +3,6 @@ import numpy as np
 
 from aetlab.core import (
     SimplexWeights,
-    linf_project,
     scale_augment_adjoint,
     similarity_loss,
     validate_image,
@@ -57,6 +56,12 @@ def mismatch_grad_per_call(x, u, enc_i, scale=1.0):
     x = validate_image(x)
     back = (enc_i.weight.T @ u).reshape(x.shape) / enc_i.embed_dim
     return -scale_augment_adjoint(back, x.shape, scale)
+
+
+def linf_project_clip(candidate, origin, eps):
+    """Clamp into the eps L-inf ball around origin, then into [0, 1], with
+    two np.clip calls."""
+    return np.clip(np.clip(candidate, origin - eps, origin + eps), 0.0, 1.0)
 
 
 def normalized_sign(g):
@@ -113,13 +118,13 @@ def select_adversarial_text(candidates, scorer, original=None):
 
 def run_image_attack_per_sample(x, caption, enc_pair, projector, cfg, rng, forced_weights=None):
     """run_image_attack one triangle sample and one feasible candidate at a
-    time: a SimplexWeights per sample, convex_combine, a linf_project per
+    time: a SimplexWeights per sample, convex_combine, a linf_project_clip per
     candidate, and the chosen sample recombined from its weights."""
     u = text_direction(enc_pair.text, caption, projector)
     enc_i = enc_pair.image
-    prev = linf_project(x + cfg.eps_image * rng.standard_normal(x.shape), x, cfg.eps_image)
+    prev = linf_project_clip(x + cfg.eps_image * rng.standard_normal(x.shape), x, cfg.eps_image)
     g = multiscale_grad(prev, u, enc_i, cfg)
-    cur = linf_project(prev + cfg.step_size * normalized_sign(g), x, cfg.eps_image)
+    cur = linf_project_clip(prev + cfg.step_size * normalized_sign(g), x, cfg.eps_image)
     trace = AttackTrace()
     trace.records.append(StepRecord(1, mismatch_value(cur, u, enc_i, projector), 0.0, 0.0, 1.0, -1))
     for step in range(2, cfg.steps + 1):
@@ -131,12 +136,12 @@ def run_image_attack_per_sample(x, caption, enc_pair, projector, cfg, rng, force
         for k, w in enumerate(weights):
             s = convex_combine(x, prev, cur, w)
             d = cfg.step_size * normalized_sign(mismatch_grad_per_call(s, u, enc_i))
-            val = mismatch_value(linf_project(cur + d, x, cfg.eps_image), u, enc_i, projector)
+            val = mismatch_value(linf_project_clip(cur + d, x, cfg.eps_image), u, enc_i, projector)
             if val > best_val:
                 best, best_val = k, val
         w = weights[best]
         g = multiscale_grad(convex_combine(x, prev, cur, w), u, enc_i, cfg)
-        prev, cur = cur, linf_project(cur + cfg.step_size * normalized_sign(g), x, cfg.eps_image)
+        prev, cur = cur, linf_project_clip(cur + cfg.step_size * normalized_sign(g), x, cfg.eps_image)
         trace.records.append(
             StepRecord(step, mismatch_value(cur, u, enc_i, projector), w.lam, w.beta, w.gamma, best)
         )
@@ -188,14 +193,14 @@ def run_sga_attack(x, caption, enc_pair, projector, cfg, rng):
     samples=1: both must produce bitwise-identical output for the same seed.
     """
     u = text_direction(enc_pair.text, caption, projector)
-    cur = linf_project(
+    cur = linf_project_clip(
         x + cfg.eps_image * rng.standard_normal(x.shape), x, cfg.eps_image
     )
     prev = cur
     for _ in range(cfg.steps):
         g = multiscale_grad(cur, u, enc_pair.image, cfg)
         prev = cur
-        cur = linf_project(
+        cur = linf_project_clip(
             cur + cfg.step_size * normalized_sign(g), x, cfg.eps_image
         )
     return cur, prev

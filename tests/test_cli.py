@@ -106,6 +106,24 @@ class TestAttack:
         assert "--limit" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--region", "AB"], "region"),
+            (["--region", "ABCDEF"], "region"),
+            (["--variant", "sga", "--region", "AB"], "region"),
+            (["--text-budget", "2"], "text_budget"),
+            (["--text-budget", "0"], "text_budget"),
+        ],
+    )
+    def test_impossible_config_is_usage_error(self, dataset_file, tmp_path, capsys, flags, field):
+        out_dir = tmp_path / "adv"
+        rc = main(["attack", "--seed", "5", "--dataset", str(dataset_file),
+                   *flags, "--out-dir", str(out_dir)])
+        assert rc == EXIT_USAGE
+        assert field in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_missing_dataset_is_io_error(self, tmp_path):
         rc = main([
             "attack", "--seed", "5", "--dataset", str(tmp_path / "nope.txt"),

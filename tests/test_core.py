@@ -11,7 +11,7 @@ from aetlab.core import (
     similarity_loss,
     validate_simplex,
 )
-from oracles import convex_combine
+from oracles import convex_combine, linf_project_clip
 
 
 class TestSimplexWeights:
@@ -66,6 +66,11 @@ class TestAttackConfig:
             {"scales": (0.5, -1.0)},
             {"region": "Z"},
             {"scales": ()},
+            {"region": "AB"},
+            {"region": ""},
+            {"region": "ABCDEF"},
+            {"text_budget": 0},
+            {"text_budget": 2},
         ],
     )
     def test_invalid_configs(self, kwargs):
@@ -142,6 +147,20 @@ class TestLinfProject:
             assert np.array_equal(got, linf_project(cand, origin, 0.1))
         with pytest.raises(ValueError):
             linf_project(np.ones((3, 4, 5)), origin, 0.1)
+
+    def test_equals_two_clip_reference(self, rng):
+        origin = rng.uniform(0, 1, size=(4, 4))
+        origin[0, 0] = np.nan
+        stack = origin + rng.uniform(-1.5, 1.5, size=(3, 4, 4))
+        stack[1, 2, 3] = np.nan
+        stack[2, 1, 1] = np.inf
+        stack[0, 3, 0] = -np.inf
+        cand_copy, origin_copy = stack.copy(), origin.copy()
+        out = linf_project(stack, origin, 0.1)
+        np.testing.assert_array_equal(out, linf_project_clip(stack, origin, 0.1))
+        assert np.isnan(out[:, 0, 0]).all() and np.isnan(out[1, 2, 3])
+        np.testing.assert_array_equal(stack, cand_copy)
+        np.testing.assert_array_equal(origin, origin_copy)
 
 
 class TestScaleAugment:

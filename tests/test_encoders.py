@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from aetlab import matio
-from aetlab.core import scale_augment, similarity_loss
+from aetlab.core import DEFAULT_SCALES, scale_augment, scale_augment_adjoint, similarity_loss
 from aetlab.encoders import (
     BagOfWordsTextEncoder,
     LinearImageEncoder,
@@ -117,6 +117,23 @@ class TestGradients:
             -grad_loss_wrt_image(tiny_pair.image, tiny_image, back, scale),
             mismatch_grad_per_call(tiny_image, u, tiny_pair.image, scale),
         )
+
+    def test_unit_scale_is_a_fresh_copy_of_the_adjoint(self, tiny_pair, tiny_image, tiny_caption):
+        back = back_project(tiny_pair.image, text_direction(tiny_pair.text, tiny_caption, None))
+        back_copy = back.copy()
+        g = grad_loss_wrt_image(tiny_pair.image, tiny_image, back, 1.0)
+        assert np.array_equal(g, scale_augment_adjoint(back.reshape(8, 8), (8, 8), 1.0))
+        g += 1.0
+        np.testing.assert_array_equal(back, back_copy)
+
+    @pytest.mark.parametrize("scale", DEFAULT_SCALES)
+    def test_bad_image_rejected_at_every_scale(self, tiny_pair, tiny_image, tiny_caption, scale):
+        back = back_project(tiny_pair.image, text_direction(tiny_pair.text, tiny_caption, None))
+        bad = tiny_image.copy()
+        bad[2, 3] = np.nan
+        for x in (bad, np.ones((8, 9)), np.ones(64)):
+            with pytest.raises(ValueError):
+                grad_loss_wrt_image(tiny_pair.image, x, back, scale)
 
     def test_finite_difference_requires_positive_step(self, tiny_image):
         with pytest.raises(ValueError):
