@@ -58,17 +58,20 @@ class AttackConfig:
     region: str = "A"
 
     def __post_init__(self):
-        if self.eps_image <= 0:
+        # each check is written so that a NaN fails it
+        if not self.eps_image > 0:
             raise ValueError("eps_image must be > 0")
-        if self.step_size <= 0:
+        if not self.step_size > 0:
             raise ValueError("step_size must be > 0")
-        if self.steps < 2:
+        if not self.steps >= 2:
             raise ValueError("steps must be >= 2")
-        if self.samples < 1:
+        if not self.samples >= 1:
             raise ValueError("samples must be >= 1")
-        if abs(self.kappa + self.mu + self.nu - 1.0) > SIMPLEX_TOL:
+        if not self.word_list_size >= 0:
+            raise ValueError("word_list_size must be >= 0")
+        if not abs(self.kappa + self.mu + self.nu - 1.0) <= SIMPLEX_TOL:
             raise ValueError("kappa + mu + nu must equal 1")
-        if self.mu + self.nu <= 0:
+        if not self.mu + self.nu > 0:
             raise ValueError("mu + nu must be > 0 (adversarial-image share cannot vanish)")
         if not (0.0 < self.corpus_proportion <= 1.0):
             raise ValueError("corpus_proportion must be in (0, 1]")

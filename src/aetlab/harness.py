@@ -371,7 +371,7 @@ def surrogate_projector(
         cfg.corpus_proportion,
         np.random.SeedSequence([cfg.master_seed, stream, 0xC0]),
     )
-    return build_projection(np.stack([encode_text(surrogate.text, c) for c in corpus.texts]))
+    return build_projection(np.stack([encode_text(surrogate.text, c) for c in corpus]))
 
 
 def attack_pairs(

@@ -4,8 +4,9 @@ Each iteration keeps a triangle of (clean, previous adversarial, current
 adversarial) images, samples convex combinations from a chosen sub-triangle,
 turns each sample into a sign-gradient perturbation direction, picks the
 direction that most increases the image-text mismatch at the current
-adversarial point, then takes a multi-scale sign step from the selected
-sample and projects back into the L-inf budget.
+adversarial point, then steps the current adversarial image along the
+multi-scale sign gradient at the selected sample and projects back into the
+L-inf budget.
 
 The optimized objective is the image-text mismatch, i.e. the negated
 (optionally subspace-projected) dot-product similarity: driving the true
@@ -46,14 +47,6 @@ REGION_ASSIGNMENTS: dict[str, tuple[int, int, int]] = {
 
 
 @dataclass(frozen=True)
-class TrajectoryState:
-    clean: np.ndarray
-    prev: np.ndarray
-    cur: np.ndarray
-    step: int
-
-
-@dataclass(frozen=True)
 class StepRecord:
     step: int
     loss: float  # mismatch objective of the current adversarial image
@@ -80,13 +73,6 @@ def mismatch_value(
     return -image_loss(enc_i, x, u, projector)
 
 
-def mismatch_grad(
-    x: np.ndarray, back: np.ndarray, enc_i: LinearImageEncoder, scale: float = 1.0
-) -> np.ndarray:
-    """Gradient of mismatch_value; back = back_project(enc_i, u)."""
-    return -grad_loss_wrt_image(enc_i, x, back, scale)
-
-
 def _normalized_sign(g: np.ndarray) -> np.ndarray:
     """sign(g / ||g||) of one (H, W) image or of each image in a stack, with
     an all-zero image giving zeros; normalization cannot flip signs. Each
@@ -94,15 +80,6 @@ def _normalized_sign(g: np.ndarray) -> np.ndarray:
     flat = g.reshape(-1, g.shape[-2] * g.shape[-1])
     n = np.sqrt([r.dot(r) for r in flat]).reshape(g.shape[:-2] + (1, 1))
     return np.sign(np.divide(g, n, out=np.zeros_like(g), where=n != 0.0))
-
-
-def _multiscale_grad(
-    x: np.ndarray, back: np.ndarray, enc_i: LinearImageEncoder, cfg: AttackConfig
-) -> np.ndarray:
-    total = np.zeros_like(x)
-    for scale in cfg.scales:
-        total += mismatch_grad(x, back, enc_i, scale)
-    return total
 
 
 def sample_sub_triangle(m: int, rng: np.random.Generator, region: str = "A") -> np.ndarray:
@@ -129,43 +106,25 @@ def sample_sub_triangle(m: int, rng: np.random.Generator, region: str = "A") -> 
     return validate_simplex(weights)
 
 
-def init_adversarial(
+def _sign_step(
     x: np.ndarray,
+    at: np.ndarray,
+    clean: np.ndarray,
     back: np.ndarray,
     enc_i: LinearImageEncoder,
     cfg: AttackConfig,
-    rng: np.random.Generator,
-) -> TrajectoryState:
-    """Gaussian-noise start projected into the budget, then one multi-scale
-    sign-gradient step."""
-    x0 = linf_project(
-        x + cfg.eps_image * rng.standard_normal(x.shape), x, cfg.eps_image
-    )
-    g = _multiscale_grad(x0, back, enc_i, cfg)
-    x1 = linf_project(x0 + cfg.step_size * _normalized_sign(g), x, cfg.eps_image)
-    return TrajectoryState(clean=x, prev=x0, cur=x1, step=1)
-
-
-def candidate_directions(
-    state: TrajectoryState,
-    weights: np.ndarray,
-    back: np.ndarray,
-    enc_i: LinearImageEncoder,
-    cfg: AttackConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The (m, H, W) triangle samples lam*clean + beta*prev + gamma*cur of
-    the (m, 3) weights, and one sign-gradient perturbation direction per
-    sample."""
-    if len(weights) == 0:
-        raise ValueError("weights must be nonempty")
-    lam, beta, gamma = weights.T[:, :, None, None]
-    samples = lam * state.clean + beta * state.prev + gamma * state.cur
-    grads = np.stack([mismatch_grad(s, back, enc_i) for s in samples])
-    return samples, cfg.step_size * _normalized_sign(grads)
+) -> np.ndarray:
+    """x plus a sign step along the mismatch gradient summed over
+    cfg.scales at the point `at`, projected into the budget around clean."""
+    g = np.zeros_like(at)
+    for scale in cfg.scales:
+        g -= grad_loss_wrt_image(enc_i, at, back, scale)
+    return linf_project(x + cfg.step_size * _normalized_sign(g), clean, cfg.eps_image)
 
 
 def text_guided_select(
-    state: TrajectoryState,
+    cur: np.ndarray,
+    clean: np.ndarray,
     directions: np.ndarray,
     u: np.ndarray,
     enc_i: LinearImageEncoder,
@@ -173,30 +132,13 @@ def text_guided_select(
     cfg: AttackConfig,
 ) -> int:
     """Index of the direction whose feasible application to the current
-    adversarial image most increases the mismatch; ties go to the lowest index."""
+    adversarial image cur most increases the mismatch; ties go to the lowest
+    index."""
     if len(directions) == 0:
         raise ValueError("directions must be nonempty")
-    cands = linf_project(state.cur + directions, state.clean, cfg.eps_image)
+    cands = linf_project(cur + directions, clean, cfg.eps_image)
     vals = [mismatch_value(c, u, enc_i, projector) for c in cands]
     return vals.index(max(vals))
-
-
-def attack_step(
-    state: TrajectoryState,
-    chosen_sample: np.ndarray,
-    back: np.ndarray,
-    enc_i: LinearImageEncoder,
-    cfg: AttackConfig,
-) -> TrajectoryState:
-    """Multi-scale sign step taken at the selected sample, applied to the
-    current adversarial image and projected into the budget."""
-    g = _multiscale_grad(chosen_sample, back, enc_i, cfg)
-    new_cur = linf_project(
-        state.cur + cfg.step_size * _normalized_sign(g), state.clean, cfg.eps_image
-    )
-    return TrajectoryState(
-        clean=state.clean, prev=state.cur, cur=new_cur, step=state.step + 1
-    )
 
 
 def run_image_attack(
@@ -210,49 +152,34 @@ def run_image_attack(
     keep_intermediates: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, AttackTrace]:
     """Full T-step attack; returns the final and second-to-last adversarial
-    images (the caption attack needs both) plus a per-step trace.
+    images (the caption attack needs both) plus a per-step trace. Step 1 is
+    a multi-scale sign step from a Gaussian-noise start in the budget.
 
     forced_weights pins every triangle sample to one weight triple without
     consuming RNG; with (0, 0, 1) and samples=1 the loop reduces exactly to
     the multi-scale sign-gradient baseline.
     """
-    trace = AttackTrace()
     u = text_direction(enc_pair.text, caption, projector)
     enc_i = enc_pair.image
     back = back_project(enc_i, u)
-    state = init_adversarial(x, back, enc_i, cfg, rng)
-    if keep_intermediates:
-        trace.intermediates = [state.prev.copy(), state.cur.copy()]
-    trace.records.append(
-        StepRecord(
-            step=1,
-            loss=mismatch_value(state.cur, u, enc_i, projector),
-            lam=0.0,
-            beta=0.0,
-            gamma=1.0,
-            chosen_index=-1,
-        )
-    )
-    for _ in range(cfg.steps - 1):
+    prev = linf_project(x + cfg.eps_image * rng.standard_normal(x.shape), x, cfg.eps_image)
+    cur = _sign_step(prev, prev, x, back, enc_i, cfg)
+    trace = AttackTrace(intermediates=[prev, cur] if keep_intermediates else None)
+    trace.records.append(StepRecord(1, mismatch_value(cur, u, enc_i, projector), 0.0, 0.0, 1.0, -1))
+    for step in range(2, cfg.steps + 1):
         if forced_weights is not None:
             weights = np.array([forced_weights.as_tuple()] * cfg.samples)
         else:
             weights = sample_sub_triangle(cfg.samples, rng, cfg.region)
-        samples, dirs = candidate_directions(state, weights, back, enc_i, cfg)
-        o = text_guided_select(state, dirs, u, enc_i, projector, cfg)
-        state = attack_step(state, samples[o], back, enc_i, cfg)
+        lam, beta, gamma = weights.T[:, :, None, None]
+        samples = lam * x + beta * prev + gamma * cur
+        grads = np.stack([-grad_loss_wrt_image(enc_i, s, back) for s in samples])
+        dirs = cfg.step_size * _normalized_sign(grads)
+        o = text_guided_select(cur, x, dirs, u, enc_i, projector, cfg)
+        prev, cur = cur, _sign_step(cur, samples[o], x, back, enc_i, cfg)
         if keep_intermediates:
-            trace.intermediates.append(state.cur.copy())
+            trace.intermediates.append(cur)
         lam, beta, gamma = weights[o].tolist()
-        trace.records.append(
-            StepRecord(
-                step=state.step,
-                loss=mismatch_value(state.cur, u, enc_i, projector),
-                lam=lam,
-                beta=beta,
-                gamma=gamma,
-                chosen_index=o,
-            )
-        )
-    return state.cur, state.prev, trace
-
+        loss = mismatch_value(cur, u, enc_i, projector)
+        trace.records.append(StepRecord(step, loss, lam, beta, gamma, o))
+    return cur, prev, trace

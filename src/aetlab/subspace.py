@@ -18,20 +18,6 @@ class DegenerateCorpusError(ValueError):
 
 
 @dataclass(frozen=True)
-class SemanticCorpus:
-    texts: tuple[tuple[int, ...], ...]
-    source_size: int
-    proportion: float
-
-    def __post_init__(self):
-        if not (1 <= len(self.texts) <= self.source_size):
-            raise ValueError("corpus size must satisfy 1 <= N <= M")
-
-    def __len__(self) -> int:
-        return len(self.texts)
-
-
-@dataclass(frozen=True)
 class ProjectionBasis:
     basis: np.ndarray  # (r, d), orthonormal rows
     projector: np.ndarray  # (d, d), symmetric idempotent
@@ -46,8 +32,9 @@ class ProjectionBasis:
         return self.projector @ v
 
 
-def sample_corpus(all_texts, proportion: float, seed) -> SemanticCorpus:
-    """Uniform without-replacement sample of ceil(proportion*M) texts."""
+def sample_corpus(all_texts, proportion: float, seed) -> tuple[tuple[int, ...], ...]:
+    """Uniform without-replacement sample of ceil(proportion*M) of the M
+    texts, in pool order."""
     if not (0.0 < proportion <= 1.0):
         raise ValueError("proportion must be in (0, 1]")
     texts = [tuple(int(t) for t in c) for c in all_texts]
@@ -57,7 +44,7 @@ def sample_corpus(all_texts, proportion: float, seed) -> SemanticCorpus:
     n = math.ceil(proportion * m)
     rng = np.random.default_rng(seed)
     idx = np.sort(rng.choice(m, size=n, replace=False))
-    return SemanticCorpus(tuple(texts[i] for i in idx), m, proportion)
+    return tuple(texts[i] for i in idx)
 
 
 def build_projection(corpus_embeddings: np.ndarray, rank: int | None = None) -> ProjectionBasis:

@@ -9,8 +9,6 @@ together as one (n_cand, L) token matrix.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import AttackConfig, similarity_loss
@@ -23,51 +21,23 @@ from .encoders import encode_text  # noqa: F401
 Caption = tuple[int, ...]
 
 
-class UnsupportedBudgetError(ValueError):
-    """Only a single-word substitution budget is implemented."""
-
-
-@dataclass(frozen=True)
-class WordCandidateList:
-    per_position: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        for cands in self.per_position:
-            if len(set(cands)) != len(cands):
-                raise ValueError("duplicate candidate within a position's list")
-
-
 def build_word_candidates(
     caption, enc: BagOfWordsTextEncoder, word_list_size: int
-) -> WordCandidateList:
-    """Per-position nearest tokens by embedding dot product, excluding the
-    original token; deterministic under ties (stable sort, lowest index)."""
+) -> np.ndarray:
+    """The (1 + L*k, L) token matrix of the caption (row 0) and every
+    single-word substitution, position-major. Position i's k substitutes are
+    its nearest tokens by embedding dot product, excluding its own token, in
+    stable-argsort order (ties to the lowest index); k is word_list_size,
+    capped at vocab_size - 1."""
     if word_list_size < 0:
         raise ValueError("word_list_size must be >= 0")
-    per_position = []
-    for tok in caption:
-        scores = enc.table @ enc.table[int(tok)]
-        order = np.argsort(-scores, kind="stable")
-        per_position.append(tuple(order[order != int(tok)][:word_list_size].tolist()))
-    return WordCandidateList(tuple(per_position))
-
-
-def enumerate_text_candidates(
-    caption, wcl: WordCandidateList, eps_t: int = 1
-) -> list[Caption]:
-    """The original caption plus every single-position substitution."""
-    if eps_t != 1:
-        raise UnsupportedBudgetError(f"text budget {eps_t} not supported (only 1)")
-    base = tuple(int(t) for t in caption)
-    if len(wcl.per_position) != len(base):
-        raise ValueError("candidate list length does not match caption")
-    out: list[Caption] = [base]
-    for pos, cands in enumerate(wcl.per_position):
-        for tok in cands:
-            if tok == base[pos]:
-                continue
-            out.append(base[:pos] + (tok,) + base[pos + 1 :])
-    return out
+    base = np.asarray(caption, dtype=np.int64)
+    order = np.stack([np.argsort(-(enc.table @ enc.table[t]), kind="stable") for t in base])
+    near = order[order != base[:, None]].reshape(len(base), -1)[:, :word_list_size]
+    n_pos, k = near.shape
+    cands = np.tile(base, (1 + n_pos * k, 1))
+    cands[1 + np.arange(n_pos * k), np.repeat(np.arange(n_pos), k)] = near.ravel()
+    return cands
 
 
 def score_text_candidate(
@@ -105,12 +75,11 @@ def run_text_attack(
     original caption (candidate 0, which no substitution reproduces), then
     to the lowest index."""
     base = tuple(int(t) for t in caption)
-    wcl = build_word_candidates(base, enc_pair.text, cfg.word_list_size)
-    candidates = enumerate_text_candidates(base, wcl, cfg.text_budget)
+    candidates = build_word_candidates(base, enc_pair.text, cfg.word_list_size)
     txt = embed_captions(enc_pair.text, candidates)
     embs = [encode_image(enc_pair.image, x) for x in (clean_img, prev_adv, cur_adv)]
     if projector is not None:
         embs = [projector.project(e) for e in embs]
     scores = [score_text_candidate(t, *embs, projector, cfg) for t in txt]
-    chosen = candidates[scores.index(max(scores))]
+    chosen = tuple(candidates[scores.index(max(scores))].tolist())
     return chosen, chosen != base

@@ -21,7 +21,6 @@ from aetlab.image_attack import (
     StepRecord,
     mismatch_value,
 )
-from aetlab.text_attack import build_word_candidates, enumerate_text_candidates
 
 FD_STEP = 1e-5
 
@@ -148,11 +147,24 @@ def run_image_attack_per_sample(x, caption, enc_pair, projector, cfg, rng, force
     return cur, prev, trace
 
 
-def run_text_attack_per_candidate(caption, clean_img, prev_adv, cur_adv, enc_pair, projector, cfg):
-    """run_text_attack with one encode_text call per candidate and the
-    selection rule of select_adversarial_text."""
+def enumerate_text_candidates(caption, enc_t, word_list_size):
+    """The original caption plus every single-position substitution, as a
+    list of tuples built position by position: at each position the first
+    word_list_size tokens of the stable argsort of the dot-product scores,
+    skipping the original token."""
     base = tuple(int(t) for t in caption)
-    wcl = build_word_candidates(base, enc_pair.text, cfg.word_list_size)
+    out = [base]
+    for pos, tok in enumerate(base):
+        order = np.argsort(-(enc_t.table @ enc_t.table[tok]), kind="stable")
+        for sub in [int(i) for i in order if int(i) != tok][:word_list_size]:
+            out.append(base[:pos] + (sub,) + base[pos + 1 :])
+    return out
+
+
+def run_text_attack_per_candidate(caption, clean_img, prev_adv, cur_adv, enc_pair, projector, cfg):
+    """run_text_attack on the list-built candidates, with one encode_text
+    call per candidate and the selection rule of select_adversarial_text."""
+    base = tuple(int(t) for t in caption)
     embs = [encode_image(enc_pair.image, x) for x in (clean_img, prev_adv, cur_adv)]
     proj = (lambda v: v) if projector is None else projector.project
     embs = [proj(e) for e in embs]
@@ -165,7 +177,7 @@ def run_text_attack_per_candidate(caption, clean_img, prev_adv, cur_adv, enc_pai
             + cfg.nu * similarity_loss(embs[2], txt)
         )
 
-    candidates = enumerate_text_candidates(base, wcl, cfg.text_budget)
+    candidates = enumerate_text_candidates(base, enc_pair.text, cfg.word_list_size)
     chosen = select_adversarial_text(candidates, scorer, original=base)
     return chosen, chosen != base
 

@@ -114,6 +114,9 @@ class TestAttack:
             (["--variant", "sga", "--region", "AB"], "region"),
             (["--text-budget", "2"], "text_budget"),
             (["--text-budget", "0"], "text_budget"),
+            (["--kappa", "nan"], "kappa"),
+            (["--eps-image", "nan"], "eps_image"),
+            (["--word-list-size", "-1"], "word_list_size"),
         ],
     )
     def test_impossible_config_is_usage_error(self, dataset_file, tmp_path, capsys, flags, field):

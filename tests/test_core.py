@@ -71,6 +71,12 @@ class TestAttackConfig:
             {"region": "ABCDEF"},
             {"text_budget": 0},
             {"text_budget": 2},
+            {"eps_image": float("nan")},
+            {"step_size": float("nan")},
+            {"kappa": float("nan")},
+            {"mu": float("nan")},
+            {"nu": float("nan")},
+            {"word_list_size": -1},
         ],
     )
     def test_invalid_configs(self, kwargs):

@@ -342,18 +342,21 @@ class TestAttackPairsOracle:
     @pytest.mark.parametrize("variant", ["saaet", "dra", "sga", "subtriangle-C"])
     def test_equals_per_sample_oracle(self, variant):
         # stacked triangle samples, one back-projection per pair and one
-        # token gather per caption search reproduce the per-sample and
-        # per-candidate path bit for bit
+        # token matrix per caption search reproduce the per-sample and
+        # per-candidate path bit for bit, with and without substitutes
         ds = synth_dataset(seed=7, n_pairs=4, dims=DatasetDims(embed_dim=64))
         pool = default_model_pool(ds, n_models=2)
-        cfg = AttackConfig(master_seed=7)
-        got = list(attack_pairs(ds, pool[1], cfg, variant, stream=1))
-        want = attack_pairs_per_sample(ds, pool[1], cfg, variant, stream=1)
-        assert len(got) == len(want) == 4
-        for (img, cap, trace), (o_img, o_cap, o_trace) in zip(got, want):
-            assert np.array_equal(img, o_img)
-            assert cap == o_cap
-            assert trace.records == o_trace.records
+        for cfg in (
+            AttackConfig(master_seed=7),
+            AttackConfig(master_seed=7, word_list_size=0, samples=1),
+        ):
+            got = list(attack_pairs(ds, pool[1], cfg, variant, stream=1))
+            want = attack_pairs_per_sample(ds, pool[1], cfg, variant, stream=1)
+            assert len(got) == len(want) == 4
+            for (img, cap, trace), (o_img, o_cap, o_trace) in zip(got, want):
+                assert np.array_equal(img, o_img)
+                assert cap == o_cap
+                assert trace.records == o_trace.records
 
 
 class TestAttackPairsProperties:
@@ -364,13 +367,21 @@ class TestAttackPairsProperties:
         eps_image=st.floats(0.5 / 255, 16 / 255),
         step_size=st.floats(0.25 / 255, 4 / 255),
         n_pairs=st.integers(2, 4),
+        word_list_size=st.integers(0, 12),
+        samples=st.integers(1, 5),
         data=st.data(),
     )
     def test_budgets_and_prefix_independence(
-        self, seed, variant, eps_image, step_size, n_pairs, data
+        self, seed, variant, eps_image, step_size, n_pairs, word_list_size, samples, data
     ):
         ds = synth_dataset(seed, n_pairs, dims=SMALL_DIMS, held_out=10, held_out_len=12)
-        cfg = AttackConfig(eps_image=eps_image, step_size=step_size, master_seed=seed)
+        cfg = AttackConfig(
+            eps_image=eps_image,
+            step_size=step_size,
+            word_list_size=word_list_size,
+            samples=samples,
+            master_seed=seed,
+        )
         full = list(attack_pairs(ds, ds.base, cfg, variant))
         assert len(full) == n_pairs
         for p, (img, cap, _) in enumerate(full):

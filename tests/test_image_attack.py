@@ -2,20 +2,17 @@ import numpy as np
 import pytest
 
 from aetlab.core import AttackConfig, SimplexWeights, linf_project
-from aetlab.encoders import back_project, text_direction
+from aetlab.encoders import back_project, grad_loss_wrt_image, text_direction
 from aetlab.image_attack import (
     REGION_ASSIGNMENTS,
-    TrajectoryState,
     _normalized_sign,
-    candidate_directions,
-    mismatch_grad,
     mismatch_value,
     run_image_attack,
     sample_sub_triangle,
     text_guided_select,
 )
 from aetlab.subspace import build_projection
-from oracles import convex_combine, pair_loss, run_sga_attack, sample_sub_triangle_loop
+from oracles import pair_loss, run_sga_attack, sample_sub_triangle_loop
 
 REGION_ORDERINGS = {
     # region -> (smallest, middle, largest) component names
@@ -100,7 +97,7 @@ class TestObjective:
             )
 
     def test_step_along_gradient_increases_mismatch(self, tiny_pair, tiny_image, tiny_u, tiny_back):
-        g = mismatch_grad(tiny_image, tiny_back, tiny_pair.image)
+        g = -grad_loss_wrt_image(tiny_pair.image, tiny_image, tiny_back)
         before = mismatch_value(tiny_image, tiny_u, tiny_pair.image, None)
         after = mismatch_value(tiny_image + 1e-4 * g, tiny_u, tiny_pair.image, None)
         assert after > before
@@ -108,41 +105,32 @@ class TestObjective:
 
 class TestTextGuidedSelect:
     def test_picks_argmax_direction(self, tiny_pair, tiny_image, tiny_u, tiny_back, fast_cfg):
-        state = TrajectoryState(
-            clean=tiny_image, prev=tiny_image, cur=tiny_image, step=1
-        )
         good = fast_cfg.step_size * _normalized_sign(
-            mismatch_grad(tiny_image, tiny_back, tiny_pair.image)
+            -grad_loss_wrt_image(tiny_pair.image, tiny_image, tiny_back)
         )
         bad = -good
         assert text_guided_select(
-            state, [bad, good], tiny_u, tiny_pair.image, None, fast_cfg
+            tiny_image, tiny_image, np.stack([bad, good]), tiny_u, tiny_pair.image, None, fast_cfg
         ) == 1
 
     def test_tie_goes_to_lowest_index(self, tiny_pair, tiny_image, tiny_u, fast_cfg):
-        state = TrajectoryState(
-            clean=tiny_image, prev=tiny_image, cur=tiny_image, step=1
-        )
-        d = np.zeros_like(tiny_image)
+        d = np.zeros((2,) + tiny_image.shape)
         assert text_guided_select(
-            state, [d, d.copy()], tiny_u, tiny_pair.image, None, fast_cfg
+            tiny_image, tiny_image, d, tiny_u, tiny_pair.image, None, fast_cfg
         ) == 0
 
     def test_selection_evaluates_feasible_candidate(
         self, tiny_pair, tiny_image, tiny_u, tiny_back, fast_cfg
     ):
         # a huge direction must be judged by its projected (feasible) effect
-        state = TrajectoryState(
-            clean=tiny_image, prev=tiny_image, cur=tiny_image, step=1
-        )
-        g = mismatch_grad(tiny_image, tiny_back, tiny_pair.image)
+        g = -grad_loss_wrt_image(tiny_pair.image, tiny_image, tiny_back)
         huge = 100.0 * _normalized_sign(g)
         small = fast_cfg.step_size * _normalized_sign(g)
         idx = text_guided_select(
-            state, [huge, small], tiny_u, tiny_pair.image, None, fast_cfg
+            tiny_image, tiny_image, np.stack([huge, small]), tiny_u, tiny_pair.image, None, fast_cfg
         )
-        cand_huge = linf_project(state.cur + huge, tiny_image, fast_cfg.eps_image)
-        cand_small = linf_project(state.cur + small, tiny_image, fast_cfg.eps_image)
+        cand_huge = linf_project(tiny_image + huge, tiny_image, fast_cfg.eps_image)
+        cand_small = linf_project(tiny_image + small, tiny_image, fast_cfg.eps_image)
         vals = [
             mismatch_value(c, tiny_u, tiny_pair.image, None)
             for c in (cand_huge, cand_small)
@@ -150,48 +138,11 @@ class TestTextGuidedSelect:
         assert idx == int(np.argmax(vals))
 
     def test_empty_directions_rejected(self, tiny_pair, tiny_image, tiny_u, fast_cfg):
-        state = TrajectoryState(tiny_image, tiny_image, tiny_image, 1)
         with pytest.raises(ValueError):
-            text_guided_select(state, [], tiny_u, tiny_pair.image, None, fast_cfg)
-
-
-class TestCandidateDirections:
-    def test_one_direction_per_weight(self, tiny_pair, tiny_image, tiny_back, fast_cfg):
-        state = TrajectoryState(tiny_image, tiny_image, tiny_image, 1)
-        weights = sample_sub_triangle(3, np.random.default_rng(0))
-        samples, dirs = candidate_directions(
-            state, weights, tiny_back, tiny_pair.image, fast_cfg
-        )
-        assert samples.shape == dirs.shape == (3, 8, 8)
-        for d in dirs:
-            assert np.max(np.abs(d)) <= fast_cfg.step_size + 1e-15
-
-    def test_direction_is_sign_gradient_at_sample(
-        self, tiny_pair, tiny_image, tiny_back, fast_cfg, rng
-    ):
-        prev = np.clip(tiny_image + 0.01 * rng.standard_normal(tiny_image.shape), 0, 1)
-        cur = np.clip(tiny_image - 0.01 * rng.standard_normal(tiny_image.shape), 0, 1)
-        state = TrajectoryState(tiny_image, prev, cur, 2)
-        w = SimplexWeights(0.5, 0.3, 0.2)
-        [s], [d] = candidate_directions(
-            state, np.array([w.as_tuple()]), tiny_back, tiny_pair.image, fast_cfg
-        )
-        assert np.array_equal(s, convex_combine(tiny_image, prev, cur, w))
-        expect = fast_cfg.step_size * _normalized_sign(
-            mismatch_grad(s, tiny_back, tiny_pair.image)
-        )
-        np.testing.assert_array_equal(d, expect)
-
-    def test_samples_equal_per_row_convex_combination(
-        self, tiny_pair, tiny_image, tiny_back, fast_cfg, rng
-    ):
-        prev = np.clip(tiny_image + 0.01 * rng.standard_normal(tiny_image.shape), 0, 1)
-        cur = np.clip(tiny_image - 0.01 * rng.standard_normal(tiny_image.shape), 0, 1)
-        state = TrajectoryState(tiny_image, prev, cur, 2)
-        weights = sample_sub_triangle(7, rng, "C")
-        samples, _ = candidate_directions(state, weights, tiny_back, tiny_pair.image, fast_cfg)
-        for s, w in zip(samples, weights):
-            assert np.array_equal(s, convex_combine(tiny_image, prev, cur, SimplexWeights(*w)))
+            text_guided_select(
+                tiny_image, tiny_image, np.zeros((0,) + tiny_image.shape),
+                tiny_u, tiny_pair.image, None, fast_cfg,
+            )
 
 
 class TestRunImageAttack:

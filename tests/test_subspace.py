@@ -20,19 +20,19 @@ class TestSampleCorpus:
     def test_subset_of_pool_without_replacement(self):
         pool = self._pool(12)
         corpus = sample_corpus(pool, 0.5, seed=2)
-        assert len(set(corpus.texts)) == len(corpus.texts)
-        assert all(t in pool for t in corpus.texts)
+        assert len(set(corpus)) == len(corpus)
+        assert all(t in pool for t in corpus)
 
     def test_deterministic(self):
         pool = self._pool(20)
         a = sample_corpus(pool, 0.4, seed=3)
         b = sample_corpus(pool, 0.4, seed=3)
-        assert a.texts == b.texts
+        assert a == b
 
     def test_full_proportion_takes_everything(self):
         pool = self._pool(5)
         corpus = sample_corpus(pool, 1.0, seed=0)
-        assert sorted(corpus.texts) == sorted(tuple(t) for t in pool)
+        assert sorted(corpus) == sorted(tuple(t) for t in pool)
 
     @pytest.mark.parametrize("prop", [0.0, -0.1, 1.1])
     def test_invalid_proportion(self, prop):

@@ -10,14 +10,12 @@ from aetlab.encoders import (
     encode_text,
 )
 from aetlab.subspace import build_projection
-from aetlab.text_attack import (
-    UnsupportedBudgetError,
-    build_word_candidates,
+from aetlab.text_attack import build_word_candidates, run_text_attack, score_text_candidate
+from oracles import (
     enumerate_text_candidates,
-    run_text_attack,
-    score_text_candidate,
+    run_text_attack_per_candidate,
+    select_adversarial_text,
 )
-from oracles import run_text_attack_per_candidate, select_adversarial_text
 
 
 def hamming(a, b):
@@ -27,25 +25,26 @@ def hamming(a, b):
 
 class TestWordCandidates:
     def test_nearest_by_dot_product(self, tiny_pair, tiny_caption):
-        wcl = build_word_candidates(tiny_caption, tiny_pair.text, word_list_size=10)
+        cands = build_word_candidates(tiny_caption, tiny_pair.text, word_list_size=10)
         table = tiny_pair.text.table
-        for tok, cands in zip(tiny_caption, wcl.per_position):
-            scores = table @ table[tok]
+        for pos, tok in enumerate(tiny_caption):
+            rows = cands[1 + 10 * pos : 1 + 10 * (pos + 1)]
             expect = [
                 int(i)
-                for i in np.argsort(-scores, kind="stable")
+                for i in np.argsort(-(table @ table[tok]), kind="stable")
                 if int(i) != tok
             ][:10]
-            assert list(cands) == expect
+            assert rows[:, pos].tolist() == expect
+            assert (np.delete(rows, pos, axis=1) == np.delete(tiny_caption, pos)).all()
 
     def test_original_token_excluded(self, tiny_pair, tiny_caption):
-        wcl = build_word_candidates(tiny_caption, tiny_pair.text, word_list_size=63)
-        for tok, cands in zip(tiny_caption, wcl.per_position):
-            assert tok not in cands
+        cands = build_word_candidates(tiny_caption, tiny_pair.text, word_list_size=63)
+        assert cands.shape == (1 + 63 * len(tiny_caption), len(tiny_caption))
+        assert ((cands[1:] != tiny_caption).sum(axis=1) == 1).all()
 
     def test_zero_sized_list(self, tiny_pair, tiny_caption):
-        wcl = build_word_candidates(tiny_caption, tiny_pair.text, word_list_size=0)
-        assert all(len(c) == 0 for c in wcl.per_position)
+        cands = build_word_candidates(tiny_caption, tiny_pair.text, word_list_size=0)
+        assert cands.tolist() == [list(tiny_caption)]
 
     def test_negative_size_rejected(self, tiny_pair, tiny_caption):
         with pytest.raises(ValueError):
@@ -58,28 +57,19 @@ class TestWordCandidates:
         table = rng.standard_normal((4, 6))[rng.integers(0, 4, 40)]
         enc = BagOfWordsTextEncoder(table)
         caption = (0, 7, 7, 39, 21)
-        wcl = build_word_candidates(caption, enc, word_list_size=size)
-        for tok, cands in zip(caption, wcl.per_position):
-            order = np.argsort(-(table @ table[tok]), kind="stable")
-            assert cands == tuple([int(i) for i in order if int(i) != tok][:size])
+        cands = build_word_candidates(caption, enc, word_list_size=size)
+        assert list(map(tuple, cands.tolist())) == enumerate_text_candidates(caption, enc, size)
 
 
 class TestEnumerateCandidates:
     def test_original_first_and_counts(self, tiny_pair, tiny_caption):
-        wcl = build_word_candidates(tiny_caption, tiny_pair.text, word_list_size=5)
-        cands = enumerate_text_candidates(tiny_caption, wcl)
-        assert cands[0] == tiny_caption
-        assert len(cands) == 1 + 5 * len(tiny_caption)
+        cands = build_word_candidates(tiny_caption, tiny_pair.text, word_list_size=5)
+        assert tuple(cands[0].tolist()) == tiny_caption
+        assert cands.shape == (1 + 5 * len(tiny_caption), len(tiny_caption))
 
     def test_every_candidate_within_budget(self, tiny_pair, tiny_caption):
-        wcl = build_word_candidates(tiny_caption, tiny_pair.text, word_list_size=5)
-        for cand in enumerate_text_candidates(tiny_caption, wcl):
+        for cand in build_word_candidates(tiny_caption, tiny_pair.text, word_list_size=5):
             assert hamming(cand, tiny_caption) <= 1
-
-    def test_larger_budget_unsupported(self, tiny_pair, tiny_caption):
-        wcl = build_word_candidates(tiny_caption, tiny_pair.text, word_list_size=5)
-        with pytest.raises(UnsupportedBudgetError):
-            enumerate_text_candidates(tiny_caption, wcl, eps_t=2)
 
 
 class TestScoring:
@@ -120,8 +110,7 @@ class TestScoring:
         ]
         proj = (lambda v: v) if pb is None else pb.project
         pre = [proj(e) for e in imgs]
-        wcl = build_word_candidates(tiny_caption, tiny_pair.text, word_list_size=5)
-        for cand in enumerate_text_candidates(tiny_caption, wcl):
+        for cand in build_word_candidates(tiny_caption, tiny_pair.text, word_list_size=5):
             txt = proj(encode_text(tiny_pair.text, cand))
             expect = -(
                 cfg.kappa * similarity_loss(proj(imgs[0]), txt)
@@ -231,7 +220,7 @@ class TestCaptionTies:
             cur = np.clip(tiny_image + 0.05 * rng.standard_normal((8, 8)), 0, 1)
             chosen, changed = run_text_attack(caption, tiny_image, tiny_image, cur, pair, None, cfg)
             embs = [encode_image(pair.image, x) for x in (tiny_image, tiny_image, cur)]
-            cands = enumerate_text_candidates(caption, build_word_candidates(caption, pair.text, 11))
+            cands = enumerate_text_candidates(caption, pair.text, 11)
             scores = [
                 score_text_candidate(encode_text(pair.text, c), *embs, None, cfg) for c in cands
             ]
