@@ -8,6 +8,7 @@ plain transpose and analytic gradients through it are exact.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -40,7 +41,7 @@ class AttackConfig:
     eps_image and step_size are L-inf budgets on [0,1] pixels; steps is the
     iteration count T, samples the per-step triangle sample count m. kappa,
     mu, nu weight the clean / previous / final adversarial image in the
-    caption-attack score and must sum to 1 with mu + nu > 0.
+    caption-attack score: each is >= 0, they sum to 1, and mu + nu > 0.
     """
 
     eps_image: float = 8.0 / 255.0
@@ -59,24 +60,27 @@ class AttackConfig:
 
     def __post_init__(self):
         # each check is written so that a NaN fails it
-        if not self.eps_image > 0:
-            raise ValueError("eps_image must be > 0")
-        if not self.step_size > 0:
-            raise ValueError("step_size must be > 0")
+        if not 0 < self.eps_image < math.inf:
+            raise ValueError("eps_image must be finite and > 0")
+        if not 0 < self.step_size < math.inf:
+            raise ValueError("step_size must be finite and > 0")
         if not self.steps >= 2:
             raise ValueError("steps must be >= 2")
         if not self.samples >= 1:
             raise ValueError("samples must be >= 1")
         if not self.word_list_size >= 0:
             raise ValueError("word_list_size must be >= 0")
+        for name in ("kappa", "mu", "nu"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
         if not abs(self.kappa + self.mu + self.nu - 1.0) <= SIMPLEX_TOL:
             raise ValueError("kappa + mu + nu must equal 1")
         if not self.mu + self.nu > 0:
             raise ValueError("mu + nu must be > 0 (adversarial-image share cannot vanish)")
         if not (0.0 < self.corpus_proportion <= 1.0):
             raise ValueError("corpus_proportion must be in (0, 1]")
-        if not self.scales or not all(s > 0 for s in self.scales):
-            raise ValueError("scales must be a nonempty tuple of positive values")
+        if not self.scales or not all(0 < s < math.inf for s in self.scales):
+            raise ValueError("scales must be a nonempty tuple of finite positive values")
         if self.text_budget != 1:
             raise ValueError(f"text_budget {self.text_budget} not supported (only 1)")
         if self.region not in tuple("ABCDEF"):

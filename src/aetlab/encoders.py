@@ -127,27 +127,39 @@ def image_loss(
     return similarity_loss(img, u)
 
 
-def back_project(enc_i: LinearImageEncoder, u: np.ndarray) -> np.ndarray:
-    """W^T u / d: the gradient of image_loss at scale 1.0, as flat pixels.
+def gradient_table(
+    enc_i: LinearImageEncoder, u: np.ndarray, shape: tuple[int, int], scales
+) -> dict[float, np.ndarray]:
+    """The gradient of image_loss w.r.t. an (H, W) image at each scale, for
+    the text direction u: the adjoint chain augment^T(W^T u) / d.
 
-    The loss is bilinear, so this does not depend on the image; the
-    projector is already folded into u, since <P a, P b> = <a, P b> for the
-    symmetric idempotent P.
+    The loss is bilinear, so the gradient does not depend on the image and
+    one table serves every gradient of a pair. The table always holds scale
+    1.0, the identity augmentation, whose entry is the back-projection
+    W^T u / d itself; each other scale costs one adjoint. The projector is
+    already folded into u, since <P a, P b> = <a, P b> for the symmetric
+    idempotent P.
     """
-    return enc_i.weight.T @ u / enc_i.embed_dim
+    back = (enc_i.weight.T @ u / enc_i.embed_dim).reshape(shape)
+    table = {1.0: back}
+    for s in scales:
+        if s not in table:
+            table[s] = scale_augment_adjoint(back, shape, s)
+    return table
 
 
 def grad_loss_wrt_image(
-    enc_i: LinearImageEncoder, x: np.ndarray, back: np.ndarray, scale: float = 1.0
+    enc_i: LinearImageEncoder, x: np.ndarray, grads: dict[float, np.ndarray], scale: float = 1.0
 ) -> np.ndarray:
-    """Exact gradient of image_loss w.r.t. x for the text direction u, given
-    back = back_project(enc_i, u): the adjoint chain augment^T(W^T u) / d.
-    Scale 1.0 is the identity augmentation, so its adjoint is a copy of back."""
+    """Exact gradient of image_loss w.r.t. x at one scale: a fresh copy of
+    its entry in grads = gradient_table(enc_i, u, x.shape, scales)."""
     x = validate_image(x)
     if x.size != enc_i.weight.shape[1]:
         raise ValueError("image shape does not match encoder")
-    g = back.reshape(x.shape)
-    return g.copy() if scale == 1.0 else scale_augment_adjoint(g, x.shape, scale)
+    g = grads[scale]
+    if g.shape != x.shape:
+        raise ValueError("image shape does not match gradient table")
+    return g.copy()
 
 
 def make_base_encoders(

@@ -11,9 +11,10 @@ L-inf budget.
 The optimized objective is the image-text mismatch, i.e. the negated
 (optionally subspace-projected) dot-product similarity: driving the true
 pair's similarity down is what breaks retrieval. The caption enters only
-through its (projected) text direction u and that direction's pixel-space
-back-projection, both computed once per attack. The m triangle samples,
-their directions and their feasible candidates are (m, H, W) stacks.
+through its (projected) text direction u and that direction's gradient
+table (one pixel-space gradient per scale), both computed once per attack,
+as are all (T-1)*m triangle weights. The m triangle samples of a step, their
+directions and their feasible candidates are (m, H, W) stacks.
 """
 from __future__ import annotations
 
@@ -25,8 +26,8 @@ from .core import AttackConfig, SimplexWeights, linf_project, validate_simplex
 from .encoders import (
     EncoderPair,
     LinearImageEncoder,
-    back_project,
     grad_loss_wrt_image,
+    gradient_table,
     image_loss,
     text_direction,
 )
@@ -110,7 +111,7 @@ def _sign_step(
     x: np.ndarray,
     at: np.ndarray,
     clean: np.ndarray,
-    back: np.ndarray,
+    grads: dict[float, np.ndarray],
     enc_i: LinearImageEncoder,
     cfg: AttackConfig,
 ) -> np.ndarray:
@@ -118,7 +119,7 @@ def _sign_step(
     cfg.scales at the point `at`, projected into the budget around clean."""
     g = np.zeros_like(at)
     for scale in cfg.scales:
-        g -= grad_loss_wrt_image(enc_i, at, back, scale)
+        g -= grad_loss_wrt_image(enc_i, at, grads, scale)
     return linf_project(x + cfg.step_size * _normalized_sign(g), clean, cfg.eps_image)
 
 
@@ -133,11 +134,23 @@ def text_guided_select(
 ) -> int:
     """Index of the direction whose feasible application to the current
     adversarial image cur most increases the mismatch; ties go to the lowest
-    index."""
+    index.
+
+    The stack of feasible candidates is checked once; each is then scored
+    with mismatch_value's arithmetic (W c, then P, then -(. u) / d).
+    """
     if len(directions) == 0:
         raise ValueError("directions must be nonempty")
     cands = linf_project(cur + directions, clean, cfg.eps_image)
-    vals = [mismatch_value(c, u, enc_i, projector) for c in cands]
+    if not np.isfinite(cands).all():
+        raise ValueError("image has non-finite pixels")
+    w = enc_i.weight
+    if cands[0].size != w.shape[1] or u.shape != (w.shape[0],):
+        raise ValueError("candidate or text direction does not match the encoder")
+    embs = [w @ c.ravel() for c in cands]
+    if projector is not None:
+        embs = [projector.projector @ e for e in embs]
+    vals = [-(float(e @ u) / e.shape[0]) for e in embs]
     return vals.index(max(vals))
 
 
@@ -155,28 +168,32 @@ def run_image_attack(
     images (the caption attack needs both) plus a per-step trace. Step 1 is
     a multi-scale sign step from a Gaussian-noise start in the budget.
 
-    forced_weights pins every triangle sample to one weight triple without
-    consuming RNG; with (0, 0, 1) and samples=1 the loop reduces exactly to
-    the multi-scale sign-gradient baseline.
+    The triangle weights of steps 2..T are drawn together after the start
+    noise, which leaves the RNG where per-step draws would. forced_weights
+    pins every triangle sample to one weight triple without consuming RNG;
+    with (0, 0, 1) and samples=1 the loop reduces exactly to the multi-scale
+    sign-gradient baseline.
     """
     u = text_direction(enc_pair.text, caption, projector)
     enc_i = enc_pair.image
-    back = back_project(enc_i, u)
+    grads = gradient_table(enc_i, u, x.shape, cfg.scales)
     prev = linf_project(x + cfg.eps_image * rng.standard_normal(x.shape), x, cfg.eps_image)
-    cur = _sign_step(prev, prev, x, back, enc_i, cfg)
+    cur = _sign_step(prev, prev, x, grads, enc_i, cfg)
     trace = AttackTrace(intermediates=[prev, cur] if keep_intermediates else None)
     trace.records.append(StepRecord(1, mismatch_value(cur, u, enc_i, projector), 0.0, 0.0, 1.0, -1))
-    for step in range(2, cfg.steps + 1):
-        if forced_weights is not None:
-            weights = np.array([forced_weights.as_tuple()] * cfg.samples)
-        else:
-            weights = sample_sub_triangle(cfg.samples, rng, cfg.region)
+    n_rows = (cfg.steps - 1) * cfg.samples
+    if forced_weights is not None:
+        all_weights = np.array([forced_weights.as_tuple()] * n_rows)
+    else:
+        all_weights = sample_sub_triangle(n_rows, rng, cfg.region)
+    for step, weights in enumerate(all_weights.reshape(-1, cfg.samples, 3), start=2):
         lam, beta, gamma = weights.T[:, :, None, None]
         samples = lam * x + beta * prev + gamma * cur
-        grads = np.stack([-grad_loss_wrt_image(enc_i, s, back) for s in samples])
-        dirs = cfg.step_size * _normalized_sign(grads)
+        dirs = cfg.step_size * _normalized_sign(
+            np.stack([-grad_loss_wrt_image(enc_i, s, grads) for s in samples])
+        )
         o = text_guided_select(cur, x, dirs, u, enc_i, projector, cfg)
-        prev, cur = cur, _sign_step(cur, samples[o], x, back, enc_i, cfg)
+        prev, cur = cur, _sign_step(cur, samples[o], x, grads, enc_i, cfg)
         if keep_intermediates:
             trace.intermediates.append(cur)
         lam, beta, gamma = weights[o].tolist()

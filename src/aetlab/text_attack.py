@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import AttackConfig, similarity_loss
+from .core import AttackConfig
 from .encoders import BagOfWordsTextEncoder, EncoderPair, embed_captions, encode_image
 from .subspace import ProjectionBasis
 
@@ -51,13 +51,17 @@ def score_text_candidate(
     """kappa/mu/nu-weighted mismatch of a candidate caption's embedding txt
     against the clean, previous adversarial, and final adversarial image
     embeddings, which the caller has already projected; only the caption is
-    projected here."""
+    projected here. Each term is similarity_loss's arithmetic."""
     if projector is not None:
         txt = projector.project(txt)
+    same = clean_img_emb.shape == prev_adv_emb.shape == cur_adv_emb.shape == txt.shape
+    if not same or txt.ndim != 1:
+        raise ValueError("embedding shape mismatch")
+    d = txt.shape[0]
     return -(
-        cfg.kappa * similarity_loss(clean_img_emb, txt)
-        + cfg.mu * similarity_loss(prev_adv_emb, txt)
-        + cfg.nu * similarity_loss(cur_adv_emb, txt)
+        cfg.kappa * (float(clean_img_emb @ txt) / d)
+        + cfg.mu * (float(prev_adv_emb @ txt) / d)
+        + cfg.nu * (float(cur_adv_emb @ txt) / d)
     )
 
 

@@ -117,6 +117,13 @@ class TestAttack:
             (["--kappa", "nan"], "kappa"),
             (["--eps-image", "nan"], "eps_image"),
             (["--word-list-size", "-1"], "word_list_size"),
+            (["--scales", "inf"], "scales"),
+            (["--scales", "0.5,inf"], "scales"),
+            (["--eps-image", "inf"], "eps_image"),
+            (["--step-size", "inf"], "step_size"),
+            (["--kappa", "-0.5", "--mu", "1.0", "--nu", "0.5"], "kappa"),
+            (["--kappa", "0.7", "--mu", "-0.2", "--nu", "0.5"], "mu"),
+            (["--kappa", "0.6", "--mu", "0.6", "--nu", "-0.2"], "nu"),
         ],
     )
     def test_impossible_config_is_usage_error(self, dataset_file, tmp_path, capsys, flags, field):

@@ -77,6 +77,12 @@ class TestAttackConfig:
             {"mu": float("nan")},
             {"nu": float("nan")},
             {"word_list_size": -1},
+            {"eps_image": float("inf")},
+            {"step_size": float("inf")},
+            {"scales": (1.0, float("inf"))},
+            {"kappa": -0.5, "mu": 1.0, "nu": 0.5},
+            {"kappa": 0.7, "mu": -0.2, "nu": 0.5},
+            {"kappa": 0.6, "mu": 0.6, "nu": -0.2},
         ],
     )
     def test_invalid_configs(self, kwargs):

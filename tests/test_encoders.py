@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
-from aetlab import matio
+from aetlab import encoders, matio
 from aetlab.core import DEFAULT_SCALES, scale_augment, scale_augment_adjoint, similarity_loss
 from aetlab.encoders import (
     BagOfWordsTextEncoder,
     LinearImageEncoder,
-    back_project,
     embed_captions,
     embed_pairs,
     encode_image,
     encode_text,
     grad_loss_wrt_image,
+    gradient_table,
     image_loss,
     make_base_encoders,
     make_model_pool,
@@ -98,8 +98,8 @@ class TestGradients:
             emb = rng.standard_normal((5, tiny_pair.image.embed_dim))
             projector = build_projection(emb)
         u = text_direction(tiny_pair.text, tiny_caption, projector)
-        back = back_project(tiny_pair.image, u)
-        analytic = grad_loss_wrt_image(tiny_pair.image, tiny_image, back, scale)
+        grads = gradient_table(tiny_pair.image, u, tiny_image.shape, (scale,))
+        analytic = grad_loss_wrt_image(tiny_pair.image, tiny_image, grads, scale)
         fd = finite_difference_grad(
             lambda z: pair_loss(tiny_pair, z, tiny_caption, projector, scale),
             tiny_image,
@@ -112,28 +112,53 @@ class TestGradients:
     ):
         projector = build_projection(rng.standard_normal((5, tiny_pair.image.embed_dim)))
         u = text_direction(tiny_pair.text, tiny_caption, projector)
-        back = back_project(tiny_pair.image, u)
+        grads = gradient_table(tiny_pair.image, u, tiny_image.shape, DEFAULT_SCALES)
         assert np.array_equal(
-            -grad_loss_wrt_image(tiny_pair.image, tiny_image, back, scale),
+            -grad_loss_wrt_image(tiny_pair.image, tiny_image, grads, scale),
             mismatch_grad_per_call(tiny_image, u, tiny_pair.image, scale),
         )
 
+    def test_table_equals_per_call_adjoint_at_every_scale(self, tiny_pair, tiny_caption):
+        u = text_direction(tiny_pair.text, tiny_caption, None)
+        back = (tiny_pair.image.weight.T @ u / tiny_pair.image.embed_dim).reshape(8, 8)
+        grads = gradient_table(tiny_pair.image, u, (8, 8), DEFAULT_SCALES)
+        assert sorted(grads) == sorted(DEFAULT_SCALES)
+        for s in DEFAULT_SCALES:
+            assert np.array_equal(grads[s], scale_augment_adjoint(back, (8, 8), s))
+
+    def test_table_always_holds_unit_scale_and_one_adjoint_per_other_scale(
+        self, tiny_pair, tiny_caption, monkeypatch
+    ):
+        calls = []
+
+        def counted(g, shape, s, _fn=encoders.scale_augment_adjoint):
+            calls.append(s)
+            return _fn(g, shape, s)
+
+        monkeypatch.setattr(encoders, "scale_augment_adjoint", counted)
+        u = text_direction(tiny_pair.text, tiny_caption, None)
+        grads = gradient_table(tiny_pair.image, u, (8, 8), (0.5, 1.5, 0.5))
+        assert sorted(grads) == [0.5, 1.0, 1.5]
+        assert calls == [0.5, 1.5]
+
     def test_unit_scale_is_a_fresh_copy_of_the_adjoint(self, tiny_pair, tiny_image, tiny_caption):
-        back = back_project(tiny_pair.image, text_direction(tiny_pair.text, tiny_caption, None))
-        back_copy = back.copy()
-        g = grad_loss_wrt_image(tiny_pair.image, tiny_image, back, 1.0)
-        assert np.array_equal(g, scale_augment_adjoint(back.reshape(8, 8), (8, 8), 1.0))
+        u = text_direction(tiny_pair.text, tiny_caption, None)
+        grads = gradient_table(tiny_pair.image, u, tiny_image.shape, (1.0,))
+        back_copy = grads[1.0].copy()
+        g = grad_loss_wrt_image(tiny_pair.image, tiny_image, grads, 1.0)
+        assert np.array_equal(g, scale_augment_adjoint(back_copy, (8, 8), 1.0))
         g += 1.0
-        np.testing.assert_array_equal(back, back_copy)
+        np.testing.assert_array_equal(grads[1.0], back_copy)
 
     @pytest.mark.parametrize("scale", DEFAULT_SCALES)
     def test_bad_image_rejected_at_every_scale(self, tiny_pair, tiny_image, tiny_caption, scale):
-        back = back_project(tiny_pair.image, text_direction(tiny_pair.text, tiny_caption, None))
+        u = text_direction(tiny_pair.text, tiny_caption, None)
+        grads = gradient_table(tiny_pair.image, u, tiny_image.shape, DEFAULT_SCALES)
         bad = tiny_image.copy()
         bad[2, 3] = np.nan
-        for x in (bad, np.ones((8, 9)), np.ones(64)):
+        for x in (bad, np.ones((8, 9)), np.ones(64), np.ones((4, 16))):
             with pytest.raises(ValueError):
-                grad_loss_wrt_image(tiny_pair.image, x, back, scale)
+                grad_loss_wrt_image(tiny_pair.image, x, grads, scale)
 
     def test_finite_difference_requires_positive_step(self, tiny_image):
         with pytest.raises(ValueError):

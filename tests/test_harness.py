@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from aetlab import image_attack, text_attack
+from aetlab import encoders, image_attack, text_attack
 from aetlab.core import AttackConfig
 from aetlab.harness import (
     DatasetDims,
@@ -336,6 +336,27 @@ class TestCraftAdversarialPairs:
             monkeypatch.setattr(mod, name, counted)
         craft_adversarial_pairs(ds, ds.base, AttackConfig(master_seed=2, **overrides), variant)
         assert counts == {"grad_loss_wrt_image": 3 * grads, "score_text_candidate": 3 * 51}
+
+
+    @pytest.mark.parametrize("variant", ["saaet", "sga"])
+    @pytest.mark.parametrize(
+        "overrides, adjoints", [({}, 4), (dict(steps=2, samples=1, scales=(1.0,)), 0)]
+    )
+    def test_scale_adjoints_once_per_pair(self, monkeypatch, variant, overrides, adjoints):
+        # the gradient does not depend on the image, so each pair applies
+        # one adjoint per non-unit scale (perfbench counts this binding as
+        # core.scale_adjoint_calls), however many gradients it takes
+        ds = synth_dataset(seed=2, n_pairs=3)
+        calls = Counter()
+
+        def counted(*args, _fn=encoders.scale_augment_adjoint, **kwargs):
+            calls[args[2]] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(encoders, "scale_augment_adjoint", counted)
+        craft_adversarial_pairs(ds, ds.base, AttackConfig(master_seed=2, **overrides), variant)
+        assert sum(calls.values()) == 3 * adjoints
+        assert set(calls.values()) <= {3}
 
 
 class TestAttackPairsOracle:

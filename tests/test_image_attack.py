@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from aetlab.core import AttackConfig, SimplexWeights, linf_project
-from aetlab.encoders import back_project, grad_loss_wrt_image, text_direction
+from aetlab.encoders import grad_loss_wrt_image, gradient_table, text_direction
 from aetlab.image_attack import (
     REGION_ASSIGNMENTS,
     _normalized_sign,
@@ -53,6 +53,18 @@ class TestSampleSubTriangle:
         assert np.array_equal(arr, np.array([w.as_tuple() for w in loop]))
         assert r_arr.random() == r_loop.random()
 
+    @pytest.mark.parametrize("region", sorted(REGION_ASSIGNMENTS))
+    @pytest.mark.parametrize("steps, samples", [(10, 5), (2, 1), (7, 3)])
+    def test_one_draw_equals_per_step_draws(self, region, steps, samples):
+        # run_image_attack draws the (T - 1) * m weights of a pair at once:
+        # the same rows, in step order, as T - 1 draws of m, and the RNG
+        # left in the same state
+        r_once, r_steps = np.random.default_rng(5), np.random.default_rng(5)
+        once = sample_sub_triangle((steps - 1) * samples, r_once, region)
+        per_step = [sample_sub_triangle(samples, r_steps, region) for _ in range(steps - 1)]
+        assert np.array_equal(once.reshape(steps - 1, samples, 3), np.stack(per_step))
+        assert r_once.bit_generator.state == r_steps.bit_generator.state
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             sample_sub_triangle(0, np.random.default_rng(0))
@@ -84,8 +96,8 @@ def tiny_u(tiny_pair, tiny_caption):
 
 
 @pytest.fixture
-def tiny_back(tiny_pair, tiny_u):
-    return back_project(tiny_pair.image, tiny_u)
+def tiny_grads(tiny_pair, tiny_image, tiny_u):
+    return gradient_table(tiny_pair.image, tiny_u, tiny_image.shape, (1.0,))
 
 
 class TestObjective:
@@ -96,17 +108,17 @@ class TestObjective:
                 tiny_pair, tiny_image, tiny_caption, projector
             )
 
-    def test_step_along_gradient_increases_mismatch(self, tiny_pair, tiny_image, tiny_u, tiny_back):
-        g = -grad_loss_wrt_image(tiny_pair.image, tiny_image, tiny_back)
+    def test_step_along_gradient_increases_mismatch(self, tiny_pair, tiny_image, tiny_u, tiny_grads):
+        g = -grad_loss_wrt_image(tiny_pair.image, tiny_image, tiny_grads)
         before = mismatch_value(tiny_image, tiny_u, tiny_pair.image, None)
         after = mismatch_value(tiny_image + 1e-4 * g, tiny_u, tiny_pair.image, None)
         assert after > before
 
 
 class TestTextGuidedSelect:
-    def test_picks_argmax_direction(self, tiny_pair, tiny_image, tiny_u, tiny_back, fast_cfg):
+    def test_picks_argmax_direction(self, tiny_pair, tiny_image, tiny_u, tiny_grads, fast_cfg):
         good = fast_cfg.step_size * _normalized_sign(
-            -grad_loss_wrt_image(tiny_pair.image, tiny_image, tiny_back)
+            -grad_loss_wrt_image(tiny_pair.image, tiny_image, tiny_grads)
         )
         bad = -good
         assert text_guided_select(
@@ -120,10 +132,10 @@ class TestTextGuidedSelect:
         ) == 0
 
     def test_selection_evaluates_feasible_candidate(
-        self, tiny_pair, tiny_image, tiny_u, tiny_back, fast_cfg
+        self, tiny_pair, tiny_image, tiny_u, tiny_grads, fast_cfg
     ):
         # a huge direction must be judged by its projected (feasible) effect
-        g = -grad_loss_wrt_image(tiny_pair.image, tiny_image, tiny_back)
+        g = -grad_loss_wrt_image(tiny_pair.image, tiny_image, tiny_grads)
         huge = 100.0 * _normalized_sign(g)
         small = fast_cfg.step_size * _normalized_sign(g)
         idx = text_guided_select(
@@ -136,6 +148,48 @@ class TestTextGuidedSelect:
             for c in (cand_huge, cand_small)
         ]
         assert idx == int(np.argmax(vals))
+
+    def test_tie_between_later_rows_goes_to_the_lower(
+        self, tiny_pair, tiny_image, tiny_u, tiny_grads, fast_cfg
+    ):
+        good = fast_cfg.step_size * _normalized_sign(
+            -grad_loss_wrt_image(tiny_pair.image, tiny_image, tiny_grads)
+        )
+        d = np.stack([-good, good, -good, good])
+        assert text_guided_select(
+            tiny_image, tiny_image, d, tiny_u, tiny_pair.image, None, fast_cfg
+        ) == 1
+
+    @pytest.mark.parametrize("use_projector", [False, True])
+    def test_equals_first_maximum_of_mismatch_values(
+        self, tiny_pair, tiny_image, tiny_caption, rng, use_projector
+    ):
+        # the row-by-row scoring and mismatch_value on each feasible
+        # candidate pick the same index, with the candidates rounded to a
+        # coarse grid so that exact ties occur
+        cfg = AttackConfig(eps_image=0.5, step_size=0.25)
+        projector = build_projection(rng.standard_normal((5, 16))) if use_projector else None
+        u = text_direction(tiny_pair.text, tiny_caption, projector)
+        for _ in range(20):
+            dirs = 0.25 * rng.integers(-1, 2, size=(6, 8, 8)).astype(float)
+            dirs[rng.integers(6)] = dirs[rng.integers(6)]
+            cands = linf_project(tiny_image + dirs, tiny_image, cfg.eps_image)
+            vals = [mismatch_value(c, u, tiny_pair.image, projector) for c in cands]
+            assert text_guided_select(
+                tiny_image, tiny_image, dirs, u, tiny_pair.image, projector, cfg
+            ) == vals.index(max(vals))
+
+    def test_nan_candidate_rejected(self, tiny_pair, tiny_image, tiny_u, fast_cfg):
+        d = np.zeros((3,) + tiny_image.shape)
+        d[2, 4, 5] = np.nan
+        with pytest.raises(ValueError):
+            text_guided_select(tiny_image, tiny_image, d, tiny_u, tiny_pair.image, None, fast_cfg)
+
+    def test_mismatched_text_direction_rejected(self, tiny_pair, tiny_image, tiny_u, fast_cfg):
+        d = np.zeros((2,) + tiny_image.shape)
+        for u in (tiny_u[:-1], tiny_u[None]):
+            with pytest.raises(ValueError):
+                text_guided_select(tiny_image, tiny_image, d, u, tiny_pair.image, None, fast_cfg)
 
     def test_empty_directions_rejected(self, tiny_pair, tiny_image, tiny_u, fast_cfg):
         with pytest.raises(ValueError):

@@ -119,6 +119,26 @@ class TestScoring:
             )
             assert score_text_candidate(encode_text(tiny_pair.text, cand), *pre, pb, cfg) == expect
 
+    @pytest.mark.parametrize("use_projector", [False, True])
+    def test_mismatched_embedding_shapes_rejected(
+        self, tiny_pair, tiny_image, tiny_caption, rng, use_projector
+    ):
+        cfg = AttackConfig()
+        pb = build_projection(rng.standard_normal((4, 16))) if use_projector else None
+        txt = encode_text(tiny_pair.text, tiny_caption)
+        emb = encode_image(tiny_pair.image, tiny_image)
+        short, row = emb[:-1], emb[None]
+        for embs in ((short, emb, emb), (emb, short, emb), (emb, emb, short), (row, emb, emb)):
+            with pytest.raises(ValueError):
+                score_text_candidate(txt, *embs, pb, cfg)
+        # consistent on every side, but not what the projector maps, or 2-D
+        if pb is not None:
+            bad_txt, bad_emb = np.append(txt, 1.0), np.append(emb, 1.0)
+        else:
+            bad_txt, bad_emb = txt[None], emb[None]
+        with pytest.raises(ValueError):
+            score_text_candidate(bad_txt, bad_emb, bad_emb, bad_emb, pb, cfg)
+
 
 class TestSelection:
     def test_argmax_selected(self):
