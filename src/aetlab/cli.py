@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import secrets
 import sys
+from dataclasses import fields
 from itertools import islice
 from pathlib import Path
 
@@ -19,14 +20,10 @@ import numpy as np
 from . import matio
 from .core import AttackConfig
 from .harness import (
-    DEFAULT_HELD_OUT,
-    DEFAULT_HELD_OUT_LEN,
-    DEFAULT_LATENT_SCALE,
     DEFAULT_POOL_NOISE,
-    DEFAULT_SEMANTIC_RANK,
-    DEFAULT_TABLE_JITTER,
     DEFAULT_TEXT_NOISE,
     DatasetDims,
+    GeneratorParams,
     attack_pairs,
     clean_recall_at_1,
     default_model_pool,
@@ -51,26 +48,38 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_VERIFY = 4
 
-# AttackConfig fields settable from a config file or flags, with their parsers.
-# The seed is not among them: it comes from --seed/--entropy alone.
+
+def _parse_scales(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
+# AttackConfig fields settable from a config file or flags, each parsed with
+# the type of its default (scales: comma-separated floats). The seed is not
+# among them: it comes from --seed/--entropy alone.
 _CONFIG_PARSERS = {
-    "eps_image": float,
-    "step_size": float,
-    "steps": int,
-    "samples": int,
-    "scales": lambda s: tuple(float(v) for v in str(s).split(",")),
-    "text_budget": int,
-    "word_list_size": int,
-    "kappa": float,
-    "mu": float,
-    "nu": float,
-    "corpus_proportion": float,
-    "region": str,
+    f.name: _parse_scales if f.name == "scales" else type(f.default)
+    for f in fields(AttackConfig)
+    if f.name != "master_seed"
 }
 
 
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _seed_arg(text: str) -> int:
+    """--seed's type: a non-negative integer, as numpy seeds are."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
+
+
 def _add_seed(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="master seed")
+    parser.add_argument("--seed", type=_seed_arg, default=None, help="master seed")
     parser.add_argument(
         "--entropy",
         action="store_true",
@@ -82,8 +91,7 @@ def _add_attack_config(parser: argparse.ArgumentParser) -> None:
     _add_seed(parser)
     parser.add_argument("--config", type=str, default=None, help="key=value config file")
     for name, parse in _CONFIG_PARSERS.items():
-        flag = "--" + name.replace("_", "-")
-        parser.add_argument(flag, type=parse, default=None, dest=name)
+        parser.add_argument(_flag(name), type=parse, default=None, dest=name)
 
 
 def _resolve_seed(args) -> int:
@@ -118,23 +126,11 @@ def build_attack_config(args, seed: int) -> AttackConfig:
 
 def cmd_synth(args) -> int:
     seed = _resolve_seed(args)
-    dims = DatasetDims(
-        height=args.height,
-        width=args.width,
-        embed_dim=args.embed_dim,
-        vocab_size=args.vocab_size,
-        caption_len=args.caption_len,
+    dims, gen = (
+        cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+        for cls in (DatasetDims, GeneratorParams)
     )
-    ds = synth_dataset(
-        seed,
-        args.pairs,
-        dims=dims,
-        held_out=args.held_out,
-        latent_scale=args.latent_scale,
-        semantic_rank=args.semantic_rank,
-        table_jitter=args.table_jitter,
-        held_out_len=args.held_out_len,
-    )
+    ds = synth_dataset(seed, args.pairs, dims=dims, gen=gen)
     save_dataset_descriptor(ds, args.out)
     tr, ir = clean_recall_at_1(ds, ds.base)
     print(
@@ -152,18 +148,18 @@ def cmd_attack(args) -> int:
     seed = _resolve_seed(args)
     cfg = build_attack_config(args, seed)
     ds = load_dataset_descriptor(args.dataset)
+    # raises on a bad variant or scale before out_dir exists
     pairs = attack_pairs(ds, ds.base, cfg, args.variant)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     n = ds.n_pairs if args.limit is None else min(args.limit, ds.n_pairs)
     for p, (adv, adv_cap, trace) in enumerate(islice(pairs, n)):
         matio.save_matrix(adv, out_dir / f"adv_{p}.txt")
-        with open(out_dir / f"trace_{p}.csv", "w") as fh:
-            fh.write("step,loss,lambda,beta,gamma,chosen_index\n")
-            for r in trace.records:
-                fh.write(
-                    f"{r.step},{r.loss!r},{r.lam!r},{r.beta!r},{r.gamma!r},{r.chosen_index}\n"
-                )
+        matio.save_csv(
+            ["step", "loss", "lambda", "beta", "gamma", "chosen_index"],
+            ((r.step, r.loss, r.lam, r.beta, r.gamma, r.chosen_index) for r in trace),
+            out_dir / f"trace_{p}.csv",
+        )
         (out_dir / f"adv_caption_{p}.txt").write_text(
             " ".join(str(t) for t in adv_cap) + "\n"
         )
@@ -184,6 +180,11 @@ def cmd_transfer(args) -> int:
     return EXIT_OK
 
 
+# The scalar TheoremReport fields, one CSV column each after the instance.
+_THEORY_COLUMNS = ("a_moment", "b_moment", "identity_max_rel_err", "ordering_ok",
+                   "cubic_proposed", "cubic_baseline", "passed")
+
+
 def cmd_theory(args) -> int:
     seed = _resolve_seed(args)
     if args.instances < 1:
@@ -199,25 +200,8 @@ def cmd_theory(args) -> int:
         rep = verify_theorem(ql, args.beta, args.gamma, t_max=args.t_max)
         all_passed = all_passed and rep.passed
         max_gap_mag = max(max_gap_mag, float(np.max(np.abs(rep.gap))))
-        rows.append(
-            (
-                k,
-                rep.a_moment,
-                rep.b_moment,
-                rep.identity_max_rel_err,
-                rep.ordering_ok,
-                rep.cubic_proposed,
-                rep.cubic_baseline,
-                rep.passed,
-            )
-        )
-    with open(args.out, "w") as fh:
-        fh.write(
-            "instance,a_moment,b_moment,identity_max_rel_err,"
-            "ordering_ok,cubic_proposed,cubic_baseline,passed\n"
-        )
-        for row in rows:
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+        rows.append((k, *(getattr(rep, c) for c in _THEORY_COLUMNS)))
+    matio.save_csv(["instance", *_THEORY_COLUMNS], rows, args.out)
     verdict = "pass" if all_passed else "FAIL"
     print(
         f"{args.instances} instances, beta={args.beta} gamma={args.gamma}: "
@@ -255,16 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a seeded dataset descriptor")
     _add_seed(p)
     p.add_argument("--pairs", type=int, required=True)
-    p.add_argument("--height", type=int, default=DatasetDims().height)
-    p.add_argument("--width", type=int, default=DatasetDims().width)
-    p.add_argument("--embed-dim", type=int, default=DatasetDims().embed_dim)
-    p.add_argument("--vocab-size", type=int, default=DatasetDims().vocab_size)
-    p.add_argument("--caption-len", type=int, default=DatasetDims().caption_len)
-    p.add_argument("--held-out", type=int, default=DEFAULT_HELD_OUT)
-    p.add_argument("--held-out-len", type=int, default=DEFAULT_HELD_OUT_LEN)
-    p.add_argument("--latent-scale", type=float, default=DEFAULT_LATENT_SCALE)
-    p.add_argument("--semantic-rank", type=int, default=DEFAULT_SEMANTIC_RANK)
-    p.add_argument("--table-jitter", type=float, default=DEFAULT_TABLE_JITTER)
+    for f in (*fields(DatasetDims), *fields(GeneratorParams)):
+        p.add_argument(_flag(f.name), type=type(f.default), default=f.default)
     p.add_argument("--out", type=str, default="dataset.txt")
     p.set_defaults(func=cmd_synth)
 

@@ -9,7 +9,7 @@ plain transpose and analytic gradients through it are exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -42,14 +42,17 @@ class AttackConfig:
     iteration count T, samples the per-step triangle sample count m. kappa,
     mu, nu weight the clean / previous / final adversarial image in the
     caption-attack score: each is >= 0, they sum to 1, and mu + nu > 0.
+    The caption attack substitutes at most text_budget = 1 word; that budget
+    is fixed, not a setting.
     """
+
+    text_budget = 1
 
     eps_image: float = 8.0 / 255.0
     step_size: float = 2.0 / 255.0
     steps: int = 10
     samples: int = 5
     scales: tuple[float, ...] = DEFAULT_SCALES
-    text_budget: int = 1
     word_list_size: int = 10
     kappa: float = 0.6
     mu: float = 0.2
@@ -81,8 +84,6 @@ class AttackConfig:
             raise ValueError("corpus_proportion must be in (0, 1]")
         if not self.scales or not all(0 < s < math.inf for s in self.scales):
             raise ValueError("scales must be a nonempty tuple of finite positive values")
-        if self.text_budget != 1:
-            raise ValueError(f"text_budget {self.text_budget} not supported (only 1)")
         if self.region not in tuple("ABCDEF"):
             raise ValueError(f"unknown sub-triangle region {self.region!r}")
 
@@ -159,6 +160,14 @@ def _roundtrip_matrix(n: int, scale: float) -> np.ndarray:
     if n_mid < 1:
         raise ValueError(f"scale {scale} collapses axis of length {n} to zero")
     return _interp_matrix(n, n_mid) @ _interp_matrix(n_mid, n)
+
+
+def check_scales(shape: tuple[int, ...], scales) -> None:
+    """Raise ValueError if a scale collapses an axis of an image of this
+    shape, the check scale_augment and its adjoint make on each call."""
+    for s in scales:
+        for n in shape:
+            _roundtrip_matrix(n, s)
 
 
 def scale_augment(x: np.ndarray, scale: float) -> np.ndarray:

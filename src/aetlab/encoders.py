@@ -167,9 +167,9 @@ def make_base_encoders(
     width: int,
     embed_dim: int,
     vocab_size: int,
-    seed,
-    semantic_rank: int = 8,
-    table_jitter: float = 0.05,
+    seed: int,
+    semantic_rank: int,
+    table_jitter: float,
 ) -> EncoderPair:
     """Base encoder pair shared by a model pool.
 
@@ -178,7 +178,7 @@ def make_base_encoders(
     low-rank (semantic_rank) plus a small full-rank jitter, which makes the
     corpus subspace genuinely lower-dimensional than the embedding space.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([_seed_int(seed), 0x0E17C0DE]))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x0E17C0DE]))
     n_pix = height * width
     if embed_dim >= n_pix:
         raise ValueError("embed_dim must be below the pixel count")
@@ -204,20 +204,20 @@ def make_model_pool(
     base: EncoderPair,
     n_models: int,
     rel_noise: float,
-    seed,
-    text_noise: float | None = None,
-    semantic_dims: int | None = None,
+    seed: int,
+    text_noise: float,
+    semantic_dims: int,
 ) -> list[EncoderPair]:
     """Independently perturbed copies of a base encoder pair.
 
-    Noise magnitude is rel_noise times the elementwise std of each base
-    matrix, drawn from a per-model seeded stream; text_noise overrides the
-    relative magnitude for the token table (models in a pool typically agree
-    more on vision weights than on token embeddings).
+    Noise magnitude is rel_noise (text_noise for the token table) times the
+    elementwise std of each base matrix, drawn from a per-model seeded
+    stream: models in a pool typically agree more on vision weights than on
+    token embeddings.
 
-    With semantic_dims set, the per-model noise is confined to the embedding
-    directions orthogonal to the base table's dominant semantic subspace:
-    pool members then share their semantic read-out and disagree only in
+    The per-model noise is confined to the embedding directions orthogonal
+    to the base table's dominant semantic_dims-dimensional subspace: pool
+    members then share their semantic read-out and disagree only in
     text-irrelevant feature dimensions, which is the regime where projecting
     the loss onto a text-corpus subspace pays off. Image-weight noise rows
     are additionally mean-centered so every pool model shares the base pair's
@@ -225,24 +225,19 @@ def make_model_pool(
     """
     if n_models < 1:
         raise ValueError("n_models must be >= 1")
-    if text_noise is None:
-        text_noise = rel_noise
-    nonsem = None
-    if semantic_dims is not None:
-        nonsem = np.eye(base.text.embed_dim) - build_projection(
-            base.text.table, rank=semantic_dims
-        ).projector
+    nonsem = np.eye(base.text.embed_dim) - build_projection(
+        base.text.table, rank=semantic_dims
+    ).projector
     pool = []
     w_std = float(np.std(base.image.weight))
     t_std = float(np.std(base.text.table))
     for k in range(n_models):
-        rng = np.random.default_rng(np.random.SeedSequence([_seed_int(seed), 0xB00F, k]))
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB00F, k]))
         w_noise = rng.standard_normal(base.image.weight.shape)
         w_noise -= w_noise.mean(axis=1, keepdims=True)
         t_noise = rng.standard_normal(base.text.table.shape)
-        if nonsem is not None:
-            w_noise = nonsem @ w_noise
-            t_noise = t_noise @ nonsem
+        w_noise = nonsem @ w_noise
+        t_noise = t_noise @ nonsem
         w = base.image.weight + rel_noise * w_std * w_noise
         t = base.text.table + text_noise * t_std * t_noise
         pool.append(
@@ -252,7 +247,3 @@ def make_model_pool(
             )
         )
     return pool
-
-
-def _seed_int(seed) -> int:
-    return int(seed) & 0xFFFFFFFFFFFF

@@ -8,30 +8,26 @@ margins small enough for budgeted attacks to flip ranks.
 """
 from __future__ import annotations
 
-import csv
+import math
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import matio
-from .core import AttackConfig, SimplexWeights
+from .core import AttackConfig, SimplexWeights, check_scales
 from .encoders import EncoderPair, embed_pairs, encode_text, make_base_encoders, make_model_pool
-from .image_attack import AttackTrace, run_image_attack
+from .image_attack import StepRecord, run_image_attack
 from .subspace import ProjectionBasis, build_projection, sample_corpus
 from .text_attack import Caption, run_text_attack
 
 # Not called here: perfbench/tracing.py wraps this name at this import site.
 from .encoders import encode_image  # noqa: F401
 
-# Generator and pool constants (frozen after the reference tuning run; see
-# README for the recorded reference numbers).
-DEFAULT_LATENT_SCALE = 0.3
-DEFAULT_SEMANTIC_RANK = 8
-DEFAULT_TABLE_JITTER = 0.10
-DEFAULT_HELD_OUT = 40
-DEFAULT_HELD_OUT_LEN = 50
+# Pool constants; the generator's are GeneratorParams' defaults (all frozen
+# after the reference tuning run; see README for the recorded reference
+# numbers).
 DEFAULT_POOL_NOISE = 2.0
 DEFAULT_TEXT_NOISE = 2.0
 # Embedding dimension used by the reference transfer experiments: wide enough
@@ -59,11 +55,30 @@ class DatasetDims:
     caption_len: int = 5
 
     def __post_init__(self):
-        for name in ("height", "width", "embed_dim", "vocab_size", "caption_len"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ValueError(f"{f.name} must be >= 1")
         if self.caption_len > self.vocab_size:
             raise ValueError("caption_len cannot exceed vocab_size")
+
+
+@dataclass(frozen=True)
+class GeneratorParams:
+    """The generator's parameters besides the seed, pair count and dims:
+    held_out texts of held_out_len tokens, the latent-to-pixel scale, and
+    the base token table's semantic rank and full-rank jitter."""
+
+    held_out: int = 40
+    latent_scale: float = 0.3
+    semantic_rank: int = 8
+    table_jitter: float = 0.10
+    held_out_len: int = 50
+
+    def __post_init__(self):
+        if self.held_out < 1:
+            raise ValueError("held_out must be >= 1")
+        if not 0 < self.latent_scale < math.inf:  # NaN fails too
+            raise ValueError("latent_scale must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -74,10 +89,7 @@ class SyntheticDataset:
     seed: int
     dims: DatasetDims
     base: EncoderPair
-    latent_scale: float
-    semantic_rank: int
-    table_jitter: float
-    held_out_len: int = DEFAULT_HELD_OUT_LEN
+    gen: GeneratorParams
 
     def __post_init__(self):
         if len(self.images) != len(self.captions) or not self.images:
@@ -139,11 +151,7 @@ def synth_dataset(
     seed: int,
     n_pairs: int,
     dims: DatasetDims = DatasetDims(),
-    held_out: int = DEFAULT_HELD_OUT,
-    latent_scale: float = DEFAULT_LATENT_SCALE,
-    semantic_rank: int = DEFAULT_SEMANTIC_RANK,
-    table_jitter: float = DEFAULT_TABLE_JITTER,
-    held_out_len: int = DEFAULT_HELD_OUT_LEN,
+    gen: GeneratorParams = GeneratorParams(),
 ) -> SyntheticDataset:
     """Seeded synthetic image-caption pairs plus a held-out caption pool.
 
@@ -155,20 +163,16 @@ def synth_dataset(
     """
     if n_pairs < 2:
         raise ValueError("n_pairs must be >= 2")
-    if held_out < 1:
-        raise ValueError("held_out must be >= 1")
-    if not (1 <= held_out_len <= dims.vocab_size):
+    if not (1 <= gen.held_out_len <= dims.vocab_size):
         raise ValueError("held_out_len must be in [1, vocab_size]")
-    if latent_scale <= 0:
-        raise ValueError("latent_scale must be > 0")
     base = make_base_encoders(
         dims.height,
         dims.width,
         dims.embed_dim,
         dims.vocab_size,
         seed,
-        semantic_rank=semantic_rank,
-        table_jitter=table_jitter,
+        semantic_rank=gen.semantic_rank,
+        table_jitter=gen.table_jitter,
     )
     decoder = base.image.weight.T  # (H*W, d), orthonormal columns
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xDA7A]))
@@ -176,7 +180,7 @@ def synth_dataset(
     captions: list[Caption] = []
     embeddings: list[np.ndarray] = []
     seen: set[Caption] = set()
-    budget = 400 * (n_pairs + held_out)
+    budget = 400 * (n_pairs + gen.held_out)
     # rejection-sample mutually consistent pairs: the accepted set retrieves
     # at exact R@1 in both directions on the clean data, while crowding keeps
     # the margins small
@@ -208,19 +212,19 @@ def synth_dataset(
         )
     images = []
     for z in latents:
-        pix = 0.5 + latent_scale * (decoder @ z)
+        pix = 0.5 + gen.latent_scale * (decoder @ z)
         images.append(np.clip(pix, 0.0, 1.0).reshape(dims.height, dims.width))
     held: list[Caption] = []
     held_seen: set[Caption] = set()
-    while len(held) < held_out and budget > 0:
+    while len(held) < gen.held_out and budget > 0:
         budget -= 1
         z = rng.standard_normal(dims.embed_dim)
-        cap = _caption_from_latent(base.text.table, z / np.linalg.norm(z), held_out_len)
+        cap = _caption_from_latent(base.text.table, z / np.linalg.norm(z), gen.held_out_len)
         if cap in held_seen:
             continue
         held_seen.add(cap)
         held.append(cap)
-    if len(held) < held_out:
+    if len(held) < gen.held_out:
         raise ValueError("could not sample enough held-out captions")
     return SyntheticDataset(
         images=tuple(images),
@@ -229,56 +233,35 @@ def synth_dataset(
         seed=int(seed),
         dims=dims,
         base=base,
-        latent_scale=latent_scale,
-        semantic_rank=semantic_rank,
-        table_jitter=table_jitter,
-        held_out_len=held_out_len,
+        gen=gen,
     )
 
 
 def save_dataset_descriptor(ds: SyntheticDataset, path: str | Path) -> None:
     """All generation parameters; the dataset itself is regenerated on load."""
     matio.save_keyvalues(
-        {
-            "seed": ds.seed,
-            "n_pairs": ds.n_pairs,
-            "height": ds.dims.height,
-            "width": ds.dims.width,
-            "embed_dim": ds.dims.embed_dim,
-            "vocab_size": ds.dims.vocab_size,
-            "caption_len": ds.dims.caption_len,
-            "held_out": len(ds.held_out_texts),
-            "latent_scale": repr(ds.latent_scale),
-            "semantic_rank": ds.semantic_rank,
-            "table_jitter": repr(ds.table_jitter),
-            "held_out_len": ds.held_out_len,
-        },
-        path,
+        {"seed": ds.seed, "n_pairs": ds.n_pairs, **asdict(ds.dims), **asdict(ds.gen)}, path
     )
 
 
 def load_dataset_descriptor(path: str | Path) -> SyntheticDataset:
+    """The dataset a descriptor names. Its keys must be exactly those that
+    save_dataset_descriptor writes; each value is parsed with the type of
+    its field's default."""
     kv = matio.load_keyvalues(path)
-    try:
-        dims = DatasetDims(
-            height=int(kv["height"]),
-            width=int(kv["width"]),
-            embed_dim=int(kv["embed_dim"]),
-            vocab_size=int(kv["vocab_size"]),
-            caption_len=int(kv["caption_len"]),
-        )
-        return synth_dataset(
-            seed=int(kv["seed"]),
-            n_pairs=int(kv["n_pairs"]),
-            dims=dims,
-            held_out=int(kv["held_out"]),
-            latent_scale=float(kv["latent_scale"]),
-            semantic_rank=int(kv["semantic_rank"]),
-            table_jitter=float(kv["table_jitter"]),
-            held_out_len=int(kv["held_out_len"]),
-        )
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing descriptor key {exc}") from None
+    groups = (DatasetDims, GeneratorParams)
+    known = ["seed", "n_pairs", *(f.name for cls in groups for f in fields(cls))]
+    for key in kv:
+        if key not in known:
+            raise ValueError(f"{path}: unknown descriptor key {key!r}")
+    for key in known:
+        if key not in kv:
+            raise ValueError(f"{path}: missing descriptor key {key!r}")
+
+    def parse(cls):
+        return cls(**{f.name: type(f.default)(kv[f.name]) for f in fields(cls)})
+
+    return synth_dataset(int(kv["seed"]), int(kv["n_pairs"]), *map(parse, groups))
 
 
 def retrieval_rank(queries: np.ndarray, gallery: np.ndarray) -> np.ndarray:
@@ -380,20 +363,22 @@ def attack_pairs(
     cfg: AttackConfig,
     variant: str = "saaet",
     stream: int = 0,
-) -> Iterator[tuple[np.ndarray, Caption, AttackTrace]]:
+) -> Iterator[tuple[np.ndarray, Caption, list[StepRecord]]]:
     """Attack the dataset pairs in order on one surrogate, yielding
     (adv_img, adv_cap, trace) per pair: image attack, then the
     triangle-scored caption attack.
 
-    The variant and projector are resolved before the first pair. Pair p
-    draws its noise from SeedSequence([master_seed, stream, p]), so its
-    output does not depend on how many pairs are consumed; stream isolates
-    the RNG of different surrogates under one master seed.
+    The variant and projector are resolved, and the scales checked against
+    the image shape, before the first pair. Pair p draws its noise from
+    SeedSequence([master_seed, stream, p]), so its output does not depend
+    on how many pairs are consumed; stream isolates the RNG of different
+    surrogates under one master seed.
     """
     run_cfg, use_projector, forced = resolve_variant(variant, cfg)
+    check_scales((ds.dims.height, ds.dims.width), run_cfg.scales)
     projector = surrogate_projector(ds, surrogate, cfg, stream) if use_projector else None
 
-    def attack(p: int) -> tuple[np.ndarray, Caption, AttackTrace]:
+    def attack(p: int) -> tuple[np.ndarray, Caption, list[StepRecord]]:
         x, cap = ds.images[p], ds.captions[p]
         rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, stream, p]))
         adv_img, prev_img, trace = run_image_attack(
@@ -460,15 +445,9 @@ def run_transfer_experiment(
 
 def write_report(reports, path: str | Path) -> None:
     """CSV table, one row per (surrogate, target) cell."""
+    header = [f.name for f in fields(ExperimentReport)]
     try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["surrogate", "target", "tr_asr", "ir_asr", "alpha_mean", "seed"])
-            for r in reports:
-                writer.writerow(
-                    [r.surrogate, r.target, repr(r.tr_asr), repr(r.ir_asr),
-                     repr(r.alpha_mean), r.seed]
-                )
+        matio.save_csv(header, ([getattr(r, h) for h in header] for r in reports), path)
     except OSError as exc:
         raise IOError(f"cannot write report to {path}: {exc}") from exc
 
@@ -509,7 +488,7 @@ def default_model_pool(
     ds: SyntheticDataset,
     n_models: int = 4,
     rel_noise: float = DEFAULT_POOL_NOISE,
-    text_noise: float | None = DEFAULT_TEXT_NOISE,
+    text_noise: float = DEFAULT_TEXT_NOISE,
 ) -> list[EncoderPair]:
     """Pool of independently perturbed copies of the dataset's base encoders.
 
@@ -523,5 +502,5 @@ def default_model_pool(
         rel_noise,
         ds.seed,
         text_noise=text_noise,
-        semantic_dims=ds.semantic_rank,
+        semantic_dims=ds.gen.semantic_rank,
     )

@@ -18,7 +18,7 @@ directions and their feasible candidates are (m, H, W) stacks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,12 +55,6 @@ class StepRecord:
     beta: float
     gamma: float
     chosen_index: int
-
-
-@dataclass
-class AttackTrace:
-    records: list[StepRecord] = field(default_factory=list)
-    intermediates: list[np.ndarray] | None = None
 
 
 def mismatch_value(
@@ -162,25 +156,26 @@ def run_image_attack(
     cfg: AttackConfig,
     rng: np.random.Generator,
     forced_weights: SimplexWeights | None = None,
-    keep_intermediates: bool = False,
-) -> tuple[np.ndarray, np.ndarray, AttackTrace]:
+) -> tuple[np.ndarray, np.ndarray, list[StepRecord]]:
     """Full T-step attack; returns the final and second-to-last adversarial
-    images (the caption attack needs both) plus a per-step trace. Step 1 is
-    a multi-scale sign step from a Gaussian-noise start in the budget.
+    images (the caption attack needs both) plus one StepRecord per step.
+    Step 1 is a multi-scale sign step from a Gaussian-noise start in the
+    budget.
 
     The triangle weights of steps 2..T are drawn together after the start
-    noise, which leaves the RNG where per-step draws would. forced_weights
-    pins every triangle sample to one weight triple without consuming RNG;
-    with (0, 0, 1) and samples=1 the loop reduces exactly to the multi-scale
-    sign-gradient baseline.
+    noise, which leaves the RNG where per-step draws would; a run with
+    steps=t from the same RNG state draws a prefix of them, so it returns
+    this run's iterates t and t-1. forced_weights pins every triangle
+    sample to one weight triple without consuming RNG; with (0, 0, 1) and
+    samples=1 the loop reduces exactly to the multi-scale sign-gradient
+    baseline.
     """
     u = text_direction(enc_pair.text, caption, projector)
     enc_i = enc_pair.image
     grads = gradient_table(enc_i, u, x.shape, cfg.scales)
     prev = linf_project(x + cfg.eps_image * rng.standard_normal(x.shape), x, cfg.eps_image)
     cur = _sign_step(prev, prev, x, grads, enc_i, cfg)
-    trace = AttackTrace(intermediates=[prev, cur] if keep_intermediates else None)
-    trace.records.append(StepRecord(1, mismatch_value(cur, u, enc_i, projector), 0.0, 0.0, 1.0, -1))
+    trace = [StepRecord(1, mismatch_value(cur, u, enc_i, projector), 0.0, 0.0, 1.0, -1)]
     n_rows = (cfg.steps - 1) * cfg.samples
     if forced_weights is not None:
         all_weights = np.array([forced_weights.as_tuple()] * n_rows)
@@ -194,9 +189,7 @@ def run_image_attack(
         )
         o = text_guided_select(cur, x, dirs, u, enc_i, projector, cfg)
         prev, cur = cur, _sign_step(cur, samples[o], x, grads, enc_i, cfg)
-        if keep_intermediates:
-            trace.intermediates.append(cur)
         lam, beta, gamma = weights[o].tolist()
         loss = mismatch_value(cur, u, enc_i, projector)
-        trace.records.append(StepRecord(step, loss, lam, beta, gamma, o))
+        trace.append(StepRecord(step, loss, lam, beta, gamma, o))
     return cur, prev, trace

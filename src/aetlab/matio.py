@@ -1,5 +1,5 @@
-"""Plain-text matrix and key=value file formats shared by the harness and
-the CLI.
+"""Plain-text matrix, key=value and CSV file formats shared by the harness
+and the CLI. Every file is written with LF line endings.
 
 Matrix files: first line "rows cols", then one whitespace-separated row per
 line, written with repr-level precision so round-trips are exact.
@@ -49,3 +49,13 @@ def load_keyvalues(path: str | Path) -> dict[str, str]:
         k, v = line.split("=", 1)
         out[k.strip()] = v.strip()
     return out
+
+
+def save_csv(header, rows, path: str | Path) -> None:
+    """Comma-separated header and rows: floats at repr precision, every
+    other value as str."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            cells = (repr(v) if isinstance(v, float) else str(v) for v in row)
+            fh.write(",".join(cells) + "\n")

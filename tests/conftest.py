@@ -14,7 +14,7 @@ def rng():
 @pytest.fixture
 def tiny_pair():
     # 8x8 images, 16-dim embeddings, 64-token vocabulary
-    return make_base_encoders(8, 8, 16, 64, seed=5, semantic_rank=4)
+    return make_base_encoders(8, 8, 16, 64, seed=5, semantic_rank=4, table_jitter=0.05)
 
 
 @pytest.fixture

@@ -1,8 +1,11 @@
 """Reference implementations the tests compare the package against."""
+from dataclasses import replace
+
 import numpy as np
 
 from aetlab.core import (
     SimplexWeights,
+    linf_project,
     scale_augment_adjoint,
     similarity_loss,
     validate_image,
@@ -17,9 +20,9 @@ from aetlab.harness import (
 )
 from aetlab.image_attack import (
     REGION_ASSIGNMENTS,
-    AttackTrace,
     StepRecord,
     mismatch_value,
+    run_image_attack,
 )
 
 FD_STEP = 1e-5
@@ -124,8 +127,7 @@ def run_image_attack_per_sample(x, caption, enc_pair, projector, cfg, rng, force
     prev = linf_project_clip(x + cfg.eps_image * rng.standard_normal(x.shape), x, cfg.eps_image)
     g = multiscale_grad(prev, u, enc_i, cfg)
     cur = linf_project_clip(prev + cfg.step_size * normalized_sign(g), x, cfg.eps_image)
-    trace = AttackTrace()
-    trace.records.append(StepRecord(1, mismatch_value(cur, u, enc_i, projector), 0.0, 0.0, 1.0, -1))
+    trace = [StepRecord(1, mismatch_value(cur, u, enc_i, projector), 0.0, 0.0, 1.0, -1)]
     for step in range(2, cfg.steps + 1):
         if forced_weights is not None:
             weights = [forced_weights] * cfg.samples
@@ -141,10 +143,25 @@ def run_image_attack_per_sample(x, caption, enc_pair, projector, cfg, rng, force
         w = weights[best]
         g = multiscale_grad(convex_combine(x, prev, cur, w), u, enc_i, cfg)
         prev, cur = cur, linf_project_clip(cur + cfg.step_size * normalized_sign(g), x, cfg.eps_image)
-        trace.records.append(
+        trace.append(
             StepRecord(step, mismatch_value(cur, u, enc_i, projector), w.lam, w.beta, w.gamma, best)
         )
     return cur, prev, trace
+
+
+def attack_iterates(x, caption, enc_pair, projector, cfg, seed, forced_weights=None):
+    """Every iterate 0..T of run_image_attack on np.random.default_rng(seed):
+    the noise start recomputed from a fresh RNG, iterate 1 as the
+    second-to-last image of a steps=2 run, and iterate t >= 2 as the final
+    image of a steps=t run, each on a fresh RNG of the same seed."""
+    noise = np.random.default_rng(seed).standard_normal(x.shape)
+    start = linf_project(x + cfg.eps_image * noise, x, cfg.eps_image)
+    runs = [
+        run_image_attack(x, caption, enc_pair, projector, replace(cfg, steps=t),
+                         np.random.default_rng(seed), forced_weights)
+        for t in range(2, cfg.steps + 1)
+    ]
+    return [start, runs[0][1], *(cur for cur, _, _ in runs)]
 
 
 def enumerate_text_candidates(caption, enc_t, word_list_size):

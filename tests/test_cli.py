@@ -1,18 +1,44 @@
 import csv
+import os
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from aetlab import matio
-from aetlab.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from aetlab.cli import (
+    _CONFIG_PARSERS,
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_USAGE,
+    EXIT_VERIFY,
+    build_parser,
+    main,
+)
 from aetlab.core import AttackConfig
-from aetlab.harness import craft_adversarial_pairs, load_dataset_descriptor, surrogate_projector
+from aetlab.harness import (
+    DatasetDims,
+    GeneratorParams,
+    craft_adversarial_pairs,
+    load_dataset_descriptor,
+    surrogate_projector,
+)
 
 SMALL_SYNTH = [
     "--pairs", "6", "--height", "8", "--width", "8", "--embed-dim", "16",
     "--vocab-size", "128", "--caption-len", "4", "--held-out", "10",
     "--held-out-len", "12",
 ]
+
+
+def exit_code(argv) -> int:
+    """main's exit code, also when argparse exits with it."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 @pytest.fixture
@@ -32,6 +58,22 @@ class TestSeedHandling:
     def test_entropy_opt_in(self, tmp_path):
         rc = main(["synth", "--entropy", *SMALL_SYNTH, "--out", str(tmp_path / "d.txt")])
         assert rc == EXIT_OK
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", *SMALL_SYNTH],
+        ["attack", "--dataset", "ds.txt"],
+        ["transfer", "--dataset", "ds.txt"],
+        ["theory"],
+        ["subspace", "--dataset", "ds.txt"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_rejected_before_any_output(
+        self, dataset_file, tmp_path, monkeypatch, capsys, argv
+    ):
+        # every output goes to its default path in the working directory
+        monkeypatch.chdir(tmp_path)
+        assert exit_code([*argv, "--seed", "-1"]) == EXIT_USAGE
+        assert "--seed" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["ds.txt"]
 
 
 class TestSynth:
@@ -127,11 +169,29 @@ class TestAttack:
         ],
     )
     def test_impossible_config_is_usage_error(self, dataset_file, tmp_path, capsys, flags, field):
+        # --text-budget is no option at all: argparse names the flag
+        out_dir = tmp_path / "adv"
+        rc = exit_code(["attack", "--seed", "5", "--dataset", str(dataset_file),
+                        *flags, "--out-dir", str(out_dir)])
+        assert rc == EXIT_USAGE
+        assert field in capsys.readouterr().err.replace("-", "_")
+        assert not out_dir.exists()
+
+    def test_collapsing_scale_creates_no_out_dir(self, dataset_file, tmp_path, capsys):
+        out_dir = tmp_path / "adv"
+        rc = main(["attack", "--seed", "0", "--dataset", str(dataset_file),
+                   "--scales", "0.01", "--out-dir", str(out_dir)])
+        assert rc == EXIT_USAGE
+        assert "scale 0.01 collapses axis of length 8" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_unknown_descriptor_key_is_usage_error(self, dataset_file, tmp_path, capsys):
+        dataset_file.write_text(dataset_file.read_text() + "latent_scal=0.9\n")
         out_dir = tmp_path / "adv"
         rc = main(["attack", "--seed", "5", "--dataset", str(dataset_file),
-                   *flags, "--out-dir", str(out_dir)])
+                   "--out-dir", str(out_dir)])
         assert rc == EXIT_USAGE
-        assert field in capsys.readouterr().err
+        assert "latent_scal" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_missing_dataset_is_io_error(self, tmp_path):
@@ -253,10 +313,34 @@ class TestConfigPrecedence:
     def test_unknown_config_key_is_usage_error(self, dataset_file, tmp_path):
         # master_seed is not a config key: the seed comes from --seed alone
         cfg_file = tmp_path / "cfg.txt"
-        for line in ("warp_factor=9\n", "master_seed=7\n"):
+        for line in ("warp_factor=9\n", "master_seed=7\n", "text_budget=1\n"):
             cfg_file.write_text(line)
             rc = main([
                 "attack", "--seed", "5", "--dataset", str(dataset_file),
                 "--config", str(cfg_file),
             ])
             assert rc == EXIT_USAGE
+
+
+class TestDerivedOptions:
+    def test_synth_flags_are_the_generator_fields(self):
+        args = vars(build_parser().parse_args(["synth", "--seed", "0", "--pairs", "2"]))
+        for key in ("command", "func", "seed", "entropy", "pairs", "out"):
+            del args[key]
+        assert args == {f.name: f.default for cls in (DatasetDims, GeneratorParams)
+                        for f in fields(cls)}
+
+    def test_config_keys_and_attack_flags_are_the_config_fields(self):
+        want = [f.name for f in fields(AttackConfig) if f.name != "master_seed"]
+        assert list(_CONFIG_PARSERS) == want
+        args = vars(build_parser().parse_args(["attack", "--seed", "0", "--dataset", "d"]))
+        for key in ("command", "func", "seed", "entropy", "config", "dataset", "variant",
+                    "limit", "out_dir"):
+            del args[key]
+        assert args == dict.fromkeys(want)
+
+    def test_readme_lists_the_config_keys(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        listed = re.search(r"The config-file keys are exactly the attack flags \(([^)]*)\)", readme)
+        assert listed is not None
+        assert re.findall(r"`(\w+)`", listed.group(1)) == list(_CONFIG_PARSERS)

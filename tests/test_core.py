@@ -86,7 +86,8 @@ class TestAttackConfig:
         ],
     )
     def test_invalid_configs(self, kwargs):
-        with pytest.raises(ValueError):
+        # text_budget is a fixed class constant, not an argument
+        with pytest.raises(TypeError if "text_budget" in kwargs else ValueError):
             AttackConfig(**kwargs)
 
 

@@ -167,14 +167,14 @@ class TestGradients:
 
 class TestBaseEncoders:
     def test_deterministic(self):
-        a = make_base_encoders(8, 8, 16, 64, seed=3)
-        b = make_base_encoders(8, 8, 16, 64, seed=3)
+        a = make_base_encoders(8, 8, 16, 64, seed=3, semantic_rank=8, table_jitter=0.05)
+        b = make_base_encoders(8, 8, 16, 64, seed=3, semantic_rank=8, table_jitter=0.05)
         np.testing.assert_array_equal(a.image.weight, b.image.weight)
         np.testing.assert_array_equal(a.text.table, b.text.table)
 
     def test_seed_changes_output(self):
-        a = make_base_encoders(8, 8, 16, 64, seed=3)
-        b = make_base_encoders(8, 8, 16, 64, seed=4)
+        a = make_base_encoders(8, 8, 16, 64, seed=3, semantic_rank=8, table_jitter=0.05)
+        b = make_base_encoders(8, 8, 16, 64, seed=4, semantic_rank=8, table_jitter=0.05)
         assert not np.array_equal(a.image.weight, b.image.weight)
 
     def test_image_rows_orthonormal(self, tiny_pair):
@@ -188,13 +188,13 @@ class TestBaseEncoders:
         )
 
     def test_token_rows_have_fixed_norm(self):
-        pair = make_base_encoders(8, 8, 16, 64, seed=3, semantic_rank=4)
+        pair = make_base_encoders(8, 8, 16, 64, seed=3, semantic_rank=4, table_jitter=0.05)
         norms = np.linalg.norm(pair.text.table, axis=1)
         np.testing.assert_allclose(norms, np.sqrt(4.0), rtol=1e-12)
 
     def test_embed_dim_must_be_below_pixel_count(self):
         with pytest.raises(ValueError):
-            make_base_encoders(4, 4, 16, 64, seed=0)
+            make_base_encoders(4, 4, 16, 64, seed=0, semantic_rank=8, table_jitter=0.05)
 
 
 class TestSemanticProjector:
@@ -213,17 +213,17 @@ class TestSemanticProjector:
 
 class TestModelPool:
     def test_pool_size_and_ids(self, tiny_pair):
-        pool = make_model_pool(tiny_pair, 3, 0.5, seed=11)
+        pool = make_model_pool(tiny_pair, 3, 0.5, seed=11, text_noise=0.5, semantic_dims=4)
         assert [m.model_id for m in pool] == ["model0", "model1", "model2"]
 
     def test_deterministic_and_distinct(self, tiny_pair):
-        a = make_model_pool(tiny_pair, 2, 0.5, seed=11)
-        b = make_model_pool(tiny_pair, 2, 0.5, seed=11)
+        a = make_model_pool(tiny_pair, 2, 0.5, seed=11, text_noise=0.5, semantic_dims=4)
+        b = make_model_pool(tiny_pair, 2, 0.5, seed=11, text_noise=0.5, semantic_dims=4)
         np.testing.assert_array_equal(a[0].image.weight, b[0].image.weight)
         assert not np.array_equal(a[0].image.weight, a[1].image.weight)
 
     def test_noise_confined_outside_semantic_subspace(self, tiny_pair):
-        pool = make_model_pool(tiny_pair, 2, 1.0, seed=11, semantic_dims=4)
+        pool = make_model_pool(tiny_pair, 2, 1.0, seed=11, text_noise=1.0, semantic_dims=4)
         p_sem = build_projection(tiny_pair.text.table, rank=4).projector
         for m in pool:
             t_noise = m.text.table - tiny_pair.text.table
@@ -232,18 +232,31 @@ class TestModelPool:
             np.testing.assert_allclose(p_sem @ w_noise, 0.0, atol=1e-10)
 
     def test_pool_models_ignore_uniform_brightness(self, tiny_pair):
-        pool = make_model_pool(tiny_pair, 2, 1.0, seed=11, semantic_dims=4)
+        pool = make_model_pool(tiny_pair, 2, 1.0, seed=11, text_noise=1.0, semantic_dims=4)
         for m in pool:
             np.testing.assert_allclose(m.image.weight @ np.ones(64), 0.0, atol=1e-9)
 
     def test_text_noise_override(self, tiny_pair):
-        quiet = make_model_pool(tiny_pair, 1, 0.5, seed=11, text_noise=0.0)[0]
+        quiet = make_model_pool(tiny_pair, 1, 0.5, seed=11, text_noise=0.0, semantic_dims=4)[0]
         np.testing.assert_array_equal(quiet.text.table, tiny_pair.text.table)
         assert not np.array_equal(quiet.image.weight, tiny_pair.image.weight)
 
     def test_invalid_count(self, tiny_pair):
         with pytest.raises(ValueError):
-            make_model_pool(tiny_pair, 0, 0.5, seed=11)
+            make_model_pool(tiny_pair, 0, 0.5, seed=11, text_noise=0.5, semantic_dims=4)
+
+    def test_seeds_past_48_bits_stay_distinct(self, tiny_pair):
+        # the encoders and the pool take the dataset's seed as it is, so
+        # seeds 2**48 apart build different models, as they build different
+        # datasets
+        bases = [make_base_encoders(8, 8, 16, 64, seed=s, semantic_rank=4, table_jitter=0.05)
+                 for s in (5, 5 + 2**48)]
+        assert not np.array_equal(bases[0].image.weight, bases[1].image.weight)
+        assert not np.array_equal(bases[0].text.table, bases[1].text.table)
+        pools = [make_model_pool(tiny_pair, 1, 0.5, seed=s, text_noise=0.5, semantic_dims=4)[0]
+                 for s in (5, 5 + 2**48)]
+        assert not np.array_equal(pools[0].image.weight, pools[1].image.weight)
+        assert not np.array_equal(pools[0].text.table, pools[1].text.table)
 
 
 class TestPersistence:

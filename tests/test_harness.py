@@ -1,5 +1,6 @@
 import csv
 from collections import Counter
+from dataclasses import fields
 from itertools import islice
 
 import numpy as np
@@ -14,6 +15,7 @@ from aetlab.harness import (
     DatasetDims,
     DegenerateAlphaError,
     ExperimentReport,
+    GeneratorParams,
     UndefinedASRError,
     alpha_metric,
     attack_pairs,
@@ -35,12 +37,13 @@ from aetlab.harness import (
 from oracles import attack_pairs_per_sample, transfer_reports_per_pair
 
 SMALL_DIMS = DatasetDims(height=8, width=8, embed_dim=16, vocab_size=128, caption_len=4)
+SMALL_GEN = GeneratorParams(held_out=10, held_out_len=12)
 
 
 @pytest.fixture(scope="module")
 def small_ds():
     return synth_dataset(
-        seed=5, n_pairs=8, dims=SMALL_DIMS, held_out=10, held_out_len=12
+        seed=5, n_pairs=8, dims=SMALL_DIMS, gen=SMALL_GEN
     )
 
 
@@ -83,8 +86,8 @@ class TestSynthDataset:
         assert ir == 100.0
 
     def test_deterministic(self):
-        a = synth_dataset(seed=5, n_pairs=4, dims=SMALL_DIMS, held_out=5)
-        b = synth_dataset(seed=5, n_pairs=4, dims=SMALL_DIMS, held_out=5)
+        a = synth_dataset(seed=5, n_pairs=4, dims=SMALL_DIMS, gen=GeneratorParams(held_out=5))
+        b = synth_dataset(seed=5, n_pairs=4, dims=SMALL_DIMS, gen=GeneratorParams(held_out=5))
         for x, y in zip(a.images, b.images):
             np.testing.assert_array_equal(x, y)
         assert a.captions == b.captions
@@ -94,9 +97,12 @@ class TestSynthDataset:
         with pytest.raises(ValueError):
             synth_dataset(seed=0, n_pairs=1, dims=SMALL_DIMS)
         with pytest.raises(ValueError):
-            synth_dataset(seed=0, n_pairs=4, dims=SMALL_DIMS, held_out=0)
+            synth_dataset(seed=0, n_pairs=4, dims=SMALL_DIMS, gen=GeneratorParams(held_out=0))
         with pytest.raises(ValueError):
-            synth_dataset(seed=0, n_pairs=4, dims=SMALL_DIMS, latent_scale=0.0)
+            synth_dataset(seed=0, n_pairs=4, dims=SMALL_DIMS, gen=GeneratorParams(latent_scale=0.0))
+        for scale in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="latent_scale"):
+                GeneratorParams(latent_scale=scale)
 
     def test_descriptor_round_trip(self, small_ds, tmp_path):
         path = tmp_path / "ds.txt"
@@ -106,10 +112,34 @@ class TestSynthDataset:
         for x, y in zip(loaded.images, small_ds.images):
             np.testing.assert_array_equal(x, y)
 
+    def test_descriptor_round_trip_every_field(self, tmp_path):
+        # every generator parameter away from its default survives the file
+        dims = DatasetDims(height=9, width=7, embed_dim=12, vocab_size=96, caption_len=3)
+        gen = GeneratorParams(held_out=7, latent_scale=0.35, semantic_rank=5,
+                              table_jitter=0.125, held_out_len=11)
+        assert all(getattr(d, f.name) != f.default
+                   for d in (dims, gen) for f in fields(d))
+        ds = synth_dataset(seed=3, n_pairs=5, dims=dims, gen=gen)
+        path = tmp_path / "ds.txt"
+        save_dataset_descriptor(ds, path)
+        loaded = load_dataset_descriptor(path)
+        assert (loaded.seed, loaded.n_pairs, loaded.dims, loaded.gen) == (3, 5, dims, gen)
+        assert loaded.captions == ds.captions and loaded.held_out_texts == ds.held_out_texts
+        assert all(np.array_equal(a, b) for a, b in zip(loaded.images, ds.images))
+        save_dataset_descriptor(loaded, tmp_path / "again.txt")
+        assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
+
     def test_descriptor_missing_key(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("seed=1\n")
         with pytest.raises(ValueError):
+            load_dataset_descriptor(path)
+
+    def test_descriptor_unknown_key(self, small_ds, tmp_path):
+        path = tmp_path / "ds.txt"
+        save_dataset_descriptor(small_ds, path)
+        path.write_text(path.read_text() + "latent_scal=0.9\n")
+        with pytest.raises(ValueError, match="latent_scal"):
             load_dataset_descriptor(path)
 
 
@@ -231,8 +261,7 @@ class TestResolveVariant:
 
 @pytest.fixture(scope="module")
 def reports():
-    ds = synth_dataset(seed=5, n_pairs=8, dims=SMALL_DIMS, held_out=10,
-                       held_out_len=12)
+    ds = synth_dataset(seed=5, n_pairs=8, dims=SMALL_DIMS, gen=SMALL_GEN)
     pool = default_model_pool(ds, n_models=2)
     cfg = AttackConfig(steps=3, samples=2, scales=(1.0,), master_seed=5)
     return run_transfer_experiment(ds, pool, cfg, variant="saaet")
@@ -254,8 +283,7 @@ class TestTransferExperiment:
                 assert r.alpha_mean == 1.0
 
     def test_deterministic(self):
-        ds = synth_dataset(seed=5, n_pairs=4, dims=SMALL_DIMS, held_out=10,
-                           held_out_len=12)
+        ds = synth_dataset(seed=5, n_pairs=4, dims=SMALL_DIMS, gen=SMALL_GEN)
         pool = default_model_pool(ds, n_models=2)
         cfg = AttackConfig(steps=3, samples=2, scales=(1.0,), master_seed=5)
         a = run_transfer_experiment(ds, pool, cfg)
@@ -264,8 +292,7 @@ class TestTransferExperiment:
 
     @pytest.mark.parametrize("variant", ["saaet", "sga"])
     def test_equals_per_pair_scoring(self, variant):
-        ds = synth_dataset(seed=7, n_pairs=12, dims=SMALL_DIMS, held_out=10,
-                           held_out_len=12)
+        ds = synth_dataset(seed=7, n_pairs=12, dims=SMALL_DIMS, gen=SMALL_GEN)
         pool = default_model_pool(ds, n_models=3)
         cfg = AttackConfig(steps=3, samples=2, scales=(1.0,), master_seed=7)
         got = run_transfer_experiment(ds, pool, cfg, variant)
@@ -377,7 +404,7 @@ class TestAttackPairsOracle:
             for (img, cap, trace), (o_img, o_cap, o_trace) in zip(got, want):
                 assert np.array_equal(img, o_img)
                 assert cap == o_cap
-                assert trace.records == o_trace.records
+                assert trace == o_trace
 
 
 class TestAttackPairsProperties:
@@ -395,7 +422,7 @@ class TestAttackPairsProperties:
     def test_budgets_and_prefix_independence(
         self, seed, variant, eps_image, step_size, n_pairs, word_list_size, samples, data
     ):
-        ds = synth_dataset(seed, n_pairs, dims=SMALL_DIMS, held_out=10, held_out_len=12)
+        ds = synth_dataset(seed, n_pairs, dims=SMALL_DIMS, gen=SMALL_GEN)
         cfg = AttackConfig(
             eps_image=eps_image,
             step_size=step_size,
@@ -414,7 +441,7 @@ class TestAttackPairsProperties:
         *_, (img, cap, trace) = islice(attack_pairs(ds, ds.base, cfg, variant), p + 1)
         assert np.array_equal(img, full[p][0])
         assert cap == full[p][1]
-        assert trace.records == full[p][2].records
+        assert trace == full[p][2]
 
 
 class TestWriteReport:
@@ -431,6 +458,12 @@ class TestWriteReport:
         assert float(rows[1][2]) == 75.0
         assert float(rows[1][4]) == 0.44
         assert int(rows[1][5]) == 3
+
+    def test_lf_line_endings(self, tmp_path):
+        path = tmp_path / "report.csv"
+        write_report([self._report(), self._report()], path)
+        data = path.read_bytes()
+        assert b"\r" not in data and data.count(b"\n") == 3
 
     def test_empty_reports_write_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"

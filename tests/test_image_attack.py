@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,8 @@ from aetlab.image_attack import (
     text_guided_select,
 )
 from aetlab.subspace import build_projection
-from oracles import pair_loss, run_sga_attack, sample_sub_triangle_loop
+from aetlab.harness import DatasetDims, TRANSFER_EMBED_DIM, resolve_variant, surrogate_projector, synth_dataset
+from oracles import attack_iterates, pair_loss, run_sga_attack, sample_sub_triangle_loop
 
 REGION_ORDERINGS = {
     # region -> (smallest, middle, largest) component names
@@ -201,24 +204,48 @@ class TestTextGuidedSelect:
 
 class TestRunImageAttack:
     def test_budget_and_range_invariants(self, tiny_pair, tiny_image, tiny_caption, fast_cfg):
-        rng = np.random.default_rng(0)
         adv, prev, trace = run_image_attack(
-            tiny_image, tiny_caption, tiny_pair, None, fast_cfg, rng,
-            keep_intermediates=True,
+            tiny_image, tiny_caption, tiny_pair, None, fast_cfg, np.random.default_rng(0)
         )
-        for inter in trace.intermediates:
+        iterates = attack_iterates(tiny_image, tiny_caption, tiny_pair, None, fast_cfg, 0)
+        assert len(iterates) == fast_cfg.steps + 1
+        for inter in iterates:
             assert np.max(np.abs(inter - tiny_image)) <= fast_cfg.eps_image + 1e-12
             assert inter.min() >= 0.0 and inter.max() <= 1.0
-        assert np.max(np.abs(prev - tiny_image)) <= fast_cfg.eps_image + 1e-12
+        assert np.array_equal(iterates[-1], adv) and np.array_equal(iterates[-2], prev)
+
+    @pytest.mark.parametrize("variant", ["saaet", "sga"])
+    def test_shorter_run_returns_earlier_iterates(self, variant):
+        # a steps=t run on a fresh RNG of the pair's seed is a prefix of the
+        # full run: it returns iterates t and t-1 and the first t records
+        ds = synth_dataset(0, 5, dims=DatasetDims(embed_dim=TRANSFER_EMBED_DIM))
+        base_cfg = AttackConfig(master_seed=0)
+        cfg, use_projector, forced = resolve_variant(variant, base_cfg)
+        projector = surrogate_projector(ds, ds.base, base_cfg) if use_projector else None
+        for p in range(ds.n_pairs):
+            x, cap = ds.images[p], ds.captions[p]
+            seed = np.random.SeedSequence([0, 0, p])
+            runs = [
+                run_image_attack(x, cap, ds.base, projector, replace(cfg, steps=t),
+                                 np.random.default_rng(seed), forced)
+                for t in range(2, cfg.steps + 1)
+            ]
+            full_trace = runs[-1][2]
+            for t, (cur, prev, trace) in enumerate(runs, start=2):
+                assert trace == full_trace[:t]
+                if t > 2:
+                    assert np.array_equal(prev, runs[t - 3][0])
+            u = text_direction(ds.base.text, cap, projector)
+            assert mismatch_value(runs[0][1], u, ds.base.image, projector) == full_trace[0].loss
 
     def test_trace_has_one_record_per_step(self, tiny_pair, tiny_image, tiny_caption, fast_cfg):
         _, _, trace = run_image_attack(
             tiny_image, tiny_caption, tiny_pair, None, fast_cfg,
             np.random.default_rng(0),
         )
-        assert [r.step for r in trace.records] == list(range(1, fast_cfg.steps + 1))
-        assert trace.records[0].chosen_index == -1
-        for r in trace.records[1:]:
+        assert [r.step for r in trace] == list(range(1, fast_cfg.steps + 1))
+        assert trace[0].chosen_index == -1
+        for r in trace[1:]:
             assert 0 <= r.chosen_index < fast_cfg.samples
 
     def test_deterministic(self, tiny_pair, tiny_image, tiny_caption, fast_cfg):
