@@ -225,6 +225,9 @@ def make_model_pool(
     """
     if n_models < 1:
         raise ValueError("n_models must be >= 1")
+    for name, value in (("rel_noise", rel_noise), ("text_noise", text_noise)):
+        if not 0 <= value < np.inf:  # a NaN fails too
+            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
     nonsem = np.eye(base.text.embed_dim) - build_projection(
         base.text.table, rank=semantic_dims
     ).projector

@@ -20,7 +20,7 @@ from .core import AttackConfig, SimplexWeights, check_scales
 from .encoders import EncoderPair, embed_pairs, encode_text, make_base_encoders, make_model_pool
 from .image_attack import StepRecord, run_image_attack
 from .subspace import ProjectionBasis, build_projection, sample_corpus
-from .text_attack import Caption, run_text_attack
+from .text_attack import Caption, run_text_attack, word_neighbours
 
 # Not called here: perfbench/tracing.py wraps this name at this import site.
 from .encoders import encode_image  # noqa: F401
@@ -179,6 +179,7 @@ def synth_dataset(
     latents: list[np.ndarray] = []
     captions: list[Caption] = []
     embeddings: list[np.ndarray] = []
+    own_scores: list[float] = []
     seen: set[Caption] = set()
     budget = 400 * (n_pairs + gen.held_out)
     # rejection-sample mutually consistent pairs: the accepted set retrieves
@@ -192,10 +193,10 @@ def synth_dataset(
         emb = encode_text(base.text, cap)
         own = float(emb @ z)
         ok = True
-        for z_q, emb_q in zip(latents, embeddings):
+        for z_q, emb_q, own_q in zip(latents, embeddings, own_scores):
             # both cross scores must stay below both own scores, so each pair
             # remains the strict mutual best match in TR and IR
-            bound = min(own, float(emb_q @ z_q))
+            bound = min(own, own_q)
             if float(emb_q @ z) >= bound or float(emb @ z_q) >= bound:
                 ok = False
                 break
@@ -205,6 +206,7 @@ def synth_dataset(
         latents.append(z)
         captions.append(cap)
         embeddings.append(emb)
+        own_scores.append(own)
     if len(captions) < n_pairs:
         raise ValueError(
             "could not sample enough mutually retrievable pairs; "
@@ -368,15 +370,17 @@ def attack_pairs(
     (adv_img, adv_cap, trace) per pair: image attack, then the
     triangle-scored caption attack.
 
-    The variant and projector are resolved, and the scales checked against
-    the image shape, before the first pair. Pair p draws its noise from
-    SeedSequence([master_seed, stream, p]), so its output does not depend
-    on how many pairs are consumed; stream isolates the RNG of different
-    surrogates under one master seed.
+    The variant, the projector and the surrogate's word-neighbour table are
+    resolved, and the scales checked against the image shape, before the
+    first pair. Pair p draws its noise from SeedSequence([master_seed,
+    stream, p]), so its output does not depend on how many pairs are
+    consumed; stream isolates the RNG of different surrogates under one
+    master seed.
     """
     run_cfg, use_projector, forced = resolve_variant(variant, cfg)
     check_scales((ds.dims.height, ds.dims.width), run_cfg.scales)
     projector = surrogate_projector(ds, surrogate, cfg, stream) if use_projector else None
+    near = word_neighbours(surrogate.text, run_cfg.word_list_size)
 
     def attack(p: int) -> tuple[np.ndarray, Caption, list[StepRecord]]:
         x, cap = ds.images[p], ds.captions[p]
@@ -384,7 +388,7 @@ def attack_pairs(
         adv_img, prev_img, trace = run_image_attack(
             x, cap, surrogate, projector, run_cfg, rng, forced_weights=forced
         )
-        adv_cap, _ = run_text_attack(cap, x, prev_img, adv_img, surrogate, projector, run_cfg)
+        adv_cap, _ = run_text_attack(cap, x, prev_img, adv_img, surrogate, projector, run_cfg, near)
         return adv_img, adv_cap, trace
 
     return map(attack, range(ds.n_pairs))

@@ -52,10 +52,11 @@ def load_keyvalues(path: str | Path) -> dict[str, str]:
 
 
 def save_csv(header, rows, path: str | Path) -> None:
-    """Comma-separated header and rows: floats at repr precision, every
-    other value as str."""
+    """Comma-separated header and rows: floats at repr precision (numpy
+    float scalars as plain floats, not np.float64(...)), every other value
+    as str."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            cells = (repr(v) if isinstance(v, float) else str(v) for v in row)
+            cells = (repr(float(v)) if isinstance(v, float) else str(v) for v in row)
             fh.write(",".join(cells) + "\n")

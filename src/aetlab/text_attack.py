@@ -1,11 +1,12 @@
 """Adversarial caption generation by single-word substitution.
 
 Candidate words per position are the nearest vocabulary tokens by embedding
-dot product; the search exhaustively scores the original caption plus every
-single substitution and keeps the one that deviates most from the final
-evolution triangle of the image attack (weighted mismatch against the clean,
-previous-step, and final adversarial image). The candidates are encoded
-together as one (n_cand, L) token matrix.
+dot product, looked up in a per-surrogate table built once; the search
+exhaustively scores the original caption plus every single substitution and
+keeps the one that deviates most from the final evolution triangle of the
+image attack (weighted mismatch against the clean, previous-step, and final
+adversarial image). The candidates are encoded together as one (n_cand, L)
+token matrix.
 """
 from __future__ import annotations
 
@@ -21,22 +22,31 @@ from .encoders import encode_text  # noqa: F401
 Caption = tuple[int, ...]
 
 
-def build_word_candidates(
-    caption, enc: BagOfWordsTextEncoder, word_list_size: int
-) -> np.ndarray:
-    """The (1 + L*k, L) token matrix of the caption (row 0) and every
-    single-word substitution, position-major. Position i's k substitutes are
-    its nearest tokens by embedding dot product, excluding its own token, in
-    stable-argsort order (ties to the lowest index); k is word_list_size,
-    capped at vocab_size - 1."""
+def word_neighbours(enc: BagOfWordsTextEncoder, word_list_size: int) -> np.ndarray:
+    """The (V, k) table of every token's substitutes: row v holds the first
+    k tokens of the stable argsort of -(table @ table[v]) (ties to the lowest
+    index), without v itself; k is word_list_size, capped at V - 1. Built
+    row by row with the per-token product, so each row keeps its bits, and
+    only the first k + 1 entries of each order are kept."""
     if word_list_size < 0:
         raise ValueError("word_list_size must be >= 0")
+    table = enc.table
+    k = min(word_list_size, len(table) - 1)
+    near = np.empty((len(table), k), dtype=np.int64)
+    for v in range(len(table)):
+        order = np.argsort(-(table @ table[v]), kind="stable")[: k + 1]
+        near[v] = order[order != v][:k]
+    return near
+
+
+def build_word_candidates(caption, near: np.ndarray) -> np.ndarray:
+    """The (1 + L*k, L) token matrix of the caption (row 0) and every
+    single-word substitution, position-major: position i's k substitutes
+    are near[caption[i]], a row of word_neighbours."""
     base = np.asarray(caption, dtype=np.int64)
-    order = np.stack([np.argsort(-(enc.table @ enc.table[t]), kind="stable") for t in base])
-    near = order[order != base[:, None]].reshape(len(base), -1)[:, :word_list_size]
-    n_pos, k = near.shape
+    n_pos, k = len(base), near.shape[1]
     cands = np.tile(base, (1 + n_pos * k, 1))
-    cands[1 + np.arange(n_pos * k), np.repeat(np.arange(n_pos), k)] = near.ravel()
+    cands[1 + np.arange(n_pos * k), np.repeat(np.arange(n_pos), k)] = near[base].ravel()
     return cands
 
 
@@ -51,17 +61,18 @@ def score_text_candidate(
     """kappa/mu/nu-weighted mismatch of a candidate caption's embedding txt
     against the clean, previous adversarial, and final adversarial image
     embeddings, which the caller has already projected; only the caption is
-    projected here. Each term is similarity_loss's arithmetic."""
-    if projector is not None:
-        txt = projector.project(txt)
+    projected here. Each term is similarity_loss's arithmetic; ndarray.dot
+    gives the bits of the 1-D @ without the matmul ufunc's overhead."""
     same = clean_img_emb.shape == prev_adv_emb.shape == cur_adv_emb.shape == txt.shape
     if not same or txt.ndim != 1:
         raise ValueError("embedding shape mismatch")
+    if projector is not None:
+        txt = projector.project(txt)
     d = txt.shape[0]
     return -(
-        cfg.kappa * (float(clean_img_emb @ txt) / d)
-        + cfg.mu * (float(prev_adv_emb @ txt) / d)
-        + cfg.nu * (float(cur_adv_emb @ txt) / d)
+        cfg.kappa * (float(clean_img_emb.dot(txt)) / d)
+        + cfg.mu * (float(prev_adv_emb.dot(txt)) / d)
+        + cfg.nu * (float(cur_adv_emb.dot(txt)) / d)
     )
 
 
@@ -73,13 +84,15 @@ def run_text_attack(
     enc_pair: EncoderPair,
     projector: ProjectionBasis | None,
     cfg: AttackConfig,
+    near: np.ndarray,
 ) -> tuple[Caption, bool]:
     """Full caption attack; returns the selected caption and whether a
-    substitution occurred. The first maximum score wins: ties go to the
-    original caption (candidate 0, which no substitution reproduces), then
-    to the lowest index."""
+    substitution occurred. near is word_neighbours(enc_pair.text,
+    cfg.word_list_size), built once per surrogate. The first maximum score
+    wins: ties go to the original caption (candidate 0, which no
+    substitution reproduces), then to the lowest index."""
     base = tuple(int(t) for t in caption)
-    candidates = build_word_candidates(base, enc_pair.text, cfg.word_list_size)
+    candidates = build_word_candidates(base, near)
     txt = embed_captions(enc_pair.text, candidates)
     embs = [encode_image(enc_pair.image, x) for x in (clean_img, prev_adv, cur_adv)]
     if projector is not None:

@@ -28,7 +28,7 @@ from aetlab.harness import (
 )
 from aetlab.image_attack import run_image_attack, sample_sub_triangle
 from aetlab.subspace import build_projection
-from aetlab.text_attack import run_text_attack
+from aetlab.text_attack import run_text_attack, word_neighbours
 from aetlab.theory import (
     QuadraticLoss,
     closed_form_coefficients,
@@ -211,6 +211,7 @@ def test_criterion_6_attack_feasibility(capsys):
                        dims=DatasetDims(embed_dim=TRANSFER_EMBED_DIM))
     cfg = AttackConfig(master_seed=0)
     projector = surrogate_projector(ds, ds.base, cfg)
+    near = word_neighbours(ds.base.text, cfg.word_list_size)
     eps_ok = True
     text_ok = True
     for p in range(ds.n_pairs):
@@ -222,7 +223,7 @@ def test_criterion_6_attack_feasibility(capsys):
         for inter in iterates:
             eps_ok &= float(np.max(np.abs(inter - x))) <= cfg.eps_image + 1e-12
             eps_ok &= inter.min() >= 0.0 and inter.max() <= 1.0
-        adv_cap, _ = run_text_attack(cap, x, prev, adv, ds.base, projector, cfg)
+        adv_cap, _ = run_text_attack(cap, x, prev, adv, ds.base, projector, cfg, near)
         text_ok &= sum(a != b for a, b in zip(adv_cap, cap)) <= 1
     elapsed = time.time() - start
     ok = eps_ok and text_ok and elapsed < 120.0

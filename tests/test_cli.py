@@ -222,6 +222,21 @@ class TestTransfer:
         assert rows[0] == ["surrogate", "target", "tr_asr", "ir_asr", "alpha_mean", "seed"]
         assert len(rows) == 1 + 4  # 2x2 cells
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [("--noise", "-1", "rel_noise"), ("--noise", "nan", "rel_noise"),
+         ("--text-noise", "-0.5", "text_noise"), ("--text-noise", "inf", "text_noise")],
+    )
+    def test_invalid_pool_noise_is_usage_error(self, dataset_file, tmp_path, capsys, flag, value, field):
+        out = tmp_path / "report.csv"
+        rc = main([
+            "transfer", "--seed", "5", "--dataset", str(dataset_file),
+            "--models", "2", flag, value, "--out", str(out),
+        ])
+        assert rc == EXIT_USAGE
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTheory:
     def test_verification_passes(self, tmp_path, capsys):
@@ -243,6 +258,37 @@ class TestTheory:
                    "--out", str(tmp_path / "theory.csv")])
         assert rc == EXIT_USAGE
         assert "pass" not in capsys.readouterr().out
+
+
+# The CSV columns that hold floats, by file: every cell of them must be a
+# plain number, also when the row carries a numpy scalar.
+FLOAT_COLUMNS = {
+    "trace": ("loss", "lambda", "beta", "gamma"),
+    "report": ("tr_asr", "ir_asr", "alpha_mean"),
+    "theory": ("a_moment", "b_moment", "identity_max_rel_err", "cubic_proposed", "cubic_baseline"),
+}
+
+
+class TestCsvNumbers:
+    def test_every_float_cell_parses(self, dataset_file, tmp_path):
+        common = ["--seed", "3", "--steps", "3", "--samples", "2", "--scales", "1.0"]
+        out_dir, report, theory = tmp_path / "adv", tmp_path / "report.csv", tmp_path / "theory.csv"
+        assert main(["attack", *common, "--dataset", str(dataset_file), "--limit", "2",
+                     "--out-dir", str(out_dir)]) == EXIT_OK
+        assert main(["transfer", *common, "--dataset", str(dataset_file), "--models", "2",
+                     "--out", str(report)]) == EXIT_OK
+        assert main(["theory", "--seed", "3", "--instances", "2", "--dim", "8",
+                     "--t-max", "20", "--out", str(theory)]) == EXIT_OK
+        files = [("theory", theory), ("report", report)]
+        files += [("trace", path) for path in sorted(out_dir.glob("trace_*.csv"))]
+        assert len(files) == 4
+        for kind, path in files:
+            with open(path, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert rows
+            for row in rows:
+                for col in FLOAT_COLUMNS[kind]:
+                    float(row[col])
 
 
 class TestSubspace:

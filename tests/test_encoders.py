@@ -245,6 +245,15 @@ class TestModelPool:
         with pytest.raises(ValueError):
             make_model_pool(tiny_pair, 0, 0.5, seed=11, text_noise=0.5, semantic_dims=4)
 
+    @pytest.mark.parametrize("bad", [-1.0, -1e-12, float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("field", ["rel_noise", "text_noise"])
+    def test_invalid_noise_names_the_field(self, tiny_pair, field, bad):
+        # a negative scale would negate the noise and a NaN one poison the
+        # weights; either is rejected by name before any model is built
+        noise = {"rel_noise": 0.5, "text_noise": 0.5, field: bad}
+        with pytest.raises(ValueError, match=field):
+            make_model_pool(tiny_pair, 2, seed=11, semantic_dims=4, **noise)
+
     def test_seeds_past_48_bits_stay_distinct(self, tiny_pair):
         # the encoders and the pool take the dataset's seed as it is, so
         # seeds 2**48 apart build different models, as they build different

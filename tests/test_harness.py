@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from aetlab import encoders, image_attack, text_attack
+from aetlab import encoders, harness, image_attack, text_attack
 from aetlab.core import AttackConfig
 from aetlab.harness import (
     DatasetDims,
@@ -384,6 +384,24 @@ class TestCraftAdversarialPairs:
         craft_adversarial_pairs(ds, ds.base, AttackConfig(master_seed=2, **overrides), variant)
         assert sum(calls.values()) == 3 * adjoints
         assert set(calls.values()) <= {3}
+
+    @pytest.mark.parametrize("variant", ["saaet", "sga"])
+    def test_word_neighbours_once_per_call(self, monkeypatch, variant):
+        # the caption attack's nearest-token table depends only on the
+        # surrogate, so attack_pairs builds it once, before the first pair
+        ds = synth_dataset(seed=2, n_pairs=3)
+        sizes = []
+
+        def counted(*args, _fn=text_attack.word_neighbours, **kwargs):
+            sizes.append(args[1])
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "word_neighbours", counted)
+        monkeypatch.setattr(text_attack, "word_neighbours", counted)
+        pairs = attack_pairs(ds, ds.base, AttackConfig(master_seed=2, word_list_size=7), variant)
+        assert sizes == [7]
+        assert len(list(pairs)) == 3
+        assert sizes == [7]
 
 
 class TestAttackPairsOracle:

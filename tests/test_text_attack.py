@@ -10,7 +10,12 @@ from aetlab.encoders import (
     encode_text,
 )
 from aetlab.subspace import build_projection
-from aetlab.text_attack import build_word_candidates, run_text_attack, score_text_candidate
+from aetlab.text_attack import (
+    build_word_candidates,
+    run_text_attack,
+    score_text_candidate,
+    word_neighbours,
+)
 from oracles import (
     enumerate_text_candidates,
     run_text_attack_per_candidate,
@@ -25,7 +30,7 @@ def hamming(a, b):
 
 class TestWordCandidates:
     def test_nearest_by_dot_product(self, tiny_pair, tiny_caption):
-        cands = build_word_candidates(tiny_caption, tiny_pair.text, word_list_size=10)
+        cands = build_word_candidates(tiny_caption, word_neighbours(tiny_pair.text, 10))
         table = tiny_pair.text.table
         for pos, tok in enumerate(tiny_caption):
             rows = cands[1 + 10 * pos : 1 + 10 * (pos + 1)]
@@ -38,37 +43,51 @@ class TestWordCandidates:
             assert (np.delete(rows, pos, axis=1) == np.delete(tiny_caption, pos)).all()
 
     def test_original_token_excluded(self, tiny_pair, tiny_caption):
-        cands = build_word_candidates(tiny_caption, tiny_pair.text, word_list_size=63)
+        cands = build_word_candidates(tiny_caption, word_neighbours(tiny_pair.text, 63))
         assert cands.shape == (1 + 63 * len(tiny_caption), len(tiny_caption))
         assert ((cands[1:] != tiny_caption).sum(axis=1) == 1).all()
 
     def test_zero_sized_list(self, tiny_pair, tiny_caption):
-        cands = build_word_candidates(tiny_caption, tiny_pair.text, word_list_size=0)
+        cands = build_word_candidates(tiny_caption, word_neighbours(tiny_pair.text, 0))
         assert cands.tolist() == [list(tiny_caption)]
 
     def test_negative_size_rejected(self, tiny_pair, tiny_caption):
         with pytest.raises(ValueError):
-            build_word_candidates(tiny_caption, tiny_pair.text, word_list_size=-1)
+            word_neighbours(tiny_pair.text, -1)
 
-    @pytest.mark.parametrize("size", [0, 3, 10, 39])
+    @pytest.mark.parametrize("size", [0, 3, 10, 39, 40, 75])
     def test_tied_scores_match_list_comprehension(self, rng, size):
         # 40 tokens that share 4 distinct rows: every score ties with nine
         # others, the original token's own row included
         table = rng.standard_normal((4, 6))[rng.integers(0, 4, 40)]
         enc = BagOfWordsTextEncoder(table)
         caption = (0, 7, 7, 39, 21)
-        cands = build_word_candidates(caption, enc, word_list_size=size)
+        near = word_neighbours(enc, size)
+        assert near.shape == (40, min(size, 39))
+        for v in range(40):
+            assert [(t,) for t in near[v].tolist()] == enumerate_text_candidates((v,), enc, size)[1:]
+        cands = build_word_candidates(caption, near)
         assert list(map(tuple, cands.tolist())) == enumerate_text_candidates(caption, enc, size)
+
+    @pytest.mark.parametrize("size", [0, 1, 10, 63, 64, 200])
+    def test_table_rows_match_list_comprehension(self, tiny_pair, size):
+        # every token's row, not only the caption's, is its own substitute
+        # list, for k = 0, k = V - 1 and k past it
+        near = word_neighbours(tiny_pair.text, size)
+        assert near.dtype == np.int64 and near.shape == (64, min(size, 63))
+        for v in range(64):
+            expect = enumerate_text_candidates((v,), tiny_pair.text, size)[1:]
+            assert [(t,) for t in near[v].tolist()] == expect
 
 
 class TestEnumerateCandidates:
     def test_original_first_and_counts(self, tiny_pair, tiny_caption):
-        cands = build_word_candidates(tiny_caption, tiny_pair.text, word_list_size=5)
+        cands = build_word_candidates(tiny_caption, word_neighbours(tiny_pair.text, 5))
         assert tuple(cands[0].tolist()) == tiny_caption
         assert cands.shape == (1 + 5 * len(tiny_caption), len(tiny_caption))
 
     def test_every_candidate_within_budget(self, tiny_pair, tiny_caption):
-        for cand in build_word_candidates(tiny_caption, tiny_pair.text, word_list_size=5):
+        for cand in build_word_candidates(tiny_caption, word_neighbours(tiny_pair.text, 5)):
             assert hamming(cand, tiny_caption) <= 1
 
 
@@ -80,6 +99,7 @@ class TestScoring:
         cur = clean - 0.1 * rng.standard_normal(clean.shape)
         txt = encode_text(tiny_pair.text, tiny_caption)
         got = score_text_candidate(txt, clean, prev, cur, None, cfg)
+        assert type(got) is float
         expect = -(
             0.6 * similarity_loss(clean, txt)
             + 0.2 * similarity_loss(prev, txt)
@@ -110,7 +130,7 @@ class TestScoring:
         ]
         proj = (lambda v: v) if pb is None else pb.project
         pre = [proj(e) for e in imgs]
-        for cand in build_word_candidates(tiny_caption, tiny_pair.text, word_list_size=5):
+        for cand in build_word_candidates(tiny_caption, word_neighbours(tiny_pair.text, 5)):
             txt = proj(encode_text(tiny_pair.text, cand))
             expect = -(
                 cfg.kappa * similarity_loss(proj(imgs[0]), txt)
@@ -167,9 +187,8 @@ class TestRunTextAttack:
         cfg = AttackConfig()
         prev = np.clip(tiny_image + 0.02 * rng.standard_normal(tiny_image.shape), 0, 1)
         cur = np.clip(tiny_image - 0.02 * rng.standard_normal(tiny_image.shape), 0, 1)
-        chosen, changed = run_text_attack(
-            tiny_caption, tiny_image, prev, cur, tiny_pair, None, cfg
-        )
+        near = word_neighbours(tiny_pair.text, cfg.word_list_size)
+        chosen, changed = run_text_attack(tiny_caption, tiny_image, prev, cur, tiny_pair, None, cfg, near)
         assert hamming(chosen, tiny_caption) <= 1
         assert changed == (chosen != tiny_caption)
 
@@ -177,8 +196,9 @@ class TestRunTextAttack:
         self, tiny_pair, tiny_image, tiny_caption
     ):
         cfg = AttackConfig()
+        near = word_neighbours(tiny_pair.text, cfg.word_list_size)
         chosen, _ = run_text_attack(
-            tiny_caption, tiny_image, tiny_image, tiny_image, tiny_pair, None, cfg
+            tiny_caption, tiny_image, tiny_image, tiny_image, tiny_pair, None, cfg, near
         )
         clean = encode_image(tiny_pair.image, tiny_image)
         score = lambda c: score_text_candidate(
@@ -188,11 +208,12 @@ class TestRunTextAttack:
 
     def test_deterministic(self, tiny_pair, tiny_image, tiny_caption):
         cfg = AttackConfig()
+        near = word_neighbours(tiny_pair.text, cfg.word_list_size)
         a, _ = run_text_attack(
-            tiny_caption, tiny_image, tiny_image, tiny_image, tiny_pair, None, cfg
+            tiny_caption, tiny_image, tiny_image, tiny_image, tiny_pair, None, cfg, near
         )
         b, _ = run_text_attack(
-            tiny_caption, tiny_image, tiny_image, tiny_image, tiny_pair, None, cfg
+            tiny_caption, tiny_image, tiny_image, tiny_image, tiny_pair, None, cfg, near
         )
         assert a == b
 
@@ -202,12 +223,13 @@ class TestRunTextAttack:
         # encode_text call per candidate picks
         pb = build_projection(rng.standard_normal((4, 16))) if use_projector else None
         cfg = AttackConfig(word_list_size=15)
+        near = word_neighbours(tiny_pair.text, cfg.word_list_size)
         for _ in range(5):
             prev, cur = (
                 np.clip(tiny_image + 0.05 * rng.standard_normal((8, 8)), 0, 1) for _ in range(2)
             )
             args = (tiny_caption, tiny_image, prev, cur, tiny_pair, pb, cfg)
-            assert run_text_attack(*args) == run_text_attack_per_candidate(*args)
+            assert run_text_attack(*args, near) == run_text_attack_per_candidate(*args)
 
 
 def _tied_pair(n_rows, vocab, rng):
@@ -227,7 +249,8 @@ class TestCaptionTies:
         cfg = AttackConfig(word_list_size=11)
         cur = np.clip(tiny_image + 0.05 * rng.standard_normal((8, 8)), 0, 1)
         caption = (4, 9, 0, 7)
-        assert run_text_attack(caption, tiny_image, tiny_image, cur, pair, None, cfg) == (caption, False)
+        near = word_neighbours(pair.text, cfg.word_list_size)
+        assert run_text_attack(caption, tiny_image, tiny_image, cur, pair, None, cfg, near) == (caption, False)
 
     def test_tie_without_original_takes_lowest_index(self, tiny_image, rng):
         # 12 tokens on 3 rows: each substitution ties with the three other
@@ -238,7 +261,8 @@ class TestCaptionTies:
         for _ in range(10):
             pair = _tied_pair(3, 12, rng)
             cur = np.clip(tiny_image + 0.05 * rng.standard_normal((8, 8)), 0, 1)
-            chosen, changed = run_text_attack(caption, tiny_image, tiny_image, cur, pair, None, cfg)
+            near = word_neighbours(pair.text, cfg.word_list_size)
+            chosen, changed = run_text_attack(caption, tiny_image, tiny_image, cur, pair, None, cfg, near)
             embs = [encode_image(pair.image, x) for x in (tiny_image, tiny_image, cur)]
             cands = enumerate_text_candidates(caption, pair.text, 11)
             scores = [
