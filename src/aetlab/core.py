@@ -1,5 +1,5 @@
-"""Shared numeric primitives: contrastive loss, simplex weights, L-inf
-projection, and bilinear scale augmentation.
+"""Shared numeric primitives: the image-text similarity, simplex weights,
+L-inf projection, and the adjoint of the bilinear scale augmentation.
 
 Images are float64 arrays of shape (H, W) with pixels in [0, 1]. Captions are
 integer token sequences. The scale augmentation is implemented as an exactly
@@ -97,13 +97,23 @@ def validate_image(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def similarity_loss(img_emb: np.ndarray, txt_emb: np.ndarray) -> float:
-    """Dot-product similarity scaled by the embedding dimension."""
-    img_emb = np.asarray(img_emb, dtype=np.float64)
-    txt_emb = np.asarray(txt_emb, dtype=np.float64)
-    if img_emb.shape != txt_emb.shape or img_emb.ndim != 1:
-        raise ValueError(f"embedding shape mismatch: {img_emb.shape} vs {txt_emb.shape}")
-    return float(img_emb @ txt_emb) / img_emb.shape[0]
+def similarity(img, txt: np.ndarray) -> list[float]:
+    """Image-text similarity, the one the attacks and the metrics share: the
+    dot product over the embedding dimension d. img holds n image
+    embeddings, the rows of an (n, d) matrix or a sequence of n (d,) arrays;
+    txt is one (d,) direction shared by every row or an (n, d) matrix whose
+    rows pair with img's. Each of the n values is float(row.dot(t)) / d,
+    the bits of the 1-D product. The products check the rows: any other
+    shape raises ValueError."""
+    if txt.ndim not in (1, 2):
+        raise ValueError(f"text embeddings must be (d,) or (n, d), got {txt.shape}")
+    d = txt.shape[-1]
+    try:
+        if txt.ndim == 1:
+            return [float(r.dot(txt)) / d for r in img]
+        return [float(r.dot(t)) / d for r, t in zip(img, txt, strict=True)]
+    except (AttributeError, TypeError):  # a row that is not 1-D has no scalar product
+        raise ValueError("image embeddings must be (d,) rows") from None
 
 
 def validate_simplex(weights: np.ndarray) -> np.ndarray:
@@ -164,28 +174,17 @@ def _roundtrip_matrix(n: int, scale: float) -> np.ndarray:
 
 def check_scales(shape: tuple[int, ...], scales) -> None:
     """Raise ValueError if a scale collapses an axis of an image of this
-    shape, the check scale_augment and its adjoint make on each call."""
+    shape, the check scale_augment_adjoint makes on each call."""
     for s in scales:
         for n in shape:
             _roundtrip_matrix(n, s)
 
 
-def scale_augment(x: np.ndarray, scale: float) -> np.ndarray:
-    """Bilinear resize to round(scale*H) x round(scale*W) and back.
-
-    A fixed linear map per (H, W, scale); scale 1.0 is the identity.
-    """
-    x = validate_image(x)
-    if scale <= 0:
-        raise ValueError("scale must be > 0")
-    h, w = x.shape
-    ar = _roundtrip_matrix(h, scale)
-    ac = _roundtrip_matrix(w, scale)
-    return ar @ x @ ac.T
-
-
 def scale_augment_adjoint(g: np.ndarray, shape: tuple[int, int], scale: float) -> np.ndarray:
-    """Transpose of the scale_augment linear map, applied to g."""
+    """Transpose of the scale augmentation, applied to g. The augmentation
+    resizes an (H, W) image bilinearly to round(scale*H) x round(scale*W)
+    and back, a fixed linear map per (H, W, scale); scale 1.0 is the
+    identity."""
     g = np.asarray(g, dtype=np.float64)
     h, w = shape
     if g.shape != (h, w):

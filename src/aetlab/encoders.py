@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import scale_augment, scale_augment_adjoint, similarity_loss, validate_image
+from .core import scale_augment_adjoint, validate_image
 from .subspace import ProjectionBasis, build_projection
 
 
@@ -72,18 +72,17 @@ def encode_image(enc: LinearImageEncoder, x: np.ndarray) -> np.ndarray:
 
 
 def encode_text(enc: BagOfWordsTextEncoder, caption) -> np.ndarray:
+    """Embedding of one caption: the one-row case of embed_captions."""
     tokens = np.asarray(caption, dtype=np.int64)
     if tokens.ndim != 1 or tokens.size < 1:
         raise ValueError("caption must be a nonempty 1-D token sequence")
-    if tokens.min() < 0 or tokens.max() >= enc.vocab_size:
-        raise ValueError("caption token outside vocabulary")
-    return enc.table[tokens].mean(axis=0)
+    return embed_captions(enc, tokens[None])[0]
 
 
 def embed_captions(enc: BagOfWordsTextEncoder, captions) -> np.ndarray:
-    """Embeddings of n equal-length captions as an (n, d) matrix. Token rows
-    are summed position by position, the order encode_text's mean adds them
-    in, so each row equals encode_text bit for bit."""
+    """Embeddings of n equal-length captions as an (n, d) matrix: the mean
+    of each caption's token rows, summed position by position, so no
+    (n, L, d) gather is held."""
     tokens = np.asarray(captions, dtype=np.int64)
     if tokens.ndim != 2 or tokens.size < 1:
         raise ValueError("captions must be a nonempty (n, L) token matrix")
@@ -112,26 +111,23 @@ def text_direction(
     return u
 
 
-def image_loss(
-    enc_i: LinearImageEncoder,
-    x: np.ndarray,
-    u: np.ndarray,
-    projector: ProjectionBasis | None = None,
-    scale: float = 1.0,
-) -> float:
-    """Similarity of the (optionally scale-augmented, projected) image
-    embedding with the text direction u (see text_direction)."""
-    img = encode_image(enc_i, scale_augment(x, scale) if scale != 1.0 else x)
+def image_embedding(
+    enc_i: LinearImageEncoder, x: np.ndarray, projector: ProjectionBasis | None
+) -> np.ndarray:
+    """Image embedding, pushed through the semantic projector when given."""
+    v = encode_image(enc_i, x)
     if projector is not None:
-        img = projector.project(img)
-    return similarity_loss(img, u)
+        v = projector.project(v)
+    return v
 
 
 def gradient_table(
     enc_i: LinearImageEncoder, u: np.ndarray, shape: tuple[int, int], scales
 ) -> dict[float, np.ndarray]:
-    """The gradient of image_loss w.r.t. an (H, W) image at each scale, for
-    the text direction u: the adjoint chain augment^T(W^T u) / d.
+    """The gradient w.r.t. an (H, W) image x, at each scale s, of the
+    similarity of the scale-augmented, projected image embedding
+    P W augment_s(x) with the text direction u (see text_direction): the
+    adjoint chain augment_s^T(W^T u) / d.
 
     The loss is bilinear, so the gradient does not depend on the image and
     one table serves every gradient of a pair. The table always holds scale
@@ -151,8 +147,8 @@ def gradient_table(
 def grad_loss_wrt_image(
     enc_i: LinearImageEncoder, x: np.ndarray, grads: dict[float, np.ndarray], scale: float = 1.0
 ) -> np.ndarray:
-    """Exact gradient of image_loss w.r.t. x at one scale: a fresh copy of
-    its entry in grads = gradient_table(enc_i, u, x.shape, scales)."""
+    """Exact gradient of the similarity w.r.t. x at one scale: a fresh copy
+    of its entry in grads = gradient_table(enc_i, u, x.shape, scales)."""
     x = validate_image(x)
     if x.size != enc_i.weight.shape[1]:
         raise ValueError("image shape does not match encoder")

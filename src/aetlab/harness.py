@@ -16,8 +16,15 @@ from pathlib import Path
 import numpy as np
 
 from . import matio
-from .core import AttackConfig, SimplexWeights, check_scales
-from .encoders import EncoderPair, embed_pairs, encode_text, make_base_encoders, make_model_pool
+from .core import AttackConfig, SimplexWeights, check_scales, similarity
+from .encoders import (
+    EncoderPair,
+    embed_captions,
+    embed_pairs,
+    encode_text,
+    make_base_encoders,
+    make_model_pool,
+)
 from .image_attack import StepRecord, run_image_attack
 from .subspace import ProjectionBasis, build_projection, sample_corpus
 from .text_attack import Caption, run_text_attack, word_neighbours
@@ -79,6 +86,10 @@ class GeneratorParams:
             raise ValueError("held_out must be >= 1")
         if not 0 < self.latent_scale < math.inf:  # NaN fails too
             raise ValueError("latent_scale must be finite and > 0")
+        if self.semantic_rank < 1:
+            raise ValueError("semantic_rank must be >= 1")
+        if not 0 <= self.table_jitter < math.inf:  # NaN fails too
+            raise ValueError("table_jitter must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -165,6 +176,8 @@ def synth_dataset(
         raise ValueError("n_pairs must be >= 2")
     if not (1 <= gen.held_out_len <= dims.vocab_size):
         raise ValueError("held_out_len must be in [1, vocab_size]")
+    if gen.semantic_rank > min(dims.embed_dim, dims.vocab_size):
+        raise ValueError("semantic_rank must be <= embed_dim and <= vocab_size")
     base = make_base_encoders(
         dims.height,
         dims.width,
@@ -269,7 +282,11 @@ def load_dataset_descriptor(path: str | Path) -> SyntheticDataset:
 def retrieval_rank(queries: np.ndarray, gallery: np.ndarray) -> np.ndarray:
     """Rank of each query's true match (gallery row i for query i): 1 + the
     number of gallery rows strictly more similar. Ties rank the true pair
-    best (optimistic convention)."""
+    best (optimistic convention).
+
+    A rank depends only on the order of the scores, and core.similarity's
+    positive 1/d scale cannot change that order, so each block is scored
+    with the plain matrix product."""
     queries = np.asarray(queries, dtype=np.float64)
     gallery = np.asarray(gallery, dtype=np.float64)
     if gallery.ndim != 2 or gallery.shape[0] < 1 or queries.shape != gallery.shape:
@@ -356,7 +373,7 @@ def surrogate_projector(
         cfg.corpus_proportion,
         np.random.SeedSequence([cfg.master_seed, stream, 0xC0]),
     )
-    return build_projection(np.stack([encode_text(surrogate.text, c) for c in corpus]))
+    return build_projection(embed_captions(surrogate.text, corpus))
 
 
 def attack_pairs(
@@ -421,8 +438,8 @@ def run_transfer_experiment(
         for s, sur in enumerate(model_pool)
     ]
 
-    def losses(img, txt):  # similarity_loss of each (image row, text row) pair
-        return np.einsum("ij,ij->i", img, txt) / img.shape[1]
+    def losses(img, txt):  # the similarity of each (image row, text row) pair
+        return np.array(similarity(img, txt))
 
     reports = []
     for tgt, white_box in zip(model_pool, crafted):

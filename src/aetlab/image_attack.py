@@ -9,11 +9,11 @@ multi-scale sign gradient at the selected sample and projects back into the
 L-inf budget.
 
 The optimized objective is the image-text mismatch, i.e. the negated
-(optionally subspace-projected) dot-product similarity: driving the true
-pair's similarity down is what breaks retrieval. The caption enters only
-through its (projected) text direction u and that direction's gradient
-table (one pixel-space gradient per scale), both computed once per attack,
-as are all (T-1)*m triangle weights. The m triangle samples of a step, their
+(optionally subspace-projected) core.similarity: driving the true pair's
+similarity down is what breaks retrieval. The caption enters only through
+its (projected) text direction u and that direction's gradient table (one
+pixel-space gradient per scale), both computed once per attack, as are all
+(T-1)*m triangle weights. The m triangle samples of a step, their
 directions and their feasible candidates are (m, H, W) stacks.
 """
 from __future__ import annotations
@@ -22,13 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AttackConfig, SimplexWeights, linf_project, validate_simplex
+from .core import AttackConfig, SimplexWeights, linf_project, similarity, validate_simplex
 from .encoders import (
     EncoderPair,
     LinearImageEncoder,
     grad_loss_wrt_image,
     gradient_table,
-    image_loss,
+    image_embedding,
     text_direction,
 )
 from .subspace import ProjectionBasis
@@ -55,17 +55,6 @@ class StepRecord:
     beta: float
     gamma: float
     chosen_index: int
-
-
-def mismatch_value(
-    x: np.ndarray,
-    u: np.ndarray,
-    enc_i: LinearImageEncoder,
-    projector: ProjectionBasis | None,
-) -> float:
-    """Attack objective: negated (projected) similarity of x with the text
-    direction u."""
-    return -image_loss(enc_i, x, u, projector)
 
 
 def _normalized_sign(g: np.ndarray) -> np.ndarray:
@@ -127,11 +116,11 @@ def text_guided_select(
     cfg: AttackConfig,
 ) -> int:
     """Index of the direction whose feasible application to the current
-    adversarial image cur most increases the mismatch; ties go to the lowest
-    index.
+    adversarial image cur most increases the mismatch, i.e. gives the lowest
+    similarity with u; ties go to the lowest index.
 
-    The stack of feasible candidates is checked once; each is then scored
-    with mismatch_value's arithmetic (W c, then P, then -(. u) / d).
+    The stack of feasible candidates is checked once; each is then embedded
+    (W c, then P) and the embeddings scored together with similarity.
     """
     if len(directions) == 0:
         raise ValueError("directions must be nonempty")
@@ -144,8 +133,8 @@ def text_guided_select(
     embs = [w @ c.ravel() for c in cands]
     if projector is not None:
         embs = [projector.projector @ e for e in embs]
-    vals = [-(float(e @ u) / e.shape[0]) for e in embs]
-    return vals.index(max(vals))
+    sims = similarity(embs, u)
+    return sims.index(min(sims))
 
 
 def run_image_attack(
@@ -173,9 +162,13 @@ def run_image_attack(
     u = text_direction(enc_pair.text, caption, projector)
     enc_i = enc_pair.image
     grads = gradient_table(enc_i, u, x.shape, cfg.scales)
+
+    def mismatch(img: np.ndarray) -> float:  # the traced objective
+        return -similarity([image_embedding(enc_i, img, projector)], u)[0]
+
     prev = linf_project(x + cfg.eps_image * rng.standard_normal(x.shape), x, cfg.eps_image)
     cur = _sign_step(prev, prev, x, grads, enc_i, cfg)
-    trace = [StepRecord(1, mismatch_value(cur, u, enc_i, projector), 0.0, 0.0, 1.0, -1)]
+    trace = [StepRecord(1, mismatch(cur), 0.0, 0.0, 1.0, -1)]
     n_rows = (cfg.steps - 1) * cfg.samples
     if forced_weights is not None:
         all_weights = np.array([forced_weights.as_tuple()] * n_rows)
@@ -190,6 +183,5 @@ def run_image_attack(
         o = text_guided_select(cur, x, dirs, u, enc_i, projector, cfg)
         prev, cur = cur, _sign_step(cur, samples[o], x, grads, enc_i, cfg)
         lam, beta, gamma = weights[o].tolist()
-        loss = mismatch_value(cur, u, enc_i, projector)
-        trace.append(StepRecord(step, loss, lam, beta, gamma, o))
+        trace.append(StepRecord(step, mismatch(cur), lam, beta, gamma, o))
     return cur, prev, trace

@@ -1,5 +1,6 @@
 """Plain-text matrix, key=value and CSV file formats shared by the harness
-and the CLI. Every file is written with LF line endings.
+and the CLI. Every file is written with LF line endings. A key=value file
+names each key at most once.
 
 Matrix files: first line "rows cols", then one whitespace-separated row per
 line, written with repr-level precision so round-trips are exact.
@@ -46,8 +47,10 @@ def load_keyvalues(path: str | Path) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ValueError(f"{path}: bad line {line!r}")
-        k, v = line.split("=", 1)
-        out[k.strip()] = v.strip()
+        k, v = (part.strip() for part in line.split("=", 1))
+        if k in out:
+            raise ValueError(f"{path}: repeated key {k!r}")
+        out[k] = v
     return out
 
 

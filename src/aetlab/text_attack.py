@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import AttackConfig
-from .encoders import BagOfWordsTextEncoder, EncoderPair, embed_captions, encode_image
+from .core import AttackConfig, similarity
+from .encoders import BagOfWordsTextEncoder, EncoderPair, embed_captions, image_embedding
 from .subspace import ProjectionBasis
 
-# Not called here: perfbench/tracing.py wraps this name at this import site.
-from .encoders import encode_text  # noqa: F401
+# Not called here: perfbench/tracing.py wraps these names at this import site.
+from .encoders import encode_image, encode_text  # noqa: F401
 
 Caption = tuple[int, ...]
 
@@ -52,28 +52,20 @@ def build_word_candidates(caption, near: np.ndarray) -> np.ndarray:
 
 def score_text_candidate(
     txt: np.ndarray,
-    clean_img_emb: np.ndarray,
-    prev_adv_emb: np.ndarray,
-    cur_adv_emb: np.ndarray,
+    img_embs,
     projector: ProjectionBasis | None,
     cfg: AttackConfig,
 ) -> float:
     """kappa/mu/nu-weighted mismatch of a candidate caption's embedding txt
-    against the clean, previous adversarial, and final adversarial image
-    embeddings, which the caller has already projected; only the caption is
-    projected here. Each term is similarity_loss's arithmetic; ndarray.dot
-    gives the bits of the 1-D @ without the matmul ufunc's overhead."""
-    same = clean_img_emb.shape == prev_adv_emb.shape == cur_adv_emb.shape == txt.shape
-    if not same or txt.ndim != 1:
-        raise ValueError("embedding shape mismatch")
+    against img_embs, the clean, previous adversarial, and final adversarial
+    image embeddings as three (d,) rows, which the caller has already
+    projected; only the caption is projected here."""
+    if txt.ndim != 1:
+        raise ValueError("caption embedding must be 1-D")
     if projector is not None:
-        txt = projector.project(txt)
-    d = txt.shape[0]
-    return -(
-        cfg.kappa * (float(clean_img_emb.dot(txt)) / d)
-        + cfg.mu * (float(prev_adv_emb.dot(txt)) / d)
-        + cfg.nu * (float(cur_adv_emb.dot(txt)) / d)
-    )
+        txt = projector.projector @ txt
+    clean, prev, cur = similarity(img_embs, txt)
+    return -(cfg.kappa * clean + cfg.mu * prev + cfg.nu * cur)
 
 
 def run_text_attack(
@@ -94,9 +86,8 @@ def run_text_attack(
     base = tuple(int(t) for t in caption)
     candidates = build_word_candidates(base, near)
     txt = embed_captions(enc_pair.text, candidates)
-    embs = [encode_image(enc_pair.image, x) for x in (clean_img, prev_adv, cur_adv)]
-    if projector is not None:
-        embs = [projector.project(e) for e in embs]
-    scores = [score_text_candidate(t, *embs, projector, cfg) for t in txt]
+    images = (clean_img, prev_adv, cur_adv)
+    img_embs = [image_embedding(enc_pair.image, x, projector) for x in images]
+    scores = [score_text_candidate(t, img_embs, projector, cfg) for t in txt]
     chosen = tuple(candidates[scores.index(max(scores))].tolist())
     return chosen, chosen != base

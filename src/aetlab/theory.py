@@ -75,64 +75,6 @@ def closed_form_coefficients(t: int, beta: float, gamma: float) -> UpdateCoeffic
     )
 
 
-def simulate_linearized_updates(
-    t_max: int, beta: float, gamma: float
-) -> list[UpdateCoefficients]:
-    """Run the coefficient recursions directly (all H^2 terms dropped) and
-    return the table for t = 2..t_max."""
-    if t_max < 2:
-        raise ValueError("t_max must be >= 2")
-    # proposed: g_t = a_t g + b_t Hg with g_1 = g (a_1=1, b_1=0) and
-    # b_{t+1} = (beta+gamma) * sum_{i<t} a_i + gamma * a_t
-    a = [1.0]  # a_1
-    b = [0.0]  # b_1
-    # baseline: g'_t = g + f_t Hg with f_{t+1} = sum_{i<=t} e_i
-    e = [1.0]
-    f = [0.0]
-    out = []
-    for t in range(2, t_max + 1):
-        a.append(1.0)
-        b.append((beta + gamma) * sum(a[: t - 2]) + gamma * a[t - 2])
-        e.append(1.0)
-        f.append(sum(e[: t - 1]))
-        out.append(
-            UpdateCoefficients(
-                t=t,
-                a=a[-1],
-                b=b[-1],
-                c=float(sum(a)),
-                d=float(sum(b)),
-                e=e[-1],
-                f=f[-1],
-                h=float(sum(e)),
-                l=float(sum(f)),
-            )
-        )
-    return out
-
-
-def simulate_exact_updates(
-    ql: QuadraticLoss, t_max: int, beta: float, gamma: float, eta: float
-) -> np.ndarray:
-    """Exact perturbation sequence on the quadratic loss with gradient field
-    g(x + v) = g + eta*H v; returns delta_t stacked for t = 1..t_max."""
-    if eta < 0:
-        raise ValueError("eta must be >= 0")
-    if t_max < 1:
-        raise ValueError("t_max must be >= 1")
-    hh = eta * ql.H
-    deltas = np.zeros((t_max + 1, ql.n))  # index 0 is delta_0 = 0
-    acc = np.zeros(ql.n)
-    for t in range(1, t_max + 1):
-        if t == 1:
-            g_t = ql.g
-        else:
-            g_t = ql.g + hh @ (beta * deltas[t - 2] + gamma * deltas[t - 1])
-        acc = acc + g_t
-        deltas[t] = acc
-    return deltas[1:]
-
-
 def shapley_interaction_matrix(delta: np.ndarray, H: np.ndarray) -> np.ndarray:
     """Pairwise interaction I_ij = delta(i) * H_ij * delta(j) (higher-order
     remainder dropped)."""
@@ -243,28 +185,3 @@ def verify_theorem(
         cubic_baseline=cubic_base,
         passed=passed,
     )
-
-
-def residual_slope(
-    ql: QuadraticLoss,
-    beta: float,
-    gamma: float,
-    t: int,
-    etas,
-) -> float:
-    """Log-log slope of ||delta_t(eta) - c_t g - d_t eta H g|| versus eta.
-
-    Slope 2 confirms the linearized coefficients capture everything up to
-    the quadratic-in-eta remainder.
-    """
-    coef = closed_form_coefficients(t, beta, gamma)
-    hg = ql.H @ ql.g
-    residuals = []
-    for eta in etas:
-        delta_t = simulate_exact_updates(ql, t, beta, gamma, eta)[t - 1]
-        lin = coef.c * ql.g + coef.d * eta * hg
-        residuals.append(np.linalg.norm(delta_t - lin))
-    logs = np.log(np.asarray(residuals))
-    le = np.log(np.asarray(list(etas), dtype=np.float64))
-    slope, _ = np.polyfit(le, logs, 1)
-    return float(slope)

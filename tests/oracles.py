@@ -5,12 +5,12 @@ import numpy as np
 
 from aetlab.core import (
     SimplexWeights,
+    _roundtrip_matrix,
     linf_project,
     scale_augment_adjoint,
-    similarity_loss,
     validate_image,
 )
-from aetlab.encoders import encode_image, encode_text, image_loss, text_direction
+from aetlab.encoders import encode_image, encode_text, text_direction
 from aetlab.harness import (
     ExperimentReport,
     attack_success_rate,
@@ -18,12 +18,8 @@ from aetlab.harness import (
     resolve_variant,
     surrogate_projector,
 )
-from aetlab.image_attack import (
-    REGION_ASSIGNMENTS,
-    StepRecord,
-    mismatch_value,
-    run_image_attack,
-)
+from aetlab.image_attack import REGION_ASSIGNMENTS, StepRecord, run_image_attack
+from aetlab.theory import QuadraticLoss, UpdateCoefficients, closed_form_coefficients
 
 FD_STEP = 1e-5
 
@@ -43,6 +39,43 @@ def finite_difference_grad(fn, x: np.ndarray, step: float = FD_STEP) -> np.ndarr
         xm[idx] -= step
         grad[idx] = (fn(xp) - fn(xm)) / (2.0 * step)
     return grad
+
+
+def pair_similarity(img_emb: np.ndarray, txt_emb: np.ndarray) -> float:
+    """core.similarity of one image embedding and one text embedding, by
+    its own arithmetic: the 1-D product over the embedding dimension."""
+    img_emb = np.asarray(img_emb, dtype=np.float64)
+    txt_emb = np.asarray(txt_emb, dtype=np.float64)
+    if img_emb.shape != txt_emb.shape or img_emb.ndim != 1:
+        raise ValueError(f"embedding shape mismatch: {img_emb.shape} vs {txt_emb.shape}")
+    return float(img_emb @ txt_emb) / img_emb.shape[0]
+
+
+def scale_augment(x: np.ndarray, scale: float) -> np.ndarray:
+    """Bilinear resize to round(scale*H) x round(scale*W) and back: the
+    forward map whose transpose core.scale_augment_adjoint applies. A fixed
+    linear map per (H, W, scale); scale 1.0 is the identity."""
+    x = validate_image(x)
+    if scale <= 0:
+        raise ValueError("scale must be > 0")
+    h, w = x.shape
+    return _roundtrip_matrix(h, scale) @ x @ _roundtrip_matrix(w, scale).T
+
+
+def image_loss(enc_i, x, u, projector=None, scale=1.0) -> float:
+    """Similarity of the (optionally scale-augmented, projected) image
+    embedding with the text direction u (see text_direction): the forward
+    loss whose gradient encoders.gradient_table holds."""
+    img = encode_image(enc_i, scale_augment(x, scale) if scale != 1.0 else x)
+    if projector is not None:
+        img = projector.project(img)
+    return pair_similarity(img, u)
+
+
+def mismatch_value(x, u, enc_i, projector) -> float:
+    """Attack objective: negated (projected) similarity of x with the text
+    direction u."""
+    return -image_loss(enc_i, x, u, projector)
 
 
 def pair_loss(enc_pair, x, caption, projector=None, scale=1.0) -> float:
@@ -189,9 +222,9 @@ def run_text_attack_per_candidate(caption, clean_img, prev_adv, cur_adv, enc_pai
     def scorer(cand):
         txt = proj(encode_text(enc_pair.text, cand))
         return -(
-            cfg.kappa * similarity_loss(embs[0], txt)
-            + cfg.mu * similarity_loss(embs[1], txt)
-            + cfg.nu * similarity_loss(embs[2], txt)
+            cfg.kappa * pair_similarity(embs[0], txt)
+            + cfg.mu * pair_similarity(embs[1], txt)
+            + cfg.nu * pair_similarity(embs[2], txt)
         )
 
     candidates = enumerate_text_candidates(base, enc_pair.text, cfg.word_list_size)
@@ -247,7 +280,7 @@ def alpha_per_pair(target_pair, clean_pair, surrogate_adv, target_adv) -> float:
     the target-crafted pair, for one pair."""
 
     def loss(pair):
-        return similarity_loss(
+        return pair_similarity(
             encode_image(target_pair.image, pair[0]),
             encode_text(target_pair.text, pair[1]),
         )
@@ -298,3 +331,86 @@ def transfer_reports_per_pair(ds, model_pool, cfg, variant="saaet"):
                 )
             )
     return reports
+
+
+def simulate_linearized_updates(
+    t_max: int, beta: float, gamma: float
+) -> list[UpdateCoefficients]:
+    """Run the coefficient recursions directly (all H^2 terms dropped) and
+    return the table for t = 2..t_max."""
+    if t_max < 2:
+        raise ValueError("t_max must be >= 2")
+    # proposed: g_t = a_t g + b_t Hg with g_1 = g (a_1=1, b_1=0) and
+    # b_{t+1} = (beta+gamma) * sum_{i<t} a_i + gamma * a_t
+    a = [1.0]  # a_1
+    b = [0.0]  # b_1
+    # baseline: g'_t = g + f_t Hg with f_{t+1} = sum_{i<=t} e_i
+    e = [1.0]
+    f = [0.0]
+    out = []
+    for t in range(2, t_max + 1):
+        a.append(1.0)
+        b.append((beta + gamma) * sum(a[: t - 2]) + gamma * a[t - 2])
+        e.append(1.0)
+        f.append(sum(e[: t - 1]))
+        out.append(
+            UpdateCoefficients(
+                t=t,
+                a=a[-1],
+                b=b[-1],
+                c=float(sum(a)),
+                d=float(sum(b)),
+                e=e[-1],
+                f=f[-1],
+                h=float(sum(e)),
+                l=float(sum(f)),
+            )
+        )
+    return out
+
+
+def simulate_exact_updates(
+    ql: QuadraticLoss, t_max: int, beta: float, gamma: float, eta: float
+) -> np.ndarray:
+    """Exact perturbation sequence on the quadratic loss with gradient field
+    g(x + v) = g + eta*H v; returns delta_t stacked for t = 1..t_max."""
+    if eta < 0:
+        raise ValueError("eta must be >= 0")
+    if t_max < 1:
+        raise ValueError("t_max must be >= 1")
+    hh = eta * ql.H
+    deltas = np.zeros((t_max + 1, ql.n))  # index 0 is delta_0 = 0
+    acc = np.zeros(ql.n)
+    for t in range(1, t_max + 1):
+        if t == 1:
+            g_t = ql.g
+        else:
+            g_t = ql.g + hh @ (beta * deltas[t - 2] + gamma * deltas[t - 1])
+        acc = acc + g_t
+        deltas[t] = acc
+    return deltas[1:]
+
+
+def residual_slope(
+    ql: QuadraticLoss,
+    beta: float,
+    gamma: float,
+    t: int,
+    etas,
+) -> float:
+    """Log-log slope of ||delta_t(eta) - c_t g - d_t eta H g|| versus eta.
+
+    Slope 2 confirms the linearized coefficients capture everything up to
+    the quadratic-in-eta remainder.
+    """
+    coef = closed_form_coefficients(t, beta, gamma)
+    hg = ql.H @ ql.g
+    residuals = []
+    for eta in etas:
+        delta_t = simulate_exact_updates(ql, t, beta, gamma, eta)[t - 1]
+        lin = coef.c * ql.g + coef.d * eta * hg
+        residuals.append(np.linalg.norm(delta_t - lin))
+    logs = np.log(np.asarray(residuals))
+    le = np.log(np.asarray(list(etas), dtype=np.float64))
+    slope, _ = np.polyfit(le, logs, 1)
+    return float(slope)

@@ -33,11 +33,16 @@ from aetlab.theory import (
     QuadraticLoss,
     closed_form_coefficients,
     interaction_moments,
-    residual_slope,
-    simulate_linearized_updates,
     verify_theorem,
 )
-from oracles import attack_iterates, finite_difference_grad, pair_loss, run_sga_attack
+from oracles import (
+    attack_iterates,
+    finite_difference_grad,
+    pair_loss,
+    residual_slope,
+    run_sga_attack,
+    simulate_linearized_updates,
+)
 
 # Frozen after the reference oracle run; the criterion demands >= 2.0.
 MIN_TRANSFER_GAP = 2.0

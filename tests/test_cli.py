@@ -88,6 +88,45 @@ class TestSynth:
         assert "clean R@1 TR=100.0% IR=100.0%" in out
 
 
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--semantic-rank", "17"], "semantic_rank"),  # above embed_dim 16
+            (["--semantic-rank", "40"], "semantic_rank"),
+            (["--semantic-rank", "0"], "semantic_rank"),
+            (["--semantic-rank", "-1"], "semantic_rank"),
+            (["--vocab-size", "12", "--held-out-len", "4", "--semantic-rank", "13"], "semantic_rank"),
+            (["--table-jitter", "-1"], "table_jitter"),
+            (["--table-jitter", "nan"], "table_jitter"),
+            (["--table-jitter", "inf"], "table_jitter"),
+        ],
+    )
+    def test_invalid_generator_parameter_is_usage_error(self, tmp_path, capsys, flags, field):
+        out = tmp_path / "ds.txt"
+        rc = main(["synth", "--seed", "0", *SMALL_SYNTH, *flags, "--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert f"{field} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line, field",
+        [("semantic_rank=40", "semantic_rank"), ("semantic_rank=0", "semantic_rank"),
+         ("table_jitter=-1.0", "table_jitter")],
+    )
+    def test_invalid_descriptor_parameter_is_usage_error(
+        self, dataset_file, tmp_path, capsys, line, field
+    ):
+        key = line.split("=")[0]
+        lines = [ln for ln in dataset_file.read_text().splitlines() if not ln.startswith(key + "=")]
+        dataset_file.write_text("\n".join([*lines, line]) + "\n")
+        out_dir = tmp_path / "adv"
+        rc = main(["attack", "--seed", "5", "--dataset", str(dataset_file),
+                   "--limit", "1", "--out-dir", str(out_dir)])
+        assert rc == EXIT_USAGE
+        assert f"{field} must be" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
 class TestAttack:
     def test_outputs_per_pair(self, dataset_file, tmp_path):
         out_dir = tmp_path / "adv"
@@ -192,6 +231,25 @@ class TestAttack:
                    "--out-dir", str(out_dir)])
         assert rc == EXIT_USAGE
         assert "latent_scal" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("source", ["dataset", "config"])
+    def test_repeated_key_is_usage_error(self, dataset_file, tmp_path, capsys, source):
+        # a repeated key is not resolved by keeping its last value
+        argv = ["attack", "--seed", "5", "--dataset", str(dataset_file), "--limit", "1"]
+        if source == "dataset":
+            dataset_file.write_text(dataset_file.read_text() + "seed=6\n")
+            key = "seed"
+        else:
+            cfg_file = tmp_path / "cfg.txt"
+            cfg_file.write_text("steps=3\nsamples=2\n steps = 2\n")
+            argv += ["--config", str(cfg_file)]
+            key = "steps"
+        out_dir = tmp_path / "adv"
+        rc = main([*argv, "--out-dir", str(out_dir)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "repeated key" in err and repr(key) in err
         assert not out_dir.exists()
 
     def test_missing_dataset_is_io_error(self, tmp_path):

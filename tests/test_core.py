@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from aetlab.core import (
     AttackConfig,
     SimplexWeights,
     linf_project,
-    scale_augment,
     scale_augment_adjoint,
-    similarity_loss,
+    similarity,
     validate_simplex,
 )
-from oracles import convex_combine, linf_project_clip
+from oracles import convex_combine, linf_project_clip, scale_augment
 
 
 class TestSimplexWeights:
@@ -91,18 +91,45 @@ class TestAttackConfig:
             AttackConfig(**kwargs)
 
 
-class TestSimilarityLoss:
+class TestSimilarity:
     def test_dot_product_oracle(self, rng):
         a = rng.standard_normal(6)
         b = rng.standard_normal(6)
-        assert similarity_loss(a, b) == pytest.approx(float(a @ b) / 6.0)
+        assert similarity(a[None], b) == [pytest.approx(float(a @ b) / 6.0)]
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            similarity_loss(np.ones(3), np.ones(4))
+            similarity(np.ones((1, 3)), np.ones(4))
 
     def test_orthogonal_is_zero(self):
-        assert similarity_loss(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+        assert similarity(np.array([[1.0, 0.0]]), np.array([0.0, 1.0])) == [0.0]
+
+    @given(st.integers(1, 6), st.integers(1, 9), st.data())
+    def test_equals_per_row_products(self, n, d, data):
+        floats = st.floats(-1e3, 1e3, allow_nan=False)
+        img = data.draw(hnp.arrays(np.float64, (n, d), elements=floats))
+        shared = data.draw(hnp.arrays(np.float64, d, elements=floats))
+        paired = data.draw(hnp.arrays(np.float64, (n, d), elements=floats))
+        got = similarity(img, shared)
+        assert got == [float(r.dot(shared)) / d for r in img]
+        assert all(type(v) is float for v in got)
+        assert similarity(list(img), shared) == got  # a sequence of rows
+        assert similarity(img, paired) == [float(a.dot(b)) / d for a, b in zip(img, paired)]
+
+    @pytest.mark.parametrize(
+        "img_shape, txt_shape",
+        [((4,), (4,)), ((2, 3, 4), (4,)), ((2, 4), (5,)), ((2, 4), (3, 4)),
+         ((2, 4), (2, 5)), ((2, 4), (1, 4)), ((2, 4), (2, 4, 1)), ((2, 4), ())],
+    )
+    def test_mismatched_shapes_rejected(self, img_shape, txt_shape):
+        with pytest.raises(ValueError):
+            similarity(np.ones(img_shape), np.ones(txt_shape))
+
+    def test_row_of_another_length_rejected(self):
+        rows = [np.ones(4), np.ones(3), np.ones(4)]
+        for txt in (np.ones(4), np.ones((3, 4))):
+            with pytest.raises(ValueError):
+                similarity(rows, txt)
 
 
 class TestConvexCombine:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from aetlab import encoders, matio
-from aetlab.core import DEFAULT_SCALES, scale_augment, scale_augment_adjoint, similarity_loss
+from aetlab.core import DEFAULT_SCALES, scale_augment_adjoint, similarity
 from aetlab.encoders import (
     BagOfWordsTextEncoder,
     LinearImageEncoder,
@@ -12,13 +12,18 @@ from aetlab.encoders import (
     encode_text,
     grad_loss_wrt_image,
     gradient_table,
-    image_loss,
     make_base_encoders,
     make_model_pool,
     text_direction,
 )
 from aetlab.subspace import build_projection
-from oracles import finite_difference_grad, mismatch_grad_per_call, pair_loss
+from oracles import (
+    finite_difference_grad,
+    image_loss,
+    mismatch_grad_per_call,
+    pair_loss,
+    scale_augment,
+)
 
 
 class TestEncoding:
@@ -34,6 +39,15 @@ class TestEncoding:
         emb = encode_text(tiny_pair.text, tiny_caption)
         rows = tiny_pair.text.table[list(tiny_caption)]
         np.testing.assert_allclose(emb, rows.mean(axis=0))
+
+    @pytest.mark.parametrize("length", [1, 2, 5, 50])
+    def test_encode_text_keeps_the_bits_of_the_row_mean(self, tiny_pair, rng, length):
+        # the one-row case of embed_captions sums position by position, the
+        # order a mean over axis 0 adds the token rows in
+        for _ in range(20):
+            tokens = rng.integers(0, 64, length)
+            got = encode_text(tiny_pair.text, tokens)
+            assert np.array_equal(got, tiny_pair.text.table[tokens].mean(axis=0))
 
     def test_encode_text_rejects_out_of_vocab(self, tiny_pair):
         with pytest.raises(ValueError):
@@ -58,10 +72,10 @@ class TestEncoding:
 
     def test_pair_loss_matches_similarity(self, tiny_pair, tiny_image, tiny_caption):
         val = pair_loss(tiny_pair, tiny_image, tiny_caption)
-        expect = similarity_loss(
-            encode_image(tiny_pair.image, tiny_image),
+        expect = similarity(
+            encode_image(tiny_pair.image, tiny_image)[None],
             encode_text(tiny_pair.text, tiny_caption),
-        )
+        )[0]
         assert val == pytest.approx(expect)
 
     @pytest.mark.parametrize("scale", [1.0, 0.75])
@@ -78,7 +92,7 @@ class TestEncoding:
         if projector is not None:
             img, txt = projector.project(img), projector.project(txt)
         u = text_direction(tiny_pair.text, tiny_caption, projector)
-        assert image_loss(tiny_pair.image, tiny_image, u, projector, scale) == similarity_loss(img, txt)
+        assert image_loss(tiny_pair.image, tiny_image, u, projector, scale) == similarity(img[None], txt)[0]
 
     def test_encoder_validation(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from aetlab import encoders, harness, image_attack, text_attack
-from aetlab.core import AttackConfig
+from aetlab.core import AttackConfig, similarity
 from aetlab.harness import (
     DatasetDims,
     DegenerateAlphaError,
@@ -31,9 +31,11 @@ from aetlab.harness import (
     retrieval_rank,
     run_transfer_experiment,
     save_dataset_descriptor,
+    surrogate_projector,
     synth_dataset,
     write_report,
 )
+from aetlab.subspace import build_projection, sample_corpus
 from oracles import attack_pairs_per_sample, transfer_reports_per_pair
 
 SMALL_DIMS = DatasetDims(height=8, width=8, embed_dim=16, vocab_size=128, caption_len=4)
@@ -103,6 +105,22 @@ class TestSynthDataset:
         for scale in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="latent_scale"):
                 GeneratorParams(latent_scale=scale)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("semantic_rank", 0), ("semantic_rank", -1), ("table_jitter", -1.0),
+         ("table_jitter", float("nan")), ("table_jitter", float("inf"))],
+    )
+    def test_generator_params_name_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            GeneratorParams(**{field: value})
+
+    def test_semantic_rank_above_the_table_rank_rejected(self):
+        # SMALL_DIMS has embed_dim 16; a 12-token vocabulary caps the rank at 12
+        for dims, rank in ((SMALL_DIMS, 17), (DatasetDims(8, 8, 16, 12, 4), 13)):
+            with pytest.raises(ValueError, match="semantic_rank"):
+                synth_dataset(seed=0, n_pairs=4, dims=dims,
+                              gen=GeneratorParams(semantic_rank=rank, held_out_len=4))
 
     def test_descriptor_round_trip(self, small_ds, tmp_path):
         path = tmp_path / "ds.txt"
@@ -179,6 +197,35 @@ class TestRetrievalRank:
         # strictly greater only: a tie with the true pair does not count
         expect = [1 + sum(s > row[i] for s in row) for i, row in enumerate(sims)]
         assert retrieval_rank(q.astype(float), g.astype(float)).tolist() == expect
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_rank_of_kernel_scores(self, data):
+        # the block product ranks as core.similarity's scores do, since the
+        # positive 1/d scale keeps the order (exact on integer entries)
+        n = data.draw(st.integers(1, 100), label="n")
+        d = data.draw(st.integers(1, 6), label="d")
+        ints = arrays(np.int64, (n, d), elements=st.integers(-3, 3))
+        q, g = (data.draw(ints, label=name).astype(float) for name in ("queries", "gallery"))
+        expect = []
+        for i in range(n):
+            scores = similarity(g, q[i])
+            expect.append(1 + sum(s > scores[i] for s in scores))
+        assert retrieval_rank(q, g).tolist() == expect
+
+
+class TestSurrogateProjector:
+    def test_corpus_rows_are_the_encode_text_rows(self, small_ds, tiny_cfg):
+        # one embed_captions call gives the bits of a per-text encode_text loop
+        for stream in (0, 3):
+            corpus = sample_corpus(
+                small_ds.held_out_texts, tiny_cfg.corpus_proportion,
+                np.random.SeedSequence([tiny_cfg.master_seed, stream, 0xC0]),
+            )
+            rows = np.stack([encoders.encode_text(small_ds.base.text, c) for c in corpus])
+            got = surrogate_projector(small_ds, small_ds.base, tiny_cfg, stream)
+            assert np.array_equal(got.projector, build_projection(rows).projector)
 
 
 class TestAttackSuccessRate:

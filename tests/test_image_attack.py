@@ -8,14 +8,19 @@ from aetlab.encoders import grad_loss_wrt_image, gradient_table, text_direction
 from aetlab.image_attack import (
     REGION_ASSIGNMENTS,
     _normalized_sign,
-    mismatch_value,
     run_image_attack,
     sample_sub_triangle,
     text_guided_select,
 )
 from aetlab.subspace import build_projection
 from aetlab.harness import DatasetDims, TRANSFER_EMBED_DIM, resolve_variant, surrogate_projector, synth_dataset
-from oracles import attack_iterates, pair_loss, run_sga_attack, sample_sub_triangle_loop
+from oracles import (
+    attack_iterates,
+    mismatch_value,
+    pair_loss,
+    run_sga_attack,
+    sample_sub_triangle_loop,
+)
 
 REGION_ORDERINGS = {
     # region -> (smallest, middle, largest) component names

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from aetlab.core import similarity_loss
+from aetlab.core import similarity
 from aetlab.encoders import encode_image, encode_text
 from aetlab.subspace import DegenerateCorpusError, build_projection, sample_corpus
 from oracles import pair_loss
@@ -95,7 +95,7 @@ class TestProjectedLoss:
         pb = build_projection(rng.standard_normal((3, 16)))
         img = encode_image(tiny_pair.image, tiny_image)
         txt = encode_text(tiny_pair.text, tiny_caption)
-        expect = similarity_loss(pb.projector @ img, pb.projector @ txt)
+        expect = similarity((pb.projector @ img)[None], pb.projector @ txt)[0]
         assert pair_loss(tiny_pair, tiny_image, tiny_caption, pb) == pytest.approx(expect)
 
     def test_projection_only_needed_on_one_side(self, rng):
@@ -103,6 +103,6 @@ class TestProjectedLoss:
         pb = build_projection(rng.standard_normal((4, 8)))
         img = rng.standard_normal(8)
         txt = rng.standard_normal(8)
-        assert similarity_loss(pb.project(img), pb.project(txt)) == pytest.approx(
-            similarity_loss(img, pb.projector @ txt)
+        assert similarity(pb.project(img)[None], pb.project(txt))[0] == pytest.approx(
+            similarity(img[None], pb.projector @ txt)[0]
         )

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from aetlab.core import AttackConfig, similarity_loss
+from aetlab.core import AttackConfig
 from aetlab.encoders import (
     BagOfWordsTextEncoder,
     EncoderPair,
@@ -18,6 +18,7 @@ from aetlab.text_attack import (
 )
 from oracles import (
     enumerate_text_candidates,
+    pair_similarity,
     run_text_attack_per_candidate,
     select_adversarial_text,
 )
@@ -98,12 +99,12 @@ class TestScoring:
         prev = clean + 0.1 * rng.standard_normal(clean.shape)
         cur = clean - 0.1 * rng.standard_normal(clean.shape)
         txt = encode_text(tiny_pair.text, tiny_caption)
-        got = score_text_candidate(txt, clean, prev, cur, None, cfg)
+        got = score_text_candidate(txt, np.stack([clean, prev, cur]), None, cfg)
         assert type(got) is float
         expect = -(
-            0.6 * similarity_loss(clean, txt)
-            + 0.2 * similarity_loss(prev, txt)
-            + 0.2 * similarity_loss(cur, txt)
+            0.6 * pair_similarity(clean, txt)
+            + 0.2 * pair_similarity(prev, txt)
+            + 0.2 * pair_similarity(cur, txt)
         )
         assert got == pytest.approx(expect)
 
@@ -111,9 +112,11 @@ class TestScoring:
         cfg = AttackConfig()
         pb = build_projection(rng.standard_normal((4, tiny_pair.image.embed_dim)))
         clean = pb.project(encode_image(tiny_pair.image, tiny_image))
-        got = score_text_candidate(encode_text(tiny_pair.text, tiny_caption), clean, clean, clean, pb, cfg)
+        got = score_text_candidate(
+            encode_text(tiny_pair.text, tiny_caption), np.stack([clean, clean, clean]), pb, cfg
+        )
         txt = pb.project(encode_text(tiny_pair.text, tiny_caption))
-        expect = -similarity_loss(clean, txt)
+        expect = -pair_similarity(clean, txt)
         assert got == pytest.approx(expect)
 
     @pytest.mark.parametrize("use_projector", [False, True])
@@ -129,15 +132,15 @@ class TestScoring:
             for _ in range(3)
         ]
         proj = (lambda v: v) if pb is None else pb.project
-        pre = [proj(e) for e in imgs]
+        pre = np.stack([proj(e) for e in imgs])
         for cand in build_word_candidates(tiny_caption, word_neighbours(tiny_pair.text, 5)):
             txt = proj(encode_text(tiny_pair.text, cand))
             expect = -(
-                cfg.kappa * similarity_loss(proj(imgs[0]), txt)
-                + cfg.mu * similarity_loss(proj(imgs[1]), txt)
-                + cfg.nu * similarity_loss(proj(imgs[2]), txt)
+                cfg.kappa * pair_similarity(proj(imgs[0]), txt)
+                + cfg.mu * pair_similarity(proj(imgs[1]), txt)
+                + cfg.nu * pair_similarity(proj(imgs[2]), txt)
             )
-            assert score_text_candidate(encode_text(tiny_pair.text, cand), *pre, pb, cfg) == expect
+            assert score_text_candidate(encode_text(tiny_pair.text, cand), pre, pb, cfg) == expect
 
     @pytest.mark.parametrize("use_projector", [False, True])
     def test_mismatched_embedding_shapes_rejected(
@@ -148,16 +151,25 @@ class TestScoring:
         txt = encode_text(tiny_pair.text, tiny_caption)
         emb = encode_image(tiny_pair.image, tiny_image)
         short, row = emb[:-1], emb[None]
-        for embs in ((short, emb, emb), (emb, short, emb), (emb, emb, short), (row, emb, emb)):
+        for embs in (
+            np.stack([short] * 3),  # rows shorter than the caption embedding
+            np.stack([emb] * 2),  # two rows, or four
+            np.stack([emb] * 4),
+            emb,  # one row, not a (3, d) matrix
+            np.stack([row] * 3),  # 2-D rows
+        ):
             with pytest.raises(ValueError):
-                score_text_candidate(txt, *embs, pb, cfg)
+                score_text_candidate(txt, embs, pb, cfg)
         # consistent on every side, but not what the projector maps, or 2-D
         if pb is not None:
             bad_txt, bad_emb = np.append(txt, 1.0), np.append(emb, 1.0)
         else:
             bad_txt, bad_emb = txt[None], emb[None]
         with pytest.raises(ValueError):
-            score_text_candidate(bad_txt, bad_emb, bad_emb, bad_emb, pb, cfg)
+            score_text_candidate(bad_txt, np.stack([bad_emb] * 3), pb, cfg)
+        # three caption rows would pair with the three image rows
+        with pytest.raises(ValueError):
+            score_text_candidate(np.stack([txt] * 3), np.stack([emb] * 3), pb, cfg)
 
 
 class TestSelection:
@@ -202,7 +214,7 @@ class TestRunTextAttack:
         )
         clean = encode_image(tiny_pair.image, tiny_image)
         score = lambda c: score_text_candidate(
-            encode_text(tiny_pair.text, c), clean, clean, clean, None, cfg
+            encode_text(tiny_pair.text, c), np.stack([clean, clean, clean]), None, cfg
         )
         assert score(chosen) >= score(tiny_caption)
 
@@ -263,10 +275,10 @@ class TestCaptionTies:
             cur = np.clip(tiny_image + 0.05 * rng.standard_normal((8, 8)), 0, 1)
             near = word_neighbours(pair.text, cfg.word_list_size)
             chosen, changed = run_text_attack(caption, tiny_image, tiny_image, cur, pair, None, cfg, near)
-            embs = [encode_image(pair.image, x) for x in (tiny_image, tiny_image, cur)]
+            embs = np.stack([encode_image(pair.image, x) for x in (tiny_image, tiny_image, cur)])
             cands = enumerate_text_candidates(caption, pair.text, 11)
             scores = [
-                score_text_candidate(encode_text(pair.text, c), *embs, None, cfg) for c in cands
+                score_text_candidate(encode_text(pair.text, c), embs, None, cfg) for c in cands
             ]
             winners = [i for i, v in enumerate(scores) if v == max(scores)]
             assert chosen == cands[winners[0]]

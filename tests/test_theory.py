@@ -8,12 +8,10 @@ from aetlab.theory import (
     interaction_moments,
     linearized_expected_interaction,
     pair_mean,
-    residual_slope,
     shapley_interaction_matrix,
-    simulate_exact_updates,
-    simulate_linearized_updates,
     verify_theorem,
 )
+from oracles import residual_slope, simulate_exact_updates, simulate_linearized_updates
 
 
 def random_quadratic(seed, n=8):
