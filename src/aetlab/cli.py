@@ -35,7 +35,7 @@ from .harness import (
     write_report,
 )
 from .subspace import DegenerateCorpusError
-from .theory import QuadraticLoss, verify_theorem
+from .theory import MIN_T_MAX, QuadraticLoss, verify_theorem
 
 # Not called here: perfbench/tracing.py wraps these names at this import site.
 from .encoders import encode_text  # noqa: F401
@@ -115,8 +115,8 @@ def build_attack_config(args, seed: int) -> AttackConfig:
     if args.config is not None:
         for key, raw in matio.load_keyvalues(args.config).items():
             if key not in _CONFIG_PARSERS:
-                raise ValueError(f"unknown config key {key!r}")
-            values[key] = _CONFIG_PARSERS[key](raw)
+                raise ValueError(f"{args.config}: unknown config key {key!r}")
+            values[key] = matio.parse_value(args.config, key, raw, _CONFIG_PARSERS[key])
     for name in _CONFIG_PARSERS:
         flag_val = getattr(args, name)
         if flag_val is not None:
@@ -189,6 +189,10 @@ def cmd_theory(args) -> int:
     seed = _resolve_seed(args)
     if args.instances < 1:
         return _usage_exit("--instances must be >= 1")
+    if args.dim < 2:
+        return _usage_exit("--dim must be >= 2")
+    if args.t_max < MIN_T_MAX:
+        return _usage_exit(f"--t-max must be >= {MIN_T_MAX}")
     rng = np.random.default_rng(seed)
     rows = []
     all_passed = True

@@ -273,10 +273,13 @@ def load_dataset_descriptor(path: str | Path) -> SyntheticDataset:
         if key not in kv:
             raise ValueError(f"{path}: missing descriptor key {key!r}")
 
-    def parse(cls):
-        return cls(**{f.name: type(f.default)(kv[f.name]) for f in fields(cls)})
+    def value(key, kind):
+        return matio.parse_value(path, key, kv[key], kind)
 
-    return synth_dataset(int(kv["seed"]), int(kv["n_pairs"]), *map(parse, groups))
+    def parse(cls):
+        return cls(**{f.name: value(f.name, type(f.default)) for f in fields(cls)})
+
+    return synth_dataset(value("seed", int), value("n_pairs", int), *map(parse, groups))
 
 
 def retrieval_rank(queries: np.ndarray, gallery: np.ndarray) -> np.ndarray:

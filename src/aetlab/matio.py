@@ -54,6 +54,15 @@ def load_keyvalues(path: str | Path) -> dict[str, str]:
     return out
 
 
+def parse_value(path: str | Path, key: str, raw: str, parse):
+    """parse(raw) for the value of key in the key=value file at path; a
+    value it rejects is a ValueError that names the key and the file."""
+    try:
+        return parse(raw)
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad value {raw!r} for key {key!r}: {exc}") from None
+
+
 def save_csv(header, rows, path: str | Path) -> None:
     """Comma-separated header and rows: floats at repr precision (numpy
     float scalars as plain floats, not np.float64(...)), every other value

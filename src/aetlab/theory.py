@@ -17,6 +17,12 @@ import numpy as np
 
 HESSIAN_SYM_TOL = 1e-12
 IDENTITY_RTOL = 1e-9
+# verify_theorem checks steps 3..t_max, and the cubic rate's third
+# difference needs 4 of them.
+MIN_T_MAX = 6
+# (c, d) pairs per (block, n, n) stack of linearized_expected_interaction;
+# bounds its scratch stacks.
+_PAIR_BLOCK = 4
 
 
 @dataclass(frozen=True)
@@ -42,7 +48,8 @@ class QuadraticLoss:
 @dataclass(frozen=True)
 class UpdateCoefficients:
     """Per-step linearized coefficients: proposed (a, b, c, d) and baseline
-    (e, f, h, l)."""
+    (e, f, h, l). Built for an array of steps, t and every field but a and
+    e are arrays over those steps."""
 
     t: int
     a: float
@@ -55,9 +62,10 @@ class UpdateCoefficients:
     l: float
 
 
-def closed_form_coefficients(t: int, beta: float, gamma: float) -> UpdateCoefficients:
-    """Closed-form coefficients at step t >= 2."""
-    if t < 2:
+def closed_form_coefficients(t, beta: float, gamma: float) -> UpdateCoefficients:
+    """Closed-form coefficients at step t >= 2, or at each step of a 1-D
+    integer array t (the same bits per step as the scalar call)."""
+    if np.any(np.asarray(t) < 2):
         raise ValueError("t must be >= 2")
     for name, v in (("beta", beta), ("gamma", gamma)):
         if not (0.0 <= v <= 1.0):
@@ -66,11 +74,11 @@ def closed_form_coefficients(t: int, beta: float, gamma: float) -> UpdateCoeffic
         t=t,
         a=1.0,
         b=beta * (t - 2) + gamma * (t - 1),
-        c=float(t),
+        c=t * 1.0,
         d=((t - 1) * (t - 2) / 2.0) * beta + (t * (t - 1) / 2.0) * gamma,
         e=1.0,
-        f=float(t - 1),
-        h=float(t),
+        f=(t - 1) * 1.0,
+        h=t * 1.0,
         l=t * (t - 1) / 2.0,
     )
 
@@ -85,12 +93,18 @@ def shapley_interaction_matrix(delta: np.ndarray, H: np.ndarray) -> np.ndarray:
     return H * np.outer(delta, delta)
 
 
-def pair_mean(interactions: np.ndarray) -> float:
-    """Mean over ordered pairs i != j."""
-    n = interactions.shape[0]
+def pair_mean(interactions: np.ndarray):
+    """Mean over ordered pairs i != j of an (n, n) matrix (a float), or of
+    each matrix of a C-contiguous (k, n, n) stack (a (k,) array, bit for bit
+    the per-matrix values)."""
+    m = np.asarray(interactions)
+    if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
+        raise ValueError("need an (n, n) matrix or a (k, n, n) stack")
+    n = m.shape[-1]
     if n < 2:
         raise ValueError("need n >= 2 for pairwise expectation")
-    return float((interactions.sum() - np.trace(interactions)) / (n * (n - 1)))
+    means = (m.sum(axis=(-2, -1)) - np.trace(m, axis1=-2, axis2=-1)) / (n * (n - 1))
+    return float(means) if m.ndim == 2 else means
 
 
 def expected_interaction(delta: np.ndarray, H: np.ndarray) -> float:
@@ -106,13 +120,29 @@ def interaction_moments(ql: QuadraticLoss) -> tuple[float, float]:
     return a, b
 
 
-def linearized_expected_interaction(c: float, d: float, ql: QuadraticLoss) -> float:
+def linearized_expected_interaction(c, d, ql: QuadraticLoss):
     """Pair-mean of the first-order interaction of delta = c*g + d*Hg, with
-    the H^2 (d^2) term dropped as in the linearization."""
+    the H^2 (d^2) term dropped as in the linearization.
+
+    Scalars c, d give a float; equal-length 1-D arrays give one value per
+    (c, d) pair, bit for bit the scalar call's, evaluated _PAIR_BLOCK pairs
+    per (block, n, n) stack."""
     g, H = ql.g, ql.H
     hg = H @ g
-    trunc = H * (c * c * np.outer(g, g) + c * d * (np.outer(g, hg) + np.outer(hg, g)))
-    return pair_mean(trunc)
+    gg = np.outer(g, g)
+    cross = np.outer(g, hg) + np.outer(hg, g)
+    if np.ndim(c) == 0 and np.ndim(d) == 0:
+        return pair_mean(H * (c * c * gg + c * d * cross))
+    c = np.asarray(c, dtype=np.float64)
+    d = np.asarray(d, dtype=np.float64)
+    if c.ndim != 1 or c.shape != d.shape:
+        raise ValueError("c and d must be scalars or 1-D arrays of one length")
+    out = np.empty(c.size)
+    for lo in range(0, c.size, _PAIR_BLOCK):
+        cb = c[lo : lo + _PAIR_BLOCK, None, None]
+        db = d[lo : lo + _PAIR_BLOCK, None, None]
+        out[lo : lo + cb.shape[0]] = pair_mean(H * (cb * cb * gg + cb * db * cross))
+    return out
 
 
 def _cubic_coefficient(ts: np.ndarray, values: np.ndarray) -> float:
@@ -150,22 +180,20 @@ def verify_theorem(
     (iii) E[I(delta_t)] < E[I(zeta_t)] for t >= 3 when B > 0 and
           beta + gamma < 1.
     """
-    if t_max < 5:
-        raise ValueError("t_max must be >= 5")
+    if t_max < MIN_T_MAX:
+        raise ValueError(f"t_max must be >= {MIN_T_MAX}")
     a_m, b_m = interaction_moments(ql)
     ts = np.arange(3, t_max + 1)
-    e_prop = np.empty(ts.size)
-    e_base = np.empty(ts.size)
-    max_rel = 0.0
-    for k, t in enumerate(ts):
-        coef = closed_form_coefficients(int(t), beta, gamma)
-        e_prop[k] = linearized_expected_interaction(coef.c, coef.d, ql)
-        e_base[k] = linearized_expected_interaction(coef.h, coef.l, ql)
-        pred_prop = coef.c**2 * a_m + 2.0 * coef.c * coef.d * b_m
-        pred_base = t**2 * a_m + t**2 * (t - 1) * b_m
-        for pred, got in ((pred_prop, e_prop[k]), (pred_base, e_base[k])):
-            denom = max(abs(pred), abs(got), 1e-300)
-            max_rel = max(max_rel, abs(pred - got) / denom)
+    coef = closed_form_coefficients(ts, beta, gamma)
+    e_prop = linearized_expected_interaction(coef.c, coef.d, ql)
+    e_base = linearized_expected_interaction(coef.h, coef.l, ql)
+    pred = np.stack([
+        coef.c**2 * a_m + 2.0 * coef.c * coef.d * b_m,
+        ts**2 * a_m + ts**2 * (ts - 1) * b_m,
+    ])
+    got = np.stack([e_prop, e_base])
+    denom = np.maximum(np.maximum(np.abs(pred), np.abs(got)), 1e-300)
+    max_rel = float(np.max(np.abs(pred - got) / denom))
     gap = e_base - e_prop
     check_ordering = b_m > 0 and beta + gamma < 1.0
     ordering_ok = bool(np.all(gap > 0)) if check_ordering else True

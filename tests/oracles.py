@@ -19,7 +19,14 @@ from aetlab.harness import (
     surrogate_projector,
 )
 from aetlab.image_attack import REGION_ASSIGNMENTS, StepRecord, run_image_attack
-from aetlab.theory import QuadraticLoss, UpdateCoefficients, closed_form_coefficients
+from aetlab.theory import (
+    IDENTITY_RTOL,
+    QuadraticLoss,
+    TheoremReport,
+    UpdateCoefficients,
+    _cubic_coefficient,
+    closed_form_coefficients,
+)
 
 FD_STEP = 1e-5
 
@@ -414,3 +421,62 @@ def residual_slope(
     le = np.log(np.asarray(list(etas), dtype=np.float64))
     slope, _ = np.polyfit(le, logs, 1)
     return float(slope)
+
+
+def _pair_mean_matrix(interactions: np.ndarray) -> float:
+    """Mean over ordered pairs i != j of one (n, n) matrix."""
+    n = interactions.shape[0]
+    if n < 2:
+        raise ValueError("need n >= 2 for pairwise expectation")
+    return float((interactions.sum() - np.trace(interactions)) / (n * (n - 1)))
+
+
+def linearized_interaction_per_step(c: float, d: float, ql: QuadraticLoss) -> float:
+    """theory.linearized_expected_interaction for one scalar (c, d): its own
+    three outer products and one (n, n) pair mean."""
+    g, H = ql.g, ql.H
+    hg = H @ g
+    trunc = H * (c * c * np.outer(g, g) + c * d * (np.outer(g, hg) + np.outer(hg, g)))
+    return _pair_mean_matrix(trunc)
+
+
+def verify_theorem_per_step(
+    ql: QuadraticLoss, beta: float, gamma: float, t_max: int = 50
+) -> TheoremReport:
+    """theory.verify_theorem one step at a time: scalar closed-form
+    coefficients, two linearized_interaction_per_step calls and the two
+    relative identity errors per step t = 3..t_max."""
+    if t_max < 6:
+        raise ValueError("t_max must be >= 6")
+    g, H = ql.g, ql.H
+    a_m = _pair_mean_matrix(H * np.outer(g, g))
+    b_m = _pair_mean_matrix(H * np.outer(g, H @ g))
+    ts = np.arange(3, t_max + 1)
+    e_prop = np.empty(ts.size)
+    e_base = np.empty(ts.size)
+    max_rel = 0.0
+    for k, t in enumerate(ts):
+        coef = closed_form_coefficients(int(t), beta, gamma)
+        e_prop[k] = linearized_interaction_per_step(coef.c, coef.d, ql)
+        e_base[k] = linearized_interaction_per_step(coef.h, coef.l, ql)
+        pred_prop = coef.c**2 * a_m + 2.0 * coef.c * coef.d * b_m
+        pred_base = t**2 * a_m + t**2 * (t - 1) * b_m
+        for pred, got in ((pred_prop, e_prop[k]), (pred_base, e_base[k])):
+            denom = max(abs(pred), abs(got), 1e-300)
+            max_rel = max(max_rel, abs(pred - got) / denom)
+    gap = e_base - e_prop
+    check_ordering = b_m > 0 and beta + gamma < 1.0
+    ordering_ok = bool(np.all(gap > 0)) if check_ordering else True
+    return TheoremReport(
+        ts=ts,
+        e_proposed=e_prop,
+        e_baseline=e_base,
+        gap=gap,
+        a_moment=a_m,
+        b_moment=b_m,
+        identity_max_rel_err=max_rel,
+        ordering_ok=ordering_ok,
+        cubic_proposed=_cubic_coefficient(ts, e_prop),
+        cubic_baseline=_cubic_coefficient(ts, e_base),
+        passed=max_rel < IDENTITY_RTOL and ordering_ok,
+    )

@@ -127,6 +127,21 @@ class TestSynth:
         assert not out_dir.exists()
 
 
+    def test_unparsable_descriptor_value_names_key_and_file(
+        self, dataset_file, tmp_path, capsys
+    ):
+        lines = [ln for ln in dataset_file.read_text().splitlines()
+                 if not ln.startswith("semantic_rank=")]
+        dataset_file.write_text("\n".join([*lines, "semantic_rank=8.0"]) + "\n")
+        out_dir = tmp_path / "adv"
+        rc = main(["attack", "--seed", "5", "--dataset", str(dataset_file),
+                   "--limit", "1", "--out-dir", str(out_dir)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "'semantic_rank'" in err and str(dataset_file) in err and "'8.0'" in err
+        assert not out_dir.exists()
+
+
 class TestAttack:
     def test_outputs_per_pair(self, dataset_file, tmp_path):
         out_dir = tmp_path / "adv"
@@ -317,6 +332,24 @@ class TestTheory:
         assert rc == EXIT_USAGE
         assert "pass" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag, value, bound", [
+        ("--dim", "1", 2), ("--dim", "0", 2), ("--dim", "-3", 2),
+        ("--t-max", "5", 6), ("--t-max", "4", 6), ("--t-max", "-1", 6),
+    ])
+    def test_out_of_range_size_is_usage_error(self, tmp_path, capsys, flag, value, bound):
+        out = tmp_path / "theory.csv"
+        rc = main(["theory", "--seed", "0", "--instances", "1", flag, value, "--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert f"{flag} must be >= {bound}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_smallest_sizes_pass(self, tmp_path):
+        out = tmp_path / "theory.csv"
+        rc = main(["theory", "--seed", "0", "--instances", "2", "--dim", "2",
+                   "--t-max", "6", "--out", str(out)])
+        assert rc in (EXIT_OK, EXIT_VERIFY)
+        assert len(out.read_text().splitlines()) == 3
+
 
 # The CSV columns that hold floats, by file: every cell of them must be a
 # plain number, also when the row carries a numpy scalar.
@@ -414,7 +447,23 @@ class TestConfigPrecedence:
         trace = (out_dir / "trace_0.csv").read_text().splitlines()
         assert len(trace) == 1 + 2  # the --steps flag won
 
-    def test_unknown_config_key_is_usage_error(self, dataset_file, tmp_path):
+    @pytest.mark.parametrize("line, key", [
+        ("steps=3.5", "steps"), ("kappa=big", "kappa"), ("scales=1.0,x", "scales"),
+    ])
+    def test_unparsable_config_value_names_key_and_file(
+        self, dataset_file, tmp_path, capsys, line, key
+    ):
+        cfg_file = tmp_path / "cfg.txt"
+        cfg_file.write_text(line + "\n")
+        out_dir = tmp_path / "adv"
+        rc = main(["attack", "--seed", "5", "--dataset", str(dataset_file), "--limit", "1",
+                   "--config", str(cfg_file), "--out-dir", str(out_dir)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert repr(key) in err and str(cfg_file) in err
+        assert not out_dir.exists()
+
+    def test_unknown_config_key_is_usage_error(self, dataset_file, tmp_path, capsys):
         # master_seed is not a config key: the seed comes from --seed alone
         cfg_file = tmp_path / "cfg.txt"
         for line in ("warp_factor=9\n", "master_seed=7\n", "text_budget=1\n"):
@@ -424,6 +473,8 @@ class TestConfigPrecedence:
                 "--config", str(cfg_file),
             ])
             assert rc == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert str(cfg_file) in err and repr(line.split("=")[0]) in err
 
 
 class TestDerivedOptions:

@@ -1,8 +1,13 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from aetlab.theory import (
     QuadraticLoss,
+    TheoremReport,
     closed_form_coefficients,
     expected_interaction,
     interaction_moments,
@@ -11,10 +16,17 @@ from aetlab.theory import (
     shapley_interaction_matrix,
     verify_theorem,
 )
-from oracles import residual_slope, simulate_exact_updates, simulate_linearized_updates
+from oracles import (
+    linearized_interaction_per_step,
+    residual_slope,
+    simulate_exact_updates,
+    simulate_linearized_updates,
+    verify_theorem_per_step,
+)
 
 
 def random_quadratic(seed, n=8):
+    """An instance drawn the way `aetlab theory` draws one."""
     r = np.random.default_rng(seed)
     g = r.standard_normal(n)
     h = r.standard_normal((n, n))
@@ -57,7 +69,19 @@ class TestCoefficients:
         coef = closed_form_coefficients(10, 0.0, 0.0)
         assert coef.b == 0.0 and coef.d == 0.0 and coef.c == 10.0
 
+    @pytest.mark.parametrize("beta, gamma", [(0.25, 0.25), (0.3, 0.2), (0.0, 1.0)])
+    def test_step_array_equals_scalar_steps(self, beta, gamma):
+        ts = np.arange(2, 60)
+        table = closed_form_coefficients(ts, beta, gamma)
+        for k, t in enumerate(ts):
+            ref = closed_form_coefficients(int(t), beta, gamma)
+            for name in ("b", "c", "d", "f", "h", "l"):
+                assert getattr(table, name)[k] == getattr(ref, name)
+        assert table.a == ref.a and table.e == ref.e
+
     def test_invalid_arguments(self):
+        with pytest.raises(ValueError):
+            closed_form_coefficients(np.array([3, 1]), 0.2, 0.2)
         with pytest.raises(ValueError):
             closed_form_coefficients(1, 0.2, 0.2)
         with pytest.raises(ValueError):
@@ -103,6 +127,50 @@ class TestInteractions:
     def test_pair_mean_needs_two_units(self):
         with pytest.raises(ValueError):
             pair_mean(np.array([[1.0]]))
+
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 5), st.integers(2, 40)).map(lambda kn: (kn[0], kn[1], kn[1])),
+            elements=st.floats(-1e6, 1e6, allow_nan=False),
+        )
+    )
+    def test_stack_equals_per_matrix_values(self, stack):
+        got = pair_mean(stack)
+        assert got.shape == (stack.shape[0],)
+        assert [float(v) for v in got] == [pair_mean(m) for m in stack]
+        assert all(type(pair_mean(m)) is float for m in stack)
+
+    @pytest.mark.parametrize("shape", [(3, 1, 1), (1, 1, 1), (2, 0, 0)])
+    def test_stack_needs_two_units(self, shape):
+        with pytest.raises(ValueError, match="n >= 2"):
+            pair_mean(np.ones(shape))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 3, 4), (1, 2, 2, 2)])
+    def test_pair_mean_needs_square_matrices(self, shape):
+        with pytest.raises(ValueError):
+            pair_mean(np.ones(shape))
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 64])
+    @pytest.mark.parametrize("size", [1, 3, 4, 5, 8, 9, 198])
+    def test_linearized_arrays_equal_scalar_calls(self, n, size):
+        ql = random_quadratic(20 + n, n=n)
+        r = np.random.default_rng(size)
+        c = r.uniform(0, 200, size)
+        d = r.uniform(-1e4, 1e4, size)
+        got = linearized_expected_interaction(c, d, ql)
+        assert got.shape == (size,)
+        scalar = [linearized_expected_interaction(float(ci), float(di), ql) for ci, di in zip(c, d)]
+        assert all(type(v) is float for v in scalar)
+        assert got.tolist() == scalar
+        assert scalar == [linearized_interaction_per_step(ci, di, ql) for ci, di in zip(c, d)]
+
+    @pytest.mark.parametrize("c, d", [
+        (np.ones(3), np.ones(4)), (np.ones((2, 2)), np.ones((2, 2))), (np.ones(3), 1.0),
+    ])
+    def test_linearized_arrays_of_other_shapes_rejected(self, c, d):
+        with pytest.raises(ValueError):
+            linearized_expected_interaction(c, d, random_quadratic(0, n=3))
 
     def test_moments_match_double_loop(self):
         ql = random_quadratic(4, n=6)
@@ -166,3 +234,29 @@ class TestTheorem:
         ql = random_quadratic(11, n=8)
         slope = residual_slope(ql, 0.3, 0.2, t=8, etas=np.logspace(-5, -2, 6))
         assert slope == pytest.approx(2.0, abs=0.1)
+
+
+class TestTheoremOracle:
+    @pytest.mark.parametrize("beta, gamma", [(0.25, 0.25), (0.3, 0.2), (0.5, 0.5), (0.0, 0.0)])
+    @pytest.mark.parametrize("t_max", [6, 7, 8, 50, 200])
+    @pytest.mark.parametrize("n", [2, 3, 7, 64])
+    def test_every_field_equals_the_per_step_oracle(self, n, t_max, beta, gamma):
+        for seed in range(2):
+            ql = random_quadratic(seed, n)
+            got = verify_theorem(ql, beta, gamma, t_max=t_max)
+            ref = verify_theorem_per_step(ql, beta, gamma, t_max=t_max)
+            for f in fields(TheoremReport):
+                a, b = getattr(got, f.name), getattr(ref, f.name)
+                assert np.asarray(a).dtype == np.asarray(b).dtype, f.name
+                assert np.array_equal(a, b), f.name
+
+    @pytest.mark.parametrize("t_max", [5, 4, 0])
+    def test_too_few_steps_rejected(self, t_max):
+        # steps 3..t_max must hold the 4 points of the cubic rate's third difference
+        with pytest.raises(ValueError, match="t_max must be >= 6"):
+            verify_theorem(random_quadratic(0, 4), 0.25, 0.25, t_max=t_max)
+
+    @pytest.mark.parametrize("beta, gamma", [(-0.1, 0.2), (0.2, 1.5)])
+    def test_history_weights_outside_unit_interval_rejected(self, beta, gamma):
+        with pytest.raises(ValueError, match="must be in"):
+            verify_theorem(random_quadratic(0, 4), beta, gamma, t_max=10)
