@@ -9,7 +9,6 @@ Exit codes: 0 success, 2 usage error, 3 I/O error, 4 verification failure.
 from __future__ import annotations
 
 import argparse
-import secrets
 import sys
 from dataclasses import fields
 from itertools import islice
@@ -55,7 +54,7 @@ def _parse_scales(text: str) -> tuple[float, ...]:
 
 # AttackConfig fields settable from a config file or flags, each parsed with
 # the type of its default (scales: comma-separated floats). The seed is not
-# among them: it comes from --seed/--entropy alone.
+# among them: it comes from --seed alone.
 _CONFIG_PARSERS = {
     f.name: _parse_scales if f.name == "scales" else type(f.default)
     for f in fields(AttackConfig)
@@ -79,12 +78,7 @@ def _seed_arg(text: str) -> int:
 
 
 def _add_seed(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=_seed_arg, default=None, help="master seed")
-    parser.add_argument(
-        "--entropy",
-        action="store_true",
-        help="explicitly opt in to a fresh random seed instead of --seed",
-    )
+    parser.add_argument("--seed", type=_seed_arg, required=True, help="master seed")
 
 
 def _add_attack_config(parser: argparse.ArgumentParser) -> None:
@@ -94,22 +88,12 @@ def _add_attack_config(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(_flag(name), type=parse, default=None, dest=name)
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    if args.entropy:
-        return secrets.randbits(32)
-    raise SystemExit(
-        _usage_exit("--seed is required (pass --entropy to opt in to a random seed)")
-    )
-
-
 def _usage_exit(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return EXIT_USAGE
 
 
-def build_attack_config(args, seed: int) -> AttackConfig:
+def build_attack_config(args) -> AttackConfig:
     """Precedence: built-in defaults < config file < explicit flags."""
     values: dict = {}
     if args.config is not None:
@@ -121,16 +105,15 @@ def build_attack_config(args, seed: int) -> AttackConfig:
         flag_val = getattr(args, name)
         if flag_val is not None:
             values[name] = flag_val
-    return AttackConfig(master_seed=seed, **values)
+    return AttackConfig(master_seed=args.seed, **values)
 
 
 def cmd_synth(args) -> int:
-    seed = _resolve_seed(args)
     dims, gen = (
         cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
         for cls in (DatasetDims, GeneratorParams)
     )
-    ds = synth_dataset(seed, args.pairs, dims=dims, gen=gen)
+    ds = synth_dataset(args.seed, args.pairs, dims=dims, gen=gen)
     save_dataset_descriptor(ds, args.out)
     tr, ir = clean_recall_at_1(ds, ds.base)
     print(
@@ -145,8 +128,7 @@ def cmd_synth(args) -> int:
 def cmd_attack(args) -> int:
     if args.limit is not None and args.limit < 0:
         return _usage_exit("--limit must be >= 0")
-    seed = _resolve_seed(args)
-    cfg = build_attack_config(args, seed)
+    cfg = build_attack_config(args)
     ds = load_dataset_descriptor(args.dataset)
     # raises on a bad variant or scale before out_dir exists
     pairs = attack_pairs(ds, ds.base, cfg, args.variant)
@@ -168,8 +150,7 @@ def cmd_attack(args) -> int:
 
 
 def cmd_transfer(args) -> int:
-    seed = _resolve_seed(args)
-    cfg = build_attack_config(args, seed)
+    cfg = build_attack_config(args)
     ds = load_dataset_descriptor(args.dataset)
     pool = default_model_pool(
         ds, n_models=args.models, rel_noise=args.noise, text_noise=args.text_noise
@@ -186,14 +167,13 @@ _THEORY_COLUMNS = ("a_moment", "b_moment", "identity_max_rel_err", "ordering_ok"
 
 
 def cmd_theory(args) -> int:
-    seed = _resolve_seed(args)
     if args.instances < 1:
         return _usage_exit("--instances must be >= 1")
     if args.dim < 2:
         return _usage_exit("--dim must be >= 2")
     if args.t_max < MIN_T_MAX:
         return _usage_exit(f"--t-max must be >= {MIN_T_MAX}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     rows = []
     all_passed = True
     max_gap_mag = 0.0
@@ -215,19 +195,18 @@ def cmd_theory(args) -> int:
 
 
 def cmd_subspace(args) -> int:
-    seed = _resolve_seed(args)
-    cfg = build_attack_config(args, seed)
+    cfg = build_attack_config(args)
     ds = load_dataset_descriptor(args.dataset)
     try:
-        pb = surrogate_projector(ds, ds.base, cfg)
+        p = surrogate_projector(ds, ds.base, cfg)
     except DegenerateCorpusError as exc:
         print(f"error: degenerate corpus: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    matio.save_matrix(pb.projector, args.out)
-    residual = float(np.max(np.abs(pb.projector @ pb.projector - pb.projector)))
+    matio.save_matrix(p, args.out)
+    residual = float(np.max(np.abs(p @ p - p)))
     print(
         f"wrote {args.out}: corpus proportion {cfg.corpus_proportion} of "
-        f"{len(ds.held_out_texts)} held-out texts, rank {pb.rank}, "
+        f"{len(ds.held_out_texts)} held-out texts, rank {int(round(np.trace(p)))}, "
         f"idempotence residual {residual:.3e}"
     )
     return EXIT_OK
@@ -290,9 +269,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
-    except (FileNotFoundError, OSError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:

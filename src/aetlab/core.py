@@ -18,6 +18,19 @@ SIMPLEX_TOL = 1e-12
 
 DEFAULT_SCALES = (0.50, 0.75, 1.00, 1.25, 1.50)
 
+# Sub-triangle orderings: which of (max, median, min) of a uniform simplex
+# draw lands on (lam, beta, gamma). Region A puts the largest weight on the
+# clean image and the smallest on the current adversarial image.
+REGION_ASSIGNMENTS: dict[str, tuple[int, int, int]] = {
+    # region: index of (lam, beta, gamma) into the descending-sorted draw
+    "A": (0, 1, 2),  # gamma < beta < lam
+    "B": (1, 0, 2),  # gamma < lam < beta
+    "C": (2, 0, 1),  # lam < gamma < beta
+    "D": (2, 1, 0),  # lam < beta < gamma
+    "E": (1, 2, 0),  # beta < lam < gamma
+    "F": (0, 2, 1),  # beta < gamma < lam
+}
+
 
 @dataclass(frozen=True)
 class SimplexWeights:
@@ -84,7 +97,7 @@ class AttackConfig:
             raise ValueError("corpus_proportion must be in (0, 1]")
         if not self.scales or not all(0 < s < math.inf for s in self.scales):
             raise ValueError("scales must be a nonempty tuple of finite positive values")
-        if self.region not in tuple("ABCDEF"):
+        if self.region not in REGION_ASSIGNMENTS:
             raise ValueError(f"unknown sub-triangle region {self.region!r}")
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import scale_augment_adjoint, validate_image
-from .subspace import ProjectionBasis, build_projection
+from .subspace import build_projection
 
 
 @dataclass(frozen=True)
@@ -102,23 +102,19 @@ def embed_pairs(enc: EncoderPair, images, captions) -> tuple[np.ndarray, np.ndar
 
 
 def text_direction(
-    enc_t: BagOfWordsTextEncoder, caption, projector: ProjectionBasis | None
+    enc_t: BagOfWordsTextEncoder, caption, projector: np.ndarray | None
 ) -> np.ndarray:
-    """Text embedding, pushed through the semantic projector when given."""
+    """Text embedding, times the (d, d) semantic projector when given."""
     u = encode_text(enc_t, caption)
-    if projector is not None:
-        u = projector.project(u)
-    return u
+    return u if projector is None else projector @ u
 
 
 def image_embedding(
-    enc_i: LinearImageEncoder, x: np.ndarray, projector: ProjectionBasis | None
+    enc_i: LinearImageEncoder, x: np.ndarray, projector: np.ndarray | None
 ) -> np.ndarray:
-    """Image embedding, pushed through the semantic projector when given."""
+    """Image embedding, times the (d, d) semantic projector when given."""
     v = encode_image(enc_i, x)
-    if projector is not None:
-        v = projector.project(v)
-    return v
+    return v if projector is None else projector @ v
 
 
 def gradient_table(
@@ -224,9 +220,7 @@ def make_model_pool(
     for name, value in (("rel_noise", rel_noise), ("text_noise", text_noise)):
         if not 0 <= value < np.inf:  # a NaN fails too
             raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-    nonsem = np.eye(base.text.embed_dim) - build_projection(
-        base.text.table, rank=semantic_dims
-    ).projector
+    nonsem = np.eye(base.text.embed_dim) - build_projection(base.text.table, rank=semantic_dims)
     pool = []
     w_std = float(np.std(base.image.weight))
     t_std = float(np.std(base.text.table))

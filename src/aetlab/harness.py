@@ -26,7 +26,7 @@ from .encoders import (
     make_model_pool,
 )
 from .image_attack import StepRecord, run_image_attack
-from .subspace import ProjectionBasis, build_projection, sample_corpus
+from .subspace import build_projection, sample_corpus
 from .text_attack import Caption, run_text_attack, word_neighbours
 
 # Not called here: perfbench/tracing.py wraps this name at this import site.
@@ -367,10 +367,10 @@ def surrogate_projector(
     surrogate: EncoderPair,
     cfg: AttackConfig,
     stream: int = 0,
-) -> ProjectionBasis:
-    """Semantic projector of one surrogate: the span of its embeddings of a
-    corpus_proportion sample of the held-out texts, drawn from
-    SeedSequence([master_seed, stream, 0xC0])."""
+) -> np.ndarray:
+    """Semantic (d, d) projector of one surrogate: onto the span of its
+    embeddings of a corpus_proportion sample of the held-out texts, drawn
+    from SeedSequence([master_seed, stream, 0xC0])."""
     corpus = sample_corpus(
         ds.held_out_texts,
         cfg.corpus_proportion,
@@ -470,10 +470,7 @@ def run_transfer_experiment(
 def write_report(reports, path: str | Path) -> None:
     """CSV table, one row per (surrogate, target) cell."""
     header = [f.name for f in fields(ExperimentReport)]
-    try:
-        matio.save_csv(header, ([getattr(r, h) for h in header] for r in reports), path)
-    except OSError as exc:
-        raise IOError(f"cannot write report to {path}: {exc}") from exc
+    matio.save_csv(header, ([getattr(r, h) for h in header] for r in reports), path)
 
 
 def mean_transfer_asr(reports) -> float:

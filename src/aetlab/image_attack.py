@@ -22,7 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AttackConfig, SimplexWeights, linf_project, similarity, validate_simplex
+from .core import (
+    REGION_ASSIGNMENTS,
+    AttackConfig,
+    SimplexWeights,
+    linf_project,
+    similarity,
+    validate_simplex,
+)
 from .encoders import (
     EncoderPair,
     LinearImageEncoder,
@@ -31,21 +38,6 @@ from .encoders import (
     image_embedding,
     text_direction,
 )
-from .subspace import ProjectionBasis
-
-# Sub-triangle orderings: which of (max, median, min) of a uniform simplex
-# draw lands on (lam, beta, gamma). Region A puts the largest weight on the
-# clean image and the smallest on the current adversarial image.
-REGION_ASSIGNMENTS: dict[str, tuple[int, int, int]] = {
-    # region: index of (lam, beta, gamma) into the descending-sorted draw
-    "A": (0, 1, 2),  # gamma < beta < lam
-    "B": (1, 0, 2),  # gamma < lam < beta
-    "C": (2, 0, 1),  # lam < gamma < beta
-    "D": (2, 1, 0),  # lam < beta < gamma
-    "E": (1, 2, 0),  # beta < lam < gamma
-    "F": (0, 2, 1),  # beta < gamma < lam
-}
-
 
 @dataclass(frozen=True)
 class StepRecord:
@@ -55,15 +47,6 @@ class StepRecord:
     beta: float
     gamma: float
     chosen_index: int
-
-
-def _normalized_sign(g: np.ndarray) -> np.ndarray:
-    """sign(g / ||g||) of one (H, W) image or of each image in a stack, with
-    an all-zero image giving zeros; normalization cannot flip signs. Each
-    norm is sqrt(r . r), the arithmetic of np.linalg.norm."""
-    flat = g.reshape(-1, g.shape[-2] * g.shape[-1])
-    n = np.sqrt([r.dot(r) for r in flat]).reshape(g.shape[:-2] + (1, 1))
-    return np.sign(np.divide(g, n, out=np.zeros_like(g), where=n != 0.0))
 
 
 def sample_sub_triangle(m: int, rng: np.random.Generator, region: str = "A") -> np.ndarray:
@@ -103,7 +86,7 @@ def _sign_step(
     g = np.zeros_like(at)
     for scale in cfg.scales:
         g -= grad_loss_wrt_image(enc_i, at, grads, scale)
-    return linf_project(x + cfg.step_size * _normalized_sign(g), clean, cfg.eps_image)
+    return linf_project(x + cfg.step_size * np.sign(g), clean, cfg.eps_image)
 
 
 def text_guided_select(
@@ -112,7 +95,7 @@ def text_guided_select(
     directions: np.ndarray,
     u: np.ndarray,
     enc_i: LinearImageEncoder,
-    projector: ProjectionBasis | None,
+    projector: np.ndarray | None,
     cfg: AttackConfig,
 ) -> int:
     """Index of the direction whose feasible application to the current
@@ -132,7 +115,7 @@ def text_guided_select(
         raise ValueError("candidate or text direction does not match the encoder")
     embs = [w @ c.ravel() for c in cands]
     if projector is not None:
-        embs = [projector.projector @ e for e in embs]
+        embs = [projector @ e for e in embs]
     sims = similarity(embs, u)
     return sims.index(min(sims))
 
@@ -141,7 +124,7 @@ def run_image_attack(
     x: np.ndarray,
     caption,
     enc_pair: EncoderPair,
-    projector: ProjectionBasis | None,
+    projector: np.ndarray | None,
     cfg: AttackConfig,
     rng: np.random.Generator,
     forced_weights: SimplexWeights | None = None,
@@ -177,7 +160,7 @@ def run_image_attack(
     for step, weights in enumerate(all_weights.reshape(-1, cfg.samples, 3), start=2):
         lam, beta, gamma = weights.T[:, :, None, None]
         samples = lam * x + beta * prev + gamma * cur
-        dirs = cfg.step_size * _normalized_sign(
+        dirs = cfg.step_size * np.sign(
             np.stack([-grad_loss_wrt_image(enc_i, s, grads) for s in samples])
         )
         o = text_guided_select(cur, x, dirs, u, enc_i, projector, cfg)

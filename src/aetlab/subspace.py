@@ -6,7 +6,6 @@ both modalities are projected symmetrically before the dot-product loss.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,21 +14,6 @@ SV_CUTOFF_REL = 1e-10
 
 class DegenerateCorpusError(ValueError):
     """Corpus embedding matrix has no usable span (e.g. all zeros)."""
-
-
-@dataclass(frozen=True)
-class ProjectionBasis:
-    basis: np.ndarray  # (r, d), orthonormal rows
-    projector: np.ndarray  # (d, d), symmetric idempotent
-    rank: int
-
-    def project(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != (self.projector.shape[0],):
-            raise ValueError(
-                f"dimension mismatch: vector {v.shape} vs projector {self.projector.shape}"
-            )
-        return self.projector @ v
 
 
 def sample_corpus(all_texts, proportion: float, seed) -> tuple[tuple[int, ...], ...]:
@@ -47,8 +31,9 @@ def sample_corpus(all_texts, proportion: float, seed) -> tuple[tuple[int, ...], 
     return tuple(texts[i] for i in idx)
 
 
-def build_projection(corpus_embeddings: np.ndarray, rank: int | None = None) -> ProjectionBasis:
-    """Orthonormal basis of the corpus row span and its projector.
+def build_projection(corpus_embeddings: np.ndarray, rank: int | None = None) -> np.ndarray:
+    """The (d, d) orthogonal projector B^T B onto the corpus row span, B an
+    orthonormal basis of it; its trace is its rank.
 
     Right-singular directions with singular value above a relative cutoff
     are kept, or the leading `rank` of them when rank is given; an all-zero
@@ -63,4 +48,4 @@ def build_projection(corpus_embeddings: np.ndarray, rank: int | None = None) -> 
     if sv.size == 0 or sv[0] <= 0.0:
         raise DegenerateCorpusError("corpus embedding matrix is all zero")
     basis = vt[:rank] if rank is not None else vt[sv > SV_CUTOFF_REL * sv[0]]
-    return ProjectionBasis(basis=basis, projector=basis.T @ basis, rank=basis.shape[0])
+    return basis.T @ basis

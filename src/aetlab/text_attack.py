@@ -14,7 +14,6 @@ import numpy as np
 
 from .core import AttackConfig, similarity
 from .encoders import BagOfWordsTextEncoder, EncoderPair, embed_captions, image_embedding
-from .subspace import ProjectionBasis
 
 # Not called here: perfbench/tracing.py wraps these names at this import site.
 from .encoders import encode_image, encode_text  # noqa: F401
@@ -53,7 +52,7 @@ def build_word_candidates(caption, near: np.ndarray) -> np.ndarray:
 def score_text_candidate(
     txt: np.ndarray,
     img_embs,
-    projector: ProjectionBasis | None,
+    projector: np.ndarray | None,
     cfg: AttackConfig,
 ) -> float:
     """kappa/mu/nu-weighted mismatch of a candidate caption's embedding txt
@@ -63,7 +62,7 @@ def score_text_candidate(
     if txt.ndim != 1:
         raise ValueError("caption embedding must be 1-D")
     if projector is not None:
-        txt = projector.projector @ txt
+        txt = projector @ txt
     clean, prev, cur = similarity(img_embs, txt)
     return -(cfg.kappa * clean + cfg.mu * prev + cfg.nu * cur)
 
@@ -74,7 +73,7 @@ def run_text_attack(
     prev_adv: np.ndarray,
     cur_adv: np.ndarray,
     enc_pair: EncoderPair,
-    projector: ProjectionBasis | None,
+    projector: np.ndarray | None,
     cfg: AttackConfig,
     near: np.ndarray,
 ) -> tuple[Caption, bool]:

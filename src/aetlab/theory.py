@@ -122,21 +122,17 @@ def interaction_moments(ql: QuadraticLoss) -> tuple[float, float]:
 
 def linearized_expected_interaction(c, d, ql: QuadraticLoss):
     """Pair-mean of the first-order interaction of delta = c*g + d*Hg, with
-    the H^2 (d^2) term dropped as in the linearization.
-
-    Scalars c, d give a float; equal-length 1-D arrays give one value per
-    (c, d) pair, bit for bit the scalar call's, evaluated _PAIR_BLOCK pairs
-    per (block, n, n) stack."""
+    the H^2 (d^2) term dropped as in the linearization, for each (c, d) pair
+    of two equal-length 1-D arrays, evaluated _PAIR_BLOCK pairs per
+    (block, n, n) stack."""
+    c = np.asarray(c, dtype=np.float64)
+    d = np.asarray(d, dtype=np.float64)
+    if c.ndim != 1 or c.shape != d.shape:
+        raise ValueError("c and d must be 1-D arrays of one length")
     g, H = ql.g, ql.H
     hg = H @ g
     gg = np.outer(g, g)
     cross = np.outer(g, hg) + np.outer(hg, g)
-    if np.ndim(c) == 0 and np.ndim(d) == 0:
-        return pair_mean(H * (c * c * gg + c * d * cross))
-    c = np.asarray(c, dtype=np.float64)
-    d = np.asarray(d, dtype=np.float64)
-    if c.ndim != 1 or c.shape != d.shape:
-        raise ValueError("c and d must be scalars or 1-D arrays of one length")
     out = np.empty(c.size)
     for lo in range(0, c.size, _PAIR_BLOCK):
         cb = c[lo : lo + _PAIR_BLOCK, None, None]

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 
 from aetlab.core import (
+    REGION_ASSIGNMENTS,
     SimplexWeights,
     _roundtrip_matrix,
     linf_project,
@@ -18,7 +19,7 @@ from aetlab.harness import (
     resolve_variant,
     surrogate_projector,
 )
-from aetlab.image_attack import REGION_ASSIGNMENTS, StepRecord, run_image_attack
+from aetlab.image_attack import StepRecord, run_image_attack
 from aetlab.theory import (
     IDENTITY_RTOL,
     QuadraticLoss,
@@ -75,7 +76,7 @@ def image_loss(enc_i, x, u, projector=None, scale=1.0) -> float:
     loss whose gradient encoders.gradient_table holds."""
     img = encode_image(enc_i, scale_augment(x, scale) if scale != 1.0 else x)
     if projector is not None:
-        img = projector.project(img)
+        img = projector @ img
     return pair_similarity(img, u)
 
 
@@ -223,7 +224,7 @@ def run_text_attack_per_candidate(caption, clean_img, prev_adv, cur_adv, enc_pai
     call per candidate and the selection rule of select_adversarial_text."""
     base = tuple(int(t) for t in caption)
     embs = [encode_image(enc_pair.image, x) for x in (clean_img, prev_adv, cur_adv)]
-    proj = (lambda v: v) if projector is None else projector.project
+    proj = (lambda v: v) if projector is None else (lambda v: projector @ v)
     embs = [proj(e) for e in embs]
 
     def scorer(cand):

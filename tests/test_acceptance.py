@@ -92,8 +92,7 @@ def test_criterion_1_projector_correctness(capsys):
         d = int(rng.choice([8, 32, 64]))
         n = int(rng.integers(1, 2 * d + 1))
         emb = rng.standard_normal((n, d))
-        pb = build_projection(emb)
-        p = pb.projector
+        p = build_projection(emb)
         worst = max(
             worst,
             float(np.max(np.abs(p - p.T))),

@@ -55,9 +55,23 @@ class TestSeedHandling:
             main(["synth", *SMALL_SYNTH, "--out", str(tmp_path / "d.txt")])
         assert exc.value.code == EXIT_USAGE
 
-    def test_entropy_opt_in(self, tmp_path):
-        rc = main(["synth", "--entropy", *SMALL_SYNTH, "--out", str(tmp_path / "d.txt")])
-        assert rc == EXIT_OK
+    @pytest.mark.parametrize("argv", [
+        ["synth", *SMALL_SYNTH],
+        ["attack", "--dataset", "ds.txt"],
+        ["transfer", "--dataset", "ds.txt"],
+        ["theory"],
+        ["subspace", "--dataset", "ds.txt"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("seed_args", [[], ["--entropy"], ["--seed", "1", "--entropy"]],
+                             ids=["no-seed", "entropy", "seed-and-entropy"])
+    def test_seed_required_and_no_random_seed_flag(
+        self, dataset_file, tmp_path, monkeypatch, argv, seed_args
+    ):
+        # a run must name its seed: without --seed, or with --entropy (no
+        # such flag), every subcommand is a usage error that writes nothing
+        monkeypatch.chdir(tmp_path)
+        assert exit_code([*argv, *seed_args]) == EXIT_USAGE
+        assert os.listdir(tmp_path) == ["ds.txt"]
 
     @pytest.mark.parametrize("argv", [
         ["synth", *SMALL_SYNTH],
@@ -396,7 +410,7 @@ class TestSubspace:
         out = tmp_path / "proj.txt"
         main(["subspace", "--seed", "5", "--dataset", str(dataset_file), "--out", str(out)])
         ds = load_dataset_descriptor(dataset_file)
-        expect = surrogate_projector(ds, ds.base, AttackConfig(master_seed=5)).projector
+        expect = surrogate_projector(ds, ds.base, AttackConfig(master_seed=5))
         assert np.array_equal(matio.load_matrix(out), expect)
 
     def test_config_corpus_proportion_honoured(self, dataset_file, tmp_path):
@@ -409,7 +423,7 @@ class TestSubspace:
         assert not np.array_equal(default, full)
         ds = load_dataset_descriptor(dataset_file)
         cfg = AttackConfig(master_seed=5, corpus_proportion=1.0)
-        assert np.array_equal(full, surrogate_projector(ds, ds.base, cfg).projector)
+        assert np.array_equal(full, surrogate_projector(ds, ds.base, cfg))
 
 
 class TestConfigPrecedence:
@@ -480,7 +494,7 @@ class TestConfigPrecedence:
 class TestDerivedOptions:
     def test_synth_flags_are_the_generator_fields(self):
         args = vars(build_parser().parse_args(["synth", "--seed", "0", "--pairs", "2"]))
-        for key in ("command", "func", "seed", "entropy", "pairs", "out"):
+        for key in ("command", "func", "seed", "pairs", "out"):
             del args[key]
         assert args == {f.name: f.default for cls in (DatasetDims, GeneratorParams)
                         for f in fields(cls)}
@@ -489,7 +503,7 @@ class TestDerivedOptions:
         want = [f.name for f in fields(AttackConfig) if f.name != "master_seed"]
         assert list(_CONFIG_PARSERS) == want
         args = vars(build_parser().parse_args(["attack", "--seed", "0", "--dataset", "d"]))
-        for key in ("command", "func", "seed", "entropy", "config", "dataset", "variant",
+        for key in ("command", "func", "seed", "config", "dataset", "variant",
                     "limit", "out_dir"):
             del args[key]
         assert args == dict.fromkeys(want)

@@ -12,6 +12,7 @@ from aetlab.encoders import (
     encode_text,
     grad_loss_wrt_image,
     gradient_table,
+    image_embedding,
     make_base_encoders,
     make_model_pool,
     text_direction,
@@ -90,7 +91,7 @@ class TestEncoding:
         img = encode_image(tiny_pair.image, x)
         txt = encode_text(tiny_pair.text, tiny_caption)
         if projector is not None:
-            img, txt = projector.project(img), projector.project(txt)
+            img, txt = projector @ img, projector @ txt
         u = text_direction(tiny_pair.text, tiny_caption, projector)
         assert image_loss(tiny_pair.image, tiny_image, u, projector, scale) == similarity(img[None], txt)[0]
 
@@ -213,10 +214,21 @@ class TestBaseEncoders:
 
 class TestSemanticProjector:
     def test_projector_properties(self, tiny_pair):
-        p = build_projection(tiny_pair.text.table, rank=4).projector
+        p = build_projection(tiny_pair.text.table, rank=4)
         np.testing.assert_allclose(p, p.T, atol=1e-12)
         np.testing.assert_allclose(p @ p, p, atol=1e-10)
         assert np.linalg.matrix_rank(p) == 4
+
+    @pytest.mark.parametrize("dim", [15, 17])
+    def test_wrong_dimension_rejected_by_consumers(
+        self, tiny_pair, tiny_image, tiny_caption, rng, dim
+    ):
+        # the embeddings are 16-dimensional
+        p = build_projection(rng.standard_normal((4, dim)))
+        with pytest.raises(ValueError):
+            text_direction(tiny_pair.text, tiny_caption, p)
+        with pytest.raises(ValueError):
+            image_embedding(tiny_pair.image, tiny_image, p)
 
     def test_invalid_dims(self, tiny_pair):
         with pytest.raises(ValueError):
@@ -238,7 +250,7 @@ class TestModelPool:
 
     def test_noise_confined_outside_semantic_subspace(self, tiny_pair):
         pool = make_model_pool(tiny_pair, 2, 1.0, seed=11, text_noise=1.0, semantic_dims=4)
-        p_sem = build_projection(tiny_pair.text.table, rank=4).projector
+        p_sem = build_projection(tiny_pair.text.table, rank=4)
         for m in pool:
             t_noise = m.text.table - tiny_pair.text.table
             np.testing.assert_allclose(t_noise @ p_sem, 0.0, atol=1e-10)

@@ -3,11 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aetlab.core import AttackConfig, SimplexWeights, linf_project
+from aetlab.core import REGION_ASSIGNMENTS, AttackConfig, SimplexWeights, linf_project
 from aetlab.encoders import grad_loss_wrt_image, gradient_table, text_direction
 from aetlab.image_attack import (
-    REGION_ASSIGNMENTS,
-    _normalized_sign,
+    _sign_step,
     run_image_attack,
     sample_sub_triangle,
     text_guided_select,
@@ -17,6 +16,7 @@ from aetlab.harness import DatasetDims, TRANSFER_EMBED_DIM, resolve_variant, sur
 from oracles import (
     attack_iterates,
     mismatch_value,
+    normalized_sign,
     pair_loss,
     run_sga_attack,
     sample_sub_triangle_loop,
@@ -80,24 +80,6 @@ class TestSampleSubTriangle:
             sample_sub_triangle(1, np.random.default_rng(0), "G")
 
 
-class TestNormalizedSign:
-    def test_zero_gradient_gives_zero(self):
-        np.testing.assert_array_equal(
-            _normalized_sign(np.zeros((3, 3))), np.zeros((3, 3))
-        )
-
-    def test_matches_plain_sign(self, rng):
-        g = rng.standard_normal((4, 4))
-        np.testing.assert_array_equal(_normalized_sign(g), np.sign(g))
-
-    def test_stack_is_signed_image_by_image(self, rng):
-        g = rng.standard_normal((3, 4, 4))
-        g[1] = 0.0
-        g[2] *= 1e-170  # squared norm underflows to 0: the image counts as zero
-        expect = np.stack([np.sign(g[0]), np.zeros((4, 4)), np.zeros((4, 4))])
-        np.testing.assert_array_equal(_normalized_sign(g), expect)
-
-
 @pytest.fixture
 def tiny_u(tiny_pair, tiny_caption):
     return text_direction(tiny_pair.text, tiny_caption, None)
@@ -123,9 +105,29 @@ class TestObjective:
         assert after > before
 
 
+class TestSignStep:
+    @pytest.mark.parametrize("factor", [1e-170, 1e160])
+    def test_gradient_scale_does_not_change_the_step(
+        self, tiny_pair, tiny_image, tiny_u, fast_cfg, factor
+    ):
+        # the squared norm of the scaled gradient under- or overflows, yet
+        # a sign step depends only on the signs
+        grads = gradient_table(tiny_pair.image, tiny_u, tiny_image.shape, fast_cfg.scales)
+        scaled = {s: factor * g for s, g in grads.items()}
+        want = _sign_step(tiny_image, tiny_image, tiny_image, grads, tiny_pair.image, fast_cfg)
+        got = _sign_step(tiny_image, tiny_image, tiny_image, scaled, tiny_pair.image, fast_cfg)
+        assert np.array_equal(got, want)
+        assert np.max(np.abs(got - tiny_image)) == pytest.approx(fast_cfg.step_size)
+
+    def test_zero_gradient_gives_no_step(self, tiny_pair, tiny_image, fast_cfg):
+        zeros = {s: np.zeros_like(tiny_image) for s in fast_cfg.scales}
+        got = _sign_step(tiny_image, tiny_image, tiny_image, zeros, tiny_pair.image, fast_cfg)
+        assert np.array_equal(got, tiny_image)
+
+
 class TestTextGuidedSelect:
     def test_picks_argmax_direction(self, tiny_pair, tiny_image, tiny_u, tiny_grads, fast_cfg):
-        good = fast_cfg.step_size * _normalized_sign(
+        good = fast_cfg.step_size * normalized_sign(
             -grad_loss_wrt_image(tiny_pair.image, tiny_image, tiny_grads)
         )
         bad = -good
@@ -144,8 +146,8 @@ class TestTextGuidedSelect:
     ):
         # a huge direction must be judged by its projected (feasible) effect
         g = -grad_loss_wrt_image(tiny_pair.image, tiny_image, tiny_grads)
-        huge = 100.0 * _normalized_sign(g)
-        small = fast_cfg.step_size * _normalized_sign(g)
+        huge = 100.0 * normalized_sign(g)
+        small = fast_cfg.step_size * normalized_sign(g)
         idx = text_guided_select(
             tiny_image, tiny_image, np.stack([huge, small]), tiny_u, tiny_pair.image, None, fast_cfg
         )
@@ -160,7 +162,7 @@ class TestTextGuidedSelect:
     def test_tie_between_later_rows_goes_to_the_lower(
         self, tiny_pair, tiny_image, tiny_u, tiny_grads, fast_cfg
     ):
-        good = fast_cfg.step_size * _normalized_sign(
+        good = fast_cfg.step_size * normalized_sign(
             -grad_loss_wrt_image(tiny_pair.image, tiny_image, tiny_grads)
         )
         d = np.stack([-good, good, -good, good])

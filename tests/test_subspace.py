@@ -47,8 +47,7 @@ class TestSampleCorpus:
 class TestBuildProjection:
     def test_projector_symmetric_idempotent_fixes_corpus(self, rng):
         emb = rng.standard_normal((6, 10))
-        pb = build_projection(emb)
-        p = pb.projector
+        p = build_projection(emb)
         np.testing.assert_allclose(p, p.T, atol=1e-12)
         np.testing.assert_allclose(p @ p, p, atol=1e-10)
         for row in emb:
@@ -57,24 +56,26 @@ class TestBuildProjection:
     def test_rank_of_low_rank_corpus(self, rng):
         base = rng.standard_normal((2, 8))
         emb = rng.standard_normal((5, 2)) @ base  # rank 2 by construction
-        pb = build_projection(emb)
-        assert pb.rank == 2
+        p = build_projection(emb)
+        assert p.shape == (8, 8)
+        assert np.trace(p) == pytest.approx(2.0, abs=1e-12)  # the rank of a projector
         # a direction orthogonal to the span is annihilated
         q, _ = np.linalg.qr(np.vstack([base, rng.standard_normal((6, 8))]).T)
         ortho = q[:, 2]
-        np.testing.assert_allclose(pb.project(ortho), 0.0, atol=1e-9)
+        np.testing.assert_allclose(p @ ortho, 0.0, atol=1e-9)
 
     def test_basis_rows_orthonormal(self, rng):
-        pb = build_projection(rng.standard_normal((4, 9)))
-        np.testing.assert_allclose(
-            pb.basis @ pb.basis.T, np.eye(pb.rank), atol=1e-10
-        )
+        # B^T B has orthonormal-row B exactly when its eigenvalues are 0 or 1,
+        # with one 1 per basis row
+        eig = np.linalg.eigvalsh(build_projection(rng.standard_normal((4, 9))))
+        assert np.all(np.minimum(np.abs(eig), np.abs(eig - 1.0)) <= 1e-10)
+        assert np.count_nonzero(eig > 0.5) == 4
 
     def test_single_embedding_rank_one(self):
-        pb = build_projection(np.array([[1.0, 2.0, 2.0]]))
-        assert pb.rank == 1
+        p = build_projection(np.array([[1.0, 2.0, 2.0]]))
+        assert np.trace(p) == pytest.approx(1.0, abs=1e-12)
         v = np.array([1.0, 2.0, 2.0])
-        np.testing.assert_allclose(pb.project(v), v, atol=1e-12)
+        np.testing.assert_allclose(p @ v, v, atol=1e-12)
 
     def test_all_zero_corpus_rejected(self):
         with pytest.raises(DegenerateCorpusError):
@@ -85,24 +86,24 @@ class TestBuildProjection:
             build_projection(np.array([[np.inf, 0.0]]))
 
     def test_project_dimension_mismatch(self, rng):
-        pb = build_projection(rng.standard_normal((3, 6)))
+        p = build_projection(rng.standard_normal((3, 6)))
         with pytest.raises(ValueError):
-            pb.project(np.ones(5))
+            p @ np.ones(5)
 
 
 class TestProjectedLoss:
     def test_matches_manual_projection(self, rng, tiny_pair, tiny_image, tiny_caption):
-        pb = build_projection(rng.standard_normal((3, 16)))
+        p = build_projection(rng.standard_normal((3, 16)))
         img = encode_image(tiny_pair.image, tiny_image)
         txt = encode_text(tiny_pair.text, tiny_caption)
-        expect = similarity((pb.projector @ img)[None], pb.projector @ txt)[0]
-        assert pair_loss(tiny_pair, tiny_image, tiny_caption, pb) == pytest.approx(expect)
+        expect = similarity((p @ img)[None], p @ txt)[0]
+        assert pair_loss(tiny_pair, tiny_image, tiny_caption, p) == pytest.approx(expect)
 
     def test_projection_only_needed_on_one_side(self, rng):
         # P symmetric idempotent: <Pa, Pb> = <a, Pb>
-        pb = build_projection(rng.standard_normal((4, 8)))
+        p = build_projection(rng.standard_normal((4, 8)))
         img = rng.standard_normal(8)
         txt = rng.standard_normal(8)
-        assert similarity(pb.project(img)[None], pb.project(txt))[0] == pytest.approx(
-            similarity(img[None], pb.projector @ txt)[0]
+        assert similarity((p @ img)[None], p @ txt)[0] == pytest.approx(
+            similarity(img[None], p @ txt)[0]
         )

@@ -110,12 +110,12 @@ class TestScoring:
 
     def test_projected_scoring(self, tiny_pair, tiny_image, tiny_caption, rng):
         cfg = AttackConfig()
-        pb = build_projection(rng.standard_normal((4, tiny_pair.image.embed_dim)))
-        clean = pb.project(encode_image(tiny_pair.image, tiny_image))
+        p = build_projection(rng.standard_normal((4, tiny_pair.image.embed_dim)))
+        clean = p @ encode_image(tiny_pair.image, tiny_image)
         got = score_text_candidate(
-            encode_text(tiny_pair.text, tiny_caption), np.stack([clean, clean, clean]), pb, cfg
+            encode_text(tiny_pair.text, tiny_caption), np.stack([clean, clean, clean]), p, cfg
         )
-        txt = pb.project(encode_text(tiny_pair.text, tiny_caption))
+        txt = p @ encode_text(tiny_pair.text, tiny_caption)
         expect = -pair_similarity(clean, txt)
         assert got == pytest.approx(expect)
 
@@ -126,12 +126,12 @@ class TestScoring:
         # projecting all four vectors per candidate and projecting the three
         # image embeddings once beforehand must give the same bits
         cfg = AttackConfig(kappa=0.5, mu=0.3, nu=0.2)
-        pb = build_projection(rng.standard_normal((4, 16))) if use_projector else None
+        projector = build_projection(rng.standard_normal((4, 16))) if use_projector else None
         imgs = [
             encode_image(tiny_pair.image, np.clip(tiny_image + 0.03 * rng.standard_normal((8, 8)), 0, 1))
             for _ in range(3)
         ]
-        proj = (lambda v: v) if pb is None else pb.project
+        proj = (lambda v: v) if projector is None else (lambda v: projector @ v)
         pre = np.stack([proj(e) for e in imgs])
         for cand in build_word_candidates(tiny_caption, word_neighbours(tiny_pair.text, 5)):
             txt = proj(encode_text(tiny_pair.text, cand))
@@ -140,14 +140,15 @@ class TestScoring:
                 + cfg.mu * pair_similarity(proj(imgs[1]), txt)
                 + cfg.nu * pair_similarity(proj(imgs[2]), txt)
             )
-            assert score_text_candidate(encode_text(tiny_pair.text, cand), pre, pb, cfg) == expect
+            got = score_text_candidate(encode_text(tiny_pair.text, cand), pre, projector, cfg)
+            assert got == expect
 
     @pytest.mark.parametrize("use_projector", [False, True])
     def test_mismatched_embedding_shapes_rejected(
         self, tiny_pair, tiny_image, tiny_caption, rng, use_projector
     ):
         cfg = AttackConfig()
-        pb = build_projection(rng.standard_normal((4, 16))) if use_projector else None
+        projector = build_projection(rng.standard_normal((4, 16))) if use_projector else None
         txt = encode_text(tiny_pair.text, tiny_caption)
         emb = encode_image(tiny_pair.image, tiny_image)
         short, row = emb[:-1], emb[None]
@@ -159,17 +160,17 @@ class TestScoring:
             np.stack([row] * 3),  # 2-D rows
         ):
             with pytest.raises(ValueError):
-                score_text_candidate(txt, embs, pb, cfg)
+                score_text_candidate(txt, embs, projector, cfg)
         # consistent on every side, but not what the projector maps, or 2-D
-        if pb is not None:
+        if projector is not None:
             bad_txt, bad_emb = np.append(txt, 1.0), np.append(emb, 1.0)
         else:
             bad_txt, bad_emb = txt[None], emb[None]
         with pytest.raises(ValueError):
-            score_text_candidate(bad_txt, np.stack([bad_emb] * 3), pb, cfg)
+            score_text_candidate(bad_txt, np.stack([bad_emb] * 3), projector, cfg)
         # three caption rows would pair with the three image rows
         with pytest.raises(ValueError):
-            score_text_candidate(np.stack([txt] * 3), np.stack([emb] * 3), pb, cfg)
+            score_text_candidate(np.stack([txt] * 3), np.stack([emb] * 3), projector, cfg)
 
 
 class TestSelection:
@@ -233,14 +234,14 @@ class TestRunTextAttack:
     def test_equals_per_candidate_oracle(self, tiny_pair, tiny_image, tiny_caption, rng, use_projector):
         # one token gather for all candidates picks the caption that one
         # encode_text call per candidate picks
-        pb = build_projection(rng.standard_normal((4, 16))) if use_projector else None
+        projector = build_projection(rng.standard_normal((4, 16))) if use_projector else None
         cfg = AttackConfig(word_list_size=15)
         near = word_neighbours(tiny_pair.text, cfg.word_list_size)
         for _ in range(5):
             prev, cur = (
                 np.clip(tiny_image + 0.05 * rng.standard_normal((8, 8)), 0, 1) for _ in range(2)
             )
-            args = (tiny_caption, tiny_image, prev, cur, tiny_pair, pb, cfg)
+            args = (tiny_caption, tiny_image, prev, cur, tiny_pair, projector, cfg)
             assert run_text_attack(*args, near) == run_text_attack_per_candidate(*args)
 
 

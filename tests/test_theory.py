@@ -160,10 +160,11 @@ class TestInteractions:
         d = r.uniform(-1e4, 1e4, size)
         got = linearized_expected_interaction(c, d, ql)
         assert got.shape == (size,)
-        scalar = [linearized_expected_interaction(float(ci), float(di), ql) for ci, di in zip(c, d)]
-        assert all(type(v) is float for v in scalar)
-        assert got.tolist() == scalar
-        assert scalar == [linearized_interaction_per_step(ci, di, ql) for ci, di in zip(c, d)]
+        # each length-1 call, and the oracle's own scalar arithmetic, agree bit for bit
+        single = [linearized_expected_interaction(c[i : i + 1], d[i : i + 1], ql)[0]
+                  for i in range(size)]
+        assert got.tolist() == single
+        assert single == [linearized_interaction_per_step(ci, di, ql) for ci, di in zip(c, d)]
 
     @pytest.mark.parametrize("c, d", [
         (np.ones(3), np.ones(4)), (np.ones((2, 2)), np.ones((2, 2))), (np.ones(3), 1.0),
@@ -192,7 +193,8 @@ class TestInteractions:
         ql = random_quadratic(5, n=7)
         a, b = interaction_moments(ql)
         c, d = 3.0, 1.5
-        got = linearized_expected_interaction(c, d, ql)
+        (got,) = linearized_expected_interaction(np.array([c]), np.array([d]), ql)
+        assert got == linearized_interaction_per_step(c, d, ql)
         assert got == pytest.approx(c * c * a + 2 * c * d * b, rel=1e-12)
 
     def test_expected_interaction_full_quadratic(self):
