@@ -1,5 +1,6 @@
-"""Shared numeric primitives: the image-text similarity, simplex weights,
-L-inf projection, and the adjoint of the bilinear scale augmentation.
+"""Shared numeric primitives: the image-text similarity, row-wise matrix
+products, simplex weights, L-inf projection, and the adjoint of the bilinear
+scale augmentation.
 
 Images are float64 arrays of shape (H, W) with pixels in [0, 1]. Captions are
 integer token sequences. The scale augmentation is implemented as an exactly
@@ -142,15 +143,43 @@ def validate_simplex(weights: np.ndarray) -> np.ndarray:
     return weights
 
 
-def linf_project(candidate: np.ndarray, origin: np.ndarray, eps: float) -> np.ndarray:
-    """Clamp candidate, one image or a stack of images of origin's shape,
-    into the eps L-inf ball around origin, then into [0, 1]."""
-    if candidate.shape[candidate.ndim - origin.ndim :] != origin.shape:
+def matvec_rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """a @ r for each row r of an (n, k) matrix, as an (n, m) matrix with
+    the bits of the 1-D products on contiguous rows: np.matmul on the
+    C-contiguous (n, k, 1) stack makes the same BLAS gemv call per row. The
+    rows are copied to a C-contiguous stack if they are not one, since
+    other layouts take other BLAS or non-BLAS paths."""
+    return np.matmul(a, np.ascontiguousarray(rows)[:, :, None])[:, :, 0]
+
+
+def dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_i.dot(b_i) for each row pair of two (n, k) matrices, or of one
+    matrix and a shared (k,) vector on either side, with the bits of the
+    1-D products on contiguous rows: np.matmul on (1, k) @ (k, 1) items
+    makes the same BLAS ddot call per pair. Both operands are made
+    C-contiguous first, as in matvec_rows."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def linf_box(origin: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """The pixel bounds (lo, hi) of the eps L-inf ball around origin
+    intersected with [0, 1]: lo = clip01(origin - eps), hi =
+    clip01(origin + eps). eps must be finite and > 0."""
+    if not 0 < eps < math.inf:  # a NaN fails too
+        raise ValueError(f"eps must be finite and > 0, got {eps!r}")
+    return np.clip(origin - eps, 0.0, 1.0), np.clip(origin + eps, 0.0, 1.0)
+
+
+def linf_project(candidate: np.ndarray, box: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Clamp candidate, one image or a stack of images of the box's shape,
+    into box = linf_box(origin, eps): the eps L-inf ball around origin,
+    then [0, 1], bit for bit, for any origin and eps."""
+    lo, hi = box
+    if candidate.shape[candidate.ndim - lo.ndim :] != lo.shape:
         raise ValueError("linf_project: shape mismatch")
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
-    out = np.minimum(np.maximum(candidate, origin - eps), origin + eps)
-    return np.minimum(np.maximum(out, 0.0, out=out), 1.0, out=out)
+    out = np.maximum(candidate, lo)
+    return np.minimum(out, hi, out=out)
 
 
 @lru_cache(maxsize=None)

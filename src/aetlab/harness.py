@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import matio
-from .core import AttackConfig, SimplexWeights, check_scales, similarity
+from .core import AttackConfig, SimplexWeights, check_scales, dot_rows, similarity
 from .encoders import (
     EncoderPair,
     embed_captions,
@@ -158,6 +158,39 @@ def _latent_caption_pair(
     return z, cap
 
 
+def _mutual_pairs(
+    base: EncoderPair, rng: np.random.Generator, n_pairs: int, length: int, budget: int
+) -> tuple[np.ndarray, list[Caption], int]:
+    """Rejection-sample up to n_pairs latent/caption pairs, one draw per
+    unit of budget: the accepted set retrieves at exact R@1 in both
+    directions on the clean data, while crowding keeps the margins small.
+    Returns the (n, d) accepted latents, their captions and the budget
+    left. A candidate is checked against all accepted pairs with two
+    row-wise products, each with the bits of its 1-D product."""
+    d = base.text.embed_dim
+    latents, embeddings, owns = np.empty((n_pairs, d)), np.empty((n_pairs, d)), np.empty(n_pairs)
+    captions: list[Caption] = []
+    seen: set[Caption] = set()
+    while len(captions) < n_pairs and budget > 0:
+        budget -= 1
+        z, cap = _latent_caption_pair(base, rng.standard_normal(d), length)
+        if cap in seen:
+            continue
+        emb = encode_text(base.text, cap)
+        own = float(emb @ z)
+        n = len(captions)
+        # both cross scores must stay below both own scores, so each pair
+        # remains the strict mutual best match in TR and IR
+        bound = np.minimum(own, owns[:n])
+        crossed = dot_rows(embeddings[:n], z) >= bound
+        if crossed.any() or (dot_rows(emb, latents[:n]) >= bound).any():
+            continue
+        seen.add(cap)
+        latents[n], embeddings[n], owns[n] = z, emb, own
+        captions.append(cap)
+    return latents[: len(captions)], captions, budget
+
+
 def synth_dataset(
     seed: int,
     n_pairs: int,
@@ -189,37 +222,8 @@ def synth_dataset(
     )
     decoder = base.image.weight.T  # (H*W, d), orthonormal columns
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xDA7A]))
-    latents: list[np.ndarray] = []
-    captions: list[Caption] = []
-    embeddings: list[np.ndarray] = []
-    own_scores: list[float] = []
-    seen: set[Caption] = set()
     budget = 400 * (n_pairs + gen.held_out)
-    # rejection-sample mutually consistent pairs: the accepted set retrieves
-    # at exact R@1 in both directions on the clean data, while crowding keeps
-    # the margins small
-    while len(captions) < n_pairs and budget > 0:
-        budget -= 1
-        z, cap = _latent_caption_pair(base, rng.standard_normal(dims.embed_dim), dims.caption_len)
-        if cap in seen:
-            continue
-        emb = encode_text(base.text, cap)
-        own = float(emb @ z)
-        ok = True
-        for z_q, emb_q, own_q in zip(latents, embeddings, own_scores):
-            # both cross scores must stay below both own scores, so each pair
-            # remains the strict mutual best match in TR and IR
-            bound = min(own, own_q)
-            if float(emb_q @ z) >= bound or float(emb @ z_q) >= bound:
-                ok = False
-                break
-        if not ok:
-            continue
-        seen.add(cap)
-        latents.append(z)
-        captions.append(cap)
-        embeddings.append(emb)
-        own_scores.append(own)
+    latents, captions, budget = _mutual_pairs(base, rng, n_pairs, dims.caption_len, budget)
     if len(captions) < n_pairs:
         raise ValueError(
             "could not sample enough mutually retrievable pairs; "

@@ -26,7 +26,9 @@ from .core import (
     REGION_ASSIGNMENTS,
     AttackConfig,
     SimplexWeights,
+    linf_box,
     linf_project,
+    matvec_rows,
     similarity,
     validate_simplex,
 )
@@ -76,46 +78,47 @@ def sample_sub_triangle(m: int, rng: np.random.Generator, region: str = "A") -> 
 def _sign_step(
     x: np.ndarray,
     at: np.ndarray,
-    clean: np.ndarray,
+    box: tuple[np.ndarray, np.ndarray],
     grads: dict[float, np.ndarray],
     enc_i: LinearImageEncoder,
     cfg: AttackConfig,
 ) -> np.ndarray:
     """x plus a sign step along the mismatch gradient summed over
-    cfg.scales at the point `at`, projected into the budget around clean."""
+    cfg.scales at the point `at`, projected into the budget box (see
+    core.linf_box)."""
     g = np.zeros_like(at)
     for scale in cfg.scales:
         g -= grad_loss_wrt_image(enc_i, at, grads, scale)
-    return linf_project(x + cfg.step_size * np.sign(g), clean, cfg.eps_image)
+    return linf_project(x + cfg.step_size * np.sign(g), box)
 
 
 def text_guided_select(
     cur: np.ndarray,
-    clean: np.ndarray,
+    box: tuple[np.ndarray, np.ndarray],
     directions: np.ndarray,
     u: np.ndarray,
     enc_i: LinearImageEncoder,
     projector: np.ndarray | None,
-    cfg: AttackConfig,
 ) -> int:
     """Index of the direction whose feasible application to the current
-    adversarial image cur most increases the mismatch, i.e. gives the lowest
-    similarity with u; ties go to the lowest index.
+    adversarial image cur, projected into the budget box, most increases
+    the mismatch, i.e. gives the lowest similarity with u; ties go to the
+    lowest index.
 
-    The stack of feasible candidates is checked once; each is then embedded
-    (W c, then P) and the embeddings scored together with similarity.
+    The stack of feasible candidates is checked once, embedded (W c, then
+    P) with one row-wise product each, and scored with similarity.
     """
     if len(directions) == 0:
         raise ValueError("directions must be nonempty")
-    cands = linf_project(cur + directions, clean, cfg.eps_image)
+    cands = linf_project(cur + directions, box)
     if not np.isfinite(cands).all():
         raise ValueError("image has non-finite pixels")
     w = enc_i.weight
     if cands[0].size != w.shape[1] or u.shape != (w.shape[0],):
         raise ValueError("candidate or text direction does not match the encoder")
-    embs = [w @ c.ravel() for c in cands]
+    embs = matvec_rows(w, cands.reshape(len(cands), -1))
     if projector is not None:
-        embs = [projector @ e for e in embs]
+        embs = matvec_rows(projector, embs)
     sims = similarity(embs, u)
     return sims.index(min(sims))
 
@@ -149,8 +152,9 @@ def run_image_attack(
     def mismatch(img: np.ndarray) -> float:  # the traced objective
         return -similarity([image_embedding(enc_i, img, projector)], u)[0]
 
-    prev = linf_project(x + cfg.eps_image * rng.standard_normal(x.shape), x, cfg.eps_image)
-    cur = _sign_step(prev, prev, x, grads, enc_i, cfg)
+    box = linf_box(x, cfg.eps_image)
+    prev = linf_project(x + cfg.eps_image * rng.standard_normal(x.shape), box)
+    cur = _sign_step(prev, prev, box, grads, enc_i, cfg)
     trace = [StepRecord(1, mismatch(cur), 0.0, 0.0, 1.0, -1)]
     n_rows = (cfg.steps - 1) * cfg.samples
     if forced_weights is not None:
@@ -163,8 +167,8 @@ def run_image_attack(
         dirs = cfg.step_size * np.sign(
             np.stack([-grad_loss_wrt_image(enc_i, s, grads) for s in samples])
         )
-        o = text_guided_select(cur, x, dirs, u, enc_i, projector, cfg)
-        prev, cur = cur, _sign_step(cur, samples[o], x, grads, enc_i, cfg)
+        o = text_guided_select(cur, box, dirs, u, enc_i, projector)
+        prev, cur = cur, _sign_step(cur, samples[o], box, grads, enc_i, cfg)
         lam, beta, gamma = weights[o].tolist()
         trace.append(StepRecord(step, mismatch(cur), lam, beta, gamma, o))
     return cur, prev, trace

@@ -6,13 +6,13 @@ exhaustively scores the original caption plus every single substitution and
 keeps the one that deviates most from the final evolution triangle of the
 image attack (weighted mismatch against the clean, previous-step, and final
 adversarial image). The candidates are encoded together as one (n_cand, L)
-token matrix.
+token matrix and projected together with one row-wise product.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .core import AttackConfig, similarity
+from .core import AttackConfig, matvec_rows, similarity
 from .encoders import BagOfWordsTextEncoder, EncoderPair, embed_captions, image_embedding
 
 # Not called here: perfbench/tracing.py wraps these names at this import site.
@@ -20,21 +20,28 @@ from .encoders import encode_image, encode_text  # noqa: F401
 
 Caption = tuple[int, ...]
 
+# Token rows per block of word_neighbours; bounds its (block, V) scratch.
+_NEIGHBOUR_BLOCK = 64
+
 
 def word_neighbours(enc: BagOfWordsTextEncoder, word_list_size: int) -> np.ndarray:
     """The (V, k) table of every token's substitutes: row v holds the first
     k tokens of the stable argsort of -(table @ table[v]) (ties to the lowest
-    index), without v itself; k is word_list_size, capped at V - 1. Built
-    row by row with the per-token product, so each row keeps its bits, and
-    only the first k + 1 entries of each order are kept."""
+    index), without v itself; k is word_list_size, capped at V - 1. Each
+    block of rows is scored with one row-wise product, so each row keeps the
+    bits of the per-token product, and sorted row by row; only the first
+    k + 1 entries of each order are kept."""
     if word_list_size < 0:
         raise ValueError("word_list_size must be >= 0")
     table = enc.table
     k = min(word_list_size, len(table) - 1)
     near = np.empty((len(table), k), dtype=np.int64)
-    for v in range(len(table)):
-        order = np.argsort(-(table @ table[v]), kind="stable")[: k + 1]
-        near[v] = order[order != v][:k]
+    for lo in range(0, len(table), _NEIGHBOUR_BLOCK):
+        hi = min(lo + _NEIGHBOUR_BLOCK, len(table))
+        order = np.argsort(-matvec_rows(table, table[lo:hi]), axis=1, kind="stable")[:, : k + 1]
+        # skip v itself: from its place on, each entry is the next one
+        skip = np.cumsum(order[:, :k] == np.arange(lo, hi)[:, None], axis=1)
+        near[lo:hi] = np.take_along_axis(order, np.arange(k) + skip, axis=1)
     return near
 
 
@@ -49,20 +56,12 @@ def build_word_candidates(caption, near: np.ndarray) -> np.ndarray:
     return cands
 
 
-def score_text_candidate(
-    txt: np.ndarray,
-    img_embs,
-    projector: np.ndarray | None,
-    cfg: AttackConfig,
-) -> float:
+def score_text_candidate(txt: np.ndarray, img_embs, cfg: AttackConfig) -> float:
     """kappa/mu/nu-weighted mismatch of a candidate caption's embedding txt
     against img_embs, the clean, previous adversarial, and final adversarial
-    image embeddings as three (d,) rows, which the caller has already
-    projected; only the caption is projected here."""
+    image embeddings as three (d,) rows; the caller has projected both."""
     if txt.ndim != 1:
         raise ValueError("caption embedding must be 1-D")
-    if projector is not None:
-        txt = projector @ txt
     clean, prev, cur = similarity(img_embs, txt)
     return -(cfg.kappa * clean + cfg.mu * prev + cfg.nu * cur)
 
@@ -85,8 +84,10 @@ def run_text_attack(
     base = tuple(int(t) for t in caption)
     candidates = build_word_candidates(base, near)
     txt = embed_captions(enc_pair.text, candidates)
+    if projector is not None:
+        txt = matvec_rows(projector, txt)
     images = (clean_img, prev_adv, cur_adv)
     img_embs = [image_embedding(enc_pair.image, x, projector) for x in images]
-    scores = [score_text_candidate(t, img_embs, projector, cfg) for t in txt]
+    scores = [score_text_candidate(t, img_embs, cfg) for t in txt]
     chosen = tuple(candidates[scores.index(max(scores))].tolist())
     return chosen, chosen != base

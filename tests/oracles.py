@@ -7,11 +7,13 @@ from aetlab.core import (
     REGION_ASSIGNMENTS,
     SimplexWeights,
     _roundtrip_matrix,
+    linf_box,
     linf_project,
     scale_augment_adjoint,
     validate_image,
 )
 from aetlab.encoders import encode_image, encode_text, text_direction
+from aetlab import harness
 from aetlab.harness import (
     ExperimentReport,
     attack_success_rate,
@@ -196,7 +198,7 @@ def attack_iterates(x, caption, enc_pair, projector, cfg, seed, forced_weights=N
     second-to-last image of a steps=2 run, and iterate t >= 2 as the final
     image of a steps=t run, each on a fresh RNG of the same seed."""
     noise = np.random.default_rng(seed).standard_normal(x.shape)
-    start = linf_project(x + cfg.eps_image * noise, x, cfg.eps_image)
+    start = linf_project(x + cfg.eps_image * noise, linf_box(x, cfg.eps_image))
     runs = [
         run_image_attack(x, caption, enc_pair, projector, replace(cfg, steps=t),
                          np.random.default_rng(seed), forced_weights)
@@ -274,6 +276,36 @@ def run_sga_attack(x, caption, enc_pair, projector, cfg, rng):
             cur + cfg.step_size * normalized_sign(g), x, cfg.eps_image
         )
     return cur, prev
+
+
+def mutual_pairs_loop(base, rng, n_pairs, length, budget):
+    """harness._mutual_pairs with each candidate checked against the
+    accepted pairs one at a time, stopping at the first conflict: two 1-D
+    products per accepted pair, kept in lists."""
+    latents, captions, embeddings, own_scores = [], [], [], []
+    seen = set()
+    while len(captions) < n_pairs and budget > 0:
+        budget -= 1
+        z0 = rng.standard_normal(base.text.embed_dim)
+        z, cap = harness._latent_caption_pair(base, z0, length)
+        if cap in seen:
+            continue
+        emb = encode_text(base.text, cap)
+        own = float(emb @ z)
+        ok = True
+        for z_q, emb_q, own_q in zip(latents, embeddings, own_scores):
+            bound = min(own, own_q)
+            if float(emb_q @ z) >= bound or float(emb @ z_q) >= bound:
+                ok = False
+                break
+        if not ok:
+            continue
+        seen.add(cap)
+        latents.append(z)
+        captions.append(cap)
+        embeddings.append(emb)
+        own_scores.append(own)
+    return latents, captions, budget
 
 
 def retrieval_rank_per_pair(query_emb, gallery_embs, pair_index: int) -> int:

@@ -6,7 +6,10 @@ from hypothesis.extra import numpy as hnp
 from aetlab.core import (
     AttackConfig,
     SimplexWeights,
+    dot_rows,
+    linf_box,
     linf_project,
+    matvec_rows,
     scale_augment_adjoint,
     similarity,
     validate_simplex,
@@ -157,7 +160,7 @@ class TestLinfProject:
     def test_inside_ball_unchanged_when_in_range(self):
         origin = np.full((3, 3), 0.5)
         cand = origin + 0.01
-        out = linf_project(cand, origin, eps=0.05)
+        out = linf_project(cand, linf_box(origin, 0.05))
         np.testing.assert_array_equal(out, cand)
 
     @given(st.integers(min_value=0, max_value=10**6))
@@ -166,27 +169,27 @@ class TestLinfProject:
         origin = r.uniform(0, 1, size=(4, 4))
         cand = origin + r.uniform(-1, 1, size=(4, 4))
         eps = float(r.uniform(0.01, 0.3))
-        out = linf_project(cand, origin, eps)
+        out = linf_project(cand, linf_box(origin, eps))
         assert np.max(np.abs(out - origin)) <= eps + 1e-15
         assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_idempotent(self, rng):
         origin = rng.uniform(0, 1, size=(4, 4))
-        out = linf_project(origin + rng.standard_normal((4, 4)), origin, 0.1)
-        np.testing.assert_array_equal(linf_project(out, origin, 0.1), out)
+        out = linf_project(origin + rng.standard_normal((4, 4)), linf_box(origin, 0.1))
+        np.testing.assert_array_equal(linf_project(out, linf_box(origin, 0.1)), out)
 
     def test_invalid_eps(self):
         with pytest.raises(ValueError):
-            linf_project(np.ones((2, 2)), np.ones((2, 2)), 0.0)
+            linf_project(np.ones((2, 2)), linf_box(np.ones((2, 2)), 0.0))
 
     def test_stack_equals_per_image_projection(self, rng):
         origin = rng.uniform(0, 1, size=(4, 4))
         stack = origin + rng.uniform(-0.5, 0.5, size=(3, 4, 4))
-        out = linf_project(stack, origin, 0.1)
+        out = linf_project(stack, linf_box(origin, 0.1))
         for got, cand in zip(out, stack):
-            assert np.array_equal(got, linf_project(cand, origin, 0.1))
+            assert np.array_equal(got, linf_project(cand, linf_box(origin, 0.1)))
         with pytest.raises(ValueError):
-            linf_project(np.ones((3, 4, 5)), origin, 0.1)
+            linf_project(np.ones((3, 4, 5)), linf_box(origin, 0.1))
 
     def test_equals_two_clip_reference(self, rng):
         origin = rng.uniform(0, 1, size=(4, 4))
@@ -196,11 +199,73 @@ class TestLinfProject:
         stack[2, 1, 1] = np.inf
         stack[0, 3, 0] = -np.inf
         cand_copy, origin_copy = stack.copy(), origin.copy()
-        out = linf_project(stack, origin, 0.1)
+        out = linf_project(stack, linf_box(origin, 0.1))
         np.testing.assert_array_equal(out, linf_project_clip(stack, origin, 0.1))
         assert np.isnan(out[:, 0, 0]).all() and np.isnan(out[1, 2, 3])
         np.testing.assert_array_equal(stack, cand_copy)
         np.testing.assert_array_equal(origin, origin_copy)
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -float("inf"), 0.0, -0.1])
+    def test_non_finite_or_non_positive_eps_rejected(self, eps):
+        # the check AttackConfig makes of eps_image; a NaN eps used to give
+        # an all-NaN image and an infinite one a plain [0, 1] clamp
+        with pytest.raises(ValueError, match="eps"):
+            linf_project(np.full((2, 2), 0.5), linf_box(np.full((2, 2), 0.5), eps))
+        with pytest.raises(ValueError, match="eps_image"):
+            AttackConfig(eps_image=eps)
+
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.floats(min_value=-3.0, max_value=4.0),
+        st.floats(min_value=1e-9, max_value=5.0),
+        st.integers(min_value=1, max_value=4),
+    )
+    def test_box_clamp_equals_two_clip_reference(self, seed, centre, eps, n):
+        # origins far outside [0, 1] and eps > 1 included: clamping into
+        # [clip01(o - eps), clip01(o + eps)] is the ball, then [0, 1]
+        r = np.random.default_rng(seed)
+        origin = centre + r.uniform(-2.0, 2.0, size=(3, 5))
+        stack = origin + r.uniform(-3.0 * eps - 1, 3.0 * eps + 1, size=(n, 3, 5))
+        stack[0, 0, 0] = origin[0, 0]  # on the centre
+        box = linf_box(origin, eps)
+        want = linf_project_clip(stack, origin, eps)
+        np.testing.assert_array_equal(linf_project(stack, box), want)
+        for got, cand in zip(linf_project(stack, box), stack):
+            np.testing.assert_array_equal(got, linf_project_clip(cand, origin, eps))
+
+
+class TestRowProducts:
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=1, max_value=300),
+        st.integers(min_value=1, max_value=70),
+        st.sampled_from(["C", "F", "sliced"]),
+    )
+    def test_stacked_matmul_equals_per_row_products(self, seed, n, k, m, layout):
+        # bit for bit, whatever the layout of the rows: a Fortran-ordered
+        # or strided stack, passed to np.matmul as it is, takes another BLAS
+        # or a non-BLAS path
+        r = np.random.default_rng(seed)
+        a = r.standard_normal((m, k))
+        a = np.asfortranarray(a) if seed % 2 else a
+        v = r.standard_normal(k)
+        rows = r.standard_normal((n, k))
+        other = r.standard_normal((n, k))
+        if layout == "F":
+            rows, other = np.asfortranarray(rows), np.asfortranarray(other)
+        elif layout == "sliced":
+            rows = np.repeat(rows, 2, axis=0)[::2]
+            other = np.stack([other, -other], axis=1)[:, 0]
+        bits = lambda x: np.asarray(x, dtype=np.float64).tobytes()
+        # the reference products take each row as a contiguous 1-D array;
+        # a strided row would itself take another BLAS path
+        each = [np.ascontiguousarray(row) for row in rows]
+        assert bits(matvec_rows(a, rows)) == bits([a @ row for row in each])
+        assert bits(dot_rows(rows, v)) == bits([row.dot(v) for row in each])
+        assert bits(dot_rows(v, rows)) == bits([v.dot(row) for row in each])
+        pairs = zip(each, map(np.ascontiguousarray, other))
+        assert bits(dot_rows(rows, other)) == bits([x.dot(y) for x, y in pairs])
 
 
 class TestScaleAugment:

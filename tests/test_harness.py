@@ -16,7 +16,9 @@ from aetlab.harness import (
     DegenerateAlphaError,
     ExperimentReport,
     GeneratorParams,
+    TRANSFER_EMBED_DIM,
     UndefinedASRError,
+    _mutual_pairs,
     alpha_metric,
     attack_pairs,
     attack_success_rate,
@@ -36,7 +38,7 @@ from aetlab.harness import (
     write_report,
 )
 from aetlab.subspace import build_projection, sample_corpus
-from oracles import attack_pairs_per_sample, transfer_reports_per_pair
+from oracles import attack_pairs_per_sample, mutual_pairs_loop, transfer_reports_per_pair
 
 SMALL_DIMS = DatasetDims(height=8, width=8, embed_dim=16, vocab_size=128, caption_len=4)
 SMALL_GEN = GeneratorParams(held_out=10, held_out_len=12)
@@ -94,6 +96,49 @@ class TestSynthDataset:
             np.testing.assert_array_equal(x, y)
         assert a.captions == b.captions
         assert a.held_out_texts == b.held_out_texts
+
+    @pytest.mark.parametrize("seed, n_pairs", [(18, 100), (18, 300), (4, 300)])
+    def test_acceptance_equals_per_pair_loop(self, seed, n_pairs):
+        # the stacked check accepts exactly the pairs that checking every
+        # accepted pair in turn accepts, and leaves the RNG and the budget
+        # where the loop does
+        dims = DatasetDims(embed_dim=TRANSFER_EMBED_DIM)
+        ds = synth_dataset(seed, n_pairs, dims=dims)
+        seq = np.random.SeedSequence([seed, 0xDA7A])  # synth_dataset's stream
+        draws = [np.random.default_rng(seq) for _ in range(2)]
+        budget = 400 * (n_pairs + GeneratorParams().held_out)
+        latents, captions, left = _mutual_pairs(ds.base, draws[0], n_pairs, dims.caption_len, budget)
+        want = mutual_pairs_loop(ds.base, draws[1], n_pairs, dims.caption_len, budget)
+        assert np.array_equal(latents, np.array(want[0])) and latents.shape == (n_pairs, 64)
+        assert captions == want[1] == list(ds.captions)
+        assert left == want[2] <= budget - n_pairs
+        assert draws[0].bit_generator.state == draws[1].bit_generator.state
+
+    def test_acceptance_rejects_what_the_loop_rejects(self, monkeypatch):
+        # a converged latent/caption fixed point can only lose to an exact
+        # tie, so the cross-score check is driven here with latents that
+        # are not their captions' fixed points
+        def off_fixed_point(base, z0, length):
+            cap = tuple(int(t) for t in np.argsort(-(base.text.table @ np.roll(z0, 1)))[:length])
+            return z0 / np.linalg.norm(z0), cap
+
+        monkeypatch.setattr(harness, "_latent_caption_pair", off_fixed_point)
+        base = synth_dataset(3, 2, dims=SMALL_DIMS).base
+        draws = [np.random.default_rng(11) for _ in range(2)]
+        latents, captions, left = _mutual_pairs(base, draws[0], 30, 4, 1000)
+        want = mutual_pairs_loop(base, draws[1], 30, 4, 1000)
+        assert captions == want[1] and np.array_equal(latents, np.array(want[0]).reshape(-1, 16))
+        assert left == want[2] and draws[0].bit_generator.state == draws[1].bit_generator.state
+        assert 3 < len(captions) < 30 and left == 0  # most candidates were rejected
+
+    def test_acceptance_stops_with_the_budget(self):
+        # 60 draws with repeated captions cannot yield 60 pairs
+        base = synth_dataset(3, 2, dims=SMALL_DIMS).base
+        draws = [np.random.default_rng(7) for _ in range(2)]
+        latents, captions, left = _mutual_pairs(base, draws[0], 60, 4, 60)
+        want = mutual_pairs_loop(base, draws[1], 60, 4, 60)
+        assert 0 < len(captions) < 60 and left == 0 == want[2]
+        assert captions == want[1] and np.array_equal(latents, np.array(want[0]))
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aetlab.core import REGION_ASSIGNMENTS, AttackConfig, SimplexWeights, linf_project
+from aetlab.core import REGION_ASSIGNMENTS, AttackConfig, SimplexWeights, linf_box, linf_project
 from aetlab.encoders import grad_loss_wrt_image, gradient_table, text_direction
 from aetlab.image_attack import (
     _sign_step,
@@ -114,14 +114,16 @@ class TestSignStep:
         # a sign step depends only on the signs
         grads = gradient_table(tiny_pair.image, tiny_u, tiny_image.shape, fast_cfg.scales)
         scaled = {s: factor * g for s, g in grads.items()}
-        want = _sign_step(tiny_image, tiny_image, tiny_image, grads, tiny_pair.image, fast_cfg)
-        got = _sign_step(tiny_image, tiny_image, tiny_image, scaled, tiny_pair.image, fast_cfg)
+        box = linf_box(tiny_image, fast_cfg.eps_image)
+        want = _sign_step(tiny_image, tiny_image, box, grads, tiny_pair.image, fast_cfg)
+        got = _sign_step(tiny_image, tiny_image, box, scaled, tiny_pair.image, fast_cfg)
         assert np.array_equal(got, want)
         assert np.max(np.abs(got - tiny_image)) == pytest.approx(fast_cfg.step_size)
 
     def test_zero_gradient_gives_no_step(self, tiny_pair, tiny_image, fast_cfg):
         zeros = {s: np.zeros_like(tiny_image) for s in fast_cfg.scales}
-        got = _sign_step(tiny_image, tiny_image, tiny_image, zeros, tiny_pair.image, fast_cfg)
+        box = linf_box(tiny_image, fast_cfg.eps_image)
+        got = _sign_step(tiny_image, tiny_image, box, zeros, tiny_pair.image, fast_cfg)
         assert np.array_equal(got, tiny_image)
 
 
@@ -132,13 +134,14 @@ class TestTextGuidedSelect:
         )
         bad = -good
         assert text_guided_select(
-            tiny_image, tiny_image, np.stack([bad, good]), tiny_u, tiny_pair.image, None, fast_cfg
+            tiny_image, linf_box(tiny_image, fast_cfg.eps_image), np.stack([bad, good]), tiny_u,
+            tiny_pair.image, None,
         ) == 1
 
     def test_tie_goes_to_lowest_index(self, tiny_pair, tiny_image, tiny_u, fast_cfg):
         d = np.zeros((2,) + tiny_image.shape)
         assert text_guided_select(
-            tiny_image, tiny_image, d, tiny_u, tiny_pair.image, None, fast_cfg
+            tiny_image, linf_box(tiny_image, fast_cfg.eps_image), d, tiny_u, tiny_pair.image, None
         ) == 0
 
     def test_selection_evaluates_feasible_candidate(
@@ -149,10 +152,11 @@ class TestTextGuidedSelect:
         huge = 100.0 * normalized_sign(g)
         small = fast_cfg.step_size * normalized_sign(g)
         idx = text_guided_select(
-            tiny_image, tiny_image, np.stack([huge, small]), tiny_u, tiny_pair.image, None, fast_cfg
+            tiny_image, linf_box(tiny_image, fast_cfg.eps_image), np.stack([huge, small]), tiny_u,
+            tiny_pair.image, None,
         )
-        cand_huge = linf_project(tiny_image + huge, tiny_image, fast_cfg.eps_image)
-        cand_small = linf_project(tiny_image + small, tiny_image, fast_cfg.eps_image)
+        cand_huge = linf_project(tiny_image + huge, linf_box(tiny_image, fast_cfg.eps_image))
+        cand_small = linf_project(tiny_image + small, linf_box(tiny_image, fast_cfg.eps_image))
         vals = [
             mismatch_value(c, tiny_u, tiny_pair.image, None)
             for c in (cand_huge, cand_small)
@@ -167,7 +171,7 @@ class TestTextGuidedSelect:
         )
         d = np.stack([-good, good, -good, good])
         assert text_guided_select(
-            tiny_image, tiny_image, d, tiny_u, tiny_pair.image, None, fast_cfg
+            tiny_image, linf_box(tiny_image, fast_cfg.eps_image), d, tiny_u, tiny_pair.image, None
         ) == 1
 
     @pytest.mark.parametrize("use_projector", [False, True])
@@ -183,29 +187,56 @@ class TestTextGuidedSelect:
         for _ in range(20):
             dirs = 0.25 * rng.integers(-1, 2, size=(6, 8, 8)).astype(float)
             dirs[rng.integers(6)] = dirs[rng.integers(6)]
-            cands = linf_project(tiny_image + dirs, tiny_image, cfg.eps_image)
+            cands = linf_project(tiny_image + dirs, linf_box(tiny_image, cfg.eps_image))
             vals = [mismatch_value(c, u, tiny_pair.image, projector) for c in cands]
             assert text_guided_select(
-                tiny_image, tiny_image, dirs, u, tiny_pair.image, projector, cfg
+                tiny_image, linf_box(tiny_image, cfg.eps_image), dirs, u, tiny_pair.image, projector
             ) == vals.index(max(vals))
+
+    @pytest.mark.parametrize("use_projector", [False, True])
+    def test_direction_layout_does_not_change_the_choice(
+        self, tiny_pair, tiny_image, tiny_caption, rng, use_projector
+    ):
+        # Fortran-ordered, strided and pixel-major stacks select what the
+        # C-contiguous stack selects, exact ties included; the feasible
+        # candidates of a pixel-major stack flatten to strided rows
+        cfg = AttackConfig(eps_image=0.5, step_size=0.25)
+        projector = build_projection(rng.standard_normal((5, 16))) if use_projector else None
+        u = text_direction(tiny_pair.text, tiny_caption, projector)
+        box = linf_box(tiny_image, cfg.eps_image)
+        for _ in range(20):
+            dirs = 0.25 * rng.integers(-1, 2, size=(6, 8, 8)).astype(float)
+            dirs[rng.integers(6)] = dirs[rng.integers(6)]
+            want = text_guided_select(tiny_image, box, dirs, u, tiny_pair.image, projector)
+            for layout in (
+                np.asfortranarray(dirs),
+                np.repeat(dirs, 2, axis=0)[::2],
+                np.ascontiguousarray(dirs.transpose(1, 2, 0)).transpose(2, 0, 1),
+            ):
+                assert layout.flags.c_contiguous is False
+                assert text_guided_select(tiny_image, box, layout, u, tiny_pair.image, projector) == want
 
     def test_nan_candidate_rejected(self, tiny_pair, tiny_image, tiny_u, fast_cfg):
         d = np.zeros((3,) + tiny_image.shape)
         d[2, 4, 5] = np.nan
         with pytest.raises(ValueError):
-            text_guided_select(tiny_image, tiny_image, d, tiny_u, tiny_pair.image, None, fast_cfg)
+            text_guided_select(
+                tiny_image, linf_box(tiny_image, fast_cfg.eps_image), d, tiny_u, tiny_pair.image, None
+            )
 
     def test_mismatched_text_direction_rejected(self, tiny_pair, tiny_image, tiny_u, fast_cfg):
         d = np.zeros((2,) + tiny_image.shape)
         for u in (tiny_u[:-1], tiny_u[None]):
             with pytest.raises(ValueError):
-                text_guided_select(tiny_image, tiny_image, d, u, tiny_pair.image, None, fast_cfg)
+                text_guided_select(
+                    tiny_image, linf_box(tiny_image, fast_cfg.eps_image), d, u, tiny_pair.image, None
+                )
 
     def test_empty_directions_rejected(self, tiny_pair, tiny_image, tiny_u, fast_cfg):
         with pytest.raises(ValueError):
             text_guided_select(
-                tiny_image, tiny_image, np.zeros((0,) + tiny_image.shape),
-                tiny_u, tiny_pair.image, None, fast_cfg,
+                tiny_image, linf_box(tiny_image, fast_cfg.eps_image),
+                np.zeros((0,) + tiny_image.shape), tiny_u, tiny_pair.image, None,
             )
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from aetlab.core import AttackConfig
+from aetlab.core import AttackConfig, matvec_rows
 from aetlab.encoders import (
     BagOfWordsTextEncoder,
     EncoderPair,
@@ -9,6 +9,7 @@ from aetlab.encoders import (
     encode_image,
     encode_text,
 )
+from aetlab.harness import DatasetDims, default_model_pool, synth_dataset
 from aetlab.subspace import build_projection
 from aetlab.text_attack import (
     build_word_candidates,
@@ -80,6 +81,19 @@ class TestWordCandidates:
             expect = enumerate_text_candidates((v,), tiny_pair.text, size)[1:]
             assert [(t,) for t in near[v].tolist()] == expect
 
+    @pytest.mark.parametrize("size", [0, 10, 63, 64, 255])
+    def test_dataset_encoders_match_per_token_order(self, size):
+        # the base pair and two pool models of a 200-token dataset: the
+        # row blocks end inside the table, and every row keeps the bits of
+        # the per-token product
+        ds = synth_dataset(18, 4, dims=DatasetDims(embed_dim=32, vocab_size=200))
+        for enc in [ds.base, *default_model_pool(ds, n_models=2)]:
+            near = word_neighbours(enc.text, size)
+            assert near.shape == (200, min(size, 199))
+            for v in range(200):
+                expect = enumerate_text_candidates((v,), enc.text, size)[1:]
+                assert [(t,) for t in near[v].tolist()] == expect
+
 
 class TestEnumerateCandidates:
     def test_original_first_and_counts(self, tiny_pair, tiny_caption):
@@ -99,7 +113,7 @@ class TestScoring:
         prev = clean + 0.1 * rng.standard_normal(clean.shape)
         cur = clean - 0.1 * rng.standard_normal(clean.shape)
         txt = encode_text(tiny_pair.text, tiny_caption)
-        got = score_text_candidate(txt, np.stack([clean, prev, cur]), None, cfg)
+        got = score_text_candidate(txt, np.stack([clean, prev, cur]), cfg)
         assert type(got) is float
         expect = -(
             0.6 * pair_similarity(clean, txt)
@@ -113,7 +127,7 @@ class TestScoring:
         p = build_projection(rng.standard_normal((4, tiny_pair.image.embed_dim)))
         clean = p @ encode_image(tiny_pair.image, tiny_image)
         got = score_text_candidate(
-            encode_text(tiny_pair.text, tiny_caption), np.stack([clean, clean, clean]), p, cfg
+            p @ encode_text(tiny_pair.text, tiny_caption), np.stack([clean, clean, clean]), cfg
         )
         txt = p @ encode_text(tiny_pair.text, tiny_caption)
         expect = -pair_similarity(clean, txt)
@@ -140,7 +154,7 @@ class TestScoring:
                 + cfg.mu * pair_similarity(proj(imgs[1]), txt)
                 + cfg.nu * pair_similarity(proj(imgs[2]), txt)
             )
-            got = score_text_candidate(encode_text(tiny_pair.text, cand), pre, projector, cfg)
+            got = score_text_candidate(proj(encode_text(tiny_pair.text, cand)), pre, cfg)
             assert got == expect
 
     @pytest.mark.parametrize("use_projector", [False, True])
@@ -160,17 +174,21 @@ class TestScoring:
             np.stack([row] * 3),  # 2-D rows
         ):
             with pytest.raises(ValueError):
-                score_text_candidate(txt, embs, projector, cfg)
+                score_text_candidate(txt if projector is None else projector @ txt, embs, cfg)
         # consistent on every side, but not what the projector maps, or 2-D
         if projector is not None:
             bad_txt, bad_emb = np.append(txt, 1.0), np.append(emb, 1.0)
         else:
             bad_txt, bad_emb = txt[None], emb[None]
         with pytest.raises(ValueError):
-            score_text_candidate(bad_txt, np.stack([bad_emb] * 3), projector, cfg)
+            score_text_candidate(
+                bad_txt if projector is None else matvec_rows(projector, bad_txt[None])[0],
+                np.stack([bad_emb] * 3),
+                cfg,
+            )
         # three caption rows would pair with the three image rows
         with pytest.raises(ValueError):
-            score_text_candidate(np.stack([txt] * 3), np.stack([emb] * 3), projector, cfg)
+            score_text_candidate(np.stack([txt] * 3), np.stack([emb] * 3), cfg)
 
 
 class TestSelection:
@@ -215,7 +233,7 @@ class TestRunTextAttack:
         )
         clean = encode_image(tiny_pair.image, tiny_image)
         score = lambda c: score_text_candidate(
-            encode_text(tiny_pair.text, c), np.stack([clean, clean, clean]), None, cfg
+            encode_text(tiny_pair.text, c), np.stack([clean, clean, clean]), cfg
         )
         assert score(chosen) >= score(tiny_caption)
 
@@ -229,6 +247,15 @@ class TestRunTextAttack:
             tiny_caption, tiny_image, tiny_image, tiny_image, tiny_pair, None, cfg, near
         )
         assert a == b
+
+    def test_projector_of_another_dimension_rejected(self, tiny_pair, tiny_image, tiny_caption):
+        cfg = AttackConfig()
+        near = word_neighbours(tiny_pair.text, cfg.word_list_size)
+        for projector in (np.eye(15), np.eye(17)):
+            with pytest.raises(ValueError):
+                run_text_attack(
+                    tiny_caption, tiny_image, tiny_image, tiny_image, tiny_pair, projector, cfg, near
+                )
 
     @pytest.mark.parametrize("use_projector", [False, True])
     def test_equals_per_candidate_oracle(self, tiny_pair, tiny_image, tiny_caption, rng, use_projector):
@@ -279,7 +306,7 @@ class TestCaptionTies:
             embs = np.stack([encode_image(pair.image, x) for x in (tiny_image, tiny_image, cur)])
             cands = enumerate_text_candidates(caption, pair.text, 11)
             scores = [
-                score_text_candidate(encode_text(pair.text, c), embs, None, cfg) for c in cands
+                score_text_candidate(encode_text(pair.text, c), embs, cfg) for c in cands
             ]
             winners = [i for i, v in enumerate(scores) if v == max(scores)]
             assert chosen == cands[winners[0]]
