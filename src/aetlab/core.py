@@ -1,6 +1,6 @@
 """Shared numeric primitives: the image-text similarity, row-wise matrix
-products, simplex weights, L-inf projection, and the adjoint of the bilinear
-scale augmentation.
+products, the simplex-weight check, L-inf projection, and the adjoint of the
+bilinear scale augmentation.
 
 Images are float64 arrays of shape (H, W) with pixels in [0, 1]. Captions are
 integer token sequences. The scale augmentation is implemented as an exactly
@@ -31,21 +31,6 @@ REGION_ASSIGNMENTS: dict[str, tuple[int, int, int]] = {
     "E": (1, 2, 0),  # beta < lam < gamma
     "F": (0, 2, 1),  # beta < gamma < lam
 }
-
-
-@dataclass(frozen=True)
-class SimplexWeights:
-    """Convex-combination weights (lam, beta, gamma) summing to 1."""
-
-    lam: float
-    beta: float
-    gamma: float
-
-    def __post_init__(self):
-        validate_simplex(np.array([self.as_tuple()]))
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.lam, self.beta, self.gamma)
 
 
 @dataclass(frozen=True)
@@ -150,16 +135,6 @@ def matvec_rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
     rows are copied to a C-contiguous stack if they are not one, since
     other layouts take other BLAS or non-BLAS paths."""
     return np.matmul(a, np.ascontiguousarray(rows)[:, :, None])[:, :, 0]
-
-
-def dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a_i.dot(b_i) for each row pair of two (n, k) matrices, or of one
-    matrix and a shared (k,) vector on either side, with the bits of the
-    1-D products on contiguous rows: np.matmul on (1, k) @ (k, 1) items
-    makes the same BLAS ddot call per pair. Both operands are made
-    C-contiguous first, as in matvec_rows."""
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def linf_box(origin: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:

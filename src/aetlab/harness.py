@@ -3,20 +3,20 @@ experiments over a pool of perturbed encoder pairs.
 
 Images are decoded from unit latent vectors through the base encoder's
 orthonormal pixel basis, and captions are the tokens best aligned with the
-latent, so the clean dataset retrieves at (near-)perfect R@1 while leaving
+latent, so the clean dataset retrieves at exact R@1 while leaving
 margins small enough for budgeted attacks to flip ranks.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import matio
-from .core import AttackConfig, SimplexWeights, check_scales, dot_rows, similarity
+from .core import AttackConfig, check_scales, similarity
 from .encoders import (
     EncoderPair,
     embed_captions,
@@ -140,55 +140,44 @@ _FIXED_POINT_ITERS = 8
 
 def _latent_caption_pair(
     base: EncoderPair, z0: np.ndarray, length: int
-) -> tuple[np.ndarray, Caption]:
-    """Latent/caption fixed point: caption = top-L tokens for the latent and
-    latent = unit caption embedding. Alternating from a random start converges
-    in a few rounds; the result makes the true pair the mutual best match in
-    both retrieval directions up to crowding."""
+) -> tuple[np.ndarray, Caption] | None:
+    """Latent/caption fixed point from the unit start z0/|z0|: caption =
+    top-L tokens for the latent and latent = unit caption embedding, for at
+    most _FIXED_POINT_ITERS updates of the latent. None unless a top-L
+    evaluation confirms that the caption is the top-L set at its latent.
+
+    At a confirmed fixed point (z, c), c's embedding scores z with the mean
+    of the L highest token scores, which no other caption exceeds; and z is
+    the unit vector along c's embedding, which no other unit latent scores
+    higher (Cauchy-Schwarz). So distinct confirmed pairs are strict mutual
+    best matches in both retrieval directions, barring ties in the last
+    bits."""
     z = z0 / np.linalg.norm(z0)
-    cap: Caption | None = None
+    cap = _caption_from_latent(base.text.table, z, length)
     for _ in range(_FIXED_POINT_ITERS):
-        cap_new = _caption_from_latent(base.text.table, z, length)
-        if cap_new == cap:
-            break
-        cap = cap_new
         emb = encode_text(base.text, cap)
         z = emb / np.linalg.norm(emb)
-    assert cap is not None
-    return z, cap
+        cap_next = _caption_from_latent(base.text.table, z, length)
+        if cap_next == cap:
+            return z, cap
+        cap = cap_next
+    return None
 
 
-def _mutual_pairs(
-    base: EncoderPair, rng: np.random.Generator, n_pairs: int, length: int, budget: int
-) -> tuple[np.ndarray, list[Caption], int]:
-    """Rejection-sample up to n_pairs latent/caption pairs, one draw per
-    unit of budget: the accepted set retrieves at exact R@1 in both
-    directions on the clean data, while crowding keeps the margins small.
-    Returns the (n, d) accepted latents, their captions and the budget
-    left. A candidate is checked against all accepted pairs with two
-    row-wise products, each with the bits of its 1-D product."""
-    d = base.text.embed_dim
-    latents, embeddings, owns = np.empty((n_pairs, d)), np.empty((n_pairs, d)), np.empty(n_pairs)
-    captions: list[Caption] = []
-    seen: set[Caption] = set()
-    while len(captions) < n_pairs and budget > 0:
+def _distinct_draws(
+    draw: Callable[[], tuple[np.ndarray | None, Caption] | None], n: int, budget: int
+) -> tuple[dict[Caption, np.ndarray | None], int]:
+    """Up to n (latent, caption) draws with distinct captions, one call of
+    draw per unit of budget: a draw of None, or of a caption already taken,
+    is rejected. Returns {caption: latent} in draw order and the budget
+    left."""
+    taken: dict[Caption, np.ndarray | None] = {}
+    while len(taken) < n and budget > 0:
         budget -= 1
-        z, cap = _latent_caption_pair(base, rng.standard_normal(d), length)
-        if cap in seen:
-            continue
-        emb = encode_text(base.text, cap)
-        own = float(emb @ z)
-        n = len(captions)
-        # both cross scores must stay below both own scores, so each pair
-        # remains the strict mutual best match in TR and IR
-        bound = np.minimum(own, owns[:n])
-        crossed = dot_rows(embeddings[:n], z) >= bound
-        if crossed.any() or (dot_rows(emb, latents[:n]) >= bound).any():
-            continue
-        seen.add(cap)
-        latents[n], embeddings[n], owns[n] = z, emb, own
-        captions.append(cap)
-    return latents[: len(captions)], captions, budget
+        got = draw()
+        if got is not None:
+            taken.setdefault(got[1], got[0])
+    return taken, budget
 
 
 def synth_dataset(
@@ -205,6 +194,8 @@ def synth_dataset(
     longer (held_out_len tokens): averaging more token rows makes the corpus
     span a cleaner estimate of the semantic subspace.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     if n_pairs < 2:
         raise ValueError("n_pairs must be >= 2")
     if not (1 <= gen.held_out_len <= dims.vocab_size):
@@ -221,33 +212,34 @@ def synth_dataset(
         table_jitter=gen.table_jitter,
     )
     decoder = base.image.weight.T  # (H*W, d), orthonormal columns
+    d = dims.embed_dim
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xDA7A]))
     budget = 400 * (n_pairs + gen.held_out)
-    latents, captions, budget = _mutual_pairs(base, rng, n_pairs, dims.caption_len, budget)
-    if len(captions) < n_pairs:
+    pairs, budget = _distinct_draws(
+        lambda: _latent_caption_pair(base, rng.standard_normal(d), dims.caption_len),
+        n_pairs,
+        budget,
+    )
+    if len(pairs) < n_pairs:
         raise ValueError(
             "could not sample enough mutually retrievable pairs; "
             "raise vocab_size/semantic_rank or lower n_pairs"
         )
-    images = []
-    for z in latents:
-        pix = 0.5 + gen.latent_scale * (decoder @ z)
-        images.append(np.clip(pix, 0.0, 1.0).reshape(dims.height, dims.width))
-    held: list[Caption] = []
-    held_seen: set[Caption] = set()
-    while len(held) < gen.held_out and budget > 0:
-        budget -= 1
-        z = rng.standard_normal(dims.embed_dim)
-        cap = _caption_from_latent(base.text.table, z / np.linalg.norm(z), gen.held_out_len)
-        if cap in held_seen:
-            continue
-        held_seen.add(cap)
-        held.append(cap)
+
+    def held_out_draw():
+        z = rng.standard_normal(d)
+        return None, _caption_from_latent(base.text.table, z / np.linalg.norm(z), gen.held_out_len)
+
+    held, budget = _distinct_draws(held_out_draw, gen.held_out, budget)
     if len(held) < gen.held_out:
         raise ValueError("could not sample enough held-out captions")
+    images = tuple(
+        np.clip(0.5 + gen.latent_scale * (decoder @ z), 0.0, 1.0).reshape(dims.height, dims.width)
+        for z in pairs.values()
+    )
     return SyntheticDataset(
-        images=tuple(images),
-        captions=tuple(captions),
+        images=images,
+        captions=tuple(pairs),
         held_out_texts=tuple(held),
         seed=int(seed),
         dims=dims,
@@ -280,10 +272,15 @@ def load_dataset_descriptor(path: str | Path) -> SyntheticDataset:
     def value(key, kind):
         return matio.parse_value(path, key, kv[key], kind)
 
+    def seed(raw: str) -> int:
+        if (n := int(raw)) < 0:
+            raise ValueError("seed must be a non-negative integer")
+        return n
+
     def parse(cls):
         return cls(**{f.name: value(f.name, type(f.default)) for f in fields(cls)})
 
-    return synth_dataset(value("seed", int), value("n_pairs", int), *map(parse, groups))
+    return synth_dataset(value("seed", seed), value("n_pairs", int), *map(parse, groups))
 
 
 def retrieval_rank(queries: np.ndarray, gallery: np.ndarray) -> np.ndarray:
@@ -346,7 +343,8 @@ def clean_recall_at_1(ds: SyntheticDataset, enc: EncoderPair) -> tuple[float, fl
 
 
 def resolve_variant(variant: str, cfg: AttackConfig):
-    """Map a method name onto (config, use_projector, forced_weights).
+    """Map a method name onto (config, use_projector, forced_weights), the
+    last a (lam, beta, gamma) triple or None.
 
     saaet: triangle sampling plus semantic projection; dra: triangle sampling
     without projection; sga: plain multi-scale baseline (single sample pinned
@@ -359,7 +357,7 @@ def resolve_variant(variant: str, cfg: AttackConfig):
         return cfg, False, None
     if variant == "sga":
         sga_cfg = replace(cfg, samples=1, kappa=0.0, mu=0.0, nu=1.0)
-        return sga_cfg, False, SimplexWeights(0.0, 0.0, 1.0)
+        return sga_cfg, False, (0.0, 0.0, 1.0)
     if variant.startswith("subtriangle-"):
         region = variant[len("subtriangle-") :]
         return replace(cfg, region=region), True, None

@@ -25,7 +25,6 @@ import numpy as np
 from .core import (
     REGION_ASSIGNMENTS,
     AttackConfig,
-    SimplexWeights,
     linf_box,
     linf_project,
     matvec_rows,
@@ -130,7 +129,7 @@ def run_image_attack(
     projector: np.ndarray | None,
     cfg: AttackConfig,
     rng: np.random.Generator,
-    forced_weights: SimplexWeights | None = None,
+    forced_weights: tuple[float, float, float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list[StepRecord]]:
     """Full T-step attack; returns the final and second-to-last adversarial
     images (the caption attack needs both) plus one StepRecord per step.
@@ -141,10 +140,12 @@ def run_image_attack(
     noise, which leaves the RNG where per-step draws would; a run with
     steps=t from the same RNG state draws a prefix of them, so it returns
     this run's iterates t and t-1. forced_weights pins every triangle
-    sample to one weight triple without consuming RNG; with (0, 0, 1) and
-    samples=1 the loop reduces exactly to the multi-scale sign-gradient
-    baseline.
+    sample to one (lam, beta, gamma) triple, checked with validate_simplex
+    before any work, without consuming RNG; with (0, 0, 1) and samples=1
+    the loop reduces exactly to the multi-scale sign-gradient baseline.
     """
+    if forced_weights is not None:
+        pinned = validate_simplex(np.array([forced_weights], dtype=np.float64))
     u = text_direction(enc_pair.text, caption, projector)
     enc_i = enc_pair.image
     grads = gradient_table(enc_i, u, x.shape, cfg.scales)
@@ -158,7 +159,7 @@ def run_image_attack(
     trace = [StepRecord(1, mismatch(cur), 0.0, 0.0, 1.0, -1)]
     n_rows = (cfg.steps - 1) * cfg.samples
     if forced_weights is not None:
-        all_weights = np.array([forced_weights.as_tuple()] * n_rows)
+        all_weights = np.repeat(pinned, n_rows, axis=0)
     else:
         all_weights = sample_sub_triangle(n_rows, rng, cfg.region)
     for step, weights in enumerate(all_weights.reshape(-1, cfg.samples, 3), start=2):

@@ -1,11 +1,11 @@
 """Reference implementations the tests compare the package against."""
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from aetlab.core import (
     REGION_ASSIGNMENTS,
-    SimplexWeights,
+    SIMPLEX_TOL,
     _roundtrip_matrix,
     linf_box,
     linf_project,
@@ -13,7 +13,6 @@ from aetlab.core import (
     validate_image,
 )
 from aetlab.encoders import encode_image, encode_text, text_direction
-from aetlab import harness
 from aetlab.harness import (
     ExperimentReport,
     attack_success_rate,
@@ -124,6 +123,26 @@ def multiscale_grad(x, u, enc_i, cfg):
     return total
 
 
+@dataclass(frozen=True)
+class SimplexWeights:
+    """One (lam, beta, gamma) triple, each component in [0, 1] and the
+    three summing to 1 within core.SIMPLEX_TOL, checked one value at a time."""
+
+    lam: float
+    beta: float
+    gamma: float
+
+    def __post_init__(self):
+        vals = (self.lam, self.beta, self.gamma)
+        if not all(0.0 <= v <= 1.0 for v in vals):  # NaN fails too
+            raise ValueError(f"simplex weight outside [0, 1]: {vals}")
+        if not abs(sum(vals) - 1.0) <= SIMPLEX_TOL:
+            raise ValueError(f"simplex weights do not sum to 1: {vals}")
+
+    def as_tuple(self) -> tuple[float, float, float]:
+        return (self.lam, self.beta, self.gamma)
+
+
 def convex_combine(x, x_prev, x_cur, w: SimplexWeights):
     """Pixelwise lam*x + beta*x_prev + gamma*x_cur for one weight triple."""
     if x.shape != x_prev.shape or x.shape != x_cur.shape:
@@ -173,7 +192,7 @@ def run_image_attack_per_sample(x, caption, enc_pair, projector, cfg, rng, force
     trace = [StepRecord(1, mismatch_value(cur, u, enc_i, projector), 0.0, 0.0, 1.0, -1)]
     for step in range(2, cfg.steps + 1):
         if forced_weights is not None:
-            weights = [forced_weights] * cfg.samples
+            weights = [SimplexWeights(*forced_weights)] * cfg.samples
         else:
             weights = sample_sub_triangle_loop(cfg.samples, rng, cfg.region)
         best, best_val = 0, -np.inf
@@ -278,16 +297,35 @@ def run_sga_attack(x, caption, enc_pair, projector, cfg, rng):
     return cur, prev
 
 
+def fixed_point_8_rounds(base, z0, length):
+    """The generator's latent/caption fixed point without the confirming
+    evaluation: at most 8 rounds of caption = top-L tokens at z, z = unit
+    caption embedding, so the 8th caption is returned unconfirmed."""
+    z = z0 / np.linalg.norm(z0)
+    cap = None
+    for _ in range(8):
+        order = np.argsort(-(base.text.table @ z), kind="stable")
+        cap_new = tuple(int(t) for t in order[:length])
+        if cap_new == cap:
+            break
+        cap = cap_new
+        emb = encode_text(base.text, cap)
+        z = emb / np.linalg.norm(emb)
+    return z, cap
+
+
 def mutual_pairs_loop(base, rng, n_pairs, length, budget):
-    """harness._mutual_pairs with each candidate checked against the
-    accepted pairs one at a time, stopping at the first conflict: two 1-D
-    products per accepted pair, kept in lists."""
+    """The generator's pair draws by rejection sampling with a cross-score
+    check instead of a confirmed fixed point: each draw's 8-round fixed
+    point (fixed_point_8_rounds) is accepted if its caption is new and,
+    against each accepted pair in turn, both cross scores stay below both
+    own scores. Returns the accepted latents, captions and the budget left."""
     latents, captions, embeddings, own_scores = [], [], [], []
     seen = set()
     while len(captions) < n_pairs and budget > 0:
         budget -= 1
         z0 = rng.standard_normal(base.text.embed_dim)
-        z, cap = harness._latent_caption_pair(base, z0, length)
+        z, cap = fixed_point_8_rounds(base, z0, length)
         if cap in seen:
             continue
         emb = encode_text(base.text, cap)

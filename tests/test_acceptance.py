@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from aetlab.core import AttackConfig, DEFAULT_SCALES, SimplexWeights
+from aetlab.core import AttackConfig, DEFAULT_SCALES
 from aetlab.encoders import grad_loss_wrt_image, gradient_table, make_base_encoders, text_direction
 from aetlab.harness import (
     DatasetDims,
@@ -249,7 +249,7 @@ def test_criterion_7_sga_regression(capsys):
         seed = int(rng.integers(1 << 30))
         a, prev_a, _ = run_image_attack(
             x, caption, pair, None, cfg, np.random.default_rng(seed),
-            forced_weights=SimplexWeights(0.0, 0.0, 1.0),
+            forced_weights=(0.0, 0.0, 1.0),
         )
         b, prev_b = run_sga_attack(
             x, caption, pair, None, cfg, np.random.default_rng(seed)

@@ -89,6 +89,19 @@ class TestSeedHandling:
         assert "--seed" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["ds.txt"]
 
+    @pytest.mark.parametrize("cmd", ["attack", "transfer", "subspace"])
+    def test_negative_descriptor_seed_names_key_and_file(
+        self, dataset_file, tmp_path, monkeypatch, capsys, cmd
+    ):
+        # a descriptor's seed is checked as --seed is, before any output
+        lines = [ln for ln in dataset_file.read_text().splitlines() if not ln.startswith("seed=")]
+        dataset_file.write_text("\n".join(["seed=-1", *lines]) + "\n")
+        monkeypatch.chdir(tmp_path)
+        assert exit_code([cmd, "--seed", "5", "--dataset", "ds.txt"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "'seed'" in err and "ds.txt" in err and "non-negative" in err
+        assert os.listdir(tmp_path) == ["ds.txt"]
+
 
 class TestSynth:
     def test_writes_descriptor(self, dataset_file, capsys):

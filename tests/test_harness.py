@@ -18,7 +18,9 @@ from aetlab.harness import (
     GeneratorParams,
     TRANSFER_EMBED_DIM,
     UndefinedASRError,
-    _mutual_pairs,
+    _caption_from_latent,
+    _distinct_draws,
+    _latent_caption_pair,
     alpha_metric,
     attack_pairs,
     attack_success_rate,
@@ -97,48 +99,72 @@ class TestSynthDataset:
         assert a.captions == b.captions
         assert a.held_out_texts == b.held_out_texts
 
-    @pytest.mark.parametrize("seed, n_pairs", [(18, 100), (18, 300), (4, 300)])
+    @pytest.mark.parametrize(
+        "seed, n_pairs", [(18, 100), (17, 100), (18, 300), (4, 300), (0, 300), (28, 300)]
+    )
     def test_acceptance_equals_per_pair_loop(self, seed, n_pairs):
-        # the stacked check accepts exactly the pairs that checking every
-        # accepted pair in turn accepts, and leaves the RNG and the budget
-        # where the loop does
+        # confirmed fixed points with new captions are exactly the pairs the
+        # 8-round fixed point and the cross-score check accept, and the RNG
+        # and the budget end where the loop's do. Seeds 17, 0 and 28 each
+        # draw a latent whose fixed point is its 8th caption, which only the
+        # confirming evaluation accepts; seed 0's repeats an accepted caption
         dims = DatasetDims(embed_dim=TRANSFER_EMBED_DIM)
         ds = synth_dataset(seed, n_pairs, dims=dims)
         seq = np.random.SeedSequence([seed, 0xDA7A])  # synth_dataset's stream
         draws = [np.random.default_rng(seq) for _ in range(2)]
         budget = 400 * (n_pairs + GeneratorParams().held_out)
-        latents, captions, left = _mutual_pairs(ds.base, draws[0], n_pairs, dims.caption_len, budget)
+        pairs, left = _distinct_draws(
+            lambda: _latent_caption_pair(ds.base, draws[0].standard_normal(64), dims.caption_len),
+            n_pairs,
+            budget,
+        )
         want = mutual_pairs_loop(ds.base, draws[1], n_pairs, dims.caption_len, budget)
+        latents = np.array(list(pairs.values()))
         assert np.array_equal(latents, np.array(want[0])) and latents.shape == (n_pairs, 64)
-        assert captions == want[1] == list(ds.captions)
+        assert list(pairs) == want[1] == list(ds.captions)
         assert left == want[2] <= budget - n_pairs
         assert draws[0].bit_generator.state == draws[1].bit_generator.state
 
-    def test_acceptance_rejects_what_the_loop_rejects(self, monkeypatch):
-        # a converged latent/caption fixed point can only lose to an exact
-        # tie, so the cross-score check is driven here with latents that
-        # are not their captions' fixed points
-        def off_fixed_point(base, z0, length):
-            cap = tuple(int(t) for t in np.argsort(-(base.text.table @ np.roll(z0, 1)))[:length])
-            return z0 / np.linalg.norm(z0), cap
-
-        monkeypatch.setattr(harness, "_latent_caption_pair", off_fixed_point)
+    def test_unconfirmed_draws_rejected(self, monkeypatch):
+        # with two updates most draws end unconfirmed: those are rejected,
+        # and every accepted pair is a confirmed fixed point
+        monkeypatch.setattr(harness, "_FIXED_POINT_ITERS", 2)
         base = synth_dataset(3, 2, dims=SMALL_DIMS).base
-        draws = [np.random.default_rng(11) for _ in range(2)]
-        latents, captions, left = _mutual_pairs(base, draws[0], 30, 4, 1000)
-        want = mutual_pairs_loop(base, draws[1], 30, 4, 1000)
-        assert captions == want[1] and np.array_equal(latents, np.array(want[0]).reshape(-1, 16))
-        assert left == want[2] and draws[0].bit_generator.state == draws[1].bit_generator.state
-        assert 3 < len(captions) < 30 and left == 0  # most candidates were rejected
+        starts = np.random.default_rng(11).standard_normal((200, 16))
+        got = [_latent_caption_pair(base, z0, 4) for z0 in starts]
+        assert 20 < sum(g is None for g in got) < 180
+        it = iter(starts)
+        pairs, left = _distinct_draws(lambda: _latent_caption_pair(base, next(it), 4), 200, 200)
+        want = {}
+        for g in got:
+            if g is not None:
+                want.setdefault(g[1], g[0])
+        assert left == 0 and list(pairs) == list(want)
+        for cap, z in pairs.items():
+            emb = encoders.encode_text(base.text, cap)
+            assert np.array_equal(z, emb / np.linalg.norm(emb))
+            assert _caption_from_latent(base.text.table, z, 4) == cap
+
+    @pytest.mark.parametrize("seed", range(32))
+    def test_clean_retrieval_is_exact_at_the_reference_shape(self, seed):
+        ds = synth_dataset(seed, 100, dims=DatasetDims(embed_dim=TRANSFER_EMBED_DIM))
+        assert clean_recall_at_1(ds, ds.base) == (100.0, 100.0)
 
     def test_acceptance_stops_with_the_budget(self):
         # 60 draws with repeated captions cannot yield 60 pairs
         base = synth_dataset(3, 2, dims=SMALL_DIMS).base
         draws = [np.random.default_rng(7) for _ in range(2)]
-        latents, captions, left = _mutual_pairs(base, draws[0], 60, 4, 60)
+        pairs, left = _distinct_draws(
+            lambda: _latent_caption_pair(base, draws[0].standard_normal(16), 4), 60, 60
+        )
         want = mutual_pairs_loop(base, draws[1], 60, 4, 60)
-        assert 0 < len(captions) < 60 and left == 0 == want[2]
-        assert captions == want[1] and np.array_equal(latents, np.array(want[0]))
+        assert 0 < len(pairs) < 60 and left == 0 == want[2]
+        assert list(pairs) == want[1] and np.array_equal(list(pairs.values()), want[0])
+
+    @pytest.mark.parametrize("seed", [-1, -(2**40)])
+    def test_negative_seed_rejected_by_name(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            synth_dataset(seed, 4, dims=SMALL_DIMS)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -196,6 +222,13 @@ class TestSynthDataset:
         path = tmp_path / "bad.txt"
         path.write_text("seed=1\n")
         with pytest.raises(ValueError):
+            load_dataset_descriptor(path)
+
+    def test_descriptor_negative_seed_names_key_and_file(self, small_ds, tmp_path):
+        path = tmp_path / "ds.txt"
+        save_dataset_descriptor(small_ds, path)
+        path.write_text(path.read_text().replace("seed=5\n", "seed=-1\n"))
+        with pytest.raises(ValueError, match=r"ds\.txt: bad value '-1' for key 'seed'"):
             load_dataset_descriptor(path)
 
     def test_descriptor_unknown_key(self, small_ds, tmp_path):
@@ -338,7 +371,7 @@ class TestResolveVariant:
     def test_sga_forces_current_image_vertex(self, tiny_cfg):
         cfg, use_projector, forced = resolve_variant("sga", tiny_cfg)
         assert not use_projector
-        assert forced.as_tuple() == (0.0, 0.0, 1.0)
+        assert forced == (0.0, 0.0, 1.0)
         assert cfg.samples == 1
         assert (cfg.kappa, cfg.mu, cfg.nu) == (0.0, 0.0, 1.0)
 

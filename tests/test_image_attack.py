@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aetlab.core import REGION_ASSIGNMENTS, AttackConfig, SimplexWeights, linf_box, linf_project
+from aetlab.core import REGION_ASSIGNMENTS, AttackConfig, linf_box, linf_project
 from aetlab.encoders import grad_loss_wrt_image, gradient_table, text_direction
 from aetlab.image_attack import (
     _sign_step,
@@ -312,10 +312,39 @@ class TestRunImageAttack:
         via_triangle, prev_t, _ = run_image_attack(
             tiny_image, tiny_caption, tiny_pair, None, cfg,
             np.random.default_rng(13),
-            forced_weights=SimplexWeights(0.0, 0.0, 1.0),
+            forced_weights=(0.0, 0.0, 1.0),
         )
         direct, prev_d = run_sga_attack(
             tiny_image, tiny_caption, tiny_pair, None, cfg, np.random.default_rng(13)
         )
         assert np.array_equal(via_triangle, direct)
         assert np.array_equal(prev_t, prev_d)
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [((0.5, 0.3, 0.3), "sum to 1"), ((1.2, -0.1, -0.1), "outside"),
+         ((np.nan, 0.5, 0.5), "outside"), ((0.5, 0.5), "shape")],
+    )
+    def test_invalid_forced_weights_rejected_before_any_draw(
+        self, tiny_pair, tiny_image, tiny_caption, fast_cfg, weights, message
+    ):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            run_image_attack(
+                tiny_image, tiny_caption, tiny_pair, None, fast_cfg, rng, forced_weights=weights
+            )
+        assert rng.bit_generator.state == state
+
+    def test_pinned_vertex_pins_every_sample(self, tiny_pair, tiny_image, tiny_caption):
+        # every triangle sample of the sga vertex, with a float or an int
+        # triple, is the current image, as the trace records
+        cfg = AttackConfig(steps=4, samples=3, master_seed=0)
+        runs = [
+            run_image_attack(tiny_image, tiny_caption, tiny_pair, None, cfg,
+                             np.random.default_rng(2), forced_weights=w)
+            for w in ((0.0, 0.0, 1.0), (0, 0, 1))
+        ]
+        assert np.array_equal(runs[0][0], runs[1][0])
+        for rec in runs[1][2][1:]:
+            assert (rec.lam, rec.beta, rec.gamma, rec.chosen_index) == (0.0, 0.0, 1.0, 0)
