@@ -102,17 +102,13 @@ def similarity(img, txt: np.ndarray) -> list[float]:
     embeddings, the rows of an (n, d) matrix or a sequence of n (d,) arrays;
     txt is one (d,) direction shared by every row or an (n, d) matrix whose
     rows pair with img's. Each of the n values is float(row.dot(t)) / d,
-    the bits of the 1-D product. The products check the rows: any other
-    shape raises ValueError."""
-    if txt.ndim not in (1, 2):
-        raise ValueError(f"text embeddings must be (d,) or (n, d), got {txt.shape}")
-    d = txt.shape[-1]
-    try:
-        if txt.ndim == 1:
-            return [float(r.dot(txt)) / d for r in img]
-        return [float(r.dot(t)) / d for r, t in zip(img, txt, strict=True)]
-    except (AttributeError, TypeError):  # a row that is not 1-D has no scalar product
-        raise ValueError("image embeddings must be (d,) rows") from None
+    the bits of the 1-D product: np.matmul on the (n, 1, d) and (n, d, 1)
+    stacks makes the same BLAS dot call per row. Any other shape raises
+    ValueError."""
+    rows = np.asarray(img, dtype=np.float64)  # rows of unequal length raise
+    if rows.ndim != 2 or txt.shape not in ((rows.shape[1],), rows.shape):
+        raise ValueError(f"need (n, d) rows and (d,) or (n, d) text, got {rows.shape}, {txt.shape}")
+    return (np.matmul(rows[:, None, :], txt[..., :, None])[:, 0, 0] / rows.shape[1]).tolist()
 
 
 def validate_simplex(weights: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import scale_augment_adjoint, validate_image
+from .core import matvec_rows, scale_augment_adjoint, validate_image
 from .subspace import build_projection
 
 
@@ -109,12 +109,20 @@ def text_direction(
     return u if projector is None else projector @ u
 
 
-def image_embedding(
-    enc_i: LinearImageEncoder, x: np.ndarray, projector: np.ndarray | None
+def embed_images(
+    enc_i: LinearImageEncoder, images, projector: np.ndarray | None
 ) -> np.ndarray:
-    """Image embedding, times the (d, d) semantic projector when given."""
-    v = encode_image(enc_i, x)
-    return v if projector is None else projector @ v
+    """(n, d) embeddings of an (n, H, W) image stack, times the (d, d)
+    semantic projector when given: encode_image's checks made once on the
+    stack, then one matvec_rows call for W and one for P, so each row keeps
+    the bits of the 1-D products."""
+    images = np.asarray(images, dtype=np.float64)
+    if images.ndim != 3 or not np.isfinite(images).all():
+        raise ValueError(f"images must be a finite (n, H, W) stack, got shape {images.shape}")
+    if images.shape[1] * images.shape[2] != enc_i.weight.shape[1]:
+        raise ValueError("image pixel count does not match encoder columns")
+    embs = matvec_rows(enc_i.weight, images.reshape(len(images), -1))
+    return embs if projector is None else matvec_rows(projector, embs)
 
 
 def gradient_table(

@@ -277,10 +277,12 @@ def load_dataset_descriptor(path: str | Path) -> SyntheticDataset:
             raise ValueError("seed must be a non-negative integer")
         return n
 
-    def parse(cls):
-        return cls(**{f.name: value(f.name, type(f.default)) for f in fields(cls)})
-
-    return synth_dataset(value("seed", seed), value("n_pairs", int), *map(parse, groups))
+    head = value("seed", seed), value("n_pairs", int)
+    args = [{f.name: value(f.name, type(f.default)) for f in fields(cls)} for cls in groups]
+    try:  # a parsed value out of range names the file too
+        return synth_dataset(*head, *(cls(**a) for cls, a in zip(groups, args)))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def retrieval_rank(queries: np.ndarray, gallery: np.ndarray) -> np.ndarray:

@@ -14,7 +14,8 @@ similarity down is what breaks retrieval. The caption enters only through
 its (projected) text direction u and that direction's gradient table (one
 pixel-space gradient per scale), both computed once per attack, as are all
 (T-1)*m triangle weights. The m triangle samples of a step, their
-directions and their feasible candidates are (m, H, W) stacks.
+directions and their feasible candidates are (m, H, W) stacks; the T
+iterates' trace losses are scored once, on the (T, H, W) stack.
 """
 from __future__ import annotations
 
@@ -27,16 +28,15 @@ from .core import (
     AttackConfig,
     linf_box,
     linf_project,
-    matvec_rows,
     similarity,
     validate_simplex,
 )
 from .encoders import (
     EncoderPair,
     LinearImageEncoder,
+    embed_images,
     grad_loss_wrt_image,
     gradient_table,
-    image_embedding,
     text_direction,
 )
 
@@ -104,21 +104,12 @@ def text_guided_select(
     the mismatch, i.e. gives the lowest similarity with u; ties go to the
     lowest index.
 
-    The stack of feasible candidates is checked once, embedded (W c, then
-    P) with one row-wise product each, and scored with similarity.
+    The stack of feasible candidates is embedded with embed_images and
+    scored with one similarity call.
     """
-    if len(directions) == 0:
-        raise ValueError("directions must be nonempty")
-    cands = linf_project(cur + directions, box)
-    if not np.isfinite(cands).all():
-        raise ValueError("image has non-finite pixels")
-    w = enc_i.weight
-    if cands[0].size != w.shape[1] or u.shape != (w.shape[0],):
-        raise ValueError("candidate or text direction does not match the encoder")
-    embs = matvec_rows(w, cands.reshape(len(cands), -1))
-    if projector is not None:
-        embs = matvec_rows(projector, embs)
-    sims = similarity(embs, u)
+    if len(directions) == 0 or u.ndim != 1:
+        raise ValueError("need nonempty directions and a (d,) text direction")
+    sims = similarity(embed_images(enc_i, linf_project(cur + directions, box), projector), u)
     return sims.index(min(sims))
 
 
@@ -149,20 +140,16 @@ def run_image_attack(
     u = text_direction(enc_pair.text, caption, projector)
     enc_i = enc_pair.image
     grads = gradient_table(enc_i, u, x.shape, cfg.scales)
-
-    def mismatch(img: np.ndarray) -> float:  # the traced objective
-        return -similarity([image_embedding(enc_i, img, projector)], u)[0]
-
     box = linf_box(x, cfg.eps_image)
     prev = linf_project(x + cfg.eps_image * rng.standard_normal(x.shape), box)
     cur = _sign_step(prev, prev, box, grads, enc_i, cfg)
-    trace = [StepRecord(1, mismatch(cur), 0.0, 0.0, 1.0, -1)]
+    iterates, picks = [cur], [(0.0, 0.0, 1.0, -1)]
     n_rows = (cfg.steps - 1) * cfg.samples
     if forced_weights is not None:
         all_weights = np.repeat(pinned, n_rows, axis=0)
     else:
         all_weights = sample_sub_triangle(n_rows, rng, cfg.region)
-    for step, weights in enumerate(all_weights.reshape(-1, cfg.samples, 3), start=2):
+    for weights in all_weights.reshape(-1, cfg.samples, 3):
         lam, beta, gamma = weights.T[:, :, None, None]
         samples = lam * x + beta * prev + gamma * cur
         dirs = cfg.step_size * np.sign(
@@ -170,6 +157,9 @@ def run_image_attack(
         )
         o = text_guided_select(cur, box, dirs, u, enc_i, projector)
         prev, cur = cur, _sign_step(cur, samples[o], box, grads, enc_i, cfg)
-        lam, beta, gamma = weights[o].tolist()
-        trace.append(StepRecord(step, mismatch(cur), lam, beta, gamma, o))
+        iterates.append(cur)
+        picks.append((*weights[o].tolist(), o))
+    # each step's loss is the mismatch of its iterate, all scored at the end
+    sims = similarity(embed_images(enc_i, iterates, projector), u)
+    trace = [StepRecord(t, -s, *pick) for t, (s, pick) in enumerate(zip(sims, picks), start=1)]
     return cur, prev, trace

@@ -6,14 +6,15 @@ exhaustively scores the original caption plus every single substitution and
 keeps the one that deviates most from the final evolution triangle of the
 image attack (weighted mismatch against the clean, previous-step, and final
 adversarial image). The candidates are encoded together as one (n_cand, L)
-token matrix and projected together with one row-wise product.
+token matrix and projected together with one row-wise product, and all
+n_cand x 3 candidate-image similarities are taken in one similarity call.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .core import AttackConfig, matvec_rows, similarity
-from .encoders import BagOfWordsTextEncoder, EncoderPair, embed_captions, image_embedding
+from .encoders import BagOfWordsTextEncoder, EncoderPair, embed_captions, embed_images
 
 # Not called here: perfbench/tracing.py wraps these names at this import site.
 from .encoders import encode_image, encode_text  # noqa: F401
@@ -56,13 +57,11 @@ def build_word_candidates(caption, near: np.ndarray) -> np.ndarray:
     return cands
 
 
-def score_text_candidate(txt: np.ndarray, img_embs, cfg: AttackConfig) -> float:
-    """kappa/mu/nu-weighted mismatch of a candidate caption's embedding txt
-    against img_embs, the clean, previous adversarial, and final adversarial
-    image embeddings as three (d,) rows; the caller has projected both."""
-    if txt.ndim != 1:
-        raise ValueError("caption embedding must be 1-D")
-    clean, prev, cur = similarity(img_embs, txt)
+def score_text_candidate(sims, cfg: AttackConfig) -> float:
+    """kappa/mu/nu-weighted mismatch of one candidate caption from its three
+    similarities with the clean, previous adversarial, and final adversarial
+    image embeddings, in that order."""
+    clean, prev, cur = sims
     return -(cfg.kappa * clean + cfg.mu * prev + cfg.nu * cur)
 
 
@@ -86,8 +85,8 @@ def run_text_attack(
     txt = embed_captions(enc_pair.text, candidates)
     if projector is not None:
         txt = matvec_rows(projector, txt)
-    images = (clean_img, prev_adv, cur_adv)
-    img_embs = [image_embedding(enc_pair.image, x, projector) for x in images]
-    scores = [score_text_candidate(t, img_embs, cfg) for t in txt]
+    img_embs = embed_images(enc_pair.image, (clean_img, prev_adv, cur_adv), projector)
+    sims = similarity(np.tile(img_embs, (len(txt), 1)), np.repeat(txt, 3, axis=0))
+    scores = [score_text_candidate(sims[i : i + 3], cfg) for i in range(0, len(sims), 3)]
     chosen = tuple(candidates[scores.index(max(scores))].tolist())
     return chosen, chosen != base

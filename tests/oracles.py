@@ -71,14 +71,19 @@ def scale_augment(x: np.ndarray, scale: float) -> np.ndarray:
     return _roundtrip_matrix(h, scale) @ x @ _roundtrip_matrix(w, scale).T
 
 
+def image_embedding(enc_i, x, projector=None) -> np.ndarray:
+    """One image's embedding by encode_image, times the (d, d) semantic
+    projector when given: the 1-D products encoders.embed_images stacks."""
+    v = encode_image(enc_i, x)
+    return v if projector is None else projector @ v
+
+
 def image_loss(enc_i, x, u, projector=None, scale=1.0) -> float:
     """Similarity of the (optionally scale-augmented, projected) image
     embedding with the text direction u (see text_direction): the forward
     loss whose gradient encoders.gradient_table holds."""
-    img = encode_image(enc_i, scale_augment(x, scale) if scale != 1.0 else x)
-    if projector is not None:
-        img = projector @ img
-    return pair_similarity(img, u)
+    x = scale_augment(x, scale) if scale != 1.0 else x
+    return pair_similarity(image_embedding(enc_i, x, projector), u)
 
 
 def mismatch_value(x, u, enc_i, projector) -> float:

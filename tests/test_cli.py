@@ -102,6 +102,23 @@ class TestSeedHandling:
         assert "'seed'" in err and "ds.txt" in err and "non-negative" in err
         assert os.listdir(tmp_path) == ["ds.txt"]
 
+    @pytest.mark.parametrize("cmd", ["attack", "transfer", "subspace"])
+    @pytest.mark.parametrize(
+        "key, bad",
+        [("n_pairs", "1"), ("height", "0"), ("semantic_rank", "999"), ("table_jitter", "nan")],
+    )
+    def test_descriptor_value_out_of_range_names_the_file(
+        self, dataset_file, tmp_path, monkeypatch, capsys, cmd, key, bad
+    ):
+        # a value that parses but fails a range check is a usage error that
+        # names the file, before any output
+        lines = [ln for ln in dataset_file.read_text().splitlines() if not ln.startswith(key + "=")]
+        dataset_file.write_text("\n".join([*lines, f"{key}={bad}"]) + "\n")
+        monkeypatch.chdir(tmp_path)
+        assert exit_code([cmd, "--seed", "5", "--dataset", "ds.txt"]) == EXIT_USAGE
+        assert f"ds.txt: {key} must be" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["ds.txt"]
+
 
 class TestSynth:
     def test_writes_descriptor(self, dataset_file, capsys):

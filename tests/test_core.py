@@ -120,6 +120,31 @@ class TestSimilarity:
         assert similarity(list(img), shared) == got  # a sequence of rows
         assert similarity(img, paired) == [float(a.dot(b)) / d for a, b in zip(img, paired)]
 
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=1, max_value=200),
+        st.integers(min_value=1, max_value=64),
+        st.sampled_from(["C", "F", "rows", "columns"]),
+    )
+    def test_stacked_call_keeps_the_per_row_bits(self, seed, n, d, layout):
+        # one np.matmul call over the rows makes the per-row dot call with
+        # the same strides, so each value keeps its bits whatever the layout
+        r = np.random.default_rng(seed)
+        img = r.standard_normal((n, d)) * 10.0 ** r.integers(-3, 4)
+        paired = r.standard_normal((n, d))
+        if layout == "F":
+            img, paired = np.asfortranarray(img), np.asfortranarray(paired)
+        elif layout == "rows":
+            img = np.repeat(img, 2, axis=0)[::2]
+        elif layout == "columns":
+            img, paired = np.repeat(img, 2, axis=1)[:, ::2], np.repeat(paired, 2, axis=1)[:, 1::2]
+        shared = r.standard_normal(d)
+        bits = lambda v: np.asarray(v, dtype=np.float64).tobytes()
+        assert bits(similarity(img, shared)) == bits([float(a.dot(shared)) / d for a in img])
+        assert bits(similarity(img, paired)) == bits(
+            [float(a.dot(b)) / d for a, b in zip(img, paired)]
+        )
+
     @pytest.mark.parametrize(
         "img_shape, txt_shape",
         [((4,), (4,)), ((2, 3, 4), (4,)), ((2, 4), (5,)), ((2, 4), (3, 4)),

@@ -7,12 +7,12 @@ from aetlab.encoders import (
     BagOfWordsTextEncoder,
     LinearImageEncoder,
     embed_captions,
+    embed_images,
     embed_pairs,
     encode_image,
     encode_text,
     grad_loss_wrt_image,
     gradient_table,
-    image_embedding,
     make_base_encoders,
     make_model_pool,
     text_direction,
@@ -20,6 +20,7 @@ from aetlab.encoders import (
 from aetlab.subspace import build_projection
 from oracles import (
     finite_difference_grad,
+    image_embedding,
     image_loss,
     mismatch_grad_per_call,
     pair_loss,
@@ -70,6 +71,32 @@ class TestEncoding:
         for bad in ([(0, 64)], [(0, -1)], [()], [], [0, 1]):
             with pytest.raises(ValueError):
                 embed_captions(tiny_pair.text, bad)
+
+    @pytest.mark.parametrize("use_projector", [False, True])
+    def test_embed_images_rows_keep_the_per_image_bits(self, tiny_pair, rng, use_projector):
+        # C-ordered, Fortran-ordered, strided and pixel-major stacks, and a
+        # list of images, all give the bits of one image_embedding per image
+        projector = build_projection(rng.standard_normal((4, 16))) if use_projector else None
+        stack = np.clip(0.5 + 0.2 * rng.standard_normal((7, 8, 8)), 0.0, 1.0)
+        want = np.stack([image_embedding(tiny_pair.image, x, projector) for x in stack])
+        for layout in (
+            stack,
+            np.asfortranarray(stack),
+            np.repeat(stack, 2, axis=0)[::2],
+            np.ascontiguousarray(stack.transpose(1, 2, 0)).transpose(2, 0, 1),
+            list(stack),
+        ):
+            got = embed_images(tiny_pair.image, layout, projector)
+            assert got.shape == (7, 16) and got.tobytes() == want.tobytes()
+
+    def test_embed_images_rejects_what_encode_image_rejects(self, tiny_pair, tiny_image):
+        nan = tiny_image.copy()
+        nan[2, 3] = np.nan
+        wrong_size = [tiny_image, np.ones((7, 8))]
+        for bad in (tiny_image, [tiny_image, nan], np.ones((2, 7, 8)), wrong_size,
+                    np.ones((2, 64)), np.ones((2, 8, 8, 1))):
+            with pytest.raises(ValueError):
+                embed_images(tiny_pair.image, bad, None)
 
     def test_pair_loss_matches_similarity(self, tiny_pair, tiny_image, tiny_caption):
         val = pair_loss(tiny_pair, tiny_image, tiny_caption)
@@ -228,7 +255,7 @@ class TestSemanticProjector:
         with pytest.raises(ValueError):
             text_direction(tiny_pair.text, tiny_caption, p)
         with pytest.raises(ValueError):
-            image_embedding(tiny_pair.image, tiny_image, p)
+            embed_images(tiny_pair.image, tiny_image[None], p)
 
     def test_invalid_dims(self, tiny_pair):
         with pytest.raises(ValueError):

@@ -238,6 +238,21 @@ class TestSynthDataset:
         with pytest.raises(ValueError, match="latent_scal"):
             load_dataset_descriptor(path)
 
+    @pytest.mark.parametrize(
+        "key, bad",
+        [("n_pairs", "1"), ("height", "0"), ("semantic_rank", "999"), ("table_jitter", "nan")],
+    )
+    def test_descriptor_value_out_of_range_names_the_file(self, small_ds, tmp_path, key, bad):
+        # a value that parses but fails a range check is reported as the
+        # type errors are, prefixed with the descriptor's path
+        path = tmp_path / "ds.txt"
+        save_dataset_descriptor(small_ds, path)
+        lines = [ln for ln in path.read_text().splitlines() if not ln.startswith(key + "=")]
+        path.write_text("\n".join([*lines, f"{key}={bad}"]) + "\n")
+        with pytest.raises(ValueError) as exc:
+            load_dataset_descriptor(path)
+        assert str(exc.value).startswith(f"{path}: {key} must be")
+
 
 class TestRetrievalRank:
     def test_true_match_on_top(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from aetlab.core import AttackConfig, matvec_rows
+from aetlab.core import AttackConfig, matvec_rows, similarity
 from aetlab.encoders import (
     BagOfWordsTextEncoder,
     EncoderPair,
@@ -28,6 +28,14 @@ from oracles import (
 def hamming(a, b):
     assert len(a) == len(b)
     return sum(x != y for x, y in zip(a, b))
+
+
+def score(txt, img_embs, cfg):
+    """score_text_candidate of one caption embedding txt against the image
+    rows img_embs, with the similarities taken as run_text_attack takes
+    them: one paired call, txt repeated once per image row."""
+    rows = np.repeat(np.asarray(txt)[None], len(img_embs), axis=0)
+    return score_text_candidate(similarity(img_embs, rows), cfg)
 
 
 class TestWordCandidates:
@@ -113,7 +121,7 @@ class TestScoring:
         prev = clean + 0.1 * rng.standard_normal(clean.shape)
         cur = clean - 0.1 * rng.standard_normal(clean.shape)
         txt = encode_text(tiny_pair.text, tiny_caption)
-        got = score_text_candidate(txt, np.stack([clean, prev, cur]), cfg)
+        got = score(txt, np.stack([clean, prev, cur]), cfg)
         assert type(got) is float
         expect = -(
             0.6 * pair_similarity(clean, txt)
@@ -126,7 +134,7 @@ class TestScoring:
         cfg = AttackConfig()
         p = build_projection(rng.standard_normal((4, tiny_pair.image.embed_dim)))
         clean = p @ encode_image(tiny_pair.image, tiny_image)
-        got = score_text_candidate(
+        got = score(
             p @ encode_text(tiny_pair.text, tiny_caption), np.stack([clean, clean, clean]), cfg
         )
         txt = p @ encode_text(tiny_pair.text, tiny_caption)
@@ -154,7 +162,7 @@ class TestScoring:
                 + cfg.mu * pair_similarity(proj(imgs[1]), txt)
                 + cfg.nu * pair_similarity(proj(imgs[2]), txt)
             )
-            got = score_text_candidate(proj(encode_text(tiny_pair.text, cand)), pre, cfg)
+            got = score(proj(encode_text(tiny_pair.text, cand)), pre, cfg)
             assert got == expect
 
     @pytest.mark.parametrize("use_projector", [False, True])
@@ -174,21 +182,32 @@ class TestScoring:
             np.stack([row] * 3),  # 2-D rows
         ):
             with pytest.raises(ValueError):
-                score_text_candidate(txt if projector is None else projector @ txt, embs, cfg)
+                score(txt if projector is None else projector @ txt, embs, cfg)
         # consistent on every side, but not what the projector maps, or 2-D
         if projector is not None:
             bad_txt, bad_emb = np.append(txt, 1.0), np.append(emb, 1.0)
         else:
             bad_txt, bad_emb = txt[None], emb[None]
         with pytest.raises(ValueError):
-            score_text_candidate(
+            score(
                 bad_txt if projector is None else matvec_rows(projector, bad_txt[None])[0],
                 np.stack([bad_emb] * 3),
                 cfg,
             )
         # three caption rows would pair with the three image rows
         with pytest.raises(ValueError):
-            score_text_candidate(np.stack([txt] * 3), np.stack([emb] * 3), cfg)
+            score(np.stack([txt] * 3), np.stack([emb] * 3), cfg)
+
+    def test_weights_follow_clean_prev_final_order(self):
+        # each weight applies to its own similarity, and only the three
+        # similarities of one candidate are accepted
+        cfg = AttackConfig(kappa=0.5, mu=0.3, nu=0.2)
+        assert score_text_candidate([1.0, 0.0, 0.0], cfg) == -0.5
+        assert score_text_candidate([0.0, 1.0, 0.0], cfg) == -0.3
+        assert score_text_candidate([0.0, 0.0, 1.0], cfg) == -0.2
+        for sims in ([1.0, 2.0], [1.0, 2.0, 3.0, 4.0]):
+            with pytest.raises(ValueError):
+                score_text_candidate(sims, cfg)
 
 
 class TestSelection:
@@ -232,10 +251,9 @@ class TestRunTextAttack:
             tiny_caption, tiny_image, tiny_image, tiny_image, tiny_pair, None, cfg, near
         )
         clean = encode_image(tiny_pair.image, tiny_image)
-        score = lambda c: score_text_candidate(
-            encode_text(tiny_pair.text, c), np.stack([clean, clean, clean]), cfg
-        )
-        assert score(chosen) >= score(tiny_caption)
+        embs = np.stack([clean, clean, clean])
+        scored = lambda c: score(encode_text(tiny_pair.text, c), embs, cfg)
+        assert scored(chosen) >= scored(tiny_caption)
 
     def test_deterministic(self, tiny_pair, tiny_image, tiny_caption):
         cfg = AttackConfig()
@@ -259,17 +277,19 @@ class TestRunTextAttack:
 
     @pytest.mark.parametrize("use_projector", [False, True])
     def test_equals_per_candidate_oracle(self, tiny_pair, tiny_image, tiny_caption, rng, use_projector):
-        # one token gather for all candidates picks the caption that one
-        # encode_text call per candidate picks
+        # one token gather and one similarity call for all candidates pick
+        # the caption that one encode_text call per candidate picks; the
+        # asymmetric weights tell the clean, previous and final images apart
         projector = build_projection(rng.standard_normal((4, 16))) if use_projector else None
-        cfg = AttackConfig(word_list_size=15)
-        near = word_neighbours(tiny_pair.text, cfg.word_list_size)
-        for _ in range(5):
-            prev, cur = (
-                np.clip(tiny_image + 0.05 * rng.standard_normal((8, 8)), 0, 1) for _ in range(2)
-            )
-            args = (tiny_caption, tiny_image, prev, cur, tiny_pair, projector, cfg)
-            assert run_text_attack(*args, near) == run_text_attack_per_candidate(*args)
+        near = word_neighbours(tiny_pair.text, 15)
+        for kappa, mu, nu in ((0.6, 0.2, 0.2), (0.5, 0.5, 0.0), (0.0, 0.0, 1.0), (0.2, 0.3, 0.5)):
+            cfg = AttackConfig(word_list_size=15, kappa=kappa, mu=mu, nu=nu)
+            for _ in range(5):
+                prev, cur = (
+                    np.clip(tiny_image + 0.05 * rng.standard_normal((8, 8)), 0, 1) for _ in range(2)
+                )
+                args = (tiny_caption, tiny_image, prev, cur, tiny_pair, projector, cfg)
+                assert run_text_attack(*args, near) == run_text_attack_per_candidate(*args)
 
 
 def _tied_pair(n_rows, vocab, rng):
@@ -305,9 +325,7 @@ class TestCaptionTies:
             chosen, changed = run_text_attack(caption, tiny_image, tiny_image, cur, pair, None, cfg, near)
             embs = np.stack([encode_image(pair.image, x) for x in (tiny_image, tiny_image, cur)])
             cands = enumerate_text_candidates(caption, pair.text, 11)
-            scores = [
-                score_text_candidate(encode_text(pair.text, c), embs, cfg) for c in cands
-            ]
+            scores = [score(encode_text(pair.text, c), embs, cfg) for c in cands]
             winners = [i for i, v in enumerate(scores) if v == max(scores)]
             assert chosen == cands[winners[0]]
             assert changed == (winners[0] != 0)
