@@ -27,6 +27,7 @@ from .harness import (
     clean_recall_at_1,
     default_model_pool,
     load_dataset_descriptor,
+    resolve_variant,
     run_transfer_experiment,
     save_dataset_descriptor,
     surrogate_projector,
@@ -93,19 +94,25 @@ def _usage_exit(msg: str) -> int:
     return EXIT_USAGE
 
 
-def build_attack_config(args) -> AttackConfig:
-    """Precedence: built-in defaults < config file < explicit flags."""
-    values: dict = {}
+def build_attack_config(args, variant: str | None = None) -> AttackConfig:
+    """Precedence: built-in defaults < config file < explicit flags. A value
+    set here that the variant replaces with another is a ValueError."""
+    values, source = {}, {}
     if args.config is not None:
         for key, raw in matio.load_keyvalues(args.config).items():
             if key not in _CONFIG_PARSERS:
                 raise ValueError(f"{args.config}: unknown config key {key!r}")
             values[key] = matio.parse_value(args.config, key, raw, _CONFIG_PARSERS[key])
+            source[key] = f"config key {key!r} in {args.config}"
     for name in _CONFIG_PARSERS:
         flag_val = getattr(args, name)
         if flag_val is not None:
-            values[name] = flag_val
-    return AttackConfig(master_seed=args.seed, **values)
+            values[name], source[name] = flag_val, _flag(name)
+    cfg = AttackConfig(master_seed=args.seed, **values)
+    run_cfg = cfg if variant is None else resolve_variant(variant, cfg)[0]
+    if clash := [source[n] for n in values if getattr(run_cfg, n) != getattr(cfg, n)]:
+        raise ValueError(f"variant {variant!r} replaces the value of {', '.join(clash)}")
+    return cfg
 
 
 def cmd_synth(args) -> int:
@@ -128,7 +135,7 @@ def cmd_synth(args) -> int:
 def cmd_attack(args) -> int:
     if args.limit is not None and args.limit < 0:
         return _usage_exit("--limit must be >= 0")
-    cfg = build_attack_config(args)
+    cfg = build_attack_config(args, args.variant)
     ds = load_dataset_descriptor(args.dataset)
     # raises on a bad variant or scale before out_dir exists
     pairs = attack_pairs(ds, ds.base, cfg, args.variant)
@@ -150,7 +157,7 @@ def cmd_attack(args) -> int:
 
 
 def cmd_transfer(args) -> int:
-    cfg = build_attack_config(args)
+    cfg = build_attack_config(args, args.variant)
     ds = load_dataset_descriptor(args.dataset)
     pool = default_model_pool(
         ds, n_models=args.models, rel_noise=args.noise, text_noise=args.text_noise

@@ -63,12 +63,8 @@ class EncoderPair:
 
 
 def encode_image(enc: LinearImageEncoder, x: np.ndarray) -> np.ndarray:
-    x = validate_image(x)
-    if x.size != enc.weight.shape[1]:
-        raise ValueError(
-            f"pixel count {x.size} does not match encoder columns {enc.weight.shape[1]}"
-        )
-    return enc.weight @ x.ravel()
+    """Embedding of one (H, W) image: the one-row case of embed_images."""
+    return embed_images(enc, [x], None)[0]
 
 
 def encode_text(enc: BagOfWordsTextEncoder, caption) -> np.ndarray:
@@ -79,10 +75,11 @@ def encode_text(enc: BagOfWordsTextEncoder, caption) -> np.ndarray:
     return embed_captions(enc, tokens[None])[0]
 
 
-def embed_captions(enc: BagOfWordsTextEncoder, captions) -> np.ndarray:
+def embed_captions(enc: BagOfWordsTextEncoder, captions, projector=None) -> np.ndarray:
     """Embeddings of n equal-length captions as an (n, d) matrix: the mean
     of each caption's token rows, summed position by position, so no
-    (n, L, d) gather is held."""
+    (n, L, d) gather is held; times the (d, d) semantic projector when
+    given, with one matvec_rows call as in embed_images."""
     tokens = np.asarray(captions, dtype=np.int64)
     if tokens.ndim != 2 or tokens.size < 1:
         raise ValueError("captions must be a nonempty (n, L) token matrix")
@@ -92,30 +89,28 @@ def embed_captions(enc: BagOfWordsTextEncoder, captions) -> np.ndarray:
     for col in tokens.T[1:]:
         txt += enc.table[col]
     txt /= tokens.shape[1]
-    return txt
+    return txt if projector is None else matvec_rows(projector, txt)
 
 
 def embed_pairs(enc: EncoderPair, images, captions) -> tuple[np.ndarray, np.ndarray]:
-    """Image and caption embeddings of n pairs as (n, d) matrices."""
-    img = np.stack(images).reshape(len(images), -1) @ enc.image.weight.T
-    return img, embed_captions(enc.text, captions)
+    """(n, d) image and caption embeddings of n pairs, each row as if embedded alone."""
+    return embed_images(enc.image, images, None), embed_captions(enc.text, captions)
 
 
 def text_direction(
     enc_t: BagOfWordsTextEncoder, caption, projector: np.ndarray | None
 ) -> np.ndarray:
-    """Text embedding, times the (d, d) semantic projector when given."""
-    u = encode_text(enc_t, caption)
-    return u if projector is None else projector @ u
+    """One caption's (projected) embedding: the one-row case of embed_captions."""
+    return embed_captions(enc_t, [caption], projector)[0]
 
 
 def embed_images(
     enc_i: LinearImageEncoder, images, projector: np.ndarray | None
 ) -> np.ndarray:
     """(n, d) embeddings of an (n, H, W) image stack, times the (d, d)
-    semantic projector when given: encode_image's checks made once on the
-    stack, then one matvec_rows call for W and one for P, so each row keeps
-    the bits of the 1-D products."""
+    semantic projector when given: the stack is checked once (finite
+    pixels, pixel count), then one matvec_rows call for W and one for P, so
+    each row keeps the bits of the 1-D products in any batch."""
     images = np.asarray(images, dtype=np.float64)
     if images.ndim != 3 or not np.isfinite(images).all():
         raise ValueError(f"images must be a finite (n, H, W) stack, got shape {images.shape}")

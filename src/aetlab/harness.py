@@ -437,7 +437,8 @@ def run_transfer_experiment(
 ) -> list[ExperimentReport]:
     """Every ordered (surrogate, target) cell of the pool, including the
     white-box diagonal. Each target embeds the clean and its own crafted
-    pairs once; each cell embeds one surrogate's crafted pairs once."""
+    pairs once; each cell embeds one surrogate's crafted pairs once, each
+    row with the bits of embedding its pair alone."""
     if len(model_pool) < 2:
         raise ValueError("model pool must contain at least 2 encoder pairs")
     crafted = [

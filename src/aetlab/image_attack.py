@@ -63,9 +63,7 @@ def sample_sub_triangle(m: int, rng: np.random.Generator, region: str = "A") -> 
         assign = REGION_ASSIGNMENTS[region]
     except KeyError:
         raise ValueError(f"unknown sub-triangle region {region!r}") from None
-    # rng.dirichlet(np.ones(3), size=m), bit for bit and draw for draw
-    e = rng.standard_exponential((m, 3))
-    draws = e * (1.0 / ((e[:, 0] + e[:, 1]) + e[:, 2]))[:, None]
+    draws = rng.dirichlet(np.ones(3), size=m)
     weights = np.sort(draws, axis=1)[:, [2 - i for i in assign]]  # assign is descending
     # renormalize the largest component so each triple sums to 1 exactly
     k = assign.index(0)  # which of (lam, beta, gamma) got the largest draw

@@ -5,8 +5,8 @@ dot product, looked up in a per-surrogate table built once; the search
 exhaustively scores the original caption plus every single substitution and
 keeps the one that deviates most from the final evolution triangle of the
 image attack (weighted mismatch against the clean, previous-step, and final
-adversarial image). The candidates are encoded together as one (n_cand, L)
-token matrix and projected together with one row-wise product, and all
+adversarial image). The candidates are encoded and projected together, as
+one (n_cand, L) token matrix, by one embed_captions call, and all
 n_cand x 3 candidate-image similarities are taken in one similarity call.
 """
 from __future__ import annotations
@@ -82,9 +82,7 @@ def run_text_attack(
     substitution reproduces), then to the lowest index."""
     base = tuple(int(t) for t in caption)
     candidates = build_word_candidates(base, near)
-    txt = embed_captions(enc_pair.text, candidates)
-    if projector is not None:
-        txt = matvec_rows(projector, txt)
+    txt = embed_captions(enc_pair.text, candidates, projector)
     img_embs = embed_images(enc_pair.image, (clean_img, prev_adv, cur_adv), projector)
     sims = similarity(np.tile(img_embs, (len(txt), 1)), np.repeat(txt, 3, axis=0))
     scores = [score_text_candidate(sims[i : i + 3], cfg) for i in range(0, len(sims), 3)]

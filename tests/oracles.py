@@ -12,7 +12,7 @@ from aetlab.core import (
     scale_augment_adjoint,
     validate_image,
 )
-from aetlab.encoders import encode_image, encode_text, text_direction
+from aetlab.encoders import encode_text
 from aetlab.harness import (
     ExperimentReport,
     attack_success_rate,
@@ -72,15 +72,22 @@ def scale_augment(x: np.ndarray, scale: float) -> np.ndarray:
 
 
 def image_embedding(enc_i, x, projector=None) -> np.ndarray:
-    """One image's embedding by encode_image, times the (d, d) semantic
-    projector when given: the 1-D products encoders.embed_images stacks."""
-    v = encode_image(enc_i, x)
+    """One image's embedding, times the (d, d) semantic projector when
+    given: the 1-D products encoders.embed_images stacks."""
+    v = enc_i.weight @ validate_image(x).ravel()
     return v if projector is None else projector @ v
+
+
+def text_embedding(enc_t, caption, projector=None) -> np.ndarray:
+    """One caption's embedding by encode_text, times the (d, d) semantic
+    projector when given: the 1-D product encoders.embed_captions stacks."""
+    u = encode_text(enc_t, caption)
+    return u if projector is None else projector @ u
 
 
 def image_loss(enc_i, x, u, projector=None, scale=1.0) -> float:
     """Similarity of the (optionally scale-augmented, projected) image
-    embedding with the text direction u (see text_direction): the forward
+    embedding with the text direction u (see text_embedding): the forward
     loss whose gradient encoders.gradient_table holds."""
     x = scale_augment(x, scale) if scale != 1.0 else x
     return pair_similarity(image_embedding(enc_i, x, projector), u)
@@ -95,7 +102,7 @@ def mismatch_value(x, u, enc_i, projector) -> float:
 def pair_loss(enc_pair, x, caption, projector=None, scale=1.0) -> float:
     """Similarity of the (optionally scale-augmented, projected) pair: the
     function grad_loss_wrt_image differentiates, composed from the caption."""
-    u = text_direction(enc_pair.text, caption, projector)
+    u = text_embedding(enc_pair.text, caption, projector)
     return image_loss(enc_pair.image, x, u, projector, scale)
 
 
@@ -189,7 +196,7 @@ def run_image_attack_per_sample(x, caption, enc_pair, projector, cfg, rng, force
     """run_image_attack one triangle sample and one feasible candidate at a
     time: a SimplexWeights per sample, convex_combine, a linf_project_clip per
     candidate, and the chosen sample recombined from its weights."""
-    u = text_direction(enc_pair.text, caption, projector)
+    u = text_embedding(enc_pair.text, caption, projector)
     enc_i = enc_pair.image
     prev = linf_project_clip(x + cfg.eps_image * rng.standard_normal(x.shape), x, cfg.eps_image)
     g = multiscale_grad(prev, u, enc_i, cfg)
@@ -249,7 +256,7 @@ def run_text_attack_per_candidate(caption, clean_img, prev_adv, cur_adv, enc_pai
     """run_text_attack on the list-built candidates, with one encode_text
     call per candidate and the selection rule of select_adversarial_text."""
     base = tuple(int(t) for t in caption)
-    embs = [encode_image(enc_pair.image, x) for x in (clean_img, prev_adv, cur_adv)]
+    embs = [image_embedding(enc_pair.image, x) for x in (clean_img, prev_adv, cur_adv)]
     proj = (lambda v: v) if projector is None else (lambda v: projector @ v)
     embs = [proj(e) for e in embs]
 
@@ -288,7 +295,7 @@ def run_sga_attack(x, caption, enc_pair, projector, cfg, rng):
     Regression oracle for run_image_attack with forced weights (0, 0, 1) and
     samples=1: both must produce bitwise-identical output for the same seed.
     """
-    u = text_direction(enc_pair.text, caption, projector)
+    u = text_embedding(enc_pair.text, caption, projector)
     cur = linf_project_clip(
         x + cfg.eps_image * rng.standard_normal(x.shape), x, cfg.eps_image
     )
@@ -364,7 +371,7 @@ def alpha_per_pair(target_pair, clean_pair, surrogate_adv, target_adv) -> float:
 
     def loss(pair):
         return pair_similarity(
-            encode_image(target_pair.image, pair[0]),
+            image_embedding(target_pair.image, pair[0]),
             encode_text(target_pair.text, pair[1]),
         )
 
@@ -373,10 +380,10 @@ def alpha_per_pair(target_pair, clean_pair, surrogate_adv, target_adv) -> float:
 
 
 def transfer_reports_per_pair(ds, model_pool, cfg, variant="saaet"):
-    """Transfer cells scored pair by pair with one encode call per pair.
+    """Transfer cells scored pair by pair, each embedding a 1-D product.
 
     Reference for run_transfer_experiment, which scores on embedding
-    matrices: the ASRs must be equal and the alphas agree to rounding.
+    matrices: the reports must be equal.
     """
     crafted = [
         craft_adversarial_pairs(ds, sur, cfg, variant, stream=s)
@@ -384,13 +391,13 @@ def transfer_reports_per_pair(ds, model_pool, cfg, variant="saaet"):
     ]
     reports = []
     for t_idx, tgt in enumerate(model_pool):
-        img_gal = np.stack([encode_image(tgt.image, x) for x in ds.images])
+        img_gal = np.stack([image_embedding(tgt.image, x) for x in ds.images])
         txt_gal = np.stack([encode_text(tgt.text, c) for c in ds.captions])
         clean_tr = [retrieval_rank_per_pair(img_gal[p], txt_gal, p) for p in range(ds.n_pairs)]
         clean_ir = [retrieval_rank_per_pair(txt_gal[p], img_gal, p) for p in range(ds.n_pairs)]
         for s_idx, sur in enumerate(model_pool):
             adv_tr = [
-                retrieval_rank_per_pair(encode_image(tgt.image, img), txt_gal, p)
+                retrieval_rank_per_pair(image_embedding(tgt.image, img), txt_gal, p)
                 for p, (img, _) in enumerate(crafted[s_idx])
             ]
             adv_ir = [

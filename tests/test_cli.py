@@ -521,6 +521,64 @@ class TestConfigPrecedence:
             assert str(cfg_file) in err and repr(line.split("=")[0]) in err
 
 
+def output_args(command, tmp_path) -> tuple[list[str], Path]:
+    """The output argument of attack or transfer and the path it names."""
+    if command == "attack":
+        return ["--limit", "1", "--out-dir", str(tmp_path / "adv")], tmp_path / "adv"
+    return ["--models", "2", "--out", str(tmp_path / "report.csv")], tmp_path / "report.csv"
+
+
+class TestVariantOverrides:
+    # a setting the variant replaces was silently ignored: sga pins
+    # samples=1 and (kappa, mu, nu) = (0, 0, 1), subtriangle-X pins region X
+    @pytest.mark.parametrize("command", ["attack", "transfer"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("variant, settings", [
+        ("sga", {"samples": "3"}),
+        ("sga", {"kappa": "0.2", "mu": "0.4", "nu": "0.4"}),
+        ("subtriangle-C", {"region": "E"}),
+    ])
+    def test_replaced_setting_is_usage_error(
+        self, dataset_file, tmp_path, capsys, command, source, variant, settings
+    ):
+        argv = ["--seed", "5", "--dataset", str(dataset_file), "--variant", variant]
+        if source == "flag":
+            argv += [arg for key, value in settings.items() for arg in (f"--{key}", value)]
+            named = [f"--{key}" for key in settings]
+        else:
+            cfg_file = tmp_path / "cfg.txt"
+            cfg_file.write_text("".join(f"{key}={value}\n" for key, value in settings.items()))
+            argv += ["--config", str(cfg_file)]
+            named = [f"config key {key!r} in {cfg_file}" for key in settings]
+        out_args, out = output_args(command, tmp_path)
+        assert main([command, *argv, *out_args]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert repr(variant) in err and all(name in err for name in named)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["attack", "transfer"])
+    @pytest.mark.parametrize("variant, flags, config", [
+        ("sga", ["--samples", "1"], "kappa=0.0\nmu=0.0\nnu=1.0\n"),
+        ("subtriangle-C", ["--region", "C"], "region=C\n"),
+    ])
+    def test_value_equal_to_the_pinned_one_passes(
+        self, dataset_file, tmp_path, command, variant, flags, config
+    ):
+        # and the run writes what the run without the setting writes
+        cfg_file = tmp_path / "cfg.txt"
+        cfg_file.write_text(config)
+        common = ["--seed", "5", "--dataset", str(dataset_file), "--variant", variant,
+                  "--steps", "2"]
+        written = []
+        for name, extra in (("plain", []), ("pinned", [*flags, "--config", str(cfg_file)])):
+            (tmp_path / name).mkdir()
+            out_args, _ = output_args(command, tmp_path / name)
+            assert main([command, *common, *extra, *out_args]) == EXIT_OK
+            files = sorted(f for f in (tmp_path / name).rglob("*") if f.is_file())
+            written.append([(f.name, f.read_text()) for f in files])
+        assert written[0] == written[1] != []
+
+
 class TestDerivedOptions:
     def test_synth_flags_are_the_generator_fields(self):
         args = vars(build_parser().parse_args(["synth", "--seed", "0", "--pairs", "2"]))

@@ -1,8 +1,12 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aetlab import encoders, matio
-from aetlab.core import DEFAULT_SCALES, scale_augment_adjoint, similarity
+from aetlab.core import DEFAULT_SCALES, AttackConfig, scale_augment_adjoint, similarity
 from aetlab.encoders import (
     BagOfWordsTextEncoder,
     LinearImageEncoder,
@@ -17,6 +21,7 @@ from aetlab.encoders import (
     make_model_pool,
     text_direction,
 )
+from aetlab.harness import DatasetDims, default_model_pool, surrogate_projector, synth_dataset
 from aetlab.subspace import build_projection
 from oracles import (
     finite_difference_grad,
@@ -25,13 +30,23 @@ from oracles import (
     mismatch_grad_per_call,
     pair_loss,
     scale_augment,
+    text_embedding,
 )
+
+
+@lru_cache(maxsize=None)
+def reference_pool():
+    """The seed-18 dataset at the reference shape (300 pairs, d = 64), two
+    models of its pool, and the first model's semantic projector."""
+    ds = synth_dataset(18, 300, DatasetDims(embed_dim=64))
+    pool = default_model_pool(ds, n_models=2)
+    return ds, pool, surrogate_projector(ds, pool[0], AttackConfig(master_seed=18))
 
 
 class TestEncoding:
     def test_encode_image_is_matrix_vector(self, tiny_pair, tiny_image):
         emb = encode_image(tiny_pair.image, tiny_image)
-        np.testing.assert_allclose(emb, tiny_pair.image.weight @ tiny_image.ravel())
+        assert np.array_equal(emb, tiny_pair.image.weight @ tiny_image.ravel())
 
     def test_encode_image_pixel_count_mismatch(self, tiny_pair):
         with pytest.raises(ValueError):
@@ -62,10 +77,26 @@ class TestEncoding:
         images = [np.clip(0.5 + 0.2 * rng.standard_normal((8, 8)), 0.0, 1.0) for _ in range(6)]
         captions = [tuple(rng.integers(0, 64, length).tolist()) for _ in range(6)]
         img, txt = embed_pairs(tiny_pair, images, captions)
-        np.testing.assert_allclose(
-            img, np.stack([encode_image(tiny_pair.image, x) for x in images]), rtol=0, atol=1e-12
-        )
+        assert np.array_equal(img, np.stack([image_embedding(tiny_pair.image, x) for x in images]))
         assert np.array_equal(txt, np.stack([encode_text(tiny_pair.text, c) for c in captions]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=st.integers(0, 1), order=st.permutations(range(300)), n=st.integers(1, 300))
+    def test_rows_do_not_depend_on_batch_composition(self, model, order, n):
+        # any subset of the pairs, in any order, embeds to exactly the rows
+        # of the full batch, with and without the projector; on this pool a
+        # single product over the whole image stack changed the last bits
+        # of most rows of batches of 1-17 images
+        ds, pool, projector = reference_pool()
+        enc, idx = pool[model], list(order[:n])
+        images, captions = [ds.images[p] for p in idx], [ds.captions[p] for p in idx]
+        got = [*embed_pairs(enc, images, captions)]
+        want = [*embed_pairs(enc, ds.images, ds.captions)]
+        for p in (None, projector):
+            got += [embed_images(enc.image, images, p), embed_captions(enc.text, captions, p)]
+            want += [embed_images(enc.image, ds.images, p), embed_captions(enc.text, ds.captions, p)]
+        for g, w in zip(got, want):
+            assert g.tobytes() == w[idx].tobytes()
 
     def test_embed_captions_rejects_bad_token_matrices(self, tiny_pair):
         for bad in ([(0, 64)], [(0, -1)], [()], [], [0, 1]):
@@ -88,6 +119,17 @@ class TestEncoding:
         ):
             got = embed_images(tiny_pair.image, layout, projector)
             assert got.shape == (7, 16) and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("use_projector", [False, True])
+    def test_embed_captions_rows_keep_the_per_caption_bits(self, tiny_pair, rng, use_projector):
+        # and text_direction is the one-row case
+        projector = build_projection(rng.standard_normal((4, 16))) if use_projector else None
+        captions = rng.integers(0, 64, (7, 5))
+        want = np.stack([text_embedding(tiny_pair.text, c, projector) for c in captions])
+        got = embed_captions(tiny_pair.text, captions, projector)
+        assert got.shape == (7, 16) and got.tobytes() == want.tobytes()
+        for c, row in zip(captions, want):
+            assert text_direction(tiny_pair.text, c, projector).tobytes() == row.tobytes()
 
     def test_embed_images_rejects_what_encode_image_rejects(self, tiny_pair, tiny_image):
         nan = tiny_image.copy()

@@ -442,7 +442,7 @@ class TestTransferExperiment:
             assert (g.surrogate, g.target, g.tr_asr, g.ir_asr) == (
                 w.surrogate, w.target, w.tr_asr, w.ir_asr
             )
-            assert abs(g.alpha_mean - w.alpha_mean) <= 1e-12
+            assert g.alpha_mean == w.alpha_mean
             if g.surrogate == g.target:
                 assert g.alpha_mean == 1.0
 

@@ -1,7 +1,11 @@
 """Every name a package module imports is used in that module. The only
 exceptions are names imported on a `# noqa: F401` line, and each of those
 is an import site that the benchmark's traced run wraps (an entry of
-perfbench/tracing.py's TRACE_POINTS)."""
+perfbench/tracing.py's TRACE_POINTS).
+
+The package keeps no test-only functions: each public top-level function
+is used in src/, is a TRACE_POINTS site, is called by
+perfbench/workloads.py, or is on UNUSED_ALLOWED with its reason."""
 import ast
 import importlib.util
 from pathlib import Path
@@ -10,6 +14,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src" / "aetlab").glob("*.py"))
+
+# (module, function) -> why it stays although neither src/ nor the benchmark uses it
+UNUSED_ALLOWED = {
+    ("theory", "expected_interaction"): "the interaction of a perturbation, which the "
+    "check of the theory against the attack (ROADMAP item 7) will call",
+}
 
 
 def trace_sites() -> set[tuple[str, str]]:
@@ -55,3 +65,58 @@ def test_every_import_is_used_or_traced(path):
     assert unused == set()
     module = f"aetlab.{path.stem}"
     assert {(module, name) for name in exempt} <= trace_sites()
+
+
+def used_names(source: str) -> set[str]:
+    """Every name one module's source reads, as a plain name or as an
+    attribute; import lines and definitions do not count."""
+    tree = ast.parse(source)
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return names | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+
+
+def public_functions(source: str) -> list[str]:
+    """The public top-level functions one module's source defines."""
+    tree = ast.parse(source)
+    return [n.name for n in tree.body if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")]
+
+
+def workload_calls() -> set[tuple[str, str]]:
+    """The (module, function) calls perfbench/workloads.py makes as
+    `module.function(...)`."""
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    return {
+        (n.func.value.id, n.func.attr)
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+        and isinstance(n.func.value, ast.Name)
+    }
+
+
+def unexplained_functions() -> set[tuple[str, str]]:
+    """The (module, function) pairs of public top-level functions that no
+    module of src/ uses, that are no TRACE_POINTS site and that
+    perfbench/workloads.py does not call."""
+    used = set().union(*(used_names(p.read_text()) for p in MODULES))
+    unused = {
+        (p.stem, name) for p in MODULES for name in public_functions(p.read_text()) if name not in used
+    }
+    sites = {(module.removeprefix("aetlab."), attr) for module, attr in trace_sites()}
+    return unused - sites - workload_calls()
+
+
+def test_finds_the_public_functions_and_their_uses():
+    source = (
+        "from .core import similarity\n"
+        "def kept(x):\n    return helper(x)\n"
+        "def helper(x):\n    return np.sum(x)\n"
+        "def _private():\n    pass\n"
+        "class Thing:\n    def method(self):\n        return core.linf_box\n"
+    )
+    assert public_functions(source) == ["kept", "helper"]
+    assert used_names(source) == {"helper", "np", "x", "core", "sum", "linf_box"}
+
+
+def test_no_test_only_functions():
+    # and no stale allowlist entry: each is still unexplained otherwise
+    assert unexplained_functions() == set(UNUSED_ALLOWED)
