@@ -13,6 +13,7 @@ import sys
 from dataclasses import fields
 from itertools import islice
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .harness import (
     write_report,
 )
 from .subspace import DegenerateCorpusError
-from .theory import MIN_T_MAX, QuadraticLoss, verify_theorem
+from .theory import MIN_T_MAX, QuadraticLoss, TheoremReport, verify_theorem
 
 # Not called here: perfbench/tracing.py wraps these names at this import site.
 from .encoders import encode_text  # noqa: F401
@@ -96,7 +97,9 @@ def _usage_exit(msg: str) -> int:
 
 def build_attack_config(args, variant: str | None = None) -> AttackConfig:
     """Precedence: built-in defaults < config file < explicit flags. A value
-    set here that the variant replaces with another is a ValueError."""
+    set here that the variant replaces with another is a ValueError, and so
+    is a merged config that AttackConfig rejects; both name where the values
+    came from."""
     values, source = {}, {}
     if args.config is not None:
         for key, raw in matio.load_keyvalues(args.config).items():
@@ -108,7 +111,10 @@ def build_attack_config(args, variant: str | None = None) -> AttackConfig:
         flag_val = getattr(args, name)
         if flag_val is not None:
             values[name], source[name] = flag_val, _flag(name)
-    cfg = AttackConfig(master_seed=args.seed, **values)
+    try:
+        cfg = AttackConfig(master_seed=args.seed, **values)
+    except ValueError as exc:
+        raise ValueError(f"{exc}; set by {', '.join(source.values())}") from None
     run_cfg = cfg if variant is None else resolve_variant(variant, cfg)[0]
     if clash := [source[n] for n in values if getattr(run_cfg, n) != getattr(cfg, n)]:
         raise ValueError(f"variant {variant!r} replaces the value of {', '.join(clash)}")
@@ -168,11 +174,6 @@ def cmd_transfer(args) -> int:
     return EXIT_OK
 
 
-# The scalar TheoremReport fields, one CSV column each after the instance.
-_THEORY_COLUMNS = ("a_moment", "b_moment", "identity_max_rel_err", "ordering_ok",
-                   "cubic_proposed", "cubic_baseline", "passed")
-
-
 def cmd_theory(args) -> int:
     if args.instances < 1:
         return _usage_exit("--instances must be >= 1")
@@ -181,18 +182,19 @@ def cmd_theory(args) -> int:
     if args.t_max < MIN_T_MAX:
         return _usage_exit(f"--t-max must be >= {MIN_T_MAX}")
     rng = np.random.default_rng(args.seed)
-    rows = []
-    all_passed = True
-    max_gap_mag = 0.0
-    for k in range(args.instances):
+    reports = []
+    for _ in range(args.instances):
         g = rng.standard_normal(args.dim)
         h = rng.standard_normal((args.dim, args.dim))
         ql = QuadraticLoss(g, (h + h.T) / 2.0)
-        rep = verify_theorem(ql, args.beta, args.gamma, t_max=args.t_max)
-        all_passed = all_passed and rep.passed
-        max_gap_mag = max(max_gap_mag, float(np.max(np.abs(rep.gap))))
-        rows.append((k, *(getattr(rep, c) for c in _THEORY_COLUMNS)))
-    matio.save_csv(["instance", *_THEORY_COLUMNS], rows, args.out)
+        reports.append(verify_theorem(ql, args.beta, args.gamma, t_max=args.t_max))
+    # one column per scalar report field, after the instance
+    hints = get_type_hints(TheoremReport)
+    columns = [f.name for f in fields(TheoremReport) if hints[f.name] is not np.ndarray]
+    rows = ((k, *(getattr(rep, c) for c in columns)) for k, rep in enumerate(reports))
+    matio.save_csv(["instance", *columns], rows, args.out)
+    all_passed = all(rep.passed for rep in reports)
+    max_gap_mag = max(0.0, *(float(np.max(np.abs(rep.gap))) for rep in reports))
     verdict = "pass" if all_passed else "FAIL"
     print(
         f"{args.instances} instances, beta={args.beta} gamma={args.gamma}: "

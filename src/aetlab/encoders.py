@@ -69,10 +69,7 @@ def encode_image(enc: LinearImageEncoder, x: np.ndarray) -> np.ndarray:
 
 def encode_text(enc: BagOfWordsTextEncoder, caption) -> np.ndarray:
     """Embedding of one caption: the one-row case of embed_captions."""
-    tokens = np.asarray(caption, dtype=np.int64)
-    if tokens.ndim != 1 or tokens.size < 1:
-        raise ValueError("caption must be a nonempty 1-D token sequence")
-    return embed_captions(enc, tokens[None])[0]
+    return embed_captions(enc, [caption])[0]
 
 
 def embed_captions(enc: BagOfWordsTextEncoder, captions, projector=None) -> np.ndarray:
@@ -97,13 +94,6 @@ def embed_pairs(enc: EncoderPair, images, captions) -> tuple[np.ndarray, np.ndar
     return embed_images(enc.image, images, None), embed_captions(enc.text, captions)
 
 
-def text_direction(
-    enc_t: BagOfWordsTextEncoder, caption, projector: np.ndarray | None
-) -> np.ndarray:
-    """One caption's (projected) embedding: the one-row case of embed_captions."""
-    return embed_captions(enc_t, [caption], projector)[0]
-
-
 def embed_images(
     enc_i: LinearImageEncoder, images, projector: np.ndarray | None
 ) -> np.ndarray:
@@ -125,7 +115,7 @@ def gradient_table(
 ) -> dict[float, np.ndarray]:
     """The gradient w.r.t. an (H, W) image x, at each scale s, of the
     similarity of the scale-augmented, projected image embedding
-    P W augment_s(x) with the text direction u (see text_direction): the
+    P W augment_s(x) with the caption's projected embedding u: the
     adjoint chain augment_s^T(W^T u) / d.
 
     The loss is bilinear, so the gradient does not depend on the image and

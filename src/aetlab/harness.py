@@ -345,8 +345,9 @@ def clean_recall_at_1(ds: SyntheticDataset, enc: EncoderPair) -> tuple[float, fl
 
 
 def resolve_variant(variant: str, cfg: AttackConfig):
-    """Map a method name onto (config, use_projector, forced_weights), the
-    last a (lam, beta, gamma) triple or None.
+    """Map a method name onto (config, use_projector, pin_current), the
+    last run_image_attack's switch that pins every triangle sample to the
+    current adversarial image.
 
     saaet: triangle sampling plus semantic projection; dra: triangle sampling
     without projection; sga: plain multi-scale baseline (single sample pinned
@@ -354,15 +355,15 @@ def resolve_variant(variant: str, cfg: AttackConfig):
     subtriangle-X: saaet with triangle region X.
     """
     if variant == "saaet":
-        return cfg, True, None
+        return cfg, True, False
     if variant == "dra":
-        return cfg, False, None
+        return cfg, False, False
     if variant == "sga":
         sga_cfg = replace(cfg, samples=1, kappa=0.0, mu=0.0, nu=1.0)
-        return sga_cfg, False, (0.0, 0.0, 1.0)
+        return sga_cfg, False, True
     if variant.startswith("subtriangle-"):
         region = variant[len("subtriangle-") :]
-        return replace(cfg, region=region), True, None
+        return replace(cfg, region=region), True, False
     raise ValueError(f"unknown attack variant {variant!r}")
 
 
@@ -401,7 +402,7 @@ def attack_pairs(
     consumed; stream isolates the RNG of different surrogates under one
     master seed.
     """
-    run_cfg, use_projector, forced = resolve_variant(variant, cfg)
+    run_cfg, use_projector, pin_current = resolve_variant(variant, cfg)
     check_scales((ds.dims.height, ds.dims.width), run_cfg.scales)
     projector = surrogate_projector(ds, surrogate, cfg, stream) if use_projector else None
     near = word_neighbours(surrogate.text, run_cfg.word_list_size)
@@ -410,7 +411,7 @@ def attack_pairs(
         x, cap = ds.images[p], ds.captions[p]
         rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, stream, p]))
         adv_img, prev_img, trace = run_image_attack(
-            x, cap, surrogate, projector, run_cfg, rng, forced_weights=forced
+            x, cap, surrogate, projector, run_cfg, rng, pin_current
         )
         adv_cap, _ = run_text_attack(cap, x, prev_img, adv_img, surrogate, projector, run_cfg, near)
         return adv_img, adv_cap, trace
@@ -489,24 +490,23 @@ def mean_transfer_asr(reports) -> float:
     sympathy with the true match, so its success rate is structurally capped
     well below saturation even white-box.
     """
-    vals = [r.tr_asr for r in reports if r.surrogate != r.target]
-    if not vals:
-        raise ValueError("no off-diagonal cells in report list")
-    return float(np.mean(vals))
+    return _cell_mean(reports, "tr_asr", diagonal=False)
 
 
 def mean_diagonal_asr(reports) -> float:
     """Mean text-retrieval ASR over white-box diagonal cells."""
-    vals = [r.tr_asr for r in reports if r.surrogate == r.target]
-    if not vals:
-        raise ValueError("no diagonal cells in report list")
-    return float(np.mean(vals))
+    return _cell_mean(reports, "tr_asr", diagonal=True)
 
 
 def mean_transfer_alpha(reports) -> float:
-    vals = [r.alpha_mean for r in reports if r.surrogate != r.target]
+    return _cell_mean(reports, "alpha_mean", diagonal=False)
+
+
+def _cell_mean(reports, attr: str, diagonal: bool) -> float:
+    """Mean of one report field over the diagonal or the off-diagonal cells."""
+    vals = [getattr(r, attr) for r in reports if (r.surrogate == r.target) == diagonal]
     if not vals:
-        raise ValueError("no off-diagonal cells in report list")
+        raise ValueError(f"no {'' if diagonal else 'off-'}diagonal cells in report list")
     return float(np.mean(vals))
 
 

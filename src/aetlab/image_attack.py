@@ -34,10 +34,10 @@ from .core import (
 from .encoders import (
     EncoderPair,
     LinearImageEncoder,
+    embed_captions,
     embed_images,
     grad_loss_wrt_image,
     gradient_table,
-    text_direction,
 )
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ def run_image_attack(
     projector: np.ndarray | None,
     cfg: AttackConfig,
     rng: np.random.Generator,
-    forced_weights: tuple[float, float, float] | None = None,
+    pin_current: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, list[StepRecord]]:
     """Full T-step attack; returns the final and second-to-last adversarial
     images (the caption attack needs both) plus one StepRecord per step.
@@ -128,14 +128,12 @@ def run_image_attack(
     The triangle weights of steps 2..T are drawn together after the start
     noise, which leaves the RNG where per-step draws would; a run with
     steps=t from the same RNG state draws a prefix of them, so it returns
-    this run's iterates t and t-1. forced_weights pins every triangle
-    sample to one (lam, beta, gamma) triple, checked with validate_simplex
-    before any work, without consuming RNG; with (0, 0, 1) and samples=1
-    the loop reduces exactly to the multi-scale sign-gradient baseline.
+    this run's iterates t and t-1. pin_current pins every triangle sample
+    to the current adversarial image, the (0, 0, 1) vertex, and draws no
+    weights; with samples=1 the loop reduces exactly to the multi-scale
+    sign-gradient baseline.
     """
-    if forced_weights is not None:
-        pinned = validate_simplex(np.array([forced_weights], dtype=np.float64))
-    u = text_direction(enc_pair.text, caption, projector)
+    u = embed_captions(enc_pair.text, [caption], projector)[0]
     enc_i = enc_pair.image
     grads = gradient_table(enc_i, u, x.shape, cfg.scales)
     box = linf_box(x, cfg.eps_image)
@@ -143,8 +141,8 @@ def run_image_attack(
     cur = _sign_step(prev, prev, box, grads, enc_i, cfg)
     iterates, picks = [cur], [(0.0, 0.0, 1.0, -1)]
     n_rows = (cfg.steps - 1) * cfg.samples
-    if forced_weights is not None:
-        all_weights = np.repeat(pinned, n_rows, axis=0)
+    if pin_current:
+        all_weights = np.tile([0.0, 0.0, 1.0], (n_rows, 1))
     else:
         all_weights = sample_sub_triangle(n_rows, rng, cfg.region)
     for weights in all_weights.reshape(-1, cfg.samples, 3):

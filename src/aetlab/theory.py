@@ -115,7 +115,7 @@ def interaction_moments(ql: QuadraticLoss) -> tuple[float, float]:
     """Pair-averaged moments: A = E[g(i) g(j) H_ij] and
     B = E[g(i) H_ij (g^T H)_j]."""
     g, H = ql.g, ql.H
-    a = pair_mean(H * np.outer(g, g))
+    a = expected_interaction(g, H)
     b = pair_mean(H * np.outer(g, H @ g))
     return a, b
 

@@ -223,7 +223,7 @@ def run_image_attack_per_sample(x, caption, enc_pair, projector, cfg, rng, force
     return cur, prev, trace
 
 
-def attack_iterates(x, caption, enc_pair, projector, cfg, seed, forced_weights=None):
+def attack_iterates(x, caption, enc_pair, projector, cfg, seed, pin_current=False):
     """Every iterate 0..T of run_image_attack on np.random.default_rng(seed):
     the noise start recomputed from a fresh RNG, iterate 1 as the
     second-to-last image of a steps=2 run, and iterate t >= 2 as the final
@@ -232,7 +232,7 @@ def attack_iterates(x, caption, enc_pair, projector, cfg, seed, forced_weights=N
     start = linf_project(x + cfg.eps_image * noise, linf_box(x, cfg.eps_image))
     runs = [
         run_image_attack(x, caption, enc_pair, projector, replace(cfg, steps=t),
-                         np.random.default_rng(seed), forced_weights)
+                         np.random.default_rng(seed), pin_current)
         for t in range(2, cfg.steps + 1)
     ]
     return [start, runs[0][1], *(cur for cur, _, _ in runs)]
@@ -275,8 +275,9 @@ def run_text_attack_per_candidate(caption, clean_img, prev_adv, cur_adv, enc_pai
 
 def attack_pairs_per_sample(ds, surrogate, cfg, variant="saaet", stream=0):
     """harness.attack_pairs on the per-sample and per-candidate oracles."""
-    run_cfg, use_projector, forced = resolve_variant(variant, cfg)
+    run_cfg, use_projector, pin_current = resolve_variant(variant, cfg)
     projector = surrogate_projector(ds, surrogate, cfg, stream) if use_projector else None
+    forced = (0.0, 0.0, 1.0) if pin_current else None
     out = []
     for p in range(ds.n_pairs):
         x, cap = ds.images[p], ds.captions[p]
@@ -292,8 +293,8 @@ def attack_pairs_per_sample(ds, surrogate, cfg, variant="saaet", stream=0):
 def run_sga_attack(x, caption, enc_pair, projector, cfg, rng):
     """Direct multi-scale sign-gradient baseline (no triangle machinery).
 
-    Regression oracle for run_image_attack with forced weights (0, 0, 1) and
-    samples=1: both must produce bitwise-identical output for the same seed.
+    Regression oracle for run_image_attack with pin_current (every sample
+    at the (0, 0, 1) vertex) and samples=1: both must produce bitwise-identical output for the same seed.
     """
     u = text_embedding(enc_pair.text, caption, projector)
     cur = linf_project_clip(

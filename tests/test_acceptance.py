@@ -14,7 +14,12 @@ import pytest
 from scipy.stats import spearmanr
 
 from aetlab.core import AttackConfig, DEFAULT_SCALES
-from aetlab.encoders import grad_loss_wrt_image, gradient_table, make_base_encoders, text_direction
+from aetlab.encoders import (
+    embed_captions,
+    grad_loss_wrt_image,
+    gradient_table,
+    make_base_encoders,
+)
 from aetlab.harness import (
     DatasetDims,
     TRANSFER_EMBED_DIM,
@@ -195,7 +200,7 @@ def test_criterion_5_gradient_fidelity(capsys):
         projector = None
         if k % 2 == 1:
             projector = build_projection(rng.standard_normal((5, 16)))
-        u = text_direction(pair.text, caption, projector)
+        u = embed_captions(pair.text, [caption], projector)[0]
         grads = gradient_table(pair.image, u, x.shape, (scale,))
         analytic = grad_loss_wrt_image(pair.image, x, grads, scale)
         fd = finite_difference_grad(
@@ -248,8 +253,7 @@ def test_criterion_7_sga_regression(capsys):
         cfg = AttackConfig(steps=int(rng.integers(2, 11)), samples=1)
         seed = int(rng.integers(1 << 30))
         a, prev_a, _ = run_image_attack(
-            x, caption, pair, None, cfg, np.random.default_rng(seed),
-            forced_weights=(0.0, 0.0, 1.0),
+            x, caption, pair, None, cfg, np.random.default_rng(seed), pin_current=True,
         )
         b, prev_b = run_sga_attack(
             x, caption, pair, None, cfg, np.random.default_rng(seed)

@@ -1,11 +1,13 @@
 import csv
 import os
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aetlab import matio
 from aetlab.cli import (
@@ -14,10 +16,11 @@ from aetlab.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY,
+    build_attack_config,
     build_parser,
     main,
 )
-from aetlab.core import AttackConfig
+from aetlab.core import REGION_ASSIGNMENTS, AttackConfig
 from aetlab.harness import (
     DatasetDims,
     GeneratorParams,
@@ -366,7 +369,8 @@ class TestTheory:
         assert "pass" in capsys.readouterr().out
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0][0] == "instance"
+        assert rows[0] == ("instance,a_moment,b_moment,identity_max_rel_err,"
+                           "ordering_ok,cubic_proposed,cubic_baseline,passed").split(",")
         assert len(rows) == 4
         assert all(row[-1] == "True" for row in rows[1:])
 
@@ -456,7 +460,71 @@ class TestSubspace:
         assert np.array_equal(full, surrogate_projector(ds, ds.base, cfg))
 
 
+def _cli_text(value) -> str:
+    """A config value as the config file and the flags spell it."""
+    if isinstance(value, tuple):
+        return ",".join(repr(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@st.composite
+def attack_configs(draw) -> AttackConfig:
+    positive = st.floats(min_value=1e-6, max_value=1.0)
+    kappa = draw(st.floats(min_value=0.0, max_value=0.9))
+    mu = draw(st.floats(min_value=0.0, max_value=1.0 - kappa))
+    return AttackConfig(
+        eps_image=draw(positive),
+        step_size=draw(positive),
+        steps=draw(st.integers(2, 50)),
+        samples=draw(st.integers(1, 20)),
+        scales=tuple(draw(st.lists(st.floats(min_value=0.1, max_value=2.0),
+                                   min_size=1, max_size=4))),
+        word_list_size=draw(st.integers(0, 30)),
+        kappa=kappa,
+        mu=mu,
+        nu=1.0 - kappa - mu,
+        corpus_proportion=draw(st.floats(min_value=1e-3, max_value=1.0)),
+        region=draw(st.sampled_from(sorted(REGION_ASSIGNMENTS))),
+    )
+
+
+# settings that are placed together, so any mix of them stays valid
+_CONFIG_GROUPS = [("kappa", "mu", "nu")] + [
+    (name,) for name in _CONFIG_PARSERS if name not in ("kappa", "mu", "nu")
+]
+
+
 class TestConfigPrecedence:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        winner=attack_configs(),
+        loser=attack_configs(),
+        places=st.lists(st.sampled_from(["default", "file", "flag", "both"]),
+                        min_size=len(_CONFIG_GROUPS), max_size=len(_CONFIG_GROUPS)),
+    )
+    def test_flags_win_over_the_file_and_defaults_fill_the_rest(
+        self, tmp_path_factory, seed, winner, loser, places
+    ):
+        # a setting in both places takes the flag's value (winner's), the
+        # file's (loser's) is dropped
+        file_values, flag_values = {}, {}
+        for group, place in zip(_CONFIG_GROUPS, places):
+            for name in group:
+                if place in ("file", "both"):
+                    file_values[name] = getattr(loser if place == "both" else winner, name)
+                if place in ("flag", "both"):
+                    flag_values[name] = getattr(winner, name)
+        cfg_file = tmp_path_factory.mktemp("precedence") / "cfg.txt"
+        cfg_file.write_text("".join(f"{k}={_cli_text(v)}\n" for k, v in file_values.items()))
+        flags = [f"--{k.replace('_', '-')}={_cli_text(v)}" for k, v in flag_values.items()]
+        args = build_parser().parse_args(
+            ["attack", "--seed", str(seed), "--dataset", "unused", "--config", str(cfg_file),
+             *flags]
+        )
+        want = replace(AttackConfig(master_seed=seed), **{**file_values, **flag_values})
+        assert build_attack_config(args) == want
+
     @pytest.mark.parametrize("argv", [
         ["theory", "--seed", "0", "--instances", "1", "--kappa", "9"],
         ["synth", "--seed", "5", *SMALL_SYNTH, "--config", "cfg.txt"],
@@ -522,10 +590,37 @@ class TestConfigPrecedence:
 
 
 def output_args(command, tmp_path) -> tuple[list[str], Path]:
-    """The output argument of attack or transfer and the path it names."""
+    """The output argument of attack, transfer or subspace and the path it names."""
     if command == "attack":
         return ["--limit", "1", "--out-dir", str(tmp_path / "adv")], tmp_path / "adv"
+    if command == "subspace":
+        return ["--out", str(tmp_path / "projector.txt")], tmp_path / "projector.txt"
     return ["--models", "2", "--out", str(tmp_path / "report.csv")], tmp_path / "report.csv"
+
+
+class TestConfigRangeErrors:
+    # a merged config that AttackConfig rejects names where its values came
+    # from, as a variant clash does
+    @pytest.mark.parametrize("command", ["attack", "transfer", "subspace"])
+    @pytest.mark.parametrize("config, flags, message, named", [
+        ("steps=1\n", [], "steps must be >= 2", ["config key 'steps' in {cfg}"]),
+        ("", ["--kappa", "0.5"], "kappa + mu + nu must equal 1", ["--kappa"]),
+        ("kappa=0.5\n", ["--mu", "0.1"], "kappa + mu + nu must equal 1",
+         ["config key 'kappa' in {cfg}", "--mu"]),
+    ], ids=["config", "flag", "mixed"])
+    def test_range_error_names_the_sources(
+        self, dataset_file, tmp_path, capsys, command, config, flags, message, named
+    ):
+        cfg_file = tmp_path / "cfg.txt"
+        cfg_file.write_text(config)
+        out_args, out = output_args(command, tmp_path)
+        argv = [command, "--seed", "5", "--dataset", str(dataset_file),
+                "--config", str(cfg_file), *flags, *out_args]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert message in err
+        assert all(name.format(cfg=cfg_file) in err for name in named)
+        assert not out.exists()
 
 
 class TestVariantOverrides:

@@ -16,8 +16,7 @@ from oracles import SimplexWeights, convex_combine, linf_project_clip, scale_aug
 
 
 class TestSimplexWeights:
-    # validate_simplex is the check run_image_attack makes on its pinned
-    # weights; test_image_attack drives the same cases through that call
+    # validate_simplex checks every row sample_sub_triangle returns
     def test_valid_triple(self):
         rows = np.array([(0.5, 0.3, 0.2)])
         assert validate_simplex(rows) is rows

@@ -19,7 +19,6 @@ from aetlab.encoders import (
     gradient_table,
     make_base_encoders,
     make_model_pool,
-    text_direction,
 )
 from aetlab.harness import DatasetDims, default_model_pool, surrogate_projector, synth_dataset
 from aetlab.subspace import build_projection
@@ -67,10 +66,10 @@ class TestEncoding:
             assert np.array_equal(got, tiny_pair.text.table[tokens].mean(axis=0))
 
     def test_encode_text_rejects_out_of_vocab(self, tiny_pair):
-        with pytest.raises(ValueError):
-            encode_text(tiny_pair.text, (0, 64))
-        with pytest.raises(ValueError):
-            encode_text(tiny_pair.text, ())
+        # and an empty, scalar or 2-D caption
+        for bad in ((0, 64), (0, -1), (), 3, [[0, 1], [2, 3]]):
+            with pytest.raises(ValueError):
+                encode_text(tiny_pair.text, bad)
 
     @pytest.mark.parametrize("length", [1, 4, 12])
     def test_embed_pairs_rows_are_per_pair_encodings(self, tiny_pair, rng, length):
@@ -122,14 +121,14 @@ class TestEncoding:
 
     @pytest.mark.parametrize("use_projector", [False, True])
     def test_embed_captions_rows_keep_the_per_caption_bits(self, tiny_pair, rng, use_projector):
-        # and text_direction is the one-row case
+        # and each caption embedded alone gives its row
         projector = build_projection(rng.standard_normal((4, 16))) if use_projector else None
         captions = rng.integers(0, 64, (7, 5))
         want = np.stack([text_embedding(tiny_pair.text, c, projector) for c in captions])
         got = embed_captions(tiny_pair.text, captions, projector)
         assert got.shape == (7, 16) and got.tobytes() == want.tobytes()
         for c, row in zip(captions, want):
-            assert text_direction(tiny_pair.text, c, projector).tobytes() == row.tobytes()
+            assert embed_captions(tiny_pair.text, [c], projector)[0].tobytes() == row.tobytes()
 
     def test_embed_images_rejects_what_encode_image_rejects(self, tiny_pair, tiny_image):
         nan = tiny_image.copy()
@@ -161,7 +160,7 @@ class TestEncoding:
         txt = encode_text(tiny_pair.text, tiny_caption)
         if projector is not None:
             img, txt = projector @ img, projector @ txt
-        u = text_direction(tiny_pair.text, tiny_caption, projector)
+        u = embed_captions(tiny_pair.text, [tiny_caption], projector)[0]
         assert image_loss(tiny_pair.image, tiny_image, u, projector, scale) == similarity(img[None], txt)[0]
 
     def test_encoder_validation(self):
@@ -181,7 +180,7 @@ class TestGradients:
         if use_projector:
             emb = rng.standard_normal((5, tiny_pair.image.embed_dim))
             projector = build_projection(emb)
-        u = text_direction(tiny_pair.text, tiny_caption, projector)
+        u = embed_captions(tiny_pair.text, [tiny_caption], projector)[0]
         grads = gradient_table(tiny_pair.image, u, tiny_image.shape, (scale,))
         analytic = grad_loss_wrt_image(tiny_pair.image, tiny_image, grads, scale)
         fd = finite_difference_grad(
@@ -195,7 +194,7 @@ class TestGradients:
         self, tiny_pair, tiny_image, tiny_caption, rng, scale
     ):
         projector = build_projection(rng.standard_normal((5, tiny_pair.image.embed_dim)))
-        u = text_direction(tiny_pair.text, tiny_caption, projector)
+        u = embed_captions(tiny_pair.text, [tiny_caption], projector)[0]
         grads = gradient_table(tiny_pair.image, u, tiny_image.shape, DEFAULT_SCALES)
         assert np.array_equal(
             -grad_loss_wrt_image(tiny_pair.image, tiny_image, grads, scale),
@@ -203,7 +202,7 @@ class TestGradients:
         )
 
     def test_table_equals_per_call_adjoint_at_every_scale(self, tiny_pair, tiny_caption):
-        u = text_direction(tiny_pair.text, tiny_caption, None)
+        u = embed_captions(tiny_pair.text, [tiny_caption], None)[0]
         back = (tiny_pair.image.weight.T @ u / tiny_pair.image.embed_dim).reshape(8, 8)
         grads = gradient_table(tiny_pair.image, u, (8, 8), DEFAULT_SCALES)
         assert sorted(grads) == sorted(DEFAULT_SCALES)
@@ -220,13 +219,13 @@ class TestGradients:
             return _fn(g, shape, s)
 
         monkeypatch.setattr(encoders, "scale_augment_adjoint", counted)
-        u = text_direction(tiny_pair.text, tiny_caption, None)
+        u = embed_captions(tiny_pair.text, [tiny_caption], None)[0]
         grads = gradient_table(tiny_pair.image, u, (8, 8), (0.5, 1.5, 0.5))
         assert sorted(grads) == [0.5, 1.0, 1.5]
         assert calls == [0.5, 1.5]
 
     def test_unit_scale_is_a_fresh_copy_of_the_adjoint(self, tiny_pair, tiny_image, tiny_caption):
-        u = text_direction(tiny_pair.text, tiny_caption, None)
+        u = embed_captions(tiny_pair.text, [tiny_caption], None)[0]
         grads = gradient_table(tiny_pair.image, u, tiny_image.shape, (1.0,))
         back_copy = grads[1.0].copy()
         g = grad_loss_wrt_image(tiny_pair.image, tiny_image, grads, 1.0)
@@ -236,7 +235,7 @@ class TestGradients:
 
     @pytest.mark.parametrize("scale", DEFAULT_SCALES)
     def test_bad_image_rejected_at_every_scale(self, tiny_pair, tiny_image, tiny_caption, scale):
-        u = text_direction(tiny_pair.text, tiny_caption, None)
+        u = embed_captions(tiny_pair.text, [tiny_caption], None)[0]
         grads = gradient_table(tiny_pair.image, u, tiny_image.shape, DEFAULT_SCALES)
         bad = tiny_image.copy()
         bad[2, 3] = np.nan
@@ -295,7 +294,7 @@ class TestSemanticProjector:
         # the embeddings are 16-dimensional
         p = build_projection(rng.standard_normal((4, dim)))
         with pytest.raises(ValueError):
-            text_direction(tiny_pair.text, tiny_caption, p)
+            embed_captions(tiny_pair.text, [tiny_caption], p)[0]
         with pytest.raises(ValueError):
             embed_images(tiny_pair.image, tiny_image[None], p)
 

@@ -376,23 +376,23 @@ class TestAlphaMetric:
 
 class TestResolveVariant:
     def test_saaet_uses_projector(self, tiny_cfg):
-        cfg, use_projector, forced = resolve_variant("saaet", tiny_cfg)
-        assert use_projector and forced is None and cfg == tiny_cfg
+        cfg, use_projector, pin_current = resolve_variant("saaet", tiny_cfg)
+        assert use_projector and pin_current is False and cfg == tiny_cfg
 
     def test_dra_drops_projector(self, tiny_cfg):
-        cfg, use_projector, forced = resolve_variant("dra", tiny_cfg)
-        assert not use_projector and forced is None
+        cfg, use_projector, pin_current = resolve_variant("dra", tiny_cfg)
+        assert not use_projector and pin_current is False
 
     def test_sga_forces_current_image_vertex(self, tiny_cfg):
-        cfg, use_projector, forced = resolve_variant("sga", tiny_cfg)
+        cfg, use_projector, pin_current = resolve_variant("sga", tiny_cfg)
         assert not use_projector
-        assert forced == (0.0, 0.0, 1.0)
+        assert pin_current is True
         assert cfg.samples == 1
         assert (cfg.kappa, cfg.mu, cfg.nu) == (0.0, 0.0, 1.0)
 
     def test_subtriangle_region(self, tiny_cfg):
-        cfg, use_projector, forced = resolve_variant("subtriangle-C", tiny_cfg)
-        assert use_projector and cfg.region == "C"
+        cfg, use_projector, pin_current = resolve_variant("subtriangle-C", tiny_cfg)
+        assert use_projector and pin_current is False and cfg.region == "C"
 
     def test_unknown_variant(self, tiny_cfg):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aetlab.core import REGION_ASSIGNMENTS, AttackConfig, linf_box, linf_project
-from aetlab.encoders import grad_loss_wrt_image, gradient_table, text_direction
+from aetlab.encoders import embed_captions, grad_loss_wrt_image, gradient_table
 from aetlab.image_attack import (
     _sign_step,
     run_image_attack,
@@ -82,7 +82,7 @@ class TestSampleSubTriangle:
 
 @pytest.fixture
 def tiny_u(tiny_pair, tiny_caption):
-    return text_direction(tiny_pair.text, tiny_caption, None)
+    return embed_captions(tiny_pair.text, [tiny_caption], None)[0]
 
 
 @pytest.fixture
@@ -93,7 +93,7 @@ def tiny_grads(tiny_pair, tiny_image, tiny_u):
 class TestObjective:
     def test_mismatch_is_negated_similarity(self, tiny_pair, tiny_image, tiny_caption, rng):
         for projector in (None, build_projection(rng.standard_normal((5, 16)))):
-            u = text_direction(tiny_pair.text, tiny_caption, projector)
+            u = embed_captions(tiny_pair.text, [tiny_caption], projector)[0]
             assert mismatch_value(tiny_image, u, tiny_pair.image, projector) == -pair_loss(
                 tiny_pair, tiny_image, tiny_caption, projector
             )
@@ -183,7 +183,7 @@ class TestTextGuidedSelect:
         # coarse grid so that exact ties occur
         cfg = AttackConfig(eps_image=0.5, step_size=0.25)
         projector = build_projection(rng.standard_normal((5, 16))) if use_projector else None
-        u = text_direction(tiny_pair.text, tiny_caption, projector)
+        u = embed_captions(tiny_pair.text, [tiny_caption], projector)[0]
         for _ in range(20):
             dirs = 0.25 * rng.integers(-1, 2, size=(6, 8, 8)).astype(float)
             dirs[rng.integers(6)] = dirs[rng.integers(6)]
@@ -202,7 +202,7 @@ class TestTextGuidedSelect:
         # candidates of a pixel-major stack flatten to strided rows
         cfg = AttackConfig(eps_image=0.5, step_size=0.25)
         projector = build_projection(rng.standard_normal((5, 16))) if use_projector else None
-        u = text_direction(tiny_pair.text, tiny_caption, projector)
+        u = embed_captions(tiny_pair.text, [tiny_caption], projector)[0]
         box = linf_box(tiny_image, cfg.eps_image)
         for _ in range(20):
             dirs = 0.25 * rng.integers(-1, 2, size=(6, 8, 8)).astype(float)
@@ -258,14 +258,14 @@ class TestRunImageAttack:
         # full run: it returns iterates t and t-1 and the first t records
         ds = synth_dataset(0, 5, dims=DatasetDims(embed_dim=TRANSFER_EMBED_DIM))
         base_cfg = AttackConfig(master_seed=0)
-        cfg, use_projector, forced = resolve_variant(variant, base_cfg)
+        cfg, use_projector, pin_current = resolve_variant(variant, base_cfg)
         projector = surrogate_projector(ds, ds.base, base_cfg) if use_projector else None
         for p in range(ds.n_pairs):
             x, cap = ds.images[p], ds.captions[p]
             seed = np.random.SeedSequence([0, 0, p])
             runs = [
                 run_image_attack(x, cap, ds.base, projector, replace(cfg, steps=t),
-                                 np.random.default_rng(seed), forced)
+                                 np.random.default_rng(seed), pin_current)
                 for t in range(2, cfg.steps + 1)
             ]
             full_trace = runs[-1][2]
@@ -273,7 +273,7 @@ class TestRunImageAttack:
                 assert trace == full_trace[:t]
                 if t > 2:
                     assert np.array_equal(prev, runs[t - 3][0])
-            u = text_direction(ds.base.text, cap, projector)
+            u = embed_captions(ds.base.text, [cap], projector)[0]
             assert mismatch_value(runs[0][1], u, ds.base.image, projector) == full_trace[0].loss
 
     def test_trace_has_one_record_per_step(self, tiny_pair, tiny_image, tiny_caption, fast_cfg):
@@ -302,7 +302,7 @@ class TestRunImageAttack:
             tiny_image, tiny_caption, tiny_pair, None, fast_cfg,
             np.random.default_rng(0),
         )
-        u = text_direction(tiny_pair.text, tiny_caption, None)
+        u = embed_captions(tiny_pair.text, [tiny_caption], None)[0]
         assert mismatch_value(adv, u, tiny_pair.image, None) > mismatch_value(
             tiny_image, u, tiny_pair.image, None
         )
@@ -311,8 +311,7 @@ class TestRunImageAttack:
         cfg = AttackConfig(steps=6, samples=1, master_seed=0)
         via_triangle, prev_t, _ = run_image_attack(
             tiny_image, tiny_caption, tiny_pair, None, cfg,
-            np.random.default_rng(13),
-            forced_weights=(0.0, 0.0, 1.0),
+            np.random.default_rng(13), pin_current=True,
         )
         direct, prev_d = run_sga_attack(
             tiny_image, tiny_caption, tiny_pair, None, cfg, np.random.default_rng(13)
@@ -320,31 +319,15 @@ class TestRunImageAttack:
         assert np.array_equal(via_triangle, direct)
         assert np.array_equal(prev_t, prev_d)
 
-    @pytest.mark.parametrize(
-        "weights, message",
-        [((0.5, 0.3, 0.3), "sum to 1"), ((1.2, -0.1, -0.1), "outside"),
-         ((np.nan, 0.5, 0.5), "outside"), ((0.5, 0.5), "shape")],
-    )
-    def test_invalid_forced_weights_rejected_before_any_draw(
-        self, tiny_pair, tiny_image, tiny_caption, fast_cfg, weights, message
-    ):
-        rng = np.random.default_rng(3)
-        state = rng.bit_generator.state
-        with pytest.raises(ValueError, match=message):
-            run_image_attack(
-                tiny_image, tiny_caption, tiny_pair, None, fast_cfg, rng, forced_weights=weights
-            )
-        assert rng.bit_generator.state == state
-
     def test_pinned_vertex_pins_every_sample(self, tiny_pair, tiny_image, tiny_caption):
-        # every triangle sample of the sga vertex, with a float or an int
-        # triple, is the current image, as the trace records
+        # every triangle sample of the sga vertex is the current image, as
+        # the trace records, and the pinned run draws only the start noise
         cfg = AttackConfig(steps=4, samples=3, master_seed=0)
-        runs = [
-            run_image_attack(tiny_image, tiny_caption, tiny_pair, None, cfg,
-                             np.random.default_rng(2), forced_weights=w)
-            for w in ((0.0, 0.0, 1.0), (0, 0, 1))
-        ]
-        assert np.array_equal(runs[0][0], runs[1][0])
-        for rec in runs[1][2][1:]:
+        rng = np.random.default_rng(2)
+        _, _, trace = run_image_attack(tiny_image, tiny_caption, tiny_pair, None, cfg, rng,
+                                       pin_current=True)
+        for rec in trace[1:]:
             assert (rec.lam, rec.beta, rec.gamma, rec.chosen_index) == (0.0, 0.0, 1.0, 0)
+        after_noise = np.random.default_rng(2)
+        after_noise.standard_normal(tiny_image.shape)
+        assert rng.bit_generator.state == after_noise.bit_generator.state

@@ -5,7 +5,12 @@ perfbench/tracing.py's TRACE_POINTS).
 
 The package keeps no test-only functions: each public top-level function
 is used in src/, is a TRACE_POINTS site, is called by
-perfbench/workloads.py, or is on UNUSED_ALLOWED with its reason."""
+perfbench/workloads.py, or is on UNUSED_ALLOWED with its reason.
+
+Nor does it keep one-call wrappers: a public top-level function whose body,
+after the docstring, only returns one call of another public function of
+src/ (optionally subscripted) is a TRACE_POINTS site or is on
+WRAPPERS_ALLOWED with its reason."""
 import ast
 import importlib.util
 from pathlib import Path
@@ -16,10 +21,10 @@ ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src" / "aetlab").glob("*.py"))
 
 # (module, function) -> why it stays although neither src/ nor the benchmark uses it
-UNUSED_ALLOWED = {
-    ("theory", "expected_interaction"): "the interaction of a perturbation, which the "
-    "check of the theory against the attack (ROADMAP item 7) will call",
-}
+UNUSED_ALLOWED: dict[tuple[str, str], str] = {}
+
+# (module, function) -> why this one-call wrapper stays although it is no trace site
+WRAPPERS_ALLOWED: dict[tuple[str, str], str] = {}
 
 
 def trace_sites() -> set[tuple[str, str]]:
@@ -120,3 +125,55 @@ def test_finds_the_public_functions_and_their_uses():
 def test_no_test_only_functions():
     # and no stale allowlist entry: each is still unexplained otherwise
     assert unexplained_functions() == set(UNUSED_ALLOWED)
+
+
+def one_call_wrappers(sources: dict[str, str]) -> set[tuple[str, str]]:
+    """The (module, function) pairs of public top-level functions, over the
+    sources of several modules by module name, whose body after the
+    docstring is a single return of exactly one call (optionally
+    subscripted) of another public top-level function of those modules,
+    by name or as an attribute."""
+    public = {name for source in sources.values() for name in public_functions(source)}
+    found = set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+            if len(body) != 1 or not isinstance(body[0], ast.Return) or body[0].value is None:
+                continue
+            value = body[0].value
+            call = value.value if isinstance(value, ast.Subscript) else value
+            if not isinstance(call, ast.Call):
+                continue
+            if sum(isinstance(n, ast.Call) for n in ast.walk(value)) != 1:
+                continue
+            func = call.func
+            callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if callee in public and callee != node.name:
+                found.add((module, node.name))
+    return found
+
+
+def test_finds_the_one_call_wrappers():
+    sources = {
+        "a": (
+            "def kernel(x, n):\n    return x * n\n"
+            "def row(x):\n    \"\"\"One row.\"\"\"\n    return kernel([x], 1)[0]\n"
+            "def alias(x):\n    return b.other(x, k=x.size)\n"
+            "def two_calls(x):\n    return kernel(np.asarray(x), 1)\n"
+            "def checks(x):\n    check(x)\n    return kernel(x, 1)\n"
+            "def private_callee(x):\n    return _helper(x)\n"
+            "def outside_callee(x):\n    return np.sum(x)\n"
+            "def _private(x):\n    return kernel(x, 1)\n"
+        ),
+        "b": "def other(x, k):\n    return x\n",
+    }
+    assert one_call_wrappers(sources) == {("a", "row"), ("a", "alias")}
+
+
+def test_no_one_call_wrappers():
+    # and no stale allowlist entry: each is still a wrapper and no trace site
+    sites = {(module.removeprefix("aetlab."), attr) for module, attr in trace_sites()}
+    wrappers = one_call_wrappers({p.stem: p.read_text() for p in MODULES})
+    assert wrappers - sites == set(WRAPPERS_ALLOWED)
