@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 usage error, 3 I/O error, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import fields
 from itertools import islice
@@ -163,6 +164,11 @@ def cmd_attack(args) -> int:
 
 
 def cmd_transfer(args) -> int:
+    if args.models < 2:
+        return _usage_exit("--models must be >= 2")
+    for flag, value in (("--noise", args.noise), ("--text-noise", args.text_noise)):
+        if not 0 <= value < math.inf:  # a NaN fails too
+            return _usage_exit(f"{flag} must be finite and >= 0, got {value!r}")
     cfg = build_attack_config(args, args.variant)
     ds = load_dataset_descriptor(args.dataset)
     pool = default_model_pool(
@@ -181,6 +187,9 @@ def cmd_theory(args) -> int:
         return _usage_exit("--dim must be >= 2")
     if args.t_max < MIN_T_MAX:
         return _usage_exit(f"--t-max must be >= {MIN_T_MAX}")
+    for flag, value in (("--beta", args.beta), ("--gamma", args.gamma)):
+        if not 0 <= value <= 1:  # a NaN fails too
+            return _usage_exit(f"{flag} must be in [0, 1], got {value!r}")
     rng = np.random.default_rng(args.seed)
     reports = []
     for _ in range(args.instances):

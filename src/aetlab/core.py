@@ -194,13 +194,13 @@ def check_scales(shape: tuple[int, ...], scales) -> None:
 
 
 def scale_augment_adjoint(g: np.ndarray, shape: tuple[int, int], scale: float) -> np.ndarray:
-    """Transpose of the scale augmentation, applied to g. The augmentation
-    resizes an (H, W) image bilinearly to round(scale*H) x round(scale*W)
-    and back, a fixed linear map per (H, W, scale); scale 1.0 is the
-    identity."""
+    """Transpose of the scale augmentation, applied to g, one (H, W) image
+    or an (n, H, W) stack of them. The augmentation resizes an (H, W) image
+    bilinearly to round(scale*H) x round(scale*W) and back, a fixed linear
+    map per (H, W, scale); scale 1.0 is the identity."""
     g = np.asarray(g, dtype=np.float64)
     h, w = shape
-    if g.shape != (h, w):
+    if g.shape[-2:] != (h, w):
         raise ValueError("adjoint input shape mismatch")
     ar = _roundtrip_matrix(h, scale)
     ac = _roundtrip_matrix(w, scale)

@@ -111,21 +111,23 @@ def embed_images(
 
 
 def gradient_table(
-    enc_i: LinearImageEncoder, u: np.ndarray, shape: tuple[int, int], scales
+    enc_i: LinearImageEncoder, U: np.ndarray, shape: tuple[int, int], scales
 ) -> dict[float, np.ndarray]:
-    """The gradient w.r.t. an (H, W) image x, at each scale s, of the
+    """The gradients w.r.t. an (H, W) image x, at each scale s, of the
     similarity of the scale-augmented, projected image embedding
-    P W augment_s(x) with the caption's projected embedding u: the
-    adjoint chain augment_s^T(W^T u) / d.
+    P W augment_s(x) with each caption's projected embedding, a row of the
+    (n, d) stack U: the adjoint chain augment_s^T(W^T u) / d, as one
+    (n, H, W) stack per scale.
 
     The loss is bilinear, so the gradient does not depend on the image and
-    one table serves every gradient of a pair. The table always holds scale
-    1.0, the identity augmentation, whose entry is the back-projection
-    W^T u / d itself; each other scale costs one adjoint. The projector is
-    already folded into u, since <P a, P b> = <a, P b> for the symmetric
-    idempotent P.
+    one table row serves every gradient of a pair. The table always holds
+    scale 1.0, the identity augmentation, whose entry is the
+    back-projection W^T u / d itself, one matvec_rows call; each other
+    scale costs one adjoint call on the stack. Each row keeps the bits of
+    the one-row table in any batch. The projector is already folded into
+    U, since <P a, P b> = <a, P b> for the symmetric idempotent P.
     """
-    back = (enc_i.weight.T @ u / enc_i.embed_dim).reshape(shape)
+    back = (matvec_rows(enc_i.weight.T, U) / enc_i.embed_dim).reshape(len(U), *shape)
     table = {1.0: back}
     for s in scales:
         if s not in table:
@@ -137,7 +139,7 @@ def grad_loss_wrt_image(
     enc_i: LinearImageEncoder, x: np.ndarray, grads: dict[float, np.ndarray], scale: float = 1.0
 ) -> np.ndarray:
     """Exact gradient of the similarity w.r.t. x at one scale: a fresh copy
-    of its entry in grads = gradient_table(enc_i, u, x.shape, scales)."""
+    of its entry in grads, one pair's row {s: t[p]} of gradient_table."""
     x = validate_image(x)
     if x.size != enc_i.weight.shape[1]:
         raise ValueError("image shape does not match encoder")

@@ -16,12 +16,14 @@ from pathlib import Path
 import numpy as np
 
 from . import matio
-from .core import AttackConfig, check_scales, similarity
+from .core import AttackConfig, check_scales, linf_box, similarity
 from .encoders import (
     EncoderPair,
     embed_captions,
+    embed_images,
     embed_pairs,
     encode_text,
+    gradient_table,
     make_base_encoders,
     make_model_pool,
 )
@@ -397,23 +399,36 @@ def attack_pairs(
 
     The variant, the projector and the surrogate's word-neighbour table are
     resolved, and the scales checked against the image shape, before the
-    first pair. Pair p draws its noise from SeedSequence([master_seed,
+    first pair. So is every input of a pair that the attack does not
+    change, each for all N pairs in one stacked call: the captions' text
+    directions (N, d), their gradient tables {scale: (N, H, W)}, the budget
+    boxes (two (N, H, W) stacks) and the clean images' embeddings (N, d),
+    O(N * S * H * W) memory for S scales. Each row has the bits of its
+    one-pair call. Pair p draws its noise from SeedSequence([master_seed,
     stream, p]), so its output does not depend on how many pairs are
     consumed; stream isolates the RNG of different surrogates under one
     master seed.
     """
     run_cfg, use_projector, pin_current = resolve_variant(variant, cfg)
-    check_scales((ds.dims.height, ds.dims.width), run_cfg.scales)
+    shape = (ds.dims.height, ds.dims.width)
+    check_scales(shape, run_cfg.scales)
     projector = surrogate_projector(ds, surrogate, cfg, stream) if use_projector else None
     near = word_neighbours(surrogate.text, run_cfg.word_list_size)
+    u = embed_captions(surrogate.text, ds.captions, projector)
+    grads = gradient_table(surrogate.image, u, shape, run_cfg.scales)
+    lo, hi = linf_box(np.stack(ds.images), run_cfg.eps_image)
+    clean = embed_images(surrogate.image, ds.images, projector)
 
     def attack(p: int) -> tuple[np.ndarray, Caption, list[StepRecord]]:
         x, cap = ds.images[p], ds.captions[p]
         rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, stream, p]))
+        grads_p = {s: g[p] for s, g in grads.items()}
         adv_img, prev_img, trace = run_image_attack(
-            x, cap, surrogate, projector, run_cfg, rng, pin_current
+            x, u[p], grads_p, (lo[p], hi[p]), surrogate, projector, run_cfg, rng, pin_current
         )
-        adv_cap, _ = run_text_attack(cap, x, prev_img, adv_img, surrogate, projector, run_cfg, near)
+        adv_cap, _ = run_text_attack(
+            cap, clean[p], prev_img, adv_img, surrogate, projector, run_cfg, near
+        )
         return adv_img, adv_cap, trace
 
     return map(attack, range(ds.n_pairs))

@@ -12,10 +12,12 @@ The optimized objective is the image-text mismatch, i.e. the negated
 (optionally subspace-projected) core.similarity: driving the true pair's
 similarity down is what breaks retrieval. The caption enters only through
 its (projected) text direction u and that direction's gradient table (one
-pixel-space gradient per scale), both computed once per attack, as are all
-(T-1)*m triangle weights. The m triangle samples of a step, their
-directions and their feasible candidates are (m, H, W) stacks; the T
-iterates' trace losses are scored once, on the (T, H, W) stack.
+pixel-space gradient per scale), which the caller builds for all pairs at
+once (see harness.attack_pairs), as it does the L-inf budget box. All
+(T-1)*m triangle weights are drawn once per attack. The m triangle samples
+of a step, their directions (one buffer per attack) and their feasible
+candidates are (m, H, W) stacks; the T iterates' trace losses are scored
+once, on the (T, H, W) stack.
 """
 from __future__ import annotations
 
@@ -23,22 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    REGION_ASSIGNMENTS,
-    AttackConfig,
-    linf_box,
-    linf_project,
-    similarity,
-    validate_simplex,
-)
-from .encoders import (
-    EncoderPair,
-    LinearImageEncoder,
-    embed_captions,
-    embed_images,
-    grad_loss_wrt_image,
-    gradient_table,
-)
+from .core import REGION_ASSIGNMENTS, AttackConfig, linf_project, similarity, validate_simplex
+from .encoders import EncoderPair, LinearImageEncoder, embed_images, grad_loss_wrt_image
 
 @dataclass(frozen=True)
 class StepRecord:
@@ -80,13 +68,17 @@ def _sign_step(
     enc_i: LinearImageEncoder,
     cfg: AttackConfig,
 ) -> np.ndarray:
-    """x plus a sign step along the mismatch gradient summed over
-    cfg.scales at the point `at`, projected into the budget box (see
-    core.linf_box)."""
-    g = np.zeros_like(at)
-    for scale in cfg.scales:
-        g -= grad_loss_wrt_image(enc_i, at, grads, scale)
-    return linf_project(x + cfg.step_size * np.sign(g), box)
+    """x plus a sign step along the mismatch gradient, the negated
+    similarity gradient summed over cfg.scales at the point `at`, projected
+    into the budget box (see core.linf_box). The sum accumulates in the
+    first scale's fresh copy."""
+    g = grad_loss_wrt_image(enc_i, at, grads, cfg.scales[0])
+    for scale in cfg.scales[1:]:
+        g += grad_loss_wrt_image(enc_i, at, grads, scale)
+    np.sign(g, out=g)
+    g *= -cfg.step_size
+    g += x
+    return linf_project(g, box)
 
 
 def text_guided_select(
@@ -113,17 +105,22 @@ def text_guided_select(
 
 def run_image_attack(
     x: np.ndarray,
-    caption,
+    u: np.ndarray,
+    grads: dict[float, np.ndarray],
+    box: tuple[np.ndarray, np.ndarray],
     enc_pair: EncoderPair,
     projector: np.ndarray | None,
     cfg: AttackConfig,
     rng: np.random.Generator,
     pin_current: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, list[StepRecord]]:
-    """Full T-step attack; returns the final and second-to-last adversarial
-    images (the caption attack needs both) plus one StepRecord per step.
-    Step 1 is a multi-scale sign step from a Gaussian-noise start in the
-    budget.
+    """Full T-step attack on the clean image x; returns the final and
+    second-to-last adversarial images (the caption attack needs both) plus
+    one StepRecord per step. u is the caption's (projected) text direction,
+    grads its gradient table {scale: (H, W)} over cfg.scales (one pair's
+    row of encoders.gradient_table) and box = core.linf_box(x,
+    cfg.eps_image). Step 1 is a multi-scale sign step from a
+    Gaussian-noise start in the budget.
 
     The triangle weights of steps 2..T are drawn together after the start
     noise, which leaves the RNG where per-step draws would; a run with
@@ -133,10 +130,7 @@ def run_image_attack(
     weights; with samples=1 the loop reduces exactly to the multi-scale
     sign-gradient baseline.
     """
-    u = embed_captions(enc_pair.text, [caption], projector)[0]
     enc_i = enc_pair.image
-    grads = gradient_table(enc_i, u, x.shape, cfg.scales)
-    box = linf_box(x, cfg.eps_image)
     prev = linf_project(x + cfg.eps_image * rng.standard_normal(x.shape), box)
     cur = _sign_step(prev, prev, box, grads, enc_i, cfg)
     iterates, picks = [cur], [(0.0, 0.0, 1.0, -1)]
@@ -145,12 +139,14 @@ def run_image_attack(
         all_weights = np.tile([0.0, 0.0, 1.0], (n_rows, 1))
     else:
         all_weights = sample_sub_triangle(n_rows, rng, cfg.region)
+    dirs = np.empty((cfg.samples, *x.shape))
     for weights in all_weights.reshape(-1, cfg.samples, 3):
         lam, beta, gamma = weights.T[:, :, None, None]
         samples = lam * x + beta * prev + gamma * cur
-        dirs = cfg.step_size * np.sign(
-            np.stack([-grad_loss_wrt_image(enc_i, s, grads) for s in samples])
-        )
+        for k, s in enumerate(samples):
+            dirs[k] = grad_loss_wrt_image(enc_i, s, grads)
+        np.sign(dirs, out=dirs)
+        dirs *= -cfg.step_size  # a sign step along the mismatch gradient
         o = text_guided_select(cur, box, dirs, u, enc_i, projector)
         prev, cur = cur, _sign_step(cur, samples[o], box, grads, enc_i, cfg)
         iterates.append(cur)

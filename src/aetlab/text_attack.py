@@ -6,8 +6,8 @@ exhaustively scores the original caption plus every single substitution and
 keeps the one that deviates most from the final evolution triangle of the
 image attack (weighted mismatch against the clean, previous-step, and final
 adversarial image). The candidates are encoded and projected together, as
-one (n_cand, L) token matrix, by one embed_captions call, and all
-n_cand x 3 candidate-image similarities are taken in one similarity call.
+one (n_cand, L) token matrix, by one embed_captions call, and scored against
+the three image embeddings with one shared-text similarity call per image.
 """
 from __future__ import annotations
 
@@ -67,7 +67,7 @@ def score_text_candidate(sims, cfg: AttackConfig) -> float:
 
 def run_text_attack(
     caption,
-    clean_img: np.ndarray,
+    clean_emb: np.ndarray,
     prev_adv: np.ndarray,
     cur_adv: np.ndarray,
     enc_pair: EncoderPair,
@@ -76,15 +76,17 @@ def run_text_attack(
     near: np.ndarray,
 ) -> tuple[Caption, bool]:
     """Full caption attack; returns the selected caption and whether a
-    substitution occurred. near is word_neighbours(enc_pair.text,
-    cfg.word_list_size), built once per surrogate. The first maximum score
-    wins: ties go to the original caption (candidate 0, which no
-    substitution reproduces), then to the lowest index."""
+    substitution occurred. clean_emb is the clean image's (projected)
+    embedding, the pair's row of embed_images over the dataset; near is
+    word_neighbours(enc_pair.text, cfg.word_list_size), built once per
+    surrogate. The first maximum score wins: ties go to the original
+    caption (candidate 0, which no substitution reproduces), then to the
+    lowest index."""
     base = tuple(int(t) for t in caption)
     candidates = build_word_candidates(base, near)
     txt = embed_captions(enc_pair.text, candidates, projector)
-    img_embs = embed_images(enc_pair.image, (clean_img, prev_adv, cur_adv), projector)
-    sims = similarity(np.tile(img_embs, (len(txt), 1)), np.repeat(txt, 3, axis=0))
-    scores = [score_text_candidate(sims[i : i + 3], cfg) for i in range(0, len(sims), 3)]
+    adv_embs = embed_images(enc_pair.image, (prev_adv, cur_adv), projector)
+    sims = [similarity(txt, emb) for emb in (clean_emb, *adv_embs)]
+    scores = [score_text_candidate(s, cfg) for s in zip(*sims)]
     chosen = tuple(candidates[scores.index(max(scores))].tolist())
     return chosen, chosen != base

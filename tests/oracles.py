@@ -12,7 +12,7 @@ from aetlab.core import (
     scale_augment_adjoint,
     validate_image,
 )
-from aetlab.encoders import encode_text
+from aetlab.encoders import embed_captions, embed_images, encode_text, gradient_table
 from aetlab.harness import (
     ExperimentReport,
     attack_success_rate,
@@ -223,6 +223,26 @@ def run_image_attack_per_sample(x, caption, enc_pair, projector, cfg, rng, force
     return cur, prev, trace
 
 
+def pair_setup(x, caption, enc_pair, projector, cfg):
+    """(u, grads, box) of one pair, the inputs run_image_attack takes after
+    x: the one-row calls of the stacked kernels harness.attack_pairs calls
+    once per surrogate."""
+    u = embed_captions(enc_pair.text, [caption], projector)
+    grads = table_row(gradient_table(enc_pair.image, u, x.shape, cfg.scales))
+    return u[0], grads, linf_box(x, cfg.eps_image)
+
+
+def table_row(grads, p=0):
+    """Row p of a gradient_table: one pair's {scale: (H, W)} table."""
+    return {s: g[p] for s, g in grads.items()}
+
+
+def clean_embedding(enc_pair, x, projector):
+    """The clean image's (projected) embedding that run_text_attack takes:
+    the one-row call of embed_images."""
+    return embed_images(enc_pair.image, [x], projector)[0]
+
+
 def attack_iterates(x, caption, enc_pair, projector, cfg, seed, pin_current=False):
     """Every iterate 0..T of run_image_attack on np.random.default_rng(seed):
     the noise start recomputed from a fresh RNG, iterate 1 as the
@@ -230,8 +250,9 @@ def attack_iterates(x, caption, enc_pair, projector, cfg, seed, pin_current=Fals
     image of a steps=t run, each on a fresh RNG of the same seed."""
     noise = np.random.default_rng(seed).standard_normal(x.shape)
     start = linf_project(x + cfg.eps_image * noise, linf_box(x, cfg.eps_image))
+    setup = pair_setup(x, caption, enc_pair, projector, cfg)
     runs = [
-        run_image_attack(x, caption, enc_pair, projector, replace(cfg, steps=t),
+        run_image_attack(x, *setup, enc_pair, projector, replace(cfg, steps=t),
                          np.random.default_rng(seed), pin_current)
         for t in range(2, cfg.steps + 1)
     ]

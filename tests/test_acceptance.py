@@ -42,11 +42,14 @@ from aetlab.theory import (
 )
 from oracles import (
     attack_iterates,
+    clean_embedding,
     finite_difference_grad,
     pair_loss,
+    pair_setup,
     residual_slope,
     run_sga_attack,
     simulate_linearized_updates,
+    table_row,
 )
 
 # Frozen after the reference oracle run; the criterion demands >= 2.0.
@@ -201,7 +204,7 @@ def test_criterion_5_gradient_fidelity(capsys):
         if k % 2 == 1:
             projector = build_projection(rng.standard_normal((5, 16)))
         u = embed_captions(pair.text, [caption], projector)[0]
-        grads = gradient_table(pair.image, u, x.shape, (scale,))
+        grads = table_row(gradient_table(pair.image, u[None], x.shape, (scale,)))
         analytic = grad_loss_wrt_image(pair.image, x, grads, scale)
         fd = finite_difference_grad(
             lambda z: pair_loss(pair, z, caption, projector, scale), x
@@ -226,13 +229,15 @@ def test_criterion_6_attack_feasibility(capsys):
     for p in range(ds.n_pairs):
         x, cap = ds.images[p], ds.captions[p]
         seed = np.random.SeedSequence([0, 0, p])
-        adv, prev, _ = run_image_attack(x, cap, ds.base, projector, cfg, np.random.default_rng(seed))
+        adv, prev, _ = run_image_attack(x, *pair_setup(x, cap, ds.base, projector, cfg), ds.base,
+                                        projector, cfg, np.random.default_rng(seed))
         iterates = attack_iterates(x, cap, ds.base, projector, cfg, seed)
         eps_ok &= np.array_equal(iterates[-1], adv) and np.array_equal(iterates[-2], prev)
         for inter in iterates:
             eps_ok &= float(np.max(np.abs(inter - x))) <= cfg.eps_image + 1e-12
             eps_ok &= inter.min() >= 0.0 and inter.max() <= 1.0
-        adv_cap, _ = run_text_attack(cap, x, prev, adv, ds.base, projector, cfg, near)
+        adv_cap, _ = run_text_attack(cap, clean_embedding(ds.base, x, projector), prev, adv,
+                                     ds.base, projector, cfg, near)
         text_ok &= sum(a != b for a, b in zip(adv_cap, cap)) <= 1
     elapsed = time.time() - start
     ok = eps_ok and text_ok and elapsed < 120.0
@@ -253,7 +258,8 @@ def test_criterion_7_sga_regression(capsys):
         cfg = AttackConfig(steps=int(rng.integers(2, 11)), samples=1)
         seed = int(rng.integers(1 << 30))
         a, prev_a, _ = run_image_attack(
-            x, caption, pair, None, cfg, np.random.default_rng(seed), pin_current=True,
+            x, *pair_setup(x, caption, pair, None, cfg), pair, None, cfg,
+            np.random.default_rng(seed), pin_current=True,
         )
         b, prev_b = run_sga_attack(
             x, caption, pair, None, cfg, np.random.default_rng(seed)

@@ -354,8 +354,26 @@ class TestTransfer:
             "--models", "2", flag, value, "--out", str(out),
         ])
         assert rc == EXIT_USAGE
-        assert field in capsys.readouterr().err
+        # the flag is named, not the pool's internal field
+        err = capsys.readouterr().err
+        assert flag in err and field not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--models", "1"), ("--models", "0"), ("--models", "-2"),
+        ("--noise", "nan"), ("--noise", "-1"), ("--text-noise", "inf"), ("--text-noise", "nan"),
+    ])
+    def test_pool_flags_checked_before_the_dataset_loads(self, tmp_path, capsys, flag, value):
+        # the dataset path does not exist: a bad pool flag is named before
+        # the dataset is read and the pool is built
+        out = tmp_path / "report.csv"
+        rc = main([
+            "transfer", "--seed", "5", "--dataset", str(tmp_path / "missing.txt"),
+            flag, value, "--out", str(out),
+        ])
+        assert rc == EXIT_USAGE
+        assert f"error: {flag} must be" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTheory:
@@ -389,6 +407,17 @@ class TestTheory:
         rc = main(["theory", "--seed", "0", "--instances", "1", flag, value, "--out", str(out)])
         assert rc == EXIT_USAGE
         assert f"{flag} must be >= {bound}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--beta", "2"), ("--beta", "-0.1"), ("--beta", "nan"),
+        ("--gamma", "1.5"), ("--gamma", "-1"), ("--gamma", "nan"),
+    ])
+    def test_out_of_range_mixing_weight_names_the_flag(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "theory.csv"
+        rc = main(["theory", "--seed", "0", "--instances", "1", flag, value, "--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert f"error: {flag} must be in [0, 1]" in capsys.readouterr().err
         assert not out.exists()
 
     def test_smallest_sizes_pass(self, tmp_path):

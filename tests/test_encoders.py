@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aetlab import encoders, matio
-from aetlab.core import DEFAULT_SCALES, AttackConfig, scale_augment_adjoint, similarity
+from aetlab.core import DEFAULT_SCALES, AttackConfig, linf_box, scale_augment_adjoint, similarity
 from aetlab.encoders import (
     BagOfWordsTextEncoder,
     LinearImageEncoder,
@@ -29,6 +29,7 @@ from oracles import (
     mismatch_grad_per_call,
     pair_loss,
     scale_augment,
+    table_row,
     text_embedding,
 )
 
@@ -96,6 +97,39 @@ class TestEncoding:
             want += [embed_images(enc.image, ds.images, p), embed_captions(enc.text, ds.captions, p)]
         for g, w in zip(got, want):
             assert g.tobytes() == w[idx].tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        model=st.integers(0, 1),
+        order=st.permutations(range(300)),
+        n=st.integers(1, 300),
+        eps=st.floats(0.5 / 255, 16 / 255),
+    )
+    def test_attack_setup_rows_equal_one_pair_calls(self, model, order, n, eps):
+        # harness.attack_pairs builds each pair's text direction, gradient
+        # table, budget box and clean embedding as rows of one stacked call
+        # per surrogate: for any subset of the pairs, in any order, each row
+        # has the bits of the one-pair call, with and without the projector
+        ds, pool, projector = reference_pool()
+        enc, idx = pool[model], list(order[:n])
+        images, captions = [ds.images[p] for p in idx], [ds.captions[p] for p in idx]
+        shape = images[0].shape
+        lo, hi = linf_box(np.stack(images), eps)
+        for k, x in enumerate(images):
+            want_lo, want_hi = linf_box(x, eps)
+            assert lo[k].tobytes() == want_lo.tobytes() and hi[k].tobytes() == want_hi.tobytes()
+        for p in (None, projector):
+            u = embed_captions(enc.text, captions, p)
+            grads = gradient_table(enc.image, u, shape, DEFAULT_SCALES)
+            clean = embed_images(enc.image, images, p)
+            assert sorted(grads) == sorted(DEFAULT_SCALES)
+            for k, (x, cap) in enumerate(zip(images, captions)):
+                u_one = embed_captions(enc.text, [cap], p)
+                assert u[k].tobytes() == u_one.tobytes()
+                assert clean[k].tobytes() == embed_images(enc.image, [x], p).tobytes()
+                one = gradient_table(enc.image, u_one, shape, DEFAULT_SCALES)
+                for s in DEFAULT_SCALES:
+                    assert grads[s][k].tobytes() == one[s].tobytes()
 
     def test_embed_captions_rejects_bad_token_matrices(self, tiny_pair):
         for bad in ([(0, 64)], [(0, -1)], [()], [], [0, 1]):
@@ -181,7 +215,7 @@ class TestGradients:
             emb = rng.standard_normal((5, tiny_pair.image.embed_dim))
             projector = build_projection(emb)
         u = embed_captions(tiny_pair.text, [tiny_caption], projector)[0]
-        grads = gradient_table(tiny_pair.image, u, tiny_image.shape, (scale,))
+        grads = table_row(gradient_table(tiny_pair.image, u[None], tiny_image.shape, (scale,)))
         analytic = grad_loss_wrt_image(tiny_pair.image, tiny_image, grads, scale)
         fd = finite_difference_grad(
             lambda z: pair_loss(tiny_pair, z, tiny_caption, projector, scale),
@@ -195,7 +229,9 @@ class TestGradients:
     ):
         projector = build_projection(rng.standard_normal((5, tiny_pair.image.embed_dim)))
         u = embed_captions(tiny_pair.text, [tiny_caption], projector)[0]
-        grads = gradient_table(tiny_pair.image, u, tiny_image.shape, DEFAULT_SCALES)
+        grads = table_row(
+            gradient_table(tiny_pair.image, u[None], tiny_image.shape, DEFAULT_SCALES)
+        )
         assert np.array_equal(
             -grad_loss_wrt_image(tiny_pair.image, tiny_image, grads, scale),
             mismatch_grad_per_call(tiny_image, u, tiny_pair.image, scale),
@@ -204,7 +240,7 @@ class TestGradients:
     def test_table_equals_per_call_adjoint_at_every_scale(self, tiny_pair, tiny_caption):
         u = embed_captions(tiny_pair.text, [tiny_caption], None)[0]
         back = (tiny_pair.image.weight.T @ u / tiny_pair.image.embed_dim).reshape(8, 8)
-        grads = gradient_table(tiny_pair.image, u, (8, 8), DEFAULT_SCALES)
+        grads = table_row(gradient_table(tiny_pair.image, u[None], (8, 8), DEFAULT_SCALES))
         assert sorted(grads) == sorted(DEFAULT_SCALES)
         for s in DEFAULT_SCALES:
             assert np.array_equal(grads[s], scale_augment_adjoint(back, (8, 8), s))
@@ -220,13 +256,13 @@ class TestGradients:
 
         monkeypatch.setattr(encoders, "scale_augment_adjoint", counted)
         u = embed_captions(tiny_pair.text, [tiny_caption], None)[0]
-        grads = gradient_table(tiny_pair.image, u, (8, 8), (0.5, 1.5, 0.5))
+        grads = table_row(gradient_table(tiny_pair.image, u[None], (8, 8), (0.5, 1.5, 0.5)))
         assert sorted(grads) == [0.5, 1.0, 1.5]
         assert calls == [0.5, 1.5]
 
     def test_unit_scale_is_a_fresh_copy_of_the_adjoint(self, tiny_pair, tiny_image, tiny_caption):
         u = embed_captions(tiny_pair.text, [tiny_caption], None)[0]
-        grads = gradient_table(tiny_pair.image, u, tiny_image.shape, (1.0,))
+        grads = table_row(gradient_table(tiny_pair.image, u[None], tiny_image.shape, (1.0,)))
         back_copy = grads[1.0].copy()
         g = grad_loss_wrt_image(tiny_pair.image, tiny_image, grads, 1.0)
         assert np.array_equal(g, scale_augment_adjoint(back_copy, (8, 8), 1.0))
@@ -236,7 +272,9 @@ class TestGradients:
     @pytest.mark.parametrize("scale", DEFAULT_SCALES)
     def test_bad_image_rejected_at_every_scale(self, tiny_pair, tiny_image, tiny_caption, scale):
         u = embed_captions(tiny_pair.text, [tiny_caption], None)[0]
-        grads = gradient_table(tiny_pair.image, u, tiny_image.shape, DEFAULT_SCALES)
+        grads = table_row(
+            gradient_table(tiny_pair.image, u[None], tiny_image.shape, DEFAULT_SCALES)
+        )
         bad = tiny_image.copy()
         bad[2, 3] = np.nan
         for x in (bad, np.ones((8, 9)), np.ones(64), np.ones((4, 16))):

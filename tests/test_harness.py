@@ -510,20 +510,50 @@ class TestCraftAdversarialPairs:
         "overrides, adjoints", [({}, 4), (dict(steps=2, samples=1, scales=(1.0,)), 0)]
     )
     def test_scale_adjoints_once_per_pair(self, monkeypatch, variant, overrides, adjoints):
-        # the gradient does not depend on the image, so each pair applies
-        # one adjoint per non-unit scale (perfbench counts this binding as
-        # core.scale_adjoint_calls), however many gradients it takes
+        # the gradient does not depend on the image, so each pair's table
+        # applies one adjoint per non-unit scale, however many gradients it
+        # takes: one row of a single adjoint call on the (3, H, W) stack of
+        # all pairs (perfbench counts this binding as
+        # core.scale_adjoint_calls)
         ds = synth_dataset(seed=2, n_pairs=3)
         calls = Counter()
 
         def counted(*args, _fn=encoders.scale_augment_adjoint, **kwargs):
-            calls[args[2]] += 1
+            calls[args[2]] += len(args[0])
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(encoders, "scale_augment_adjoint", counted)
         craft_adversarial_pairs(ds, ds.base, AttackConfig(master_seed=2, **overrides), variant)
         assert sum(calls.values()) == 3 * adjoints
         assert set(calls.values()) <= {3}
+
+    @pytest.mark.parametrize("variant", ["saaet", "dra", "sga"])
+    @pytest.mark.parametrize("n_pairs", [2, 5])
+    def test_pair_setup_once_per_surrogate(self, monkeypatch, variant, n_pairs):
+        # the inputs of a pair that the attack does not change (text
+        # direction, gradient table, budget box, clean embedding) are built
+        # for all pairs in one stacked call per surrogate, before the first
+        # pair, whatever the pair count
+        ds = synth_dataset(seed=2, n_pairs=n_pairs)
+        pool = default_model_pool(ds, n_models=2)
+        calls = Counter()
+        for name in ("embed_captions", "gradient_table", "linf_box", "embed_images"):
+            def counted(*args, _fn=getattr(harness, name), _name=name, **kwargs):
+                out = _fn(*args, **kwargs)
+                # the projector's corpus also goes through embed_captions
+                if _name != "embed_captions" or len(out) == n_pairs:
+                    calls[_name] += 1
+                return out
+
+            monkeypatch.setattr(harness, name, counted)
+        cfg = AttackConfig(master_seed=2, steps=2)
+        for stream, surrogate in enumerate(pool):
+            pairs = attack_pairs(ds, surrogate, cfg, variant, stream)
+            assert set(calls.values()) == {stream + 1}
+            assert len(list(pairs)) == n_pairs
+        assert calls == dict.fromkeys(
+            ("embed_captions", "gradient_table", "linf_box", "embed_images"), len(pool)
+        )
 
     @pytest.mark.parametrize("variant", ["saaet", "sga"])
     def test_word_neighbours_once_per_call(self, monkeypatch, variant):

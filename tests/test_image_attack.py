@@ -18,8 +18,10 @@ from oracles import (
     mismatch_value,
     normalized_sign,
     pair_loss,
+    pair_setup,
     run_sga_attack,
     sample_sub_triangle_loop,
+    table_row,
 )
 
 REGION_ORDERINGS = {
@@ -87,7 +89,7 @@ def tiny_u(tiny_pair, tiny_caption):
 
 @pytest.fixture
 def tiny_grads(tiny_pair, tiny_image, tiny_u):
-    return gradient_table(tiny_pair.image, tiny_u, tiny_image.shape, (1.0,))
+    return table_row(gradient_table(tiny_pair.image, tiny_u[None], tiny_image.shape, (1.0,)))
 
 
 class TestObjective:
@@ -112,7 +114,9 @@ class TestSignStep:
     ):
         # the squared norm of the scaled gradient under- or overflows, yet
         # a sign step depends only on the signs
-        grads = gradient_table(tiny_pair.image, tiny_u, tiny_image.shape, fast_cfg.scales)
+        grads = table_row(
+            gradient_table(tiny_pair.image, tiny_u[None], tiny_image.shape, fast_cfg.scales)
+        )
         scaled = {s: factor * g for s, g in grads.items()}
         box = linf_box(tiny_image, fast_cfg.eps_image)
         want = _sign_step(tiny_image, tiny_image, box, grads, tiny_pair.image, fast_cfg)
@@ -243,7 +247,8 @@ class TestTextGuidedSelect:
 class TestRunImageAttack:
     def test_budget_and_range_invariants(self, tiny_pair, tiny_image, tiny_caption, fast_cfg):
         adv, prev, trace = run_image_attack(
-            tiny_image, tiny_caption, tiny_pair, None, fast_cfg, np.random.default_rng(0)
+            tiny_image, *pair_setup(tiny_image, tiny_caption, tiny_pair, None, fast_cfg),
+            tiny_pair, None, fast_cfg, np.random.default_rng(0)
         )
         iterates = attack_iterates(tiny_image, tiny_caption, tiny_pair, None, fast_cfg, 0)
         assert len(iterates) == fast_cfg.steps + 1
@@ -264,7 +269,8 @@ class TestRunImageAttack:
             x, cap = ds.images[p], ds.captions[p]
             seed = np.random.SeedSequence([0, 0, p])
             runs = [
-                run_image_attack(x, cap, ds.base, projector, replace(cfg, steps=t),
+                run_image_attack(x, *pair_setup(x, cap, ds.base, projector, cfg), ds.base,
+                                 projector, replace(cfg, steps=t),
                                  np.random.default_rng(seed), pin_current)
                 for t in range(2, cfg.steps + 1)
             ]
@@ -278,8 +284,8 @@ class TestRunImageAttack:
 
     def test_trace_has_one_record_per_step(self, tiny_pair, tiny_image, tiny_caption, fast_cfg):
         _, _, trace = run_image_attack(
-            tiny_image, tiny_caption, tiny_pair, None, fast_cfg,
-            np.random.default_rng(0),
+            tiny_image, *pair_setup(tiny_image, tiny_caption, tiny_pair, None, fast_cfg),
+            tiny_pair, None, fast_cfg, np.random.default_rng(0),
         )
         assert [r.step for r in trace] == list(range(1, fast_cfg.steps + 1))
         assert trace[0].chosen_index == -1
@@ -288,19 +294,19 @@ class TestRunImageAttack:
 
     def test_deterministic(self, tiny_pair, tiny_image, tiny_caption, fast_cfg):
         a, _, _ = run_image_attack(
-            tiny_image, tiny_caption, tiny_pair, None, fast_cfg,
-            np.random.default_rng(42),
+            tiny_image, *pair_setup(tiny_image, tiny_caption, tiny_pair, None, fast_cfg),
+            tiny_pair, None, fast_cfg, np.random.default_rng(42),
         )
         b, _, _ = run_image_attack(
-            tiny_image, tiny_caption, tiny_pair, None, fast_cfg,
-            np.random.default_rng(42),
+            tiny_image, *pair_setup(tiny_image, tiny_caption, tiny_pair, None, fast_cfg),
+            tiny_pair, None, fast_cfg, np.random.default_rng(42),
         )
         np.testing.assert_array_equal(a, b)
 
     def test_attack_increases_mismatch(self, tiny_pair, tiny_image, tiny_caption, fast_cfg):
         adv, _, _ = run_image_attack(
-            tiny_image, tiny_caption, tiny_pair, None, fast_cfg,
-            np.random.default_rng(0),
+            tiny_image, *pair_setup(tiny_image, tiny_caption, tiny_pair, None, fast_cfg),
+            tiny_pair, None, fast_cfg, np.random.default_rng(0),
         )
         u = embed_captions(tiny_pair.text, [tiny_caption], None)[0]
         assert mismatch_value(adv, u, tiny_pair.image, None) > mismatch_value(
@@ -310,8 +316,8 @@ class TestRunImageAttack:
     def test_forced_weights_reduce_to_sga(self, tiny_pair, tiny_image, tiny_caption):
         cfg = AttackConfig(steps=6, samples=1, master_seed=0)
         via_triangle, prev_t, _ = run_image_attack(
-            tiny_image, tiny_caption, tiny_pair, None, cfg,
-            np.random.default_rng(13), pin_current=True,
+            tiny_image, *pair_setup(tiny_image, tiny_caption, tiny_pair, None, cfg),
+            tiny_pair, None, cfg, np.random.default_rng(13), pin_current=True,
         )
         direct, prev_d = run_sga_attack(
             tiny_image, tiny_caption, tiny_pair, None, cfg, np.random.default_rng(13)
@@ -324,8 +330,10 @@ class TestRunImageAttack:
         # the trace records, and the pinned run draws only the start noise
         cfg = AttackConfig(steps=4, samples=3, master_seed=0)
         rng = np.random.default_rng(2)
-        _, _, trace = run_image_attack(tiny_image, tiny_caption, tiny_pair, None, cfg, rng,
-                                       pin_current=True)
+        _, _, trace = run_image_attack(
+            tiny_image, *pair_setup(tiny_image, tiny_caption, tiny_pair, None, cfg),
+            tiny_pair, None, cfg, rng, pin_current=True,
+        )
         for rec in trace[1:]:
             assert (rec.lam, rec.beta, rec.gamma, rec.chosen_index) == (0.0, 0.0, 1.0, 0)
         after_noise = np.random.default_rng(2)

@@ -18,6 +18,7 @@ from aetlab.text_attack import (
     word_neighbours,
 )
 from oracles import (
+    clean_embedding,
     enumerate_text_candidates,
     pair_similarity,
     run_text_attack_per_candidate,
@@ -32,8 +33,9 @@ def hamming(a, b):
 
 def score(txt, img_embs, cfg):
     """score_text_candidate of one caption embedding txt against the image
-    rows img_embs, with the similarities taken as run_text_attack takes
-    them: one paired call, txt repeated once per image row."""
+    rows img_embs, with the similarities of one paired call, txt repeated
+    once per image row: each value is the 1-D product that run_text_attack's
+    shared-text calls take."""
     rows = np.repeat(np.asarray(txt)[None], len(img_embs), axis=0)
     return score_text_candidate(similarity(img_embs, rows), cfg)
 
@@ -238,7 +240,8 @@ class TestRunTextAttack:
         prev = np.clip(tiny_image + 0.02 * rng.standard_normal(tiny_image.shape), 0, 1)
         cur = np.clip(tiny_image - 0.02 * rng.standard_normal(tiny_image.shape), 0, 1)
         near = word_neighbours(tiny_pair.text, cfg.word_list_size)
-        chosen, changed = run_text_attack(tiny_caption, tiny_image, prev, cur, tiny_pair, None, cfg, near)
+        clean = clean_embedding(tiny_pair, tiny_image, None)
+        chosen, changed = run_text_attack(tiny_caption, clean, prev, cur, tiny_pair, None, cfg, near)
         assert hamming(chosen, tiny_caption) <= 1
         assert changed == (chosen != tiny_caption)
 
@@ -248,7 +251,8 @@ class TestRunTextAttack:
         cfg = AttackConfig()
         near = word_neighbours(tiny_pair.text, cfg.word_list_size)
         chosen, _ = run_text_attack(
-            tiny_caption, tiny_image, tiny_image, tiny_image, tiny_pair, None, cfg, near
+            tiny_caption, clean_embedding(tiny_pair, tiny_image, None), tiny_image, tiny_image,
+            tiny_pair, None, cfg, near,
         )
         clean = encode_image(tiny_pair.image, tiny_image)
         embs = np.stack([clean, clean, clean])
@@ -259,10 +263,12 @@ class TestRunTextAttack:
         cfg = AttackConfig()
         near = word_neighbours(tiny_pair.text, cfg.word_list_size)
         a, _ = run_text_attack(
-            tiny_caption, tiny_image, tiny_image, tiny_image, tiny_pair, None, cfg, near
+            tiny_caption, clean_embedding(tiny_pair, tiny_image, None), tiny_image, tiny_image,
+            tiny_pair, None, cfg, near,
         )
         b, _ = run_text_attack(
-            tiny_caption, tiny_image, tiny_image, tiny_image, tiny_pair, None, cfg, near
+            tiny_caption, clean_embedding(tiny_pair, tiny_image, None), tiny_image, tiny_image,
+            tiny_pair, None, cfg, near,
         )
         assert a == b
 
@@ -272,7 +278,8 @@ class TestRunTextAttack:
         for projector in (np.eye(15), np.eye(17)):
             with pytest.raises(ValueError):
                 run_text_attack(
-                    tiny_caption, tiny_image, tiny_image, tiny_image, tiny_pair, projector, cfg, near
+                    tiny_caption, clean_embedding(tiny_pair, tiny_image, None), tiny_image,
+                    tiny_image, tiny_pair, projector, cfg, near,
                 )
 
     @pytest.mark.parametrize("use_projector", [False, True])
@@ -288,8 +295,11 @@ class TestRunTextAttack:
                 prev, cur = (
                     np.clip(tiny_image + 0.05 * rng.standard_normal((8, 8)), 0, 1) for _ in range(2)
                 )
-                args = (tiny_caption, tiny_image, prev, cur, tiny_pair, projector, cfg)
-                assert run_text_attack(*args, near) == run_text_attack_per_candidate(*args)
+                args = (prev, cur, tiny_pair, projector, cfg)
+                clean = clean_embedding(tiny_pair, tiny_image, projector)
+                assert run_text_attack(tiny_caption, clean, *args, near) == (
+                    run_text_attack_per_candidate(tiny_caption, tiny_image, *args)
+                )
 
 
 def _tied_pair(n_rows, vocab, rng):
@@ -310,7 +320,8 @@ class TestCaptionTies:
         cur = np.clip(tiny_image + 0.05 * rng.standard_normal((8, 8)), 0, 1)
         caption = (4, 9, 0, 7)
         near = word_neighbours(pair.text, cfg.word_list_size)
-        assert run_text_attack(caption, tiny_image, tiny_image, cur, pair, None, cfg, near) == (caption, False)
+        clean = clean_embedding(pair, tiny_image, None)
+        assert run_text_attack(caption, clean, tiny_image, cur, pair, None, cfg, near) == (caption, False)
 
     def test_tie_without_original_takes_lowest_index(self, tiny_image, rng):
         # 12 tokens on 3 rows: each substitution ties with the three other
@@ -322,7 +333,8 @@ class TestCaptionTies:
             pair = _tied_pair(3, 12, rng)
             cur = np.clip(tiny_image + 0.05 * rng.standard_normal((8, 8)), 0, 1)
             near = word_neighbours(pair.text, cfg.word_list_size)
-            chosen, changed = run_text_attack(caption, tiny_image, tiny_image, cur, pair, None, cfg, near)
+            clean = clean_embedding(pair, tiny_image, None)
+            chosen, changed = run_text_attack(caption, clean, tiny_image, cur, pair, None, cfg, near)
             embs = np.stack([encode_image(pair.image, x) for x in (tiny_image, tiny_image, cur)])
             cands = enumerate_text_candidates(caption, pair.text, 11)
             scores = [score(encode_text(pair.text, c), embs, cfg) for c in cands]
