@@ -4,9 +4,9 @@ Each iteration keeps a triangle of (clean, previous adversarial, current
 adversarial) images, samples convex combinations from a chosen sub-triangle,
 turns each sample into a sign-gradient perturbation direction, picks the
 direction that most increases the image-text mismatch at the current
-adversarial point, then steps the current adversarial image along the
-multi-scale sign gradient at the selected sample and projects back into the
-L-inf budget.
+adversarial point (a lone sample is taken unscored), then steps the current
+adversarial image along the multi-scale sign gradient at the selected sample
+and projects back into the L-inf budget.
 
 The optimized objective is the image-text mismatch, i.e. the negated
 (optionally subspace-projected) core.similarity: driving the true pair's
@@ -128,7 +128,7 @@ def run_image_attack(
     this run's iterates t and t-1. pin_current pins every triangle sample
     to the current adversarial image, the (0, 0, 1) vertex, and draws no
     weights; with samples=1 the loop reduces exactly to the multi-scale
-    sign-gradient baseline.
+    sign-gradient baseline, taking each step's lone sample unscored.
     """
     enc_i = enc_pair.image
     prev = linf_project(x + cfg.eps_image * rng.standard_normal(x.shape), box)
@@ -147,7 +147,7 @@ def run_image_attack(
             dirs[k] = grad_loss_wrt_image(enc_i, s, grads)
         np.sign(dirs, out=dirs)
         dirs *= -cfg.step_size  # a sign step along the mismatch gradient
-        o = text_guided_select(cur, box, dirs, u, enc_i, projector)
+        o = 0 if cfg.samples == 1 else text_guided_select(cur, box, dirs, u, enc_i, projector)
         prev, cur = cur, _sign_step(cur, samples[o], box, grads, enc_i, cfg)
         iterates.append(cur)
         picks.append((*weights[o].tolist(), o))

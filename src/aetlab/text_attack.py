@@ -5,16 +5,16 @@ dot product, looked up in a per-surrogate table built once; the search
 exhaustively scores the original caption plus every single substitution and
 keeps the one that deviates most from the final evolution triangle of the
 image attack (weighted mismatch against the clean, previous-step, and final
-adversarial image). The candidates are encoded and projected together, as
-one (n_cand, L) token matrix, by one embed_captions call, and scored against
-the three image embeddings with one shared-text similarity call per image.
+adversarial image). The candidates and their embedding rows do not depend
+on the image, so harness.attack_pairs builds them per block of pairs; each
+pair's rows are scored with one shared-text similarity call per image.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .core import AttackConfig, matvec_rows, similarity
-from .encoders import BagOfWordsTextEncoder, EncoderPair, embed_captions, embed_images
+from .encoders import BagOfWordsTextEncoder, EncoderPair, embed_images
 
 # Not called here: perfbench/tracing.py wraps these names at this import site.
 from .encoders import encode_image, encode_text  # noqa: F401
@@ -46,14 +46,15 @@ def word_neighbours(enc: BagOfWordsTextEncoder, word_list_size: int) -> np.ndarr
     return near
 
 
-def build_word_candidates(caption, near: np.ndarray) -> np.ndarray:
-    """The (1 + L*k, L) token matrix of the caption (row 0) and every
-    single-word substitution, position-major: position i's k substitutes
-    are near[caption[i]], a row of word_neighbours."""
-    base = np.asarray(caption, dtype=np.int64)
-    n_pos, k = len(base), near.shape[1]
-    cands = np.tile(base, (1 + n_pos * k, 1))
-    cands[1 + np.arange(n_pos * k), np.repeat(np.arange(n_pos), k)] = near[base].ravel()
+def build_word_candidates(captions, near: np.ndarray) -> np.ndarray:
+    """The (..., 1 + L*k, L) token matrices of a (..., L) caption stack, each
+    caption's own: the caption (row 0) and every single-word substitution,
+    position-major, position i's k substitutes being near[caption[i]]."""
+    base = np.asarray(captions, dtype=np.int64)
+    n_pos, k = base.shape[-1], near.shape[1]
+    cands = np.repeat(base[..., None, :], 1 + n_pos * k, axis=-2)
+    subs = near[base].reshape(*base.shape[:-1], n_pos * k)
+    cands[..., 1 + np.arange(n_pos * k), np.repeat(np.arange(n_pos), k)] = subs
     return cands
 
 
@@ -66,27 +67,24 @@ def score_text_candidate(sims, cfg: AttackConfig) -> float:
 
 
 def run_text_attack(
-    caption,
+    candidates: np.ndarray,
+    cand_embs: np.ndarray,
     clean_emb: np.ndarray,
     prev_adv: np.ndarray,
     cur_adv: np.ndarray,
     enc_pair: EncoderPair,
     projector: np.ndarray | None,
     cfg: AttackConfig,
-    near: np.ndarray,
 ) -> tuple[Caption, bool]:
     """Full caption attack; returns the selected caption and whether a
-    substitution occurred. clean_emb is the clean image's (projected)
-    embedding, the pair's row of embed_images over the dataset; near is
-    word_neighbours(enc_pair.text, cfg.word_list_size), built once per
-    surrogate. The first maximum score wins: ties go to the original
-    caption (candidate 0, which no substitution reproduces), then to the
-    lowest index."""
-    base = tuple(int(t) for t in caption)
-    candidates = build_word_candidates(base, near)
-    txt = embed_captions(enc_pair.text, candidates, projector)
+    substitution occurred. candidates is the caption's (n_cand, L) token
+    matrix from build_word_candidates, cand_embs its (n_cand, d) rows of
+    embed_captions (projected as the images are), and clean_emb the clean
+    image's row of embed_images over the dataset. The first maximum score
+    wins: ties go to the original caption (candidate 0, which no
+    substitution reproduces), then to the lowest index."""
     adv_embs = embed_images(enc_pair.image, (prev_adv, cur_adv), projector)
-    sims = [similarity(txt, emb) for emb in (clean_emb, *adv_embs)]
+    sims = [similarity(cand_embs, emb) for emb in (clean_emb, *adv_embs)]
     scores = [score_text_candidate(s, cfg) for s in zip(*sims)]
-    chosen = tuple(candidates[scores.index(max(scores))].tolist())
-    return chosen, chosen != base
+    best = scores.index(max(scores))
+    return tuple(candidates[best].tolist()), best != 0

@@ -21,6 +21,7 @@ from aetlab.harness import (
     surrogate_projector,
 )
 from aetlab.image_attack import StepRecord, run_image_attack
+from aetlab.text_attack import build_word_candidates
 from aetlab.theory import (
     IDENTITY_RTOL,
     QuadraticLoss,
@@ -241,6 +242,14 @@ def clean_embedding(enc_pair, x, projector):
     """The clean image's (projected) embedding that run_text_attack takes:
     the one-row call of embed_images."""
     return embed_images(enc_pair.image, [x], projector)[0]
+
+
+def caption_rows(caption, enc_pair, projector, near):
+    """(candidates, cand_embs) of one caption, the rows run_text_attack
+    takes: the one-caption calls of build_word_candidates and
+    embed_captions that harness.attack_pairs makes per block of pairs."""
+    cands = build_word_candidates(caption, near)
+    return cands, embed_captions(enc_pair.text, cands, projector)
 
 
 def attack_iterates(x, caption, enc_pair, projector, cfg, seed, pin_current=False):

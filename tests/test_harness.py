@@ -505,6 +505,35 @@ class TestCraftAdversarialPairs:
         assert counts == {"grad_loss_wrt_image": 3 * grads, "score_text_candidate": 3 * 51}
 
 
+    @pytest.mark.parametrize(
+        "variant, overrides, selections",
+        [
+            ("saaet", {}, 9),
+            ("subtriangle-C", dict(samples=2), 9),
+            ("saaet", dict(steps=3, samples=2, scales=(1.0,)), 2),
+            ("sga", {}, 0),
+            ("saaet", dict(samples=1), 0),
+            ("saaet", dict(steps=2, samples=1, scales=(1.0,)), 0),
+            ("sga", dict(steps=2, samples=1, scales=(1.0,)), 0),
+        ],
+    )
+    def test_one_sample_selection_skipped(self, monkeypatch, variant, overrides, selections):
+        # text_guided_select runs once per later step (T - 1 per pair) when
+        # a step has samples to choose from, and never for one sample (sga,
+        # and the gallery benchmark's config), whose argmin is index 0
+        ds = synth_dataset(seed=2, n_pairs=3)
+        calls = []
+
+        def counted(*args, _fn=image_attack.text_guided_select, **kwargs):
+            calls.append(len(args[2]))
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(image_attack, "text_guided_select", counted)
+        cfg = AttackConfig(master_seed=2, **overrides)
+        craft_adversarial_pairs(ds, ds.base, cfg, variant)
+        assert len(calls) == 3 * selections
+        assert all(m > 1 for m in calls)
+
     @pytest.mark.parametrize("variant", ["saaet", "sga"])
     @pytest.mark.parametrize(
         "overrides, adjoints", [({}, 4), (dict(steps=2, samples=1, scales=(1.0,)), 0)]
@@ -593,6 +622,62 @@ class TestAttackPairsOracle:
                 assert np.array_equal(img, o_img)
                 assert cap == o_cap
                 assert trace == o_trace
+
+
+    @pytest.mark.parametrize("variant", ["saaet", "sga"])
+    def test_unselected_samples_equal_per_sample_oracle(self, variant):
+        # with one sample the attack skips the selection; the gallery
+        # benchmark's config still reproduces the oracle, which scores its
+        # one sample, and every later step records index 0
+        ds = synth_dataset(seed=7, n_pairs=4, dims=DatasetDims(embed_dim=64))
+        pool = default_model_pool(ds, n_models=2)
+        cfg = AttackConfig(master_seed=7, steps=2, samples=1, scales=(1.0,))
+        got = list(attack_pairs(ds, pool[0], cfg, variant))
+        want = attack_pairs_per_sample(ds, pool[0], cfg, variant)
+        assert len(got) == len(want) == 4
+        for (img, cap, trace), (o_img, o_cap, o_trace) in zip(got, want):
+            assert np.array_equal(img, o_img)
+            assert cap == o_cap
+            assert trace == o_trace
+            assert [r.chosen_index for r in trace] == [-1, 0]
+
+
+class TestAttackPairsBlocks:
+    @pytest.mark.parametrize("variant", ["saaet", "sga"])
+    @pytest.mark.parametrize("block", [1, 3, 6])
+    def test_outputs_do_not_depend_on_the_caption_block(self, monkeypatch, variant, block):
+        # the caption candidates and their embeddings are built per block
+        # of pairs; blocks of 1, of 3 (the last one short) and of N + 1
+        # give every pair the bits of the default block, and so does every
+        # islice prefix, the path of cli attack --limit
+        ds = synth_dataset(seed=3, n_pairs=5, dims=DatasetDims(embed_dim=64))
+        sur = default_model_pool(ds, n_models=2)[1]
+        cfg = AttackConfig(master_seed=3, steps=4)
+        want = list(attack_pairs(ds, sur, cfg, variant, stream=1))
+        monkeypatch.setattr(harness, "_CAPTION_BLOCK", block)
+        for n in range(ds.n_pairs + 1):
+            got = list(islice(attack_pairs(ds, sur, cfg, variant, stream=1), n))
+            assert len(got) == n
+            for (img, cap, trace), (w_img, w_cap, w_trace) in zip(got, want):
+                assert np.array_equal(img, w_img)
+                assert cap == w_cap
+                assert trace == w_trace
+
+    def test_blocks_built_as_pairs_are_consumed(self, monkeypatch):
+        # a prefix of n pairs builds only the candidate blocks it reaches
+        ds = synth_dataset(seed=3, n_pairs=5)
+        blocks = []
+
+        def counted(*args, _fn=harness.build_word_candidates, **kwargs):
+            blocks.append(len(args[0]))
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "build_word_candidates", counted)
+        monkeypatch.setattr(harness, "_CAPTION_BLOCK", 2)
+        for n, sizes in ((0, []), (1, [2]), (2, [2]), (3, [2, 2]), (5, [2, 2, 1])):
+            blocks.clear()
+            list(islice(attack_pairs(ds, ds.base, AttackConfig(master_seed=3, steps=2), "sga"), n))
+            assert blocks == sizes
 
 
 class TestAttackPairsProperties:

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aetlab.core import AttackConfig, matvec_rows, similarity
 from aetlab.encoders import (
     BagOfWordsTextEncoder,
     EncoderPair,
     LinearImageEncoder,
+    embed_captions,
     encode_image,
     encode_text,
+    make_base_encoders,
 )
 from aetlab.harness import DatasetDims, default_model_pool, synth_dataset
 from aetlab.subspace import build_projection
@@ -18,6 +22,7 @@ from aetlab.text_attack import (
     word_neighbours,
 )
 from oracles import (
+    caption_rows,
     clean_embedding,
     enumerate_text_candidates,
     pair_similarity,
@@ -103,6 +108,43 @@ class TestWordCandidates:
             for v in range(200):
                 expect = enumerate_text_candidates((v,), enc.text, size)[1:]
                 assert [(t,) for t in near[v].tolist()] == expect
+
+
+# 40 tokens, 6-dim embeddings: small enough that k reaches V - 1
+_STACK_PAIR = make_base_encoders(4, 4, 6, 40, seed=3, semantic_rank=3, table_jitter=0.1)
+_STACK_NEAR = {size: word_neighbours(_STACK_PAIR.text, size) for size in range(41)}
+
+
+class TestCandidateStack:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        size=st.integers(0, 40),
+        use_projector=st.booleans(),
+        captions=st.integers(1, 5).flatmap(
+            lambda length: st.lists(
+                st.lists(st.integers(0, 39), min_size=length, max_size=length),
+                min_size=1, max_size=6,
+            )
+        ),
+    )
+    def test_stack_equals_one_caption_calls(self, size, use_projector, captions):
+        # the (n, L) stack that attack_pairs builds per block of pairs gives
+        # each caption the token matrix and embedding rows of its own call,
+        # and the matrix is the list-built enumeration's
+        near = _STACK_NEAR[size]
+        projector = build_projection(_STACK_PAIR.text.table[:3]) if use_projector else None
+        cands = build_word_candidates(captions, near)
+        n, length = len(captions), len(captions[0])
+        assert cands.shape == (n, 1 + length * min(size, 39), length)
+        embs = embed_captions(_STACK_PAIR.text, cands.reshape(-1, length), projector)
+        embs = embs.reshape(*cands.shape[:2], -1)
+        for caption, rows, emb in zip(captions, cands, embs):
+            own = build_word_candidates(caption, near)
+            assert np.array_equal(rows, own)
+            assert np.array_equal(emb, embed_captions(_STACK_PAIR.text, own, projector))
+            assert list(map(tuple, rows.tolist())) == (
+                enumerate_text_candidates(caption, _STACK_PAIR.text, size)
+            )
 
 
 class TestEnumerateCandidates:
@@ -241,7 +283,8 @@ class TestRunTextAttack:
         cur = np.clip(tiny_image - 0.02 * rng.standard_normal(tiny_image.shape), 0, 1)
         near = word_neighbours(tiny_pair.text, cfg.word_list_size)
         clean = clean_embedding(tiny_pair, tiny_image, None)
-        chosen, changed = run_text_attack(tiny_caption, clean, prev, cur, tiny_pair, None, cfg, near)
+        rows = caption_rows(tiny_caption, tiny_pair, None, near)
+        chosen, changed = run_text_attack(*rows, clean, prev, cur, tiny_pair, None, cfg)
         assert hamming(chosen, tiny_caption) <= 1
         assert changed == (chosen != tiny_caption)
 
@@ -251,8 +294,9 @@ class TestRunTextAttack:
         cfg = AttackConfig()
         near = word_neighbours(tiny_pair.text, cfg.word_list_size)
         chosen, _ = run_text_attack(
-            tiny_caption, clean_embedding(tiny_pair, tiny_image, None), tiny_image, tiny_image,
-            tiny_pair, None, cfg, near,
+            *caption_rows(tiny_caption, tiny_pair, None, near),
+            clean_embedding(tiny_pair, tiny_image, None), tiny_image, tiny_image,
+            tiny_pair, None, cfg,
         )
         clean = encode_image(tiny_pair.image, tiny_image)
         embs = np.stack([clean, clean, clean])
@@ -263,12 +307,14 @@ class TestRunTextAttack:
         cfg = AttackConfig()
         near = word_neighbours(tiny_pair.text, cfg.word_list_size)
         a, _ = run_text_attack(
-            tiny_caption, clean_embedding(tiny_pair, tiny_image, None), tiny_image, tiny_image,
-            tiny_pair, None, cfg, near,
+            *caption_rows(tiny_caption, tiny_pair, None, near),
+            clean_embedding(tiny_pair, tiny_image, None), tiny_image, tiny_image,
+            tiny_pair, None, cfg,
         )
         b, _ = run_text_attack(
-            tiny_caption, clean_embedding(tiny_pair, tiny_image, None), tiny_image, tiny_image,
-            tiny_pair, None, cfg, near,
+            *caption_rows(tiny_caption, tiny_pair, None, near),
+            clean_embedding(tiny_pair, tiny_image, None), tiny_image, tiny_image,
+            tiny_pair, None, cfg,
         )
         assert a == b
 
@@ -278,8 +324,9 @@ class TestRunTextAttack:
         for projector in (np.eye(15), np.eye(17)):
             with pytest.raises(ValueError):
                 run_text_attack(
-                    tiny_caption, clean_embedding(tiny_pair, tiny_image, None), tiny_image,
-                    tiny_image, tiny_pair, projector, cfg, near,
+                    *caption_rows(tiny_caption, tiny_pair, None, near),
+                    clean_embedding(tiny_pair, tiny_image, None), tiny_image, tiny_image,
+                    tiny_pair, projector, cfg,
                 )
 
     @pytest.mark.parametrize("use_projector", [False, True])
@@ -297,7 +344,8 @@ class TestRunTextAttack:
                 )
                 args = (prev, cur, tiny_pair, projector, cfg)
                 clean = clean_embedding(tiny_pair, tiny_image, projector)
-                assert run_text_attack(tiny_caption, clean, *args, near) == (
+                rows = caption_rows(tiny_caption, tiny_pair, projector, near)
+                assert run_text_attack(*rows, clean, *args) == (
                     run_text_attack_per_candidate(tiny_caption, tiny_image, *args)
                 )
 
@@ -321,7 +369,8 @@ class TestCaptionTies:
         caption = (4, 9, 0, 7)
         near = word_neighbours(pair.text, cfg.word_list_size)
         clean = clean_embedding(pair, tiny_image, None)
-        assert run_text_attack(caption, clean, tiny_image, cur, pair, None, cfg, near) == (caption, False)
+        rows = caption_rows(caption, pair, None, near)
+        assert run_text_attack(*rows, clean, tiny_image, cur, pair, None, cfg) == (caption, False)
 
     def test_tie_without_original_takes_lowest_index(self, tiny_image, rng):
         # 12 tokens on 3 rows: each substitution ties with the three other
@@ -334,7 +383,8 @@ class TestCaptionTies:
             cur = np.clip(tiny_image + 0.05 * rng.standard_normal((8, 8)), 0, 1)
             near = word_neighbours(pair.text, cfg.word_list_size)
             clean = clean_embedding(pair, tiny_image, None)
-            chosen, changed = run_text_attack(caption, clean, tiny_image, cur, pair, None, cfg, near)
+            rows = caption_rows(caption, pair, None, near)
+            chosen, changed = run_text_attack(*rows, clean, tiny_image, cur, pair, None, cfg)
             embs = np.stack([encode_image(pair.image, x) for x in (tiny_image, tiny_image, cur)])
             cands = enumerate_text_candidates(caption, pair.text, 11)
             scores = [score(encode_text(pair.text, c), embs, cfg) for c in cands]
