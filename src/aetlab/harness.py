@@ -410,7 +410,8 @@ def attack_pairs(
     _CAPTION_BLOCK pairs when its first pair is consumed, one
     build_word_candidates and one embed_captions call on B * (1 + L * k)
     rows, O(B * L * k * d) memory. Each row has the bits of its one-pair
-    call. Pair p draws its noise from SeedSequence([master_seed, stream,
+    call. Every caption and image row that run_text_attack scores is
+    embedded here, with the one projector. Pair p draws its noise from SeedSequence([master_seed, stream,
     p]), so its output does not depend on how many pairs are consumed;
     stream isolates the RNG of different surrogates under one master seed.
     """
@@ -431,9 +432,8 @@ def attack_pairs(
         adv_img, prev_img, trace = run_image_attack(
             x, u[p], grads_p, (lo[p], hi[p]), surrogate, projector, run_cfg, rng, pin_current
         )
-        adv_cap, _ = run_text_attack(
-            cands, cand_embs, clean[p], prev_img, adv_img, surrogate, projector, run_cfg
-        )
+        prev_emb, cur_emb = embed_images(surrogate.image, (prev_img, adv_img), projector)
+        adv_cap, _ = run_text_attack(cands, cand_embs, clean[p], prev_emb, cur_emb, run_cfg)
         return adv_img, adv_cap, trace
 
     def block(start: int):

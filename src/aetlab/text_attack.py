@@ -6,15 +6,16 @@ exhaustively scores the original caption plus every single substitution and
 keeps the one that deviates most from the final evolution triangle of the
 image attack (weighted mismatch against the clean, previous-step, and final
 adversarial image). The candidates and their embedding rows do not depend
-on the image, so harness.attack_pairs builds them per block of pairs; each
-pair's rows are scored with one shared-text similarity call per image.
+on the image, so harness.attack_pairs builds them per block of pairs, and
+it embeds the three images with the same projector; run_text_attack only
+scores those rows, with one shared-text similarity call per image.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .core import AttackConfig, matvec_rows, similarity
-from .encoders import BagOfWordsTextEncoder, EncoderPair, embed_images
+from .encoders import BagOfWordsTextEncoder
 
 # Not called here: perfbench/tracing.py wraps these names at this import site.
 from .encoders import encode_image, encode_text  # noqa: F401
@@ -70,21 +71,20 @@ def run_text_attack(
     candidates: np.ndarray,
     cand_embs: np.ndarray,
     clean_emb: np.ndarray,
-    prev_adv: np.ndarray,
-    cur_adv: np.ndarray,
-    enc_pair: EncoderPair,
-    projector: np.ndarray | None,
+    prev_emb: np.ndarray,
+    cur_emb: np.ndarray,
     cfg: AttackConfig,
 ) -> tuple[Caption, bool]:
     """Full caption attack; returns the selected caption and whether a
     substitution occurred. candidates is the caption's (n_cand, L) token
-    matrix from build_word_candidates, cand_embs its (n_cand, d) rows of
-    embed_captions (projected as the images are), and clean_emb the clean
-    image's row of embed_images over the dataset. The first maximum score
-    wins: ties go to the original caption (candidate 0, which no
-    substitution reproduces), then to the lowest index."""
-    adv_embs = embed_images(enc_pair.image, (prev_adv, cur_adv), projector)
-    sims = [similarity(cand_embs, emb) for emb in (clean_emb, *adv_embs)]
+    matrix from build_word_candidates and cand_embs its (n_cand, d) rows of
+    embed_captions; clean_emb, prev_emb and cur_emb are the (d,) rows of
+    the clean, previous and final adversarial images, embedded with the
+    same projector as cand_embs (rows of another dimension raise
+    ValueError). The first maximum score wins: ties go to the original
+    caption (candidate 0, which no substitution reproduces), then to the
+    lowest index."""
+    sims = [similarity(cand_embs, emb) for emb in (clean_emb, prev_emb, cur_emb)]
     scores = [score_text_candidate(s, cfg) for s in zip(*sims)]
     best = scores.index(max(scores))
     return tuple(candidates[best].tolist()), best != 0

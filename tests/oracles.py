@@ -238,10 +238,10 @@ def table_row(grads, p=0):
     return {s: g[p] for s, g in grads.items()}
 
 
-def clean_embedding(enc_pair, x, projector):
-    """The clean image's (projected) embedding that run_text_attack takes:
-    the one-row call of embed_images."""
-    return embed_images(enc_pair.image, [x], projector)[0]
+def image_rows(enc_pair, projector, *images):
+    """The (projected) image embeddings that run_text_attack takes, one (d,)
+    row per image: the one-row calls of embed_images."""
+    return [embed_images(enc_pair.image, [x], projector)[0] for x in images]
 
 
 def caption_rows(caption, enc_pair, projector, near):

@@ -43,7 +43,7 @@ from aetlab.theory import (
 from oracles import (
     attack_iterates,
     caption_rows,
-    clean_embedding,
+    image_rows,
     finite_difference_grad,
     pair_loss,
     pair_setup,
@@ -238,8 +238,7 @@ def test_criterion_6_attack_feasibility(capsys):
             eps_ok &= float(np.max(np.abs(inter - x))) <= cfg.eps_image + 1e-12
             eps_ok &= inter.min() >= 0.0 and inter.max() <= 1.0
         adv_cap, _ = run_text_attack(*caption_rows(cap, ds.base, projector, near),
-                                     clean_embedding(ds.base, x, projector), prev, adv,
-                                     ds.base, projector, cfg)
+                                     *image_rows(ds.base, projector, x, prev, adv), cfg)
         text_ok &= sum(a != b for a, b in zip(adv_cap, cap)) <= 1
     elapsed = time.time() - start
     ok = eps_ok and text_ok and elapsed < 120.0

@@ -566,11 +566,16 @@ class TestCraftAdversarialPairs:
         ds = synth_dataset(seed=2, n_pairs=n_pairs)
         pool = default_model_pool(ds, n_models=2)
         calls = Counter()
+        adv_rows = []
         for name in ("embed_captions", "gradient_table", "linf_box", "embed_images"):
             def counted(*args, _fn=getattr(harness, name), _name=name, **kwargs):
                 out = _fn(*args, **kwargs)
-                # the projector's corpus also goes through embed_captions
-                if _name != "embed_captions" or len(out) == n_pairs:
+                # the projector's corpus also goes through embed_captions,
+                # and each pair's previous and final images through
+                # embed_images, as one 2-row call
+                if _name == "embed_images" and args[1] is not ds.images:
+                    adv_rows.append(len(out))
+                elif _name != "embed_captions" or len(out) == n_pairs:
                     calls[_name] += 1
                 return out
 
@@ -583,6 +588,7 @@ class TestCraftAdversarialPairs:
         assert calls == dict.fromkeys(
             ("embed_captions", "gradient_table", "linf_box", "embed_images"), len(pool)
         )
+        assert adv_rows == [2] * (n_pairs * len(pool))
 
     @pytest.mark.parametrize("variant", ["saaet", "sga"])
     def test_word_neighbours_once_per_call(self, monkeypatch, variant):

@@ -23,8 +23,8 @@ from aetlab.text_attack import (
 )
 from oracles import (
     caption_rows,
-    clean_embedding,
     enumerate_text_candidates,
+    image_rows,
     pair_similarity,
     run_text_attack_per_candidate,
     select_adversarial_text,
@@ -282,9 +282,9 @@ class TestRunTextAttack:
         prev = np.clip(tiny_image + 0.02 * rng.standard_normal(tiny_image.shape), 0, 1)
         cur = np.clip(tiny_image - 0.02 * rng.standard_normal(tiny_image.shape), 0, 1)
         near = word_neighbours(tiny_pair.text, cfg.word_list_size)
-        clean = clean_embedding(tiny_pair, tiny_image, None)
+        embs = image_rows(tiny_pair, None, tiny_image, prev, cur)
         rows = caption_rows(tiny_caption, tiny_pair, None, near)
-        chosen, changed = run_text_attack(*rows, clean, prev, cur, tiny_pair, None, cfg)
+        chosen, changed = run_text_attack(*rows, *embs, cfg)
         assert hamming(chosen, tiny_caption) <= 1
         assert changed == (chosen != tiny_caption)
 
@@ -295,8 +295,7 @@ class TestRunTextAttack:
         near = word_neighbours(tiny_pair.text, cfg.word_list_size)
         chosen, _ = run_text_attack(
             *caption_rows(tiny_caption, tiny_pair, None, near),
-            clean_embedding(tiny_pair, tiny_image, None), tiny_image, tiny_image,
-            tiny_pair, None, cfg,
+            *image_rows(tiny_pair, None, tiny_image, tiny_image, tiny_image), cfg,
         )
         clean = encode_image(tiny_pair.image, tiny_image)
         embs = np.stack([clean, clean, clean])
@@ -308,25 +307,24 @@ class TestRunTextAttack:
         near = word_neighbours(tiny_pair.text, cfg.word_list_size)
         a, _ = run_text_attack(
             *caption_rows(tiny_caption, tiny_pair, None, near),
-            clean_embedding(tiny_pair, tiny_image, None), tiny_image, tiny_image,
-            tiny_pair, None, cfg,
+            *image_rows(tiny_pair, None, tiny_image, tiny_image, tiny_image), cfg,
         )
         b, _ = run_text_attack(
             *caption_rows(tiny_caption, tiny_pair, None, near),
-            clean_embedding(tiny_pair, tiny_image, None), tiny_image, tiny_image,
-            tiny_pair, None, cfg,
+            *image_rows(tiny_pair, None, tiny_image, tiny_image, tiny_image), cfg,
         )
         assert a == b
 
     def test_projector_of_another_dimension_rejected(self, tiny_pair, tiny_image, tiny_caption):
+        # caption rows in the encoders' 16 dimensions, image rows projected
+        # into 15 or 17
         cfg = AttackConfig()
         near = word_neighbours(tiny_pair.text, cfg.word_list_size)
-        for projector in (np.eye(15), np.eye(17)):
+        for projector in (np.eye(15, 16), np.eye(17, 16)):
             with pytest.raises(ValueError):
                 run_text_attack(
                     *caption_rows(tiny_caption, tiny_pair, None, near),
-                    clean_embedding(tiny_pair, tiny_image, None), tiny_image, tiny_image,
-                    tiny_pair, projector, cfg,
+                    *image_rows(tiny_pair, projector, tiny_image, tiny_image, tiny_image), cfg,
                 )
 
     @pytest.mark.parametrize("use_projector", [False, True])
@@ -342,11 +340,12 @@ class TestRunTextAttack:
                 prev, cur = (
                     np.clip(tiny_image + 0.05 * rng.standard_normal((8, 8)), 0, 1) for _ in range(2)
                 )
-                args = (prev, cur, tiny_pair, projector, cfg)
-                clean = clean_embedding(tiny_pair, tiny_image, projector)
+                embs = image_rows(tiny_pair, projector, tiny_image, prev, cur)
                 rows = caption_rows(tiny_caption, tiny_pair, projector, near)
-                assert run_text_attack(*rows, clean, *args) == (
-                    run_text_attack_per_candidate(tiny_caption, tiny_image, *args)
+                assert run_text_attack(*rows, *embs, cfg) == (
+                    run_text_attack_per_candidate(
+                        tiny_caption, tiny_image, prev, cur, tiny_pair, projector, cfg
+                    )
                 )
 
 
@@ -368,9 +367,9 @@ class TestCaptionTies:
         cur = np.clip(tiny_image + 0.05 * rng.standard_normal((8, 8)), 0, 1)
         caption = (4, 9, 0, 7)
         near = word_neighbours(pair.text, cfg.word_list_size)
-        clean = clean_embedding(pair, tiny_image, None)
+        embs = image_rows(pair, None, tiny_image, tiny_image, cur)
         rows = caption_rows(caption, pair, None, near)
-        assert run_text_attack(*rows, clean, tiny_image, cur, pair, None, cfg) == (caption, False)
+        assert run_text_attack(*rows, *embs, cfg) == (caption, False)
 
     def test_tie_without_original_takes_lowest_index(self, tiny_image, rng):
         # 12 tokens on 3 rows: each substitution ties with the three other
@@ -382,9 +381,9 @@ class TestCaptionTies:
             pair = _tied_pair(3, 12, rng)
             cur = np.clip(tiny_image + 0.05 * rng.standard_normal((8, 8)), 0, 1)
             near = word_neighbours(pair.text, cfg.word_list_size)
-            clean = clean_embedding(pair, tiny_image, None)
+            img_rows = image_rows(pair, None, tiny_image, tiny_image, cur)
             rows = caption_rows(caption, pair, None, near)
-            chosen, changed = run_text_attack(*rows, clean, tiny_image, cur, pair, None, cfg)
+            chosen, changed = run_text_attack(*rows, *img_rows, cfg)
             embs = np.stack([encode_image(pair.image, x) for x in (tiny_image, tiny_image, cur)])
             cands = enumerate_text_candidates(caption, pair.text, 11)
             scores = [score(encode_text(pair.text, c), embs, cfg) for c in cands]

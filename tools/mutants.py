@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Re-run the README mutation table.
 
-    python3 tools/mutants.py [--rev REV] [MUTANT ...]
+    python3 tools/mutants.py
 
 Each mutant is one source edit that removes one attack mechanism: an exact
-text replacement that must match once in its file. For each mutant named
-(all six by default), the script extracts a fresh ``git archive`` copy of
-REV (default HEAD) into a temporary directory, applies the edit there and
-runs tier-1 in that copy, one run at a time. It then prints one row per
+text replacement that must match once in its file. For each of the six
+mutants, the script extracts a fresh ``git archive`` copy of HEAD into a
+temporary directory, applies the edit there and runs tier-1 in that copy,
+one run at a time. It then prints one row per
 mutant: the failing tests, the acceptance criteria among them, and the
 headline numbers that criteria 8 and 10 print (transfer TR-ASR and alpha of
 saaet, dra and sga). The checkout it runs from is never modified, and the
@@ -18,7 +18,6 @@ costs one full tier-1 run, about a minute on a 2-vCPU host.
 """
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import subprocess
@@ -66,8 +65,8 @@ MUTANTS = (
         "caption",
         "caption scored against the final image only",
         "src/aetlab/text_attack.py",
-        "for emb in (clean_emb, *adv_embs)]",
-        "for emb in (adv_embs[1],) * 3]",
+        "for emb in (clean_emb, prev_emb, cur_emb)]",
+        "for emb in (cur_emb,) * 3]",
     ),
     Mutant(
         "scale",
@@ -88,10 +87,10 @@ MUTANTS = (
 )
 
 
-def extract(rev: str, dest: Path) -> None:
-    """The tree of rev, from git archive, under dest."""
+def extract(dest: Path) -> None:
+    """The tree of HEAD, from git archive, under dest."""
     tar = subprocess.run(
-        ["git", "archive", "--format=tar", rev], cwd=ROOT, check=True, capture_output=True
+        ["git", "archive", "--format=tar", "HEAD"], cwd=ROOT, check=True, capture_output=True
     ).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=tar, check=True)
 
@@ -128,23 +127,12 @@ def run_tier1(tree: Path) -> dict:
     }
 
 
-def main(argv=None) -> int:
-    names = [m.name for m in MUTANTS]
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("mutants", nargs="*", metavar="MUTANT",
-                   help=f"any of {', '.join(names)} (default: all)")
-    p.add_argument("--rev", default="HEAD", help="git revision to mutate (default HEAD)")
-    args = p.parse_args(argv)
-    if unknown := set(args.mutants) - set(names):
-        p.error(f"unknown mutant(s): {', '.join(sorted(unknown))}")
-    chosen = set(args.mutants or names)
+def main() -> int:
     rows = []
     for mutant in MUTANTS:
-        if mutant.name not in chosen:
-            continue
         with tempfile.TemporaryDirectory(prefix=f"mutant-{mutant.name}-") as tmp:
             tree = Path(tmp)
-            extract(args.rev, tree)
+            extract(tree)
             apply(mutant, tree)
             result = run_tier1(tree)
         rows.append((mutant, result))
