@@ -410,10 +410,10 @@ def attack_pairs(
     _CAPTION_BLOCK pairs when its first pair is consumed, one
     build_word_candidates and one embed_captions call on B * (1 + L * k)
     rows, O(B * L * k * d) memory. Each row has the bits of its one-pair
-    call. Every caption and image row that run_text_attack scores is
-    embedded here, with the one projector. Pair p draws its noise from SeedSequence([master_seed, stream,
-    p]), so its output does not depend on how many pairs are consumed;
-    stream isolates the RNG of different surrogates under one master seed.
+    call; every row that run_text_attack scores is embedded here, with one
+    projector. Pair p draws its noise from SeedSequence([master_seed,
+    stream, p]), so its output does not depend on how many pairs are
+    consumed; stream isolates the RNG of surrogates under one master seed.
     """
     run_cfg, use_projector, pin_current = resolve_variant(variant, cfg)
     shape = (ds.dims.height, ds.dims.width)
