@@ -185,14 +185,6 @@ def _roundtrip_matrix(n: int, scale: float) -> np.ndarray:
     return _interp_matrix(n, n_mid) @ _interp_matrix(n_mid, n)
 
 
-def check_scales(shape: tuple[int, ...], scales) -> None:
-    """Raise ValueError if a scale collapses an axis of an image of this
-    shape, the check scale_augment_adjoint makes on each call."""
-    for s in scales:
-        for n in shape:
-            _roundtrip_matrix(n, s)
-
-
 def scale_augment_adjoint(g: np.ndarray, shape: tuple[int, int], scale: float) -> np.ndarray:
     """Transpose of the scale augmentation, applied to g, one (H, W) image
     or an (n, H, W) stack of them. The augmentation resizes an (H, W) image

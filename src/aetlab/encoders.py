@@ -2,9 +2,8 @@
 
 The image encoder is a linear map on flattened pixels; the text encoder
 averages per-token embedding rows. Both are deterministic and immutable, and
-every gradient of the dot-product loss is analytic. A model pool is built by
-perturbing a shared base pair with independently seeded Gaussian noise, which
-opens a genuine surrogate/target gap for transfer experiments.
+every gradient of the dot-product loss is analytic. The harness generates
+their weights: the dataset's base pair and the perturbed pool built from it.
 """
 from __future__ import annotations
 
@@ -13,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import matvec_rows, scale_augment_adjoint, validate_image
-from .subspace import build_projection
 
 
 @dataclass(frozen=True)
@@ -147,91 +145,3 @@ def grad_loss_wrt_image(
     if g.shape != x.shape:
         raise ValueError("image shape does not match gradient table")
     return g.copy()
-
-
-def make_base_encoders(
-    height: int,
-    width: int,
-    embed_dim: int,
-    vocab_size: int,
-    seed: int,
-    semantic_rank: int,
-    table_jitter: float,
-) -> EncoderPair:
-    """Base encoder pair shared by a model pool.
-
-    The image weight is the transpose of an orthonormal pixel basis, so it
-    inverts the dataset generator's latent-to-pixel map. Token embeddings are
-    low-rank (semantic_rank) plus a small full-rank jitter, which makes the
-    corpus subspace genuinely lower-dimensional than the embedding space.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x0E17C0DE]))
-    n_pix = height * width
-    if embed_dim >= n_pix:
-        raise ValueError("embed_dim must be below the pixel count")
-    # columns orthogonal to the constant image, so a uniform gray offset
-    # contributes nothing to the embedding
-    raw = rng.standard_normal((n_pix, embed_dim))
-    raw -= raw.mean(axis=0, keepdims=True)
-    q, _ = np.linalg.qr(raw)
-    weight = q.T
-    coeffs = rng.standard_normal((vocab_size, semantic_rank))
-    basis = rng.standard_normal((semantic_rank, embed_dim))
-    basis /= np.linalg.norm(basis, axis=1, keepdims=True)
-    table = coeffs @ basis + table_jitter * rng.standard_normal((vocab_size, embed_dim))
-    # unit-scale token rows: substitutions rotate a caption embedding instead
-    # of shrinking it, and dot-product token neighborhoods become directional
-    table *= np.sqrt(semantic_rank) / np.linalg.norm(table, axis=1, keepdims=True)
-    return EncoderPair(
-        LinearImageEncoder(weight, "base"), BagOfWordsTextEncoder(table, "base")
-    )
-
-
-def make_model_pool(
-    base: EncoderPair,
-    n_models: int,
-    rel_noise: float,
-    seed: int,
-    text_noise: float,
-    semantic_dims: int,
-) -> list[EncoderPair]:
-    """Independently perturbed copies of a base encoder pair.
-
-    Noise magnitude is rel_noise (text_noise for the token table) times the
-    elementwise std of each base matrix, drawn from a per-model seeded
-    stream: models in a pool typically agree more on vision weights than on
-    token embeddings.
-
-    The per-model noise is confined to the embedding directions orthogonal
-    to the base table's dominant semantic_dims-dimensional subspace: pool
-    members then share their semantic read-out and disagree only in
-    text-irrelevant feature dimensions, which is the regime where projecting
-    the loss onto a text-corpus subspace pays off. Image-weight noise rows
-    are additionally mean-centered so every pool model shares the base pair's
-    insensitivity to uniform brightness.
-    """
-    if n_models < 1:
-        raise ValueError("n_models must be >= 1")
-    for name, value in (("rel_noise", rel_noise), ("text_noise", text_noise)):
-        if not 0 <= value < np.inf:  # a NaN fails too
-            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-    nonsem = np.eye(base.text.embed_dim) - build_projection(base.text.table, rank=semantic_dims)
-    pool = []
-    w_std = float(np.std(base.image.weight))
-    t_std = float(np.std(base.text.table))
-    for k in range(n_models):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB00F, k]))
-        w_noise = rng.standard_normal(base.image.weight.shape)
-        w_noise -= w_noise.mean(axis=1, keepdims=True)
-        t_noise = rng.standard_normal(base.text.table.shape)
-        w_noise = nonsem @ w_noise
-        t_noise = t_noise @ nonsem
-        w = base.image.weight + rel_noise * w_std * w_noise
-        t = base.text.table + text_noise * t_std * t_noise
-        pool.append(
-            EncoderPair(
-                LinearImageEncoder(w, f"model{k}"),
-                BagOfWordsTextEncoder(t, f"model{k}"),
-            )
-        )
-    return pool

@@ -5,6 +5,16 @@ Images are decoded from unit latent vectors through the base encoder's
 orthonormal pixel basis, and captions are the tokens best aligned with the
 latent, so the clean dataset retrieves at exact R@1 while leaving
 margins small enough for budgeted attacks to flip ranks.
+
+Every random stream of the package is derived here, as a SeedSequence:
+- [seed, 0xDA7A]: the dataset's pairs, then its held-out texts;
+- [seed, 0x0E17C0DE]: the base encoder pair;
+- [seed, 0xB00F, k]: the noise of pool model k;
+- [master_seed, stream, 0xC0]: a surrogate's corpus sample;
+- [master_seed, stream, p]: the attack noise of pair p.
+So pair 192 (0xC0) draws from its surrogate's corpus stream. Separating the
+two changes every pair from 192 on, so the fix waits for a new benchmark
+reference (ROADMAP item 8).
 """
 from __future__ import annotations
 
@@ -17,16 +27,16 @@ from pathlib import Path
 import numpy as np
 
 from . import matio
-from .core import AttackConfig, check_scales, linf_box, similarity
+from .core import AttackConfig, linf_box, similarity
 from .encoders import (
+    BagOfWordsTextEncoder,
     EncoderPair,
+    LinearImageEncoder,
     embed_captions,
     embed_images,
     embed_pairs,
     encode_text,
     gradient_table,
-    make_base_encoders,
-    make_model_pool,
 )
 from .image_attack import StepRecord, run_image_attack
 from .subspace import build_projection, sample_corpus
@@ -72,6 +82,8 @@ class DatasetDims:
                 raise ValueError(f"{f.name} must be >= 1")
         if self.caption_len > self.vocab_size:
             raise ValueError("caption_len cannot exceed vocab_size")
+        if self.embed_dim >= self.height * self.width:
+            raise ValueError("embed_dim must be below the pixel count")
 
 
 @dataclass(frozen=True)
@@ -185,6 +197,31 @@ def _distinct_draws(
     return taken, budget
 
 
+def base_encoders(seed: int, dims: DatasetDims, gen: GeneratorParams) -> EncoderPair:
+    """Base encoder pair of the dataset and of its model pool.
+
+    The image weight is the transpose of an orthonormal pixel basis, so it
+    inverts the dataset generator's latent-to-pixel map. Token embeddings are
+    low-rank (semantic_rank) plus a small full-rank jitter, which makes the
+    corpus subspace genuinely lower-dimensional than the embedding space.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x0E17C0DE]))
+    # columns orthogonal to the constant image, so a uniform gray offset
+    # contributes nothing to the embedding
+    raw = rng.standard_normal((dims.height * dims.width, dims.embed_dim))
+    raw -= raw.mean(axis=0, keepdims=True)
+    q, _ = np.linalg.qr(raw)
+    coeffs = rng.standard_normal((dims.vocab_size, gen.semantic_rank))
+    basis = rng.standard_normal((gen.semantic_rank, dims.embed_dim))
+    basis /= np.linalg.norm(basis, axis=1, keepdims=True)
+    jitter = rng.standard_normal((dims.vocab_size, dims.embed_dim))
+    table = coeffs @ basis + gen.table_jitter * jitter
+    # unit-scale token rows: substitutions rotate a caption embedding instead
+    # of shrinking it, and dot-product token neighborhoods become directional
+    table *= np.sqrt(gen.semantic_rank) / np.linalg.norm(table, axis=1, keepdims=True)
+    return EncoderPair(LinearImageEncoder(q.T, "base"), BagOfWordsTextEncoder(table, "base"))
+
+
 def synth_dataset(
     seed: int,
     n_pairs: int,
@@ -207,15 +244,7 @@ def synth_dataset(
         raise ValueError("held_out_len must be in [1, vocab_size]")
     if gen.semantic_rank > min(dims.embed_dim, dims.vocab_size):
         raise ValueError("semantic_rank must be <= embed_dim and <= vocab_size")
-    base = make_base_encoders(
-        dims.height,
-        dims.width,
-        dims.embed_dim,
-        dims.vocab_size,
-        seed,
-        semantic_rank=gen.semantic_rank,
-        table_jitter=gen.table_jitter,
-    )
+    base = base_encoders(seed, dims, gen)
     decoder = base.image.weight.T  # (H*W, d), orthonormal columns
     d = dims.embed_dim
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xDA7A]))
@@ -401,8 +430,7 @@ def attack_pairs(
     triangle-scored caption attack.
 
     Before the first pair, the variant, the projector and the word-neighbour
-    table are resolved, the scales checked against the image shape, and
-    each pair input that the attack does not change is built for all N
+    table are resolved, and each pair input that the attack does not change is built for all N
     pairs in one stacked call: the text directions (N, d), their gradient
     tables {scale: (N, H, W)}, the budget boxes (two (N, H, W) stacks) and
     the clean embeddings (N, d), O(N * S * H * W) memory for S scales.
@@ -417,7 +445,6 @@ def attack_pairs(
     """
     run_cfg, use_projector, pin_current = resolve_variant(variant, cfg)
     shape = (ds.dims.height, ds.dims.width)
-    check_scales(shape, run_cfg.scales)
     projector = surrogate_projector(ds, surrogate, cfg, stream) if use_projector else None
     near = word_neighbours(surrogate.text, run_cfg.word_list_size)
     u = embed_captions(surrogate.text, ds.captions, projector)
@@ -542,17 +569,40 @@ def default_model_pool(
     rel_noise: float = DEFAULT_POOL_NOISE,
     text_noise: float = DEFAULT_TEXT_NOISE,
 ) -> list[EncoderPair]:
-    """Pool of independently perturbed copies of the dataset's base encoders.
+    """Independently perturbed copies of the dataset's base encoder pair.
 
-    Noise is confined to the non-semantic embedding directions, so the pool
-    shares the dataset's semantic structure and differs in text-irrelevant
-    features.
+    Noise magnitude is rel_noise (text_noise for the token table) times the
+    elementwise std of each base matrix, drawn from a per-model seeded
+    stream: models in a pool typically agree more on vision weights than on
+    token embeddings.
+
+    The per-model noise is confined to the embedding directions orthogonal
+    to the base table's dominant semantic_rank-dimensional subspace: pool
+    members then share their semantic read-out and disagree only in
+    text-irrelevant feature dimensions, which is the regime where projecting
+    the loss onto a text-corpus subspace pays off. Image-weight noise rows
+    are additionally mean-centered so every pool model shares the base pair's
+    insensitivity to uniform brightness.
     """
-    return make_model_pool(
-        ds.base,
-        n_models,
-        rel_noise,
-        ds.seed,
-        text_noise=text_noise,
-        semantic_dims=ds.gen.semantic_rank,
-    )
+    if n_models < 1:
+        raise ValueError("n_models must be >= 1")
+    for name, value in (("rel_noise", rel_noise), ("text_noise", text_noise)):
+        if not 0 <= value < np.inf:  # a NaN fails too
+            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    base = ds.base
+    semantic = build_projection(base.text.table, rank=ds.gen.semantic_rank)
+    nonsem = np.eye(base.text.embed_dim) - semantic
+    pool = []
+    w_std = float(np.std(base.image.weight))
+    t_std = float(np.std(base.text.table))
+    for k in range(n_models):
+        rng = np.random.default_rng(np.random.SeedSequence([ds.seed, 0xB00F, k]))
+        w_noise = rng.standard_normal(base.image.weight.shape)
+        w_noise -= w_noise.mean(axis=1, keepdims=True)
+        t_noise = rng.standard_normal(base.text.table.shape)
+        w = base.image.weight + rel_noise * w_std * (nonsem @ w_noise)
+        t = base.text.table + text_noise * t_std * (t_noise @ nonsem)
+        pool.append(
+            EncoderPair(LinearImageEncoder(w, f"model{k}"), BagOfWordsTextEncoder(t, f"model{k}"))
+        )
+    return pool

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from aetlab.core import AttackConfig
-from aetlab.encoders import make_base_encoders
+from aetlab.harness import DatasetDims, GeneratorParams, base_encoders
 
 
 @pytest.fixture
@@ -14,7 +14,9 @@ def rng():
 @pytest.fixture
 def tiny_pair():
     # 8x8 images, 16-dim embeddings, 64-token vocabulary
-    return make_base_encoders(8, 8, 16, 64, seed=5, semantic_rank=4, table_jitter=0.05)
+    return base_encoders(
+        5, DatasetDims(8, 8, 16, 64), GeneratorParams(semantic_rank=4, table_jitter=0.05)
+    )
 
 
 @pytest.fixture

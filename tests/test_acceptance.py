@@ -18,11 +18,12 @@ from aetlab.encoders import (
     embed_captions,
     grad_loss_wrt_image,
     gradient_table,
-    make_base_encoders,
 )
 from aetlab.harness import (
     DatasetDims,
+    GeneratorParams,
     TRANSFER_EMBED_DIM,
+    base_encoders,
     default_model_pool,
     mean_diagonal_asr,
     mean_transfer_alpha,
@@ -196,8 +197,8 @@ def test_criterion_5_gradient_fidelity(capsys):
     start = time.time()
     worst = 0.0
     for k in range(100):
-        pair = make_base_encoders(8, 8, 16, 64, seed=int(rng.integers(1 << 30)),
-                                  semantic_rank=4, table_jitter=0.05)
+        pair = base_encoders(int(rng.integers(1 << 30)), DatasetDims(8, 8, 16, 64),
+                             GeneratorParams(semantic_rank=4, table_jitter=0.05))
         x = np.clip(0.5 + 0.2 * rng.standard_normal((8, 8)), 0.0, 1.0)
         caption = tuple(int(t) for t in rng.integers(0, 64, size=4))
         scale = float(rng.choice(DEFAULT_SCALES))
@@ -252,8 +253,8 @@ def test_criterion_7_sga_regression(capsys):
     start = time.time()
     identical = True
     for _ in range(30):
-        pair = make_base_encoders(8, 8, 16, 64, seed=int(rng.integers(1 << 30)),
-                                  semantic_rank=4, table_jitter=0.05)
+        pair = base_encoders(int(rng.integers(1 << 30)), DatasetDims(8, 8, 16, 64),
+                             GeneratorParams(semantic_rank=4, table_jitter=0.05))
         x = np.clip(0.5 + 0.2 * rng.standard_normal((8, 8)), 0.0, 1.0)
         caption = tuple(int(t) for t in rng.integers(0, 64, size=4))
         cfg = AttackConfig(steps=int(rng.integers(2, 11)), samples=1)

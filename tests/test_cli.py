@@ -108,7 +108,8 @@ class TestSeedHandling:
     @pytest.mark.parametrize("cmd", ["attack", "transfer", "subspace"])
     @pytest.mark.parametrize(
         "key, bad",
-        [("n_pairs", "1"), ("height", "0"), ("semantic_rank", "999"), ("table_jitter", "nan")],
+        [("n_pairs", "1"), ("height", "0"), ("embed_dim", "64"), ("semantic_rank", "999"),
+         ("table_jitter", "nan")],
     )
     def test_descriptor_value_out_of_range_names_the_file(
         self, dataset_file, tmp_path, monkeypatch, capsys, cmd, key, bad
@@ -138,6 +139,7 @@ class TestSynth:
     @pytest.mark.parametrize(
         "flags, field",
         [
+            (["--embed-dim", "64"], "embed_dim"),  # not below the 8x8 pixel count
             (["--semantic-rank", "17"], "semantic_rank"),  # above embed_dim 16
             (["--semantic-rank", "40"], "semantic_rank"),
             (["--semantic-rank", "0"], "semantic_rank"),

@@ -1,4 +1,5 @@
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,10 +18,15 @@ from aetlab.encoders import (
     encode_text,
     grad_loss_wrt_image,
     gradient_table,
-    make_base_encoders,
-    make_model_pool,
 )
-from aetlab.harness import DatasetDims, default_model_pool, surrogate_projector, synth_dataset
+from aetlab.harness import (
+    DatasetDims,
+    GeneratorParams,
+    base_encoders,
+    default_model_pool,
+    surrogate_projector,
+    synth_dataset,
+)
 from aetlab.subspace import build_projection
 from oracles import (
     finite_difference_grad,
@@ -286,16 +292,29 @@ class TestGradients:
             finite_difference_grad(lambda z: 0.0, tiny_image, step=0.0)
 
 
+def tiny_base(seed: int, semantic_rank: int = 4):
+    """The base pair of a dataset of 8x8 images, d = 16 and 64 tokens."""
+    gen = GeneratorParams(semantic_rank=semantic_rank, table_jitter=0.05)
+    return base_encoders(seed, DatasetDims(8, 8, 16, 64), gen)
+
+
+def tiny_pool(base, n_models, rel_noise, text_noise, seed=11):
+    """default_model_pool on a stand-in dataset holding only what the pool
+    reads: the base pair, the seed and a semantic rank of 4."""
+    ds = SimpleNamespace(base=base, seed=seed, gen=GeneratorParams(semantic_rank=4))
+    return default_model_pool(ds, n_models, rel_noise, text_noise)
+
+
 class TestBaseEncoders:
     def test_deterministic(self):
-        a = make_base_encoders(8, 8, 16, 64, seed=3, semantic_rank=8, table_jitter=0.05)
-        b = make_base_encoders(8, 8, 16, 64, seed=3, semantic_rank=8, table_jitter=0.05)
+        a = tiny_base(3, semantic_rank=8)
+        b = tiny_base(3, semantic_rank=8)
         np.testing.assert_array_equal(a.image.weight, b.image.weight)
         np.testing.assert_array_equal(a.text.table, b.text.table)
 
     def test_seed_changes_output(self):
-        a = make_base_encoders(8, 8, 16, 64, seed=3, semantic_rank=8, table_jitter=0.05)
-        b = make_base_encoders(8, 8, 16, 64, seed=4, semantic_rank=8, table_jitter=0.05)
+        a = tiny_base(3, semantic_rank=8)
+        b = tiny_base(4, semantic_rank=8)
         assert not np.array_equal(a.image.weight, b.image.weight)
 
     def test_image_rows_orthonormal(self, tiny_pair):
@@ -309,13 +328,15 @@ class TestBaseEncoders:
         )
 
     def test_token_rows_have_fixed_norm(self):
-        pair = make_base_encoders(8, 8, 16, 64, seed=3, semantic_rank=4, table_jitter=0.05)
+        pair = tiny_base(3)
         norms = np.linalg.norm(pair.text.table, axis=1)
         np.testing.assert_allclose(norms, np.sqrt(4.0), rtol=1e-12)
 
     def test_embed_dim_must_be_below_pixel_count(self):
         with pytest.raises(ValueError):
-            make_base_encoders(4, 4, 16, 64, seed=0, semantic_rank=8, table_jitter=0.05)
+            base_encoders(
+                0, DatasetDims(4, 4, 16, 64), GeneratorParams(semantic_rank=8, table_jitter=0.05)
+            )
 
 
 class TestSemanticProjector:
@@ -345,17 +366,17 @@ class TestSemanticProjector:
 
 class TestModelPool:
     def test_pool_size_and_ids(self, tiny_pair):
-        pool = make_model_pool(tiny_pair, 3, 0.5, seed=11, text_noise=0.5, semantic_dims=4)
+        pool = tiny_pool(tiny_pair, 3, 0.5, 0.5)
         assert [m.model_id for m in pool] == ["model0", "model1", "model2"]
 
     def test_deterministic_and_distinct(self, tiny_pair):
-        a = make_model_pool(tiny_pair, 2, 0.5, seed=11, text_noise=0.5, semantic_dims=4)
-        b = make_model_pool(tiny_pair, 2, 0.5, seed=11, text_noise=0.5, semantic_dims=4)
+        a = tiny_pool(tiny_pair, 2, 0.5, 0.5)
+        b = tiny_pool(tiny_pair, 2, 0.5, 0.5)
         np.testing.assert_array_equal(a[0].image.weight, b[0].image.weight)
         assert not np.array_equal(a[0].image.weight, a[1].image.weight)
 
     def test_noise_confined_outside_semantic_subspace(self, tiny_pair):
-        pool = make_model_pool(tiny_pair, 2, 1.0, seed=11, text_noise=1.0, semantic_dims=4)
+        pool = tiny_pool(tiny_pair, 2, 1.0, 1.0)
         p_sem = build_projection(tiny_pair.text.table, rank=4)
         for m in pool:
             t_noise = m.text.table - tiny_pair.text.table
@@ -364,18 +385,18 @@ class TestModelPool:
             np.testing.assert_allclose(p_sem @ w_noise, 0.0, atol=1e-10)
 
     def test_pool_models_ignore_uniform_brightness(self, tiny_pair):
-        pool = make_model_pool(tiny_pair, 2, 1.0, seed=11, text_noise=1.0, semantic_dims=4)
+        pool = tiny_pool(tiny_pair, 2, 1.0, 1.0)
         for m in pool:
             np.testing.assert_allclose(m.image.weight @ np.ones(64), 0.0, atol=1e-9)
 
     def test_text_noise_override(self, tiny_pair):
-        quiet = make_model_pool(tiny_pair, 1, 0.5, seed=11, text_noise=0.0, semantic_dims=4)[0]
+        quiet = tiny_pool(tiny_pair, 1, 0.5, 0.0)[0]
         np.testing.assert_array_equal(quiet.text.table, tiny_pair.text.table)
         assert not np.array_equal(quiet.image.weight, tiny_pair.image.weight)
 
     def test_invalid_count(self, tiny_pair):
         with pytest.raises(ValueError):
-            make_model_pool(tiny_pair, 0, 0.5, seed=11, text_noise=0.5, semantic_dims=4)
+            tiny_pool(tiny_pair, 0, 0.5, 0.5)
 
     @pytest.mark.parametrize("bad", [-1.0, -1e-12, float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize("field", ["rel_noise", "text_noise"])
@@ -384,18 +405,16 @@ class TestModelPool:
         # weights; either is rejected by name before any model is built
         noise = {"rel_noise": 0.5, "text_noise": 0.5, field: bad}
         with pytest.raises(ValueError, match=field):
-            make_model_pool(tiny_pair, 2, seed=11, semantic_dims=4, **noise)
+            tiny_pool(tiny_pair, 2, **noise)
 
     def test_seeds_past_48_bits_stay_distinct(self, tiny_pair):
         # the encoders and the pool take the dataset's seed as it is, so
         # seeds 2**48 apart build different models, as they build different
         # datasets
-        bases = [make_base_encoders(8, 8, 16, 64, seed=s, semantic_rank=4, table_jitter=0.05)
-                 for s in (5, 5 + 2**48)]
+        bases = [tiny_base(s) for s in (5, 5 + 2**48)]
         assert not np.array_equal(bases[0].image.weight, bases[1].image.weight)
         assert not np.array_equal(bases[0].text.table, bases[1].text.table)
-        pools = [make_model_pool(tiny_pair, 1, 0.5, seed=s, text_noise=0.5, semantic_dims=4)[0]
-                 for s in (5, 5 + 2**48)]
+        pools = [tiny_pool(tiny_pair, 1, 0.5, 0.5, seed=s)[0] for s in (5, 5 + 2**48)]
         assert not np.array_equal(pools[0].image.weight, pools[1].image.weight)
         assert not np.array_equal(pools[0].text.table, pools[1].text.table)
 

@@ -71,6 +71,12 @@ class TestDatasetDims:
         with pytest.raises(ValueError):
             DatasetDims(caption_len=300, vocab_size=256)
 
+    def test_embed_dim_must_be_below_pixel_count(self):
+        # checked where the dims are declared, before any encoder is built
+        with pytest.raises(ValueError, match="embed_dim must be below the pixel count"):
+            DatasetDims(4, 4, 16, 64)
+        assert DatasetDims(4, 4, 15, 64).embed_dim == 15
+
 
 class TestSynthDataset:
     def test_shapes_and_ranges(self, small_ds):
@@ -240,7 +246,8 @@ class TestSynthDataset:
 
     @pytest.mark.parametrize(
         "key, bad",
-        [("n_pairs", "1"), ("height", "0"), ("semantic_rank", "999"), ("table_jitter", "nan")],
+        [("n_pairs", "1"), ("height", "0"), ("embed_dim", "64"), ("semantic_rank", "999"),
+         ("table_jitter", "nan")],
     )
     def test_descriptor_value_out_of_range_names_the_file(self, small_ds, tmp_path, key, bad):
         # a value that parses but fails a range check is reported as the
@@ -684,6 +691,17 @@ class TestAttackPairsBlocks:
             blocks.clear()
             list(islice(attack_pairs(ds, ds.base, AttackConfig(master_seed=3, steps=2), "sga"), n))
             assert blocks == sizes
+
+
+class TestAttackPairsScales:
+    @pytest.mark.parametrize("variant", ["saaet", "dra", "sga", "subtriangle-C"])
+    def test_collapsing_scale_raises_at_the_call(self, small_ds, variant):
+        # the gradient table holds every scale's adjoint before attack_pairs
+        # returns, so a scale that collapses an 8-pixel axis raises there,
+        # before the first pair is drawn
+        cfg = AttackConfig(master_seed=5, scales=(1.0, 0.01))
+        with pytest.raises(ValueError, match="scale 0.01 collapses axis of length 8"):
+            attack_pairs(small_ds, small_ds.base, cfg, variant)
 
 
 class TestAttackPairsProperties:

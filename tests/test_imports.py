@@ -177,3 +177,29 @@ def test_no_one_call_wrappers():
     sites = {(module.removeprefix("aetlab."), attr) for module, attr in trace_sites()}
     wrappers = one_call_wrappers({p.stem: p.read_text() for p in MODULES})
     assert wrappers - sites == set(WRAPPERS_ALLOWED)
+
+
+def seed_sequence_modules(sources: dict[str, str]) -> set[str]:
+    """The modules, over several sources by module name, that construct a
+    SeedSequence, as `SeedSequence(...)` or `np.random.SeedSequence(...)`."""
+    return {
+        module
+        for module, source in sources.items()
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Call)
+        and (getattr(n.func, "id", None) or getattr(n.func, "attr", None)) == "SeedSequence"
+    }
+
+
+def test_finds_the_seed_sequence_builders():
+    sources = {
+        "a": "rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))\n",
+        "b": "from numpy.random import SeedSequence\nss = SeedSequence(3)\n",
+        "c": "rng = np.random.default_rng(seed)\n\"\"\"SeedSequence([seed, 2])\"\"\"\n",
+    }
+    assert seed_sequence_modules(sources) == {"a", "b"}
+
+
+def test_every_seed_stream_is_derived_in_harness():
+    # one module derives every stream, so harness's docstring can list them all
+    assert seed_sequence_modules({p.stem: p.read_text() for p in MODULES}) == {"harness"}

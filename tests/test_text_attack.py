@@ -11,9 +11,14 @@ from aetlab.encoders import (
     embed_captions,
     encode_image,
     encode_text,
-    make_base_encoders,
 )
-from aetlab.harness import DatasetDims, default_model_pool, synth_dataset
+from aetlab.harness import (
+    DatasetDims,
+    GeneratorParams,
+    base_encoders,
+    default_model_pool,
+    synth_dataset,
+)
 from aetlab.subspace import build_projection
 from aetlab.text_attack import (
     build_word_candidates,
@@ -111,7 +116,9 @@ class TestWordCandidates:
 
 
 # 40 tokens, 6-dim embeddings: small enough that k reaches V - 1
-_STACK_PAIR = make_base_encoders(4, 4, 6, 40, seed=3, semantic_rank=3, table_jitter=0.1)
+_STACK_PAIR = base_encoders(
+    3, DatasetDims(4, 4, 6, 40), GeneratorParams(semantic_rank=3, table_jitter=0.1)
+)
 _STACK_NEAR = {size: word_neighbours(_STACK_PAIR.text, size) for size in range(41)}
 
 

@@ -3,12 +3,12 @@
 
     python3 tools/mutants.py
 
-Each mutant is one source edit that removes one attack mechanism: an exact
-text replacement that must match once in its file. For each of the six
-mutants, the script extracts a fresh ``git archive`` copy of HEAD into a
-temporary directory, applies the edit there and runs tier-1 in that copy,
-one run at a time. It then prints one row per
-mutant: the failing tests, the acceptance criteria among them, and the
+Each mutant is one source edit that removes one mechanism of the attacks
+or of the model pool: an exact text replacement that must match once in
+its file. For each of the seven mutants, the script extracts a fresh
+``git archive`` copy of HEAD into a temporary directory, applies the edit
+there and runs tier-1 in that copy, one run at a time. It then prints one
+row per mutant: the failing tests, the acceptance criteria among them, and the
 headline numbers that criteria 8 and 10 print (transfer TR-ASR and alpha of
 saaet, dra and sga). The checkout it runs from is never modified, and the
 copies are deleted afterwards.
@@ -83,6 +83,13 @@ MUTANTS = (
         "src/aetlab/harness.py",
         "surrogate_projector(ds, surrogate, cfg, stream) if use_projector else None",
         "surrogate_projector(ds, surrogate, cfg, stream) if False else None",
+    ),
+    Mutant(
+        "pool",
+        "pool noise not confined to the non-semantic directions",
+        "src/aetlab/harness.py",
+        "nonsem = np.eye(base.text.embed_dim) - semantic",
+        "nonsem = np.eye(base.text.embed_dim)",
     ),
 )
 
