@@ -6,7 +6,8 @@ orthonormal pixel basis, and captions are the tokens best aligned with the
 latent, so the clean dataset retrieves at exact R@1 while leaving
 margins small enough for budgeted attacks to flip ranks.
 
-Every random stream of the package is derived here, as a SeedSequence:
+Every SeedSequence of the package is built here, one per random stream of
+the lab (the theory command's instances alone come from --seed directly):
 - [seed, 0xDA7A]: the dataset's pairs, then its held-out texts;
 - [seed, 0x0E17C0DE]: the base encoder pair;
 - [seed, 0xB00F, k]: the noise of pool model k;

@@ -139,7 +139,6 @@ class TestSynth:
     @pytest.mark.parametrize(
         "flags, field",
         [
-            (["--embed-dim", "64"], "embed_dim"),  # not below the 8x8 pixel count
             (["--semantic-rank", "17"], "semantic_rank"),  # above embed_dim 16
             (["--semantic-rank", "40"], "semantic_rank"),
             (["--semantic-rank", "0"], "semantic_rank"),
@@ -148,6 +147,7 @@ class TestSynth:
             (["--table-jitter", "-1"], "table_jitter"),
             (["--table-jitter", "nan"], "table_jitter"),
             (["--table-jitter", "inf"], "table_jitter"),
+            (["--embed-dim", "64"], "embed_dim"),  # not below the 8x8 pixel count
         ],
     )
     def test_invalid_generator_parameter_is_usage_error(self, tmp_path, capsys, flags, field):
