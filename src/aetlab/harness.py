@@ -431,10 +431,11 @@ def attack_pairs(
     triangle-scored caption attack.
 
     Before the first pair, the variant, the projector and the word-neighbour
-    table are resolved, and each pair input that the attack does not change is built for all N
-    pairs in one stacked call: the text directions (N, d), their gradient
-    tables {scale: (N, H, W)}, the budget boxes (two (N, H, W) stacks) and
-    the clean embeddings (N, d), O(N * S * H * W) memory for S scales.
+    table are resolved, and each pair input that the attack does not change
+    is built for all N pairs in one stacked call: the text directions (N, d),
+    their gradient tables {scale: (N, H, W)}, the budget boxes (two
+    (N, H, W) stacks) and the clean embeddings (N, d), O(N * S * H * W)
+    memory for S scales; a scale that collapses an image axis raises there.
     Caption candidates and their embedding rows are built per block of B =
     _CAPTION_BLOCK pairs when its first pair is consumed, one
     build_word_candidates and one embed_captions call on B * (1 + L * k)
