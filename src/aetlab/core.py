@@ -1,6 +1,6 @@
 """Shared numeric primitives: the image-text similarity, row-wise matrix
-products, the simplex-weight check, L-inf projection, and the adjoint of the
-bilinear scale augmentation.
+products, the first k entries of row-wise stable sorts, the simplex-weight
+check, L-inf projection, and the adjoint of the bilinear scale augmentation.
 
 Images are float64 arrays of shape (H, W) with pixels in [0, 1]. Captions are
 integer token sequences. The scale augmentation is implemented as an exactly
@@ -131,6 +131,25 @@ def matvec_rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
     rows are copied to a C-contiguous stack if they are not one, since
     other layouts take other BLAS or non-BLAS paths."""
     return np.matmul(a, np.ascontiguousarray(rows)[:, :, None])[:, :, 0]
+
+
+def first_k(keys: np.ndarray, k: int) -> np.ndarray:
+    """The first k columns of np.argsort(keys, axis=1, kind="stable") of an
+    (n, V) key matrix, 0 <= k <= V: np.argpartition finds each row's k
+    smallest keys, which are then ordered by (key, index). A row whose k-th
+    key ties a key outside the picks (or is NaN) cannot tell which of the
+    tied indices come first, and takes the full stable argsort instead."""
+    if k >= keys.shape[1]:
+        return np.argsort(keys, axis=1, kind="stable")[:, :k]
+    if k == 0:
+        return np.empty((len(keys), 0), dtype=np.intp)
+    picks = np.sort(np.argpartition(keys, k - 1, axis=1)[:, :k], axis=1)
+    by_key = np.argsort(np.take_along_axis(keys, picks, axis=1), axis=1, kind="stable")
+    order = np.take_along_axis(picks, by_key, axis=1)
+    kth = np.take_along_axis(keys, order[:, -1:], axis=1)
+    tied = np.flatnonzero(np.count_nonzero(keys <= kth, axis=1) != k)
+    order[tied] = np.argsort(keys[tied], axis=1, kind="stable")[:, :k]
+    return order
 
 
 def linf_box(origin: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:

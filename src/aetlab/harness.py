@@ -8,7 +8,9 @@ margins small enough for budgeted attacks to flip ranks.
 
 Every SeedSequence of the package is built here, one per random stream of
 the lab (the theory command's instances alone come from --seed directly):
-- [seed, 0xDA7A]: the dataset's pairs, then its held-out texts;
+- [seed, 0xDA7A]: the dataset's attempts, one stream of d-vectors drawn
+  in blocks of at most _DRAW_BLOCK: the pairs', then the held-out texts',
+  which start on the unused tail of the last pair block;
 - [seed, 0x0E17C0DE]: the base encoder pair;
 - [seed, 0xB00F, k]: the noise of pool model k;
 - [master_seed, stream, 0xC0]: a surrogate's corpus sample;
@@ -22,13 +24,13 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass, fields, replace
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import matio
-from .core import AttackConfig, linf_box, similarity
+from .core import AttackConfig, first_k, linf_box, matvec_rows, similarity
 from .encoders import (
     BagOfWordsTextEncoder,
     EncoderPair,
@@ -36,15 +38,14 @@ from .encoders import (
     embed_captions,
     embed_images,
     embed_pairs,
-    encode_text,
     gradient_table,
 )
 from .image_attack import StepRecord, run_image_attack
 from .subspace import build_projection, sample_corpus
 from .text_attack import Caption, build_word_candidates, run_text_attack, word_neighbours
 
-# Not called here: perfbench/tracing.py wraps this name at this import site.
-from .encoders import encode_image  # noqa: F401
+# Not called here: perfbench/tracing.py wraps these names at this import site.
+from .encoders import encode_image, encode_text  # noqa: F401
 
 # Pool constants; the generator's are GeneratorParams' defaults (all frozen
 # after the reference tuning run; see README for the recorded reference
@@ -123,9 +124,9 @@ class SyntheticDataset:
     def __post_init__(self):
         if len(self.images) != len(self.captions) or not self.images:
             raise ValueError("need equally many images and captions, at least one")
-        for cap in list(self.captions) + list(self.held_out_texts):
-            if any(not (0 <= t < self.dims.vocab_size) for t in cap):
-                raise ValueError("caption token outside vocabulary")
+        tokens = np.array(list(chain.from_iterable(chain(self.captions, self.held_out_texts))))
+        if not np.all((tokens >= 0) & (tokens < self.dims.vocab_size)):  # NaN fails too
+            raise ValueError("caption token outside vocabulary")
 
     @property
     def n_pairs(self) -> int:
@@ -147,22 +148,35 @@ class ExperimentReport:
                 raise ValueError("success rates must be in [0, 100]")
 
 
-def _caption_from_latent(table: np.ndarray, z: np.ndarray, length: int) -> Caption:
-    scores = table @ z
-    order = np.argsort(-scores, kind="stable")
-    return tuple(int(t) for t in order[:length])
-
-
+# Latent/caption fixed-point rounds per pair attempt, and attempts per block
+# of synth_dataset's draw loop; the block bounds its (block, V) score scratch.
 _FIXED_POINT_ITERS = 8
+_DRAW_BLOCK = 64
 
 
-def _latent_caption_pair(
-    base: EncoderPair, z0: np.ndarray, length: int
-) -> tuple[np.ndarray, Caption] | None:
-    """Latent/caption fixed point from the unit start z0/|z0|: caption =
-    top-L tokens for the latent and latent = unit caption embedding, for at
-    most _FIXED_POINT_ITERS updates of the latent. None unless a top-L
-    evaluation confirms that the caption is the top-L set at its latent.
+def _unit_rows(z: np.ndarray) -> np.ndarray:
+    """Each row of a (b, d) matrix over its norm, with the bits of
+    z / np.linalg.norm(z): the norm is the square root of the row's BLAS
+    dot with itself, one np.matmul call on the (b, 1, d) and (b, d, 1)
+    stacks as in core.similarity."""
+    return z / np.sqrt(np.matmul(z[:, None, :], z[:, :, None])[:, :, 0])
+
+
+def _top_tokens(table: np.ndarray, z: np.ndarray, length: int) -> np.ndarray:
+    """The (b, length) captions of b unit latent rows: the tokens of highest
+    score table @ z, in order, ties to the lowest index."""
+    return first_k(-matvec_rows(table, z), length)
+
+
+def _fixed_points(
+    text: BagOfWordsTextEncoder, z0: np.ndarray, length: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Latent/caption fixed points of a block of attempts, each from the
+    unit start z0/|z0| of its row: caption = top-L tokens for the latent
+    and latent = unit caption embedding, for at most _FIXED_POINT_ITERS
+    updates of the latent. Returns the (b, d) latents, the (b, L) captions
+    and which rows a top-L evaluation confirmed as a fixed point; each row
+    has the bits of its attempt run alone.
 
     At a confirmed fixed point (z, c), c's embedding scores z with the mean
     of the L highest token scores, which no other caption exceeds; and z is
@@ -170,32 +184,46 @@ def _latent_caption_pair(
     higher (Cauchy-Schwarz). So distinct confirmed pairs are strict mutual
     best matches in both retrieval directions, barring ties in the last
     bits."""
-    z = z0 / np.linalg.norm(z0)
-    cap = _caption_from_latent(base.text.table, z, length)
+    z = _unit_rows(z0)
+    caps = _top_tokens(text.table, z, length)
+    confirmed = np.zeros(len(z), dtype=bool)
+    live = np.arange(len(z))
     for _ in range(_FIXED_POINT_ITERS):
-        emb = encode_text(base.text, cap)
-        z = emb / np.linalg.norm(emb)
-        cap_next = _caption_from_latent(base.text.table, z, length)
-        if cap_next == cap:
-            return z, cap
-        cap = cap_next
-    return None
+        if not live.size:
+            break
+        z[live] = _unit_rows(embed_captions(text, caps[live]))
+        nxt = _top_tokens(text.table, z[live], length)
+        same = (nxt == caps[live]).all(axis=1)
+        confirmed[live[same]] = True
+        live = live[~same]
+        caps[live] = nxt[~same]
+    return z, caps, confirmed
 
 
-def _distinct_draws(
-    draw: Callable[[], tuple[np.ndarray | None, Caption] | None], n: int, budget: int
-) -> tuple[dict[Caption, np.ndarray | None], int]:
-    """Up to n (latent, caption) draws with distinct captions, one call of
-    draw per unit of budget: a draw of None, or of a caption already taken,
-    is rejected. Returns {caption: latent} in draw order and the budget
-    left."""
-    taken: dict[Caption, np.ndarray | None] = {}
+def _distinct_attempts(
+    rng: np.random.Generator, rows: np.ndarray, budget: int, n: int, attempt: Callable
+) -> tuple[dict, int, np.ndarray]:
+    """Up to n attempts with distinct captions, one unit of budget per
+    attempt, each attempt one (d,) row: first the given rows, then blocks
+    of at most _DRAW_BLOCK rows of rng.standard_normal. attempt maps a
+    block of rows onto each row's caption (None for a rejected attempt) and
+    value; a caption already taken is rejected, so its first attempt wins.
+    Returns {caption: value} in attempt order, the budget left and the
+    unused rows of the last block."""
+    taken = {}
     while len(taken) < n and budget > 0:
-        budget -= 1
-        got = draw()
-        if got is not None:
-            taken.setdefault(got[1], got[0])
-    return taken, budget
+        if not len(rows):
+            rows = rng.standard_normal((min(_DRAW_BLOCK, budget), rows.shape[1]))
+        used = 0
+        for cap, value in zip(*attempt(rows)):
+            if len(taken) == n:
+                break
+            used += 1
+            if cap is not None:
+                taken.setdefault(cap, value)
+        budget -= used
+        rows = rows[used:]
+    return taken, budget, rows
 
 
 def base_encoders(seed: int, dims: DatasetDims, gen: GeneratorParams) -> EncoderPair:
@@ -236,6 +264,13 @@ def synth_dataset(
     caption_len tokens most aligned with the latent. Held-out texts are
     longer (held_out_len tokens): averaging more token rows makes the corpus
     span a cleaner estimate of the semantic subspace.
+
+    Attempts are (d,) rows of the [seed, 0xDA7A] stream, within a budget
+    of 400 * (n_pairs + held_out): the pairs', then the held-out texts'.
+    They are drawn and evaluated in blocks of at most _DRAW_BLOCK rows and
+    accepted in order, each caption's first attempt winning, so the result
+    is that of one attempt at a time; the unused tail of the last pair
+    block holds the first held-out attempts.
     """
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
@@ -250,28 +285,27 @@ def synth_dataset(
     d = dims.embed_dim
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xDA7A]))
     budget = 400 * (n_pairs + gen.held_out)
-    pairs, budget = _distinct_draws(
-        lambda: _latent_caption_pair(base, rng.standard_normal(d), dims.caption_len),
-        n_pairs,
-        budget,
-    )
+
+    def pair_attempts(z0):
+        z, caps, confirmed = _fixed_points(base.text, z0, dims.caption_len)
+        return [tuple(c) if ok else None for c, ok in zip(caps.tolist(), confirmed)], z
+
+    pairs, budget, tail = _distinct_attempts(rng, np.empty((0, d)), budget, n_pairs, pair_attempts)
     if len(pairs) < n_pairs:
         raise ValueError(
             "could not sample enough mutually retrievable pairs; "
             "raise vocab_size/semantic_rank or lower n_pairs"
         )
 
-    def held_out_draw():
-        z = rng.standard_normal(d)
-        return None, _caption_from_latent(base.text.table, z / np.linalg.norm(z), gen.held_out_len)
+    def held_out_attempts(z0):
+        caps = _top_tokens(base.text.table, _unit_rows(z0), gen.held_out_len)
+        return map(tuple, caps.tolist()), repeat(None)
 
-    held, budget = _distinct_draws(held_out_draw, gen.held_out, budget)
+    held, _, _ = _distinct_attempts(rng, tail, budget, gen.held_out, held_out_attempts)
     if len(held) < gen.held_out:
         raise ValueError("could not sample enough held-out captions")
-    images = tuple(
-        np.clip(0.5 + gen.latent_scale * (decoder @ z), 0.0, 1.0).reshape(dims.height, dims.width)
-        for z in pairs.values()
-    )
+    pixels = 0.5 + gen.latent_scale * matvec_rows(decoder, np.array(list(pairs.values())))
+    images = tuple(np.clip(pixels, 0.0, 1.0).reshape(n_pairs, dims.height, dims.width))
     return SyntheticDataset(
         images=images,
         captions=tuple(pairs),

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import AttackConfig, matvec_rows, similarity
+from .core import AttackConfig, first_k, matvec_rows, similarity
 from .encoders import BagOfWordsTextEncoder
 
 # Not called here: perfbench/tracing.py wraps these names at this import site.
@@ -31,8 +31,8 @@ def word_neighbours(enc: BagOfWordsTextEncoder, word_list_size: int) -> np.ndarr
     k tokens of the stable argsort of -(table @ table[v]) (ties to the lowest
     index), without v itself; k is word_list_size, capped at V - 1. Each
     block of rows is scored with one row-wise product, so each row keeps the
-    bits of the per-token product, and sorted row by row; only the first
-    k + 1 entries of each order are kept."""
+    bits of the per-token product, and only the first k + 1 entries of each
+    row's order are selected, with one core.first_k call."""
     if word_list_size < 0:
         raise ValueError("word_list_size must be >= 0")
     table = enc.table
@@ -40,7 +40,7 @@ def word_neighbours(enc: BagOfWordsTextEncoder, word_list_size: int) -> np.ndarr
     near = np.empty((len(table), k), dtype=np.int64)
     for lo in range(0, len(table), _NEIGHBOUR_BLOCK):
         hi = min(lo + _NEIGHBOUR_BLOCK, len(table))
-        order = np.argsort(-matvec_rows(table, table[lo:hi]), axis=1, kind="stable")[:, : k + 1]
+        order = first_k(-matvec_rows(table, table[lo:hi]), k + 1)
         # skip v itself: from its place on, each entry is the next one
         skip = np.cumsum(order[:, :k] == np.arange(lo, hi)[:, None], axis=1)
         near[lo:hi] = np.take_along_axis(order, np.arange(k) + skip, axis=1)

@@ -16,6 +16,7 @@ from aetlab.encoders import embed_captions, embed_images, encode_text, gradient_
 from aetlab.harness import (
     ExperimentReport,
     attack_success_rate,
+    base_encoders,
     craft_adversarial_pairs,
     resolve_variant,
     surrogate_projector,
@@ -338,6 +339,94 @@ def run_sga_attack(x, caption, enc_pair, projector, cfg, rng):
             cur + cfg.step_size * normalized_sign(g), x, cfg.eps_image
         )
     return cur, prev
+
+
+def caption_from_latent(table, z, length):
+    """The length tokens of highest score table @ z for one latent, in
+    order, ties to the lowest index."""
+    order = np.argsort(-(table @ z), kind="stable")
+    return tuple(int(t) for t in order[:length])
+
+
+def latent_caption_pair(base, z0, length, rounds=8):
+    """One pair attempt of synth_dataset, alone: from the unit start
+    z0/|z0|, caption = top-L tokens for the latent and latent = unit
+    caption embedding, for at most `rounds` updates of the latent. The
+    (latent, caption) pair, or None unless a top-L evaluation confirms that
+    the caption is the top-L set at its latent."""
+    z = z0 / np.linalg.norm(z0)
+    cap = caption_from_latent(base.text.table, z, length)
+    for _ in range(rounds):
+        emb = encode_text(base.text, cap)
+        z = emb / np.linalg.norm(emb)
+        cap_next = caption_from_latent(base.text.table, z, length)
+        if cap_next == cap:
+            return z, cap
+        cap = cap_next
+    return None
+
+
+def distinct_draws(draw, n, budget):
+    """Up to n (latent, caption) draws with distinct captions, one call of
+    draw per unit of budget: a draw of None, or of a caption already taken,
+    is rejected. Returns {caption: latent} in draw order and the budget
+    left."""
+    taken = {}
+    while len(taken) < n and budget > 0:
+        budget -= 1
+        got = draw()
+        if got is not None:
+            taken.setdefault(got[1], got[0])
+    return taken, budget
+
+
+@dataclass(frozen=True)
+class PerAttemptDataset:
+    images: tuple
+    captions: tuple
+    held_out_texts: tuple
+    latents: tuple
+    pair_attempts: int  # attempts the pairs took, then the held-out texts
+    held_out_attempts: int
+
+
+def synth_per_attempt(seed, n_pairs, dims, gen, rounds=8):
+    """synth_dataset's draws one (d,) attempt at a time, each with its own
+    standard_normal(d) call on the [seed, 0xDA7A] stream: the pairs
+    (latent_caption_pair with `rounds` updates), then the held-out texts
+    (the top held_out_len tokens of a unit Gaussian latent), within one
+    budget of 400 * (n_pairs + held_out) attempts, and one decoder product
+    per image. Raises synth_dataset's messages when the budget runs out."""
+    base = base_encoders(seed, dims, gen)
+    d = dims.embed_dim
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xDA7A]))
+    budget = 400 * (n_pairs + gen.held_out)
+    pairs, left = distinct_draws(
+        lambda: latent_caption_pair(base, rng.standard_normal(d), dims.caption_len, rounds),
+        n_pairs,
+        budget,
+    )
+    if len(pairs) < n_pairs:
+        raise ValueError(
+            "could not sample enough mutually retrievable pairs; "
+            "raise vocab_size/semantic_rank or lower n_pairs"
+        )
+
+    def held_out_draw():
+        z = rng.standard_normal(d)
+        return None, caption_from_latent(base.text.table, z / np.linalg.norm(z), gen.held_out_len)
+
+    held, rest = distinct_draws(held_out_draw, gen.held_out, left)
+    if len(held) < gen.held_out:
+        raise ValueError("could not sample enough held-out captions")
+    decoder = base.image.weight.T
+    images = tuple(
+        np.clip(0.5 + gen.latent_scale * (decoder @ z), 0.0, 1.0).reshape(dims.height, dims.width)
+        for z in pairs.values()
+    )
+    return PerAttemptDataset(
+        images, tuple(pairs), tuple(held), tuple(pairs.values()), budget - left, left - rest
+    )
 
 
 def fixed_point_8_rounds(base, z0, length):

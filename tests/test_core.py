@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from aetlab.core import (
     AttackConfig,
+    first_k,
     linf_box,
     linf_project,
     matvec_rows,
@@ -284,6 +285,22 @@ class TestRowProducts:
         # a strided row would itself take another BLAS path
         each = [np.ascontiguousarray(row) for row in rows]
         assert bits(matvec_rows(a, rows)) == bits([a @ row for row in each])
+
+
+class TestFirstK:
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_equals_the_stable_argsort_prefix(self, data):
+        # keys from a small value set, so that ties happen, across the k-th
+        # key too, and -0.0 ties 0.0; a wide set leaves most rows untied
+        n = data.draw(st.integers(min_value=1, max_value=4))
+        v = data.draw(st.integers(min_value=1, max_value=300))
+        spread = data.draw(st.sampled_from([1, 3, 1000]))
+        values = st.one_of(st.sampled_from([0.0, -0.0]), st.integers(-spread, spread).map(float))
+        keys = data.draw(hnp.arrays(np.float64, (n, v), elements=values))
+        order = np.argsort(keys, axis=1, kind="stable")
+        for k in range(v + 1):
+            assert np.array_equal(first_k(keys, k), order[:, :k])
 
 
 class TestScaleAugment:

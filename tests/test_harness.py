@@ -1,6 +1,6 @@
 import csv
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 from itertools import islice
 
 import numpy as np
@@ -18,12 +18,10 @@ from aetlab.harness import (
     GeneratorParams,
     TRANSFER_EMBED_DIM,
     UndefinedASRError,
-    _caption_from_latent,
-    _distinct_draws,
-    _latent_caption_pair,
     alpha_metric,
     attack_pairs,
     attack_success_rate,
+    base_encoders,
     clean_recall_at_1,
     craft_adversarial_pairs,
     default_model_pool,
@@ -40,7 +38,14 @@ from aetlab.harness import (
     write_report,
 )
 from aetlab.subspace import build_projection, sample_corpus
-from oracles import attack_pairs_per_sample, mutual_pairs_loop, transfer_reports_per_pair
+from oracles import (
+    attack_pairs_per_sample,
+    caption_from_latent,
+    latent_caption_pair,
+    mutual_pairs_loop,
+    synth_per_attempt,
+    transfer_reports_per_pair,
+)
 
 SMALL_DIMS = DatasetDims(height=8, width=8, embed_dim=16, vocab_size=128, caption_len=4)
 SMALL_GEN = GeneratorParams(held_out=10, held_out_len=12)
@@ -110,46 +115,69 @@ class TestSynthDataset:
     )
     def test_acceptance_equals_per_pair_loop(self, seed, n_pairs):
         # confirmed fixed points with new captions are exactly the pairs the
-        # 8-round fixed point and the cross-score check accept, and the RNG
-        # and the budget end where the loop's do. Seeds 17, 0 and 28 each
-        # draw a latent whose fixed point is its 8th caption, which only the
-        # confirming evaluation accepts; seed 0's repeats an accepted caption
-        dims = DatasetDims(embed_dim=TRANSFER_EMBED_DIM)
+        # 8-round fixed point and the cross-score check accept, the budget
+        # ends where the loop's does, and the held-out texts go on from the
+        # next draw of the stream. Seeds 17, 0 and 28 each draw a latent
+        # whose fixed point is its 8th caption, which only the confirming
+        # evaluation accepts; seed 0's repeats an accepted caption
+        dims, gen = DatasetDims(embed_dim=TRANSFER_EMBED_DIM), GeneratorParams()
         ds = synth_dataset(seed, n_pairs, dims=dims)
-        seq = np.random.SeedSequence([seed, 0xDA7A])  # synth_dataset's stream
-        draws = [np.random.default_rng(seq) for _ in range(2)]
-        budget = 400 * (n_pairs + GeneratorParams().held_out)
-        pairs, left = _distinct_draws(
-            lambda: _latent_caption_pair(ds.base, draws[0].standard_normal(64), dims.caption_len),
-            n_pairs,
-            budget,
-        )
-        want = mutual_pairs_loop(ds.base, draws[1], n_pairs, dims.caption_len, budget)
-        latents = np.array(list(pairs.values()))
+        got = synth_per_attempt(seed, n_pairs, dims, gen)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 0xDA7A]))  # synth_dataset's stream
+        budget = 400 * (n_pairs + gen.held_out)
+        want = mutual_pairs_loop(ds.base, rng, n_pairs, dims.caption_len, budget)
+        latents = np.array(got.latents)
         assert np.array_equal(latents, np.array(want[0])) and latents.shape == (n_pairs, 64)
-        assert list(pairs) == want[1] == list(ds.captions)
-        assert left == want[2] <= budget - n_pairs
-        assert draws[0].bit_generator.state == draws[1].bit_generator.state
+        assert list(got.captions) == want[1] == list(ds.captions)
+        assert budget - got.pair_attempts == want[2] <= budget - n_pairs
+        assert ds.held_out_texts == got.held_out_texts
+        assert all(np.array_equal(a, b) for a, b in zip(ds.images, got.images))
 
     def test_unconfirmed_draws_rejected(self, monkeypatch):
-        # with two updates most draws end unconfirmed: those are rejected,
-        # and every accepted pair is a confirmed fixed point
+        # with two updates most attempts end unconfirmed: those are rejected,
+        # every accepted pair is a confirmed fixed point, and synth_dataset
+        # reads the round count when it is called
+        gen = GeneratorParams()
+        eight = synth_dataset(3, 40, dims=SMALL_DIMS)
         monkeypatch.setattr(harness, "_FIXED_POINT_ITERS", 2)
-        base = synth_dataset(3, 2, dims=SMALL_DIMS).base
-        starts = np.random.default_rng(11).standard_normal((200, 16))
-        got = [_latent_caption_pair(base, z0, 4) for z0 in starts]
+        base = base_encoders(3, SMALL_DIMS, gen)
+        starts = np.random.default_rng(np.random.SeedSequence([3, 0xDA7A])).standard_normal((200, 16))
+        got = [latent_caption_pair(base, z0, 4, rounds=2) for z0 in starts]
         assert 20 < sum(g is None for g in got) < 180
-        it = iter(starts)
-        pairs, left = _distinct_draws(lambda: _latent_caption_pair(base, next(it), 4), 200, 200)
-        want = {}
-        for g in got:
-            if g is not None:
-                want.setdefault(g[1], g[0])
-        assert left == 0 and list(pairs) == list(want)
-        for cap, z in pairs.items():
+        ds = synth_dataset(3, 40, dims=SMALL_DIMS)
+        want = synth_per_attempt(3, 40, SMALL_DIMS, gen, rounds=2)
+        assert want.pair_attempts > harness._DRAW_BLOCK and ds.captions != eight.captions
+        assert ds.captions == want.captions and ds.held_out_texts == want.held_out_texts
+        assert all(np.array_equal(a, b) for a, b in zip(ds.images, want.images))
+        for cap, z in zip(want.captions, want.latents):
             emb = encoders.encode_text(base.text, cap)
             assert np.array_equal(z, emb / np.linalg.norm(emb))
-            assert _caption_from_latent(base.text.table, z, 4) == cap
+            assert caption_from_latent(base.text.table, z, 4) == cap
+
+    @pytest.mark.parametrize("n_pairs", [2, 100, 300, 1000])
+    @pytest.mark.parametrize("seed", [0, 4, 17, 18, 28])
+    def test_equals_per_attempt_loop(self, seed, n_pairs):
+        # the block draw loop gives the per-attempt loop's image bytes,
+        # captions and held-out texts
+        dims, gen = DatasetDims(embed_dim=TRANSFER_EMBED_DIM), GeneratorParams()
+        ds = synth_dataset(seed, n_pairs, dims=dims)
+        want = synth_per_attempt(seed, n_pairs, dims, gen)
+        assert ds.captions == want.captions and ds.held_out_texts == want.held_out_texts
+        assert [im.tobytes() for im in ds.images] == [im.tobytes() for im in want.images]
+
+    @pytest.mark.parametrize("seed, n_pairs, ends", [(0, 60, (61, 101)), (28, 1000, (1176, 1216))])
+    def test_attempts_crossing_a_block_edge(self, seed, n_pairs, ends):
+        # ends: the attempts after the pairs and after the held-out texts.
+        # Seed 0's held-out texts start on the unused tail of the first
+        # 64-attempt block and cross its edge; seed 28's attempts fill
+        # exactly 19 blocks
+        dims, gen = DatasetDims(embed_dim=TRANSFER_EMBED_DIM), GeneratorParams()
+        want = synth_per_attempt(seed, n_pairs, dims, gen)
+        assert harness._DRAW_BLOCK == 64
+        assert (want.pair_attempts, want.pair_attempts + want.held_out_attempts) == ends
+        ds = synth_dataset(seed, n_pairs, dims=dims)
+        assert ds.captions == want.captions and ds.held_out_texts == want.held_out_texts
+        assert [im.tobytes() for im in ds.images] == [im.tobytes() for im in want.images]
 
     @pytest.mark.parametrize("seed", range(32))
     def test_clean_retrieval_is_exact_at_the_reference_shape(self, seed):
@@ -157,15 +185,29 @@ class TestSynthDataset:
         assert clean_recall_at_1(ds, ds.base) == (100.0, 100.0)
 
     def test_acceptance_stops_with_the_budget(self):
-        # 60 draws with repeated captions cannot yield 60 pairs
-        base = synth_dataset(3, 2, dims=SMALL_DIMS).base
-        draws = [np.random.default_rng(7) for _ in range(2)]
-        pairs, left = _distinct_draws(
-            lambda: _latent_caption_pair(base, draws[0].standard_normal(16), 4), 60, 60
-        )
-        want = mutual_pairs_loop(base, draws[1], 60, 4, 60)
-        assert 0 < len(pairs) < 60 and left == 0 == want[2]
-        assert list(pairs) == want[1] and np.array_equal(list(pairs.values()), want[0])
+        # 4 tokens make 6 two-token captions, fewer than 7 pairs, and at
+        # most 4 one-token held-out texts, fewer than 5: each phase spends
+        # the whole budget and raises the per-attempt loop's message
+        dims = DatasetDims(4, 4, 4, 4, 2)
+        cases = [
+            (7, GeneratorParams(held_out=1, semantic_rank=2, held_out_len=2), "retrievable pairs"),
+            (2, GeneratorParams(held_out=5, semantic_rank=2, held_out_len=1), "held-out captions"),
+        ]
+        for n_pairs, gen, message in cases:
+            with pytest.raises(ValueError, match=message) as want:
+                synth_per_attempt(0, n_pairs, dims, gen)
+            with pytest.raises(ValueError, match=message) as got:
+                synth_dataset(0, n_pairs, dims, gen)
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("token", [128, -1])
+    @pytest.mark.parametrize("field", ["captions", "held_out_texts"])
+    def test_token_outside_vocabulary_raises(self, small_ds, field, token):
+        # SMALL_DIMS has 128 tokens
+        texts = getattr(small_ds, field)
+        bad = (texts[0][:-1] + (token,),) + texts[1:]
+        with pytest.raises(ValueError, match="caption token outside vocabulary"):
+            replace(small_ds, **{field: bad})
 
     @pytest.mark.parametrize("seed", [-1, -(2**40)])
     def test_negative_seed_rejected_by_name(self, seed):
