@@ -165,7 +165,8 @@ def _unit_rows(z: np.ndarray) -> np.ndarray:
 def _top_tokens(table: np.ndarray, z: np.ndarray, length: int) -> np.ndarray:
     """The (b, length) captions of b unit latent rows: the tokens of highest
     score table @ z, in order, ties to the lowest index."""
-    return first_k(-matvec_rows(table, z), length)
+    scores = matvec_rows(table, z)
+    return first_k(np.negative(scores, out=scores), length)
 
 
 def _fixed_points(
@@ -304,8 +305,10 @@ def synth_dataset(
     held, _, _ = _distinct_attempts(rng, tail, budget, gen.held_out, held_out_attempts)
     if len(held) < gen.held_out:
         raise ValueError("could not sample enough held-out captions")
-    pixels = 0.5 + gen.latent_scale * matvec_rows(decoder, np.array(list(pairs.values())))
-    images = tuple(np.clip(pixels, 0.0, 1.0).reshape(n_pairs, dims.height, dims.width))
+    pixels = matvec_rows(decoder, np.array(list(pairs.values())))
+    pixels *= gen.latent_scale  # in place: the images are the only (n, H*W) array
+    pixels += 0.5
+    images = tuple(np.clip(pixels, 0.0, 1.0, out=pixels).reshape(n_pairs, dims.height, dims.width))
     return SyntheticDataset(
         images=images,
         captions=tuple(pairs),
