@@ -386,8 +386,8 @@ class PerAttemptDataset:
     captions: tuple
     held_out_texts: tuple
     latents: tuple
-    pair_attempts: int  # attempts the pairs took, then the held-out texts
-    held_out_attempts: int
+    pair_attempts: int  # budget spent on the pairs
+    held_out_attempts: int  # and then on the held-out texts
 
 
 def synth_per_attempt(seed, n_pairs, dims, gen, rounds=8):
