@@ -1,5 +1,5 @@
-"""Shared numeric primitives: the image-text similarity, row-wise matrix
-products, the first k entries of row-wise stable sorts, the simplex-weight
+"""Shared numeric primitives: the finiteness test for float arrays, the
+image-text similarity, row-wise matrix products, the first k entries of row-wise stable sorts, the simplex-weight
 check, L-inf projection, and the adjoint of the bilinear scale augmentation.
 
 Images are float64 arrays of shape (H, W) with pixels in [0, 1]. Captions are
@@ -87,11 +87,19 @@ class AttackConfig:
             raise ValueError(f"unknown sub-triangle region {self.region!r}")
 
 
+def all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of the float array a is finite, exactly: a NaN
+    or infinite entry makes the sum of squares NaN or +inf, so a finite one
+    (one BLAS pass, no temporary) proves every entry finite. Only when the
+    squares overflow does the elementwise test decide."""
+    return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
+
+
 def validate_image(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"image must be 2-D, got shape {x.shape}")
-    if not np.isfinite(x).all():
+    if not all_finite(x):
         raise ValueError("image has non-finite pixels")
     return x
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import matvec_rows, scale_augment_adjoint, validate_image
+from .core import all_finite, matvec_rows, scale_augment_adjoint, validate_image
 
 
 @dataclass(frozen=True)
@@ -21,7 +21,7 @@ class LinearImageEncoder:
 
     def __post_init__(self):
         w = np.asarray(self.weight, dtype=np.float64)
-        if w.ndim != 2 or not np.all(np.isfinite(w)):
+        if w.ndim != 2 or not all_finite(w):
             raise ValueError("image-encoder weight must be a finite 2-D matrix")
         object.__setattr__(self, "weight", w)
 
@@ -37,7 +37,7 @@ class BagOfWordsTextEncoder:
 
     def __post_init__(self):
         t = np.asarray(self.table, dtype=np.float64)
-        if t.ndim != 2 or not np.all(np.isfinite(t)):
+        if t.ndim != 2 or not all_finite(t):
             raise ValueError("text-encoder table must be a finite 2-D matrix")
         object.__setattr__(self, "table", t)
 
@@ -100,7 +100,7 @@ def embed_images(
     pixels, pixel count), then one matvec_rows call for W and one for P, so
     each row keeps the bits of the 1-D products in any batch."""
     images = np.asarray(images, dtype=np.float64)
-    if images.ndim != 3 or not np.isfinite(images).all():
+    if images.ndim != 3 or not all_finite(images):
         raise ValueError(f"images must be a finite (n, H, W) stack, got shape {images.shape}")
     if images.shape[1] * images.shape[2] != enc_i.weight.shape[1]:
         raise ValueError("image pixel count does not match encoder columns")

@@ -15,8 +15,8 @@ its (projected) text direction u and that direction's gradient table (one
 pixel-space gradient per scale), which the caller builds for all pairs at
 once (see harness.attack_pairs), as it does the L-inf budget box. All
 (T-1)*m triangle weights are drawn once per attack. The m triangle samples
-of a step, their directions (one buffer per attack) and their feasible
-candidates are (m, H, W) stacks; the T iterates' trace losses are scored
+of a step and their directions (each in one buffer per attack) and their
+feasible candidates are (m, H, W) stacks; the T iterates' trace losses are scored
 once, on the (T, H, W) stack.
 """
 from __future__ import annotations
@@ -140,9 +140,13 @@ def run_image_attack(
     else:
         all_weights = sample_sub_triangle(n_rows, rng, cfg.region)
     dirs = np.empty((cfg.samples, *x.shape))
+    samples, term = np.empty_like(dirs), np.empty_like(dirs)
     for weights in all_weights.reshape(-1, cfg.samples, 3):
         lam, beta, gamma = weights.T[:, :, None, None]
-        samples = lam * x + beta * prev + gamma * cur
+        # lam * x + beta * prev + gamma * cur, in that order, in place
+        np.multiply(lam, x, out=samples)
+        samples += np.multiply(beta, prev, out=term)
+        samples += np.multiply(gamma, cur, out=term)
         for k, s in enumerate(samples):
             dirs[k] = grad_loss_wrt_image(enc_i, s, grads)
         np.sign(dirs, out=dirs)

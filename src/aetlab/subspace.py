@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+from .core import all_finite
+
 SV_CUTOFF_REL = 1e-10
 
 
@@ -40,7 +42,7 @@ def build_projection(corpus_embeddings: np.ndarray, rank: int | None = None) -> 
     corpus matrix is rejected.
     """
     emb = np.atleast_2d(np.asarray(corpus_embeddings, dtype=np.float64))
-    if emb.size == 0 or not np.all(np.isfinite(emb)):
+    if emb.size == 0 or not all_finite(emb):
         raise ValueError("corpus embeddings must be a nonempty finite matrix")
     if rank is not None and not (1 <= rank <= min(emb.shape)):
         raise ValueError("rank must be in [1, min(corpus size, embed_dim)]")

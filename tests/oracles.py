@@ -1,7 +1,10 @@
-"""Reference implementations the tests compare the package against."""
+"""Reference implementations the tests compare the package against, and
+the shared non-finite and edge-value pixel inputs."""
 from dataclasses import dataclass, replace
 
 import numpy as np
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from aetlab.core import (
     REGION_ASSIGNMENTS,
@@ -33,6 +36,19 @@ from aetlab.theory import (
 )
 
 FD_STEP = 1e-5
+
+NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
+# finite values whose squares overflow (the elementwise fallback of
+# core.all_finite decides), underflow to zero, or are zero
+EDGE_FINITE = st.sampled_from([1.7e308, -1.7e308, 1e155, -1e155, -0.0, 5e-324, -5e-324])
+
+
+def planted(data, shape, elements, value):
+    """A float64 array of the shape (or drawn shape) and drawn elements with
+    value at one drawn index."""
+    a = data.draw(hnp.arrays(np.float64, shape, elements=elements))
+    a[tuple(data.draw(st.integers(0, n - 1)) for n in a.shape)] = value
+    return a
 
 
 def finite_difference_grad(fn, x: np.ndarray, step: float = FD_STEP) -> np.ndarray:

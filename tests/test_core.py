@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,15 +7,25 @@ from hypothesis.extra import numpy as hnp
 
 from aetlab.core import (
     AttackConfig,
+    all_finite,
     first_k,
     linf_box,
     linf_project,
     matvec_rows,
     scale_augment_adjoint,
     similarity,
+    validate_image,
     validate_simplex,
 )
-from oracles import SimplexWeights, convex_combine, linf_project_clip, scale_augment
+from oracles import (
+    EDGE_FINITE,
+    NON_FINITE,
+    SimplexWeights,
+    convex_combine,
+    linf_project_clip,
+    planted,
+    scale_augment,
+)
 
 
 class TestSimplexWeights:
@@ -301,6 +313,33 @@ class TestFirstK:
         order = np.argsort(keys, axis=1, kind="stable")
         for k in range(v + 1):
             assert np.array_equal(first_k(keys, k), order[:, :k])
+
+
+class TestFiniteness:
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=12)))
+    def test_all_finite_equals_the_elementwise_test(self, a):
+        # any float64 entries: NaN, +-inf, +-1.7e308, subnormals, +-0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert all_finite(a) == bool(np.isfinite(a).all())
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), NON_FINITE)
+    def test_one_non_finite_pixel_raises_anywhere(self, data, bad):
+        shape = hnp.array_shapes(min_dims=2, max_dims=2, max_side=12)
+        x = planted(data, shape, st.floats(allow_nan=False, allow_infinity=False), bad)
+        with pytest.raises(ValueError, match=r"^image has non-finite pixels$"):
+            validate_image(x)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), EDGE_FINITE)
+    def test_finite_pixels_pass_whatever_their_squares(self, data, edge):
+        shape = hnp.array_shapes(min_dims=2, max_dims=2, max_side=12)
+        x = planted(data, shape, st.floats(allow_nan=False, allow_infinity=False), edge)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert validate_image(x) is x
 
 
 class TestScaleAugment:

@@ -1,3 +1,4 @@
+import warnings
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -7,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aetlab import encoders, matio
-from aetlab.core import DEFAULT_SCALES, AttackConfig, linf_box, scale_augment_adjoint, similarity
+from aetlab.core import (
+    DEFAULT_SCALES,
+    AttackConfig,
+    linf_box,
+    matvec_rows,
+    scale_augment_adjoint,
+    similarity,
+)
 from aetlab.encoders import (
     BagOfWordsTextEncoder,
     LinearImageEncoder,
@@ -29,11 +37,14 @@ from aetlab.harness import (
 )
 from aetlab.subspace import build_projection
 from oracles import (
+    EDGE_FINITE,
+    NON_FINITE,
     finite_difference_grad,
     image_embedding,
     image_loss,
     mismatch_grad_per_call,
     pair_loss,
+    planted,
     scale_augment,
     table_row,
     text_embedding,
@@ -179,6 +190,24 @@ class TestEncoding:
             with pytest.raises(ValueError):
                 embed_images(tiny_pair.image, bad, None)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(1, 6), NON_FINITE)
+    def test_one_non_finite_pixel_in_a_stack_raises(self, data, n, bad):
+        stack = planted(data, (n, 8, 8), st.floats(0.0, 1.0), bad)
+        with pytest.raises(ValueError, match=r"^images must be a finite \(n, H, W\) stack"):
+            embed_images(tiny_base(5).image, stack, None)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(1, 6), EDGE_FINITE)
+    def test_finite_stacks_pass_whatever_their_squares(self, data, n, edge):
+        # pixels stay below 1e300, so the embedding itself cannot overflow
+        enc = tiny_base(5).image
+        stack = planted(data, (n, 8, 8), st.floats(-1e300, 1e300), min(edge, 1e300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = embed_images(enc, stack, None)
+        assert got.tobytes() == matvec_rows(enc.weight, stack.reshape(n, 64)).tobytes()
+
     def test_pair_loss_matches_similarity(self, tiny_pair, tiny_image, tiny_caption):
         val = pair_loss(tiny_pair, tiny_image, tiny_caption)
         expect = similarity(
@@ -208,6 +237,20 @@ class TestEncoding:
             LinearImageEncoder(np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             BagOfWordsTextEncoder(np.full((3, 3), np.nan))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_one_non_finite_weight_raises_with_the_message(self, bad):
+        m = np.ones((4, 6))
+        m[3, 2] = bad
+        with pytest.raises(ValueError, match="^image-encoder weight must be a finite 2-D matrix$"):
+            LinearImageEncoder(m)
+        with pytest.raises(ValueError, match="^text-encoder table must be a finite 2-D matrix$"):
+            BagOfWordsTextEncoder(m)
+
+    def test_finite_weights_pass_when_their_squares_overflow(self):
+        m = np.full((4, 6), -0.0)
+        m[1, 1], m[2, 5] = 1.7e308, 5e-324
+        assert LinearImageEncoder(m).weight is m and BagOfWordsTextEncoder(m).table is m
 
 
 class TestGradients:
@@ -286,6 +329,27 @@ class TestGradients:
         for x in (bad, np.ones((8, 9)), np.ones(64), np.ones((4, 16))):
             with pytest.raises(ValueError):
                 grad_loss_wrt_image(tiny_pair.image, x, grads, scale)
+
+    @pytest.mark.parametrize("scale", DEFAULT_SCALES)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), bad=NON_FINITE)
+    def test_one_non_finite_pixel_raises_at_every_scale(self, scale, data, bad):
+        enc = tiny_base(5).image
+        grads = table_row(gradient_table(enc, np.ones((1, 16)), (8, 8), DEFAULT_SCALES))
+        x = planted(data, (8, 8), st.floats(allow_nan=False, allow_infinity=False), bad)
+        with pytest.raises(ValueError, match=r"^image has non-finite pixels$"):
+            grad_loss_wrt_image(enc, x, grads, scale)
+
+    @pytest.mark.parametrize("scale", DEFAULT_SCALES)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), edge=EDGE_FINITE)
+    def test_finite_pixels_pass_at_every_scale(self, scale, data, edge):
+        enc = tiny_base(5).image
+        grads = table_row(gradient_table(enc, np.ones((1, 16)), (8, 8), DEFAULT_SCALES))
+        x = planted(data, (8, 8), st.floats(allow_nan=False, allow_infinity=False), edge)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert grad_loss_wrt_image(enc, x, grads, scale).tobytes() == grads[scale].tobytes()
 
     def test_finite_difference_requires_positive_step(self, tiny_image):
         with pytest.raises(ValueError):

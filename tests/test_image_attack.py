@@ -14,7 +14,9 @@ from aetlab.image_attack import (
 from aetlab.subspace import build_projection
 from aetlab.harness import DatasetDims, TRANSFER_EMBED_DIM, resolve_variant, surrogate_projector, synth_dataset
 from oracles import (
+    SimplexWeights,
     attack_iterates,
+    convex_combine,
     mismatch_value,
     normalized_sign,
     pair_loss,
@@ -281,6 +283,39 @@ class TestRunImageAttack:
                     assert np.array_equal(prev, runs[t - 3][0])
             u = embed_captions(ds.base.text, [cap], projector)[0]
             assert mismatch_value(runs[0][1], u, ds.base.image, projector) == full_trace[0].loss
+
+    @pytest.mark.parametrize("region", ["A", "C"])
+    def test_triangle_samples_have_the_bits_of_the_convex_combination(
+        self, tiny_pair, tiny_image, tiny_caption, fast_cfg, region, monkeypatch
+    ):
+        # under the dot loss no output depends on the samples' pixels, so
+        # their bits are checked where the attack hands them to the gradient
+        # (the sample calls are the ones that pass no scale)
+        cfg = replace(fast_cfg, region=region)
+        seen = []
+
+        def recording_grad(enc_i, x, grads, *scale):
+            if not scale:
+                seen.append(x.copy())
+            return grad_loss_wrt_image(enc_i, x, grads, *scale)
+
+        monkeypatch.setattr("aetlab.image_attack.grad_loss_wrt_image", recording_grad)
+        run_image_attack(
+            tiny_image, *pair_setup(tiny_image, tiny_caption, tiny_pair, None, cfg),
+            tiny_pair, None, cfg, np.random.default_rng(5),
+        )
+        monkeypatch.undo()
+        iterates = attack_iterates(tiny_image, tiny_caption, tiny_pair, None, cfg, 5)
+        rng = np.random.default_rng(5)
+        rng.standard_normal(tiny_image.shape)
+        weights = sample_sub_triangle((cfg.steps - 1) * cfg.samples, rng, region)
+        want = [
+            convex_combine(tiny_image, iterates[i // cfg.samples], iterates[i // cfg.samples + 1],
+                           SimplexWeights(*w))
+            for i, w in enumerate(weights)
+        ]
+        assert len(seen) == len(want)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(seen, want))
 
     def test_trace_has_one_record_per_step(self, tiny_pair, tiny_image, tiny_caption, fast_cfg):
         _, _, trace = run_image_attack(

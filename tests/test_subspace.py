@@ -85,6 +85,17 @@ class TestBuildProjection:
         with pytest.raises(ValueError):
             build_projection(np.array([[np.inf, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_one_non_finite_entry_raises_with_the_message(self, bad):
+        emb = np.ones((3, 4))
+        emb[2, 1] = bad
+        with pytest.raises(ValueError, match="^corpus embeddings must be a nonempty finite matrix$"):
+            build_projection(emb)
+
+    def test_finite_entries_pass_when_their_squares_overflow(self):
+        p = build_projection(np.array([[1e160, 0.0], [-1e160, 0.0]]))
+        np.testing.assert_allclose(p, [[1.0, 0.0], [0.0, 0.0]], atol=1e-12)
+
     def test_project_dimension_mismatch(self, rng):
         p = build_projection(rng.standard_normal((3, 6)))
         with pytest.raises(ValueError):

@@ -44,8 +44,10 @@ MUTANTS = (
         "triangle",
         "every triangle sample replaced by the current image",
         "src/aetlab/image_attack.py",
-        "samples = lam * x + beta * prev + gamma * cur",
-        "samples = np.repeat(cur[None], len(lam), axis=0)",
+        "np.multiply(lam, x, out=samples)\n"
+        "        samples += np.multiply(beta, prev, out=term)\n"
+        "        samples += np.multiply(gamma, cur, out=term)\n",
+        "samples[:] = cur\n",
     ),
     Mutant(
         "selection",
