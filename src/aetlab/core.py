@@ -1,6 +1,7 @@
 """Shared numeric primitives: the finiteness test for float arrays, the
-image-text similarity, row-wise matrix products, the first k entries of row-wise stable sorts, the simplex-weight
-check, L-inf projection, and the adjoint of the bilinear scale augmentation.
+image-text similarity, row-wise matrix products, the first k entries of
+row-wise stable sorts, the simplex-weight check, L-inf projection, and the
+adjoint of the bilinear scale augmentation.
 
 Images are float64 arrays of shape (H, W) with pixels in [0, 1]. Captions are
 integer token sequences. The scale augmentation is implemented as an exactly

@@ -15,9 +15,9 @@ its (projected) text direction u and that direction's gradient table (one
 pixel-space gradient per scale), which the caller builds for all pairs at
 once (see harness.attack_pairs), as it does the L-inf budget box. All
 (T-1)*m triangle weights are drawn once per attack. The m triangle samples
-of a step and their directions (each in one buffer per attack) and their
-feasible candidates are (m, H, W) stacks; the T iterates' trace losses are scored
-once, on the (T, H, W) stack.
+of a step and their directions (a buffer each per attack) and their
+feasible candidates are (m, H, W) stacks; the T iterates' trace losses
+are scored once, on the (T, H, W) stack.
 """
 from __future__ import annotations
 

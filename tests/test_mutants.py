@@ -5,7 +5,6 @@ the table. The mutants themselves are not run: each costs a tier-1 run."""
 import importlib.util
 import shutil
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -24,17 +23,11 @@ def load_mutants():
 mutants = load_mutants()
 
 
-def copy_source(mutant, tree: Path) -> Path:
-    """The mutant's file, copied from the checkout to the same path under tree."""
-    target = tree / mutant.path
-    target.parent.mkdir(parents=True, exist_ok=True)
-    shutil.copyfile(ROOT / mutant.path, target)
-    return target
-
-
 @pytest.mark.parametrize("mutant", mutants.MUTANTS, ids=lambda m: m.name)
 def test_edit_matches_once_in_the_source(mutant, tmp_path):
-    target = copy_source(mutant, tmp_path)
+    target = tmp_path / mutant.path
+    target.parent.mkdir(parents=True)
+    shutil.copyfile(ROOT / mutant.path, target)
     mutants.apply(mutant, tmp_path)
     text = target.read_text()
     assert mutant.new in text and text != (ROOT / mutant.path).read_text()
@@ -42,10 +35,8 @@ def test_edit_matches_once_in_the_source(mutant, tmp_path):
 
 def test_a_stale_or_doubled_edit_raises(tmp_path):
     # the check the test above relies on
-    mutant = mutants.MUTANTS[0]
-    target = copy_source(mutant, tmp_path)
-    with pytest.raises(ValueError, match="edit matches 0 times"):
-        mutants.apply(replace(mutant, old="no such text in the source"), tmp_path)
-    target.write_text(target.read_text() * 2)
-    with pytest.raises(ValueError, match="edit matches 2 times"):
-        mutants.apply(mutant, tmp_path)
+    mutant = mutants.Mutant("m", "a mechanism", "m.py", "old text", "new text")
+    for text, count in (("no match here", 0), ("old text, old text", 2)):
+        (tmp_path / "m.py").write_text(text)
+        with pytest.raises(ValueError, match=f"edit matches {count} times"):
+            mutants.apply(mutant, tmp_path)

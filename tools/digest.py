@@ -80,7 +80,8 @@ def main() -> int:
     h = hashlib.sha256()
     for seed in SEEDS:
         ds = synth_dataset(seed, N_PAIRS, DatasetDims(embed_dim=64))
-        feed(h, [ds.images, ds.captions, ds.held_out_texts, ds.base.image.weight, ds.base.text.table])
+        base = ds.base
+        feed(h, [ds.images, ds.captions, ds.held_out_texts, base.image.weight, base.text.table])
         pool = default_model_pool(ds, n_models=N_MODELS)
         for overrides in CONFIGS:
             cfg = AttackConfig(master_seed=seed, **overrides)

@@ -7,7 +7,8 @@ Each mutant is one source edit that removes one mechanism of the attacks
 or of the model pool: an exact text replacement that must match once in
 its file. For each of the seven mutants, the script extracts a fresh
 ``git archive`` copy of HEAD into a temporary directory, applies the edit
-there and runs tier-1 in that copy, one run at a time. It then prints one
+there and runs tier-1 in that copy, one run at a time, without the test of
+tests/test_mutants.py that checks this edit still applies. It prints one
 row per mutant: the failing tests, the acceptance criteria among them, and the
 headline numbers that criteria 8 and 10 print (transfer TR-ASR and alpha of
 saaet, dra and sga). The checkout it runs from is never modified, and the
@@ -114,12 +115,16 @@ def apply(mutant: Mutant, tree: Path) -> None:
     path.write_text(text.replace(mutant.old, mutant.new))
 
 
-def run_tier1(tree: Path) -> dict:
+def run_tier1(tree: Path, mutant: Mutant) -> dict:
     """Failing test ids, test count, failing criteria and headline numbers
-    of one tier-1 run in tree."""
+    of one tier-1 run in tree. The mutant's own entry of
+    tests/test_mutants.py, which checks that its edit is not yet applied,
+    is deselected: in tree it is applied, so that test can only fail."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    own = f"tests/test_mutants.py::test_edit_matches_once_in_the_source[{mutant.name}]"
     out = subprocess.run(
-        [sys.executable, *TIER1], cwd=tree, env=env, capture_output=True, text=True
+        [sys.executable, *TIER1, "--deselect", own],
+        cwd=tree, env=env, capture_output=True, text=True,
     ).stdout
     failed = sorted({m.group(1) for m in re.finditer(r"^(?:FAILED|ERROR) (\S+)", out, re.M)})
     summary = out.splitlines()[-1] if out else ""
@@ -143,7 +148,7 @@ def main() -> int:
             tree = Path(tmp)
             extract(tree)
             apply(mutant, tree)
-            result = run_tier1(tree)
+            result = run_tier1(tree, mutant)
         rows.append((mutant, result))
         print(f"{mutant.name}: {len(result['failed'])} of {result['total']} failed", flush=True)
         for test in result["failed"]:
