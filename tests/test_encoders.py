@@ -202,7 +202,7 @@ class TestEncoding:
     def test_finite_stacks_pass_whatever_their_squares(self, data, n, edge):
         # pixels stay below 1e300, so the embedding itself cannot overflow
         enc = tiny_base(5).image
-        stack = planted(data, (n, 8, 8), st.floats(-1e300, 1e300), min(edge, 1e300))
+        stack = planted(data, (n, 8, 8), st.floats(-1e300, 1e300), float(np.clip(edge, -1e300, 1e300)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = embed_images(enc, stack, None)
