@@ -123,25 +123,29 @@ def gradient_table(
     back-projection W^T u / d itself, one matvec_rows call; each other
     scale costs one adjoint call on the stack. Each row keeps the bits of
     the one-row table in any batch. The projector is already folded into
-    U, since <P a, P b> = <a, P b> for the symmetric idempotent P.
+    U, since <P a, P b> = <a, P b> for the symmetric idempotent P. Every
+    stack is read-only, so grad_loss_wrt_image can hand out its rows.
     """
     back = (matvec_rows(enc_i.weight.T, U) / enc_i.embed_dim).reshape(len(U), *shape)
     table = {1.0: back}
     for s in scales:
         if s not in table:
             table[s] = scale_augment_adjoint(back, shape, s)
+    for stack in table.values():
+        stack.flags.writeable = False
     return table
 
 
 def grad_loss_wrt_image(
     enc_i: LinearImageEncoder, x: np.ndarray, grads: dict[float, np.ndarray], scale: float = 1.0
 ) -> np.ndarray:
-    """Exact gradient of the similarity w.r.t. x at one scale: a fresh copy
-    of its entry in grads, one pair's row {s: t[p]} of gradient_table."""
+    """Exact gradient of the similarity w.r.t. x at one scale: its entry
+    in grads, one pair's row {s: t[p]} of gradient_table, itself. The row
+    is read-only; a caller that accumulates into a gradient copies it."""
     x = validate_image(x)
     if x.size != enc_i.weight.shape[1]:
         raise ValueError("image shape does not match encoder")
     g = grads[scale]
     if g.shape != x.shape:
         raise ValueError("image shape does not match gradient table")
-    return g.copy()
+    return g

@@ -478,9 +478,11 @@ def attack_pairs(
     build_word_candidates and one embed_captions call on B * (1 + L * k)
     rows, O(B * L * k * d) memory. Each row has the bits of its one-pair
     call; every row that run_text_attack scores is embedded here, with one
-    projector. Pair p draws its noise from SeedSequence([master_seed,
-    stream, p]), so its output does not depend on how many pairs are
-    consumed; stream isolates the RNG of surrogates under one master seed.
+    projector, except the previous and final images' rows, which are
+    reused from the iterate embeddings that run_image_attack returns. Pair
+    p draws its noise from SeedSequence([master_seed, stream, p]), so its
+    output does not depend on how many pairs are consumed; stream isolates
+    the RNG of surrogates under one master seed.
     """
     run_cfg, use_projector, pin_current = resolve_variant(variant, cfg)
     shape = (ds.dims.height, ds.dims.width)
@@ -495,11 +497,10 @@ def attack_pairs(
         x = ds.images[p]
         rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, stream, p]))
         grads_p = {s: g[p] for s, g in grads.items()}
-        adv_img, prev_img, trace = run_image_attack(
+        adv_img, _, embs, trace = run_image_attack(
             x, u[p], grads_p, (lo[p], hi[p]), surrogate, projector, run_cfg, rng, pin_current
         )
-        prev_emb, cur_emb = embed_images(surrogate.image, (prev_img, adv_img), projector)
-        adv_cap, _ = run_text_attack(cands, cand_embs, clean[p], prev_emb, cur_emb, run_cfg)
+        adv_cap, _ = run_text_attack(cands, cand_embs, clean[p], embs[-2], embs[-1], run_cfg)
         return adv_img, adv_cap, trace
 
     def block(start: int):
@@ -530,8 +531,9 @@ def run_transfer_experiment(
 ) -> list[ExperimentReport]:
     """Every ordered (surrogate, target) cell of the pool, including the
     white-box diagonal. Each target embeds the clean and its own crafted
-    pairs once; each cell embeds one surrogate's crafted pairs once, each
-    row with the bits of embedding its pair alone."""
+    pairs once, and its diagonal cell reuses the latter; each other cell
+    embeds one surrogate's crafted pairs once, each row with the bits of
+    embedding its pair alone."""
     if len(model_pool) < 2:
         raise ValueError("model pool must contain at least 2 encoder pairs")
     crafted = [
@@ -548,9 +550,11 @@ def run_transfer_experiment(
         clean_tr = retrieval_rank(img_gal, txt_gal)
         clean_ir = retrieval_rank(txt_gal, img_gal)
         clean_loss = losses(img_gal, txt_gal)
-        white_box_loss = losses(*embed_pairs(tgt, *zip(*white_box)))
+        white_box_embs = embed_pairs(tgt, *zip(*white_box))
+        white_box_loss = losses(*white_box_embs)
         for sur, pairs in zip(model_pool, crafted):
-            adv_img, adv_txt = embed_pairs(tgt, *zip(*pairs))
+            embs = white_box_embs if pairs is white_box else embed_pairs(tgt, *zip(*pairs))
+            adv_img, adv_txt = embs
             alphas = alpha_metric(clean_loss, losses(adv_img, adv_txt), white_box_loss)
             reports.append(
                 ExperimentReport(

@@ -4,9 +4,9 @@ Each iteration keeps a triangle of (clean, previous adversarial, current
 adversarial) images, samples convex combinations from a chosen sub-triangle,
 turns each sample into a sign-gradient perturbation direction, picks the
 direction that most increases the image-text mismatch at the current
-adversarial point (a lone sample is taken unscored), then steps the current
-adversarial image along the multi-scale sign gradient at the selected sample
-and projects back into the L-inf budget.
+adversarial point (a lone sample is taken unscored, its direction unused),
+then steps the current adversarial image along the multi-scale sign
+gradient at the selected sample and projects back into the L-inf budget.
 
 The optimized objective is the image-text mismatch, i.e. the negated
 (optionally subspace-projected) core.similarity: driving the true pair's
@@ -16,8 +16,9 @@ pixel-space gradient per scale), which the caller builds for all pairs at
 once (see harness.attack_pairs), as it does the L-inf budget box. All
 (T-1)*m triangle weights are drawn once per attack. The m triangle samples
 of a step and their directions (a buffer each per attack) and their
-feasible candidates are (m, H, W) stacks; the T iterates' trace losses
-are scored once, on the (T, H, W) stack.
+feasible candidates are (m, H, W) stacks; the T iterates are embedded
+once, on the (T, H, W) stack, for their trace losses, and their rows are
+returned for the caption attack.
 """
 from __future__ import annotations
 
@@ -38,6 +39,16 @@ class StepRecord:
     chosen_index: int
 
 
+# Per region: the column of the ascending-sorted draw that each of (lam,
+# beta, gamma) takes (REGION_ASSIGNMENTS indexes the descending one), which
+# of them takes the largest draw, and the other two.
+_REGION_INDEX = {
+    region: (np.array([2 - i for i in assign]), assign.index(0),
+             tuple(j for j in range(3) if assign[j] != 0))
+    for region, assign in REGION_ASSIGNMENTS.items()
+}
+
+
 def sample_sub_triangle(m: int, rng: np.random.Generator, region: str = "A") -> np.ndarray:
     """(m, 3) rows of (lam, beta, gamma) uniform over one strict-ordering
     region of the simplex.
@@ -48,14 +59,12 @@ def sample_sub_triangle(m: int, rng: np.random.Generator, region: str = "A") -> 
     if m < 1:
         raise ValueError("m must be >= 1")
     try:
-        assign = REGION_ASSIGNMENTS[region]
+        columns, k, (a, b) = _REGION_INDEX[region]
     except KeyError:
         raise ValueError(f"unknown sub-triangle region {region!r}") from None
     draws = rng.dirichlet(np.ones(3), size=m)
-    weights = np.sort(draws, axis=1)[:, [2 - i for i in assign]]  # assign is descending
+    weights = np.sort(draws, axis=1)[:, columns]
     # renormalize the largest component so each triple sums to 1 exactly
-    k = assign.index(0)  # which of (lam, beta, gamma) got the largest draw
-    a, b = (j for j in range(3) if j != k)
     weights[:, k] = 1.0 - (weights[:, a] + weights[:, b])
     return validate_simplex(weights)
 
@@ -70,9 +79,9 @@ def _sign_step(
 ) -> np.ndarray:
     """x plus a sign step along the mismatch gradient, the negated
     similarity gradient summed over cfg.scales at the point `at`, projected
-    into the budget box (see core.linf_box). The sum accumulates in the
-    first scale's fresh copy."""
-    g = grad_loss_wrt_image(enc_i, at, grads, cfg.scales[0])
+    into the budget box (see core.linf_box). The scales are summed left to
+    right into one fresh array, a copy of the first scale's read-only row."""
+    g = np.copy(grad_loss_wrt_image(enc_i, at, grads, cfg.scales[0]))
     for scale in cfg.scales[1:]:
         g += grad_loss_wrt_image(enc_i, at, grads, scale)
     np.sign(g, out=g)
@@ -113,14 +122,18 @@ def run_image_attack(
     cfg: AttackConfig,
     rng: np.random.Generator,
     pin_current: bool = False,
-) -> tuple[np.ndarray, np.ndarray, list[StepRecord]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[StepRecord]]:
     """Full T-step attack on the clean image x; returns the final and
-    second-to-last adversarial images (the caption attack needs both) plus
-    one StepRecord per step. u is the caption's (projected) text direction,
-    grads its gradient table {scale: (H, W)} over cfg.scales (one pair's
-    row of encoders.gradient_table) and box = core.linf_box(x,
-    cfg.eps_image). Step 1 is a multi-scale sign step from a
-    Gaussian-noise start in the budget.
+    second-to-last adversarial images (the caption attack needs both), the
+    (T, d) embeddings of the T iterates with the projector, and one
+    StepRecord per step. The last two embedding rows are those of the
+    second-to-last and final images, with the bits of embed_images on the
+    two (rows do not depend on batch composition), so the caption attack
+    reuses them instead of embedding the images again. u is the caption's
+    (projected) text direction, grads its gradient table {scale: (H, W)}
+    over cfg.scales (one pair's row of encoders.gradient_table) and box =
+    core.linf_box(x, cfg.eps_image). Step 1 is a multi-scale sign step from
+    a Gaussian-noise start in the budget.
 
     The triangle weights of steps 2..T are drawn together after the start
     noise, which leaves the RNG where per-step draws would; a run with
@@ -149,13 +162,17 @@ def run_image_attack(
         samples += np.multiply(gamma, cur, out=term)
         for k, s in enumerate(samples):
             dirs[k] = grad_loss_wrt_image(enc_i, s, grads)
-        np.sign(dirs, out=dirs)
-        dirs *= -cfg.step_size  # a sign step along the mismatch gradient
-        o = 0 if cfg.samples == 1 else text_guided_select(cur, box, dirs, u, enc_i, projector)
+        if cfg.samples == 1:
+            o = 0  # taken unscored, so its direction is not needed
+        else:
+            np.sign(dirs, out=dirs)
+            dirs *= -cfg.step_size  # a sign step along the mismatch gradient
+            o = text_guided_select(cur, box, dirs, u, enc_i, projector)
         prev, cur = cur, _sign_step(cur, samples[o], box, grads, enc_i, cfg)
         iterates.append(cur)
         picks.append((*weights[o].tolist(), o))
     # each step's loss is the mismatch of its iterate, all scored at the end
-    sims = similarity(embed_images(enc_i, iterates, projector), u)
+    embs = embed_images(enc_i, iterates, projector)
+    sims = similarity(embs, u)
     trace = [StepRecord(t, -s, *pick) for t, (s, pick) in enumerate(zip(sims, picks), start=1)]
-    return cur, prev, trace
+    return cur, prev, embs, trace

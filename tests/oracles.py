@@ -282,7 +282,7 @@ def attack_iterates(x, caption, enc_pair, projector, cfg, seed, pin_current=Fals
                          np.random.default_rng(seed), pin_current)
         for t in range(2, cfg.steps + 1)
     ]
-    return [start, runs[0][1], *(cur for cur, _, _ in runs)]
+    return [start, runs[0][1], *(cur for cur, _, _, _ in runs)]
 
 
 def enumerate_text_candidates(caption, enc_t, word_list_size):

@@ -231,8 +231,8 @@ def test_criterion_6_attack_feasibility(capsys):
     for p in range(ds.n_pairs):
         x, cap = ds.images[p], ds.captions[p]
         seed = np.random.SeedSequence([0, 0, p])
-        adv, prev, _ = run_image_attack(x, *pair_setup(x, cap, ds.base, projector, cfg), ds.base,
-                                        projector, cfg, np.random.default_rng(seed))
+        adv, prev, _, _ = run_image_attack(x, *pair_setup(x, cap, ds.base, projector, cfg),
+                                           ds.base, projector, cfg, np.random.default_rng(seed))
         iterates = attack_iterates(x, cap, ds.base, projector, cfg, seed)
         eps_ok &= np.array_equal(iterates[-1], adv) and np.array_equal(iterates[-2], prev)
         for inter in iterates:
@@ -259,7 +259,7 @@ def test_criterion_7_sga_regression(capsys):
         caption = tuple(int(t) for t in rng.integers(0, 64, size=4))
         cfg = AttackConfig(steps=int(rng.integers(2, 11)), samples=1)
         seed = int(rng.integers(1 << 30))
-        a, prev_a, _ = run_image_attack(
+        a, prev_a, _, _ = run_image_attack(
             x, *pair_setup(x, caption, pair, None, cfg), pair, None, cfg,
             np.random.default_rng(seed), pin_current=True,
         )

@@ -310,13 +310,28 @@ class TestGradients:
         assert calls == [0.5, 1.5]
 
     def test_unit_scale_is_a_fresh_copy_of_the_adjoint(self, tiny_pair, tiny_image, tiny_caption):
+        # the gradient is the table's read-only row itself, not a copy: it
+        # equals the adjoint, a write to it raises, and the table keeps its
+        # bits
         u = embed_captions(tiny_pair.text, [tiny_caption], None)[0]
         grads = table_row(gradient_table(tiny_pair.image, u[None], tiny_image.shape, (1.0,)))
         back_copy = grads[1.0].copy()
         g = grad_loss_wrt_image(tiny_pair.image, tiny_image, grads, 1.0)
         assert np.array_equal(g, scale_augment_adjoint(back_copy, (8, 8), 1.0))
-        g += 1.0
-        np.testing.assert_array_equal(grads[1.0], back_copy)
+        with pytest.raises(ValueError, match="read-only"):
+            g += 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            g[0, 0] = 1.0
+        assert grads[1.0].tobytes() == back_copy.tobytes()
+
+    def test_every_table_stack_is_read_only(self, tiny_pair, tiny_caption):
+        u = embed_captions(tiny_pair.text, [tiny_caption, tiny_caption[::-1]], None)
+        table = gradient_table(tiny_pair.image, u, (8, 8), DEFAULT_SCALES)
+        assert sorted(table) == sorted(DEFAULT_SCALES)
+        for stack in table.values():
+            assert stack.shape == (2, 8, 8) and not stack.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                stack[1] = 0.0
 
     @pytest.mark.parametrize("scale", DEFAULT_SCALES)
     def test_bad_image_rejected_at_every_scale(self, tiny_pair, tiny_image, tiny_caption, scale):

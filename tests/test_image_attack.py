@@ -2,9 +2,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aetlab.core import REGION_ASSIGNMENTS, AttackConfig, linf_box, linf_project
-from aetlab.encoders import embed_captions, grad_loss_wrt_image, gradient_table
+from aetlab.encoders import embed_captions, embed_images, grad_loss_wrt_image, gradient_table
 from aetlab.image_attack import (
     _sign_step,
     run_image_attack,
@@ -12,7 +14,15 @@ from aetlab.image_attack import (
     text_guided_select,
 )
 from aetlab.subspace import build_projection
-from aetlab.harness import DatasetDims, TRANSFER_EMBED_DIM, resolve_variant, surrogate_projector, synth_dataset
+from aetlab.harness import (
+    TRANSFER_EMBED_DIM,
+    DatasetDims,
+    GeneratorParams,
+    base_encoders,
+    resolve_variant,
+    surrogate_projector,
+    synth_dataset,
+)
 from oracles import (
     SimplexWeights,
     attack_iterates,
@@ -248,7 +258,7 @@ class TestTextGuidedSelect:
 
 class TestRunImageAttack:
     def test_budget_and_range_invariants(self, tiny_pair, tiny_image, tiny_caption, fast_cfg):
-        adv, prev, trace = run_image_attack(
+        adv, prev, _, trace = run_image_attack(
             tiny_image, *pair_setup(tiny_image, tiny_caption, tiny_pair, None, fast_cfg),
             tiny_pair, None, fast_cfg, np.random.default_rng(0)
         )
@@ -276,8 +286,8 @@ class TestRunImageAttack:
                                  np.random.default_rng(seed), pin_current)
                 for t in range(2, cfg.steps + 1)
             ]
-            full_trace = runs[-1][2]
-            for t, (cur, prev, trace) in enumerate(runs, start=2):
+            full_trace = runs[-1][3]
+            for t, (cur, prev, _, trace) in enumerate(runs, start=2):
                 assert trace == full_trace[:t]
                 if t > 2:
                     assert np.array_equal(prev, runs[t - 3][0])
@@ -317,8 +327,34 @@ class TestRunImageAttack:
         assert len(seen) == len(want)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(seen, want))
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        steps=st.integers(2, 6),
+        samples=st.integers(1, 5),
+        use_projector=st.booleans(),
+        pin_current=st.booleans(),
+        region=st.sampled_from(sorted(REGION_ASSIGNMENTS)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_returned_rows_are_the_embeddings_of_the_last_two_iterates(
+        self, steps, samples, use_projector, pin_current, region, seed
+    ):
+        # the caption attack takes the previous and final rows as they are,
+        # so they must have the bits of embedding the two images afresh
+        pair = base_encoders(5, DatasetDims(8, 8, 16, 64), GeneratorParams(semantic_rank=4))
+        rng = np.random.default_rng(seed)
+        x = np.clip(0.5 + 0.2 * rng.standard_normal((8, 8)), 0.0, 1.0)
+        projector = build_projection(rng.standard_normal((5, 16))) if use_projector else None
+        cfg = AttackConfig(steps=steps, samples=samples, scales=(0.5, 1.0), region=region)
+        adv, prev, embs, trace = run_image_attack(
+            x, *pair_setup(x, (3, 17, 42, 7), pair, projector, cfg), pair, projector, cfg,
+            rng, pin_current,
+        )
+        assert embs.shape == (steps, 16) and len(trace) == steps
+        assert embs[-2:].tobytes() == embed_images(pair.image, (prev, adv), projector).tobytes()
+
     def test_trace_has_one_record_per_step(self, tiny_pair, tiny_image, tiny_caption, fast_cfg):
-        _, _, trace = run_image_attack(
+        _, _, _, trace = run_image_attack(
             tiny_image, *pair_setup(tiny_image, tiny_caption, tiny_pair, None, fast_cfg),
             tiny_pair, None, fast_cfg, np.random.default_rng(0),
         )
@@ -328,18 +364,18 @@ class TestRunImageAttack:
             assert 0 <= r.chosen_index < fast_cfg.samples
 
     def test_deterministic(self, tiny_pair, tiny_image, tiny_caption, fast_cfg):
-        a, _, _ = run_image_attack(
+        a, _, _, _ = run_image_attack(
             tiny_image, *pair_setup(tiny_image, tiny_caption, tiny_pair, None, fast_cfg),
             tiny_pair, None, fast_cfg, np.random.default_rng(42),
         )
-        b, _, _ = run_image_attack(
+        b, _, _, _ = run_image_attack(
             tiny_image, *pair_setup(tiny_image, tiny_caption, tiny_pair, None, fast_cfg),
             tiny_pair, None, fast_cfg, np.random.default_rng(42),
         )
         np.testing.assert_array_equal(a, b)
 
     def test_attack_increases_mismatch(self, tiny_pair, tiny_image, tiny_caption, fast_cfg):
-        adv, _, _ = run_image_attack(
+        adv, _, _, _ = run_image_attack(
             tiny_image, *pair_setup(tiny_image, tiny_caption, tiny_pair, None, fast_cfg),
             tiny_pair, None, fast_cfg, np.random.default_rng(0),
         )
@@ -350,7 +386,7 @@ class TestRunImageAttack:
 
     def test_forced_weights_reduce_to_sga(self, tiny_pair, tiny_image, tiny_caption):
         cfg = AttackConfig(steps=6, samples=1, master_seed=0)
-        via_triangle, prev_t, _ = run_image_attack(
+        via_triangle, prev_t, _, _ = run_image_attack(
             tiny_image, *pair_setup(tiny_image, tiny_caption, tiny_pair, None, cfg),
             tiny_pair, None, cfg, np.random.default_rng(13), pin_current=True,
         )
@@ -365,7 +401,7 @@ class TestRunImageAttack:
         # the trace records, and the pinned run draws only the start noise
         cfg = AttackConfig(steps=4, samples=3, master_seed=0)
         rng = np.random.default_rng(2)
-        _, _, trace = run_image_attack(
+        _, _, _, trace = run_image_attack(
             tiny_image, *pair_setup(tiny_image, tiny_caption, tiny_pair, None, cfg),
             tiny_pair, None, cfg, rng, pin_current=True,
         )
