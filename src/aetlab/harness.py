@@ -477,12 +477,11 @@ def attack_pairs(
     _CAPTION_BLOCK pairs when its first pair is consumed, one
     build_word_candidates and one embed_captions call on B * (1 + L * k)
     rows, O(B * L * k * d) memory. Each row has the bits of its one-pair
-    call; every row that run_text_attack scores is embedded here, with one
-    projector, except the previous and final images' rows, which are
-    reused from the iterate embeddings that run_image_attack returns. Pair
-    p draws its noise from SeedSequence([master_seed, stream, p]), so its
-    output does not depend on how many pairs are consumed; stream isolates
-    the RNG of surrogates under one master seed.
+    call, with one projector; the previous and final images' rows are those
+    that run_image_attack returns. Pair p draws its noise from
+    SeedSequence([master_seed, stream, p]), so its output does not depend
+    on how many pairs are consumed; stream isolates the RNG of surrogates
+    under one master seed.
     """
     run_cfg, use_projector, pin_current = resolve_variant(variant, cfg)
     shape = (ds.dims.height, ds.dims.width)

@@ -124,16 +124,14 @@ def run_image_attack(
     pin_current: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[StepRecord]]:
     """Full T-step attack on the clean image x; returns the final and
-    second-to-last adversarial images (the caption attack needs both), the
-    (T, d) embeddings of the T iterates with the projector, and one
-    StepRecord per step. The last two embedding rows are those of the
-    second-to-last and final images, with the bits of embed_images on the
-    two (rows do not depend on batch composition), so the caption attack
-    reuses them instead of embedding the images again. u is the caption's
-    (projected) text direction, grads its gradient table {scale: (H, W)}
-    over cfg.scales (one pair's row of encoders.gradient_table) and box =
-    core.linf_box(x, cfg.eps_image). Step 1 is a multi-scale sign step from
-    a Gaussian-noise start in the budget.
+    second-to-last adversarial images, the (T, d) projected embeddings of
+    the T iterates, whose last two rows (the caption attack's) have the
+    bits of embedding those two images alone, and one StepRecord per step.
+    u is the caption's (projected) text direction, grads its gradient table
+    {scale: (H, W)} over cfg.scales (one pair's row of
+    encoders.gradient_table) and box = core.linf_box(x, cfg.eps_image).
+    Step 1 is a multi-scale sign step from a Gaussian-noise start in the
+    budget.
 
     The triangle weights of steps 2..T are drawn together after the start
     noise, which leaves the RNG where per-step draws would; a run with
@@ -162,9 +160,8 @@ def run_image_attack(
         samples += np.multiply(gamma, cur, out=term)
         for k, s in enumerate(samples):
             dirs[k] = grad_loss_wrt_image(enc_i, s, grads)
-        if cfg.samples == 1:
-            o = 0  # taken unscored, so its direction is not needed
-        else:
+        o = 0  # a lone sample is taken unscored, so its direction is unused
+        if cfg.samples > 1:
             np.sign(dirs, out=dirs)
             dirs *= -cfg.step_size  # a sign step along the mismatch gradient
             o = text_guided_select(cur, box, dirs, u, enc_i, projector)
