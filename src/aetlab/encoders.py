@@ -139,9 +139,9 @@ def gradient_table(
 def grad_loss_wrt_image(
     enc_i: LinearImageEncoder, x: np.ndarray, grads: dict[float, np.ndarray], scale: float = 1.0
 ) -> np.ndarray:
-    """Exact gradient of the similarity w.r.t. x at one scale: its entry
-    in grads, one pair's row {s: t[p]} of gradient_table, itself. The row
-    is read-only; a caller that accumulates into a gradient copies it."""
+    """Exact gradient of the similarity w.r.t. x at one scale: the entry
+    of grads, one pair's row {s: t[p]} of gradient_table, as it is; the
+    table's rows are read-only, so a caller that sums gradients copies one."""
     x = validate_image(x)
     if x.size != enc_i.weight.shape[1]:
         raise ValueError("image shape does not match encoder")

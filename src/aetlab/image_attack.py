@@ -43,9 +43,8 @@ class StepRecord:
 # beta, gamma) takes (REGION_ASSIGNMENTS indexes the descending one), which
 # of them takes the largest draw, and the other two.
 _REGION_INDEX = {
-    region: (np.array([2 - i for i in assign]), assign.index(0),
-             tuple(j for j in range(3) if assign[j] != 0))
-    for region, assign in REGION_ASSIGNMENTS.items()
+    r: (np.array([2 - i for i in a]), a.index(0), tuple(j for j in range(3) if a[j]))
+    for r, a in REGION_ASSIGNMENTS.items()
 }
 
 
