@@ -364,7 +364,8 @@ def retrieval_rank(queries: np.ndarray, gallery: np.ndarray) -> np.ndarray:
 
     A rank depends only on the order of the scores, and core.similarity's
     positive 1/d scale cannot change that order, so each block is scored
-    with the plain matrix product."""
+    with the plain matrix product. Each block's wins are counted in 32-bit
+    integers, which hold any row count (a row has at most n wins)."""
     queries = np.asarray(queries, dtype=np.float64)
     gallery = np.asarray(gallery, dtype=np.float64)
     if gallery.ndim != 2 or gallery.shape[0] < 1 or queries.shape != gallery.shape:
@@ -373,7 +374,7 @@ def retrieval_rank(queries: np.ndarray, gallery: np.ndarray) -> np.ndarray:
     for lo in range(0, len(queries), _RANK_BLOCK):
         sims = queries[lo : lo + _RANK_BLOCK] @ gallery.T
         own = np.diagonal(sims, lo)[:, None]  # from the block it is compared against
-        ranks[lo : lo + len(sims)] = 1 + np.count_nonzero(sims > own, axis=1)
+        ranks[lo : lo + len(sims)] = 1 + np.add.reduce(sims > own, axis=1, dtype=np.int32)
     return ranks
 
 
@@ -494,7 +495,8 @@ def attack_pairs(
 
     def attack(p: int, cands: np.ndarray, cand_embs: np.ndarray):
         x = ds.images[p]
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, stream, p]))
+        seq = np.random.SeedSequence([cfg.master_seed, stream, p])
+        rng = np.random.Generator(np.random.PCG64(seq))  # default_rng(seq), undispatched
         grads_p = {s: g[p] for s, g in grads.items()}
         adv_img, _, embs, trace = run_image_attack(
             x, u[p], grads_p, (lo[p], hi[p]), surrogate, projector, run_cfg, rng, pin_current

@@ -16,7 +16,8 @@ pixel-space gradient per scale), which the caller builds for all pairs at
 once (see harness.attack_pairs), as it does the L-inf budget box. All
 (T-1)*m triangle weights are drawn once per attack. The m triangle samples
 of a step and their directions (a buffer each per attack) and their
-feasible candidates are (m, H, W) stacks; the T iterates are embedded
+feasible candidates are (m, H, W) stacks, and every sign step of an attack
+works in one (H, W) scratch array; the T iterates are embedded
 once, on the (T, H, W) stack, for their trace losses, and their rows are
 returned for the caption attack.
 """
@@ -75,18 +76,21 @@ def _sign_step(
     grads: dict[float, np.ndarray],
     enc_i: LinearImageEncoder,
     cfg: AttackConfig,
+    buf: np.ndarray,
 ) -> np.ndarray:
     """x plus a sign step along the mismatch gradient, the negated
     similarity gradient summed over cfg.scales at the point `at`, projected
-    into the budget box (see core.linf_box). The scales are summed left to
-    right into one fresh array, a copy of the first scale's read-only row."""
-    g = np.copy(grad_loss_wrt_image(enc_i, at, grads, cfg.scales[0]))
+    into the budget box (see core.linf_box), as a fresh array. buf, an
+    array of x's shape, is scratch that the step overwrites and the result
+    does not share: the scales are summed into it left to right, or with
+    one scale the read-only row is signed straight into it."""
+    g = grad_loss_wrt_image(enc_i, at, grads, cfg.scales[0])
     for scale in cfg.scales[1:]:
-        g += grad_loss_wrt_image(enc_i, at, grads, scale)
-    np.sign(g, out=g)
-    g *= -cfg.step_size
-    g += x
-    return linf_project(g, box)
+        g = np.add(g, grad_loss_wrt_image(enc_i, at, grads, scale), out=buf)
+    np.sign(g, out=buf)
+    buf *= -cfg.step_size
+    buf += x
+    return linf_project(buf, box)
 
 
 def text_guided_select(
@@ -136,13 +140,16 @@ def run_image_attack(
     noise, which leaves the RNG where per-step draws would; a run with
     steps=t from the same RNG state draws a prefix of them, so it returns
     this run's iterates t and t-1. pin_current pins every triangle sample
-    to the current adversarial image, the (0, 0, 1) vertex, and draws no
-    weights; with samples=1 the loop reduces exactly to the multi-scale
-    sign-gradient baseline, taking each step's lone sample unscored.
+    to the current adversarial image, the (0, 0, 1) vertex that the trace
+    records, and draws no weights: each sample is a copy of that image,
+    which has the bits of the weighted sum. With samples=1 the loop reduces
+    exactly to the multi-scale sign-gradient baseline, taking each step's
+    lone sample unscored.
     """
     enc_i = enc_pair.image
+    step = np.empty_like(x)  # the sign steps' scratch
     prev = linf_project(x + cfg.eps_image * rng.standard_normal(x.shape), box)
-    cur = _sign_step(prev, prev, box, grads, enc_i, cfg)
+    cur = _sign_step(prev, prev, box, grads, enc_i, cfg, step)
     iterates, picks = [cur], [(0.0, 0.0, 1.0, -1)]
     n_rows = (cfg.steps - 1) * cfg.samples
     if pin_current:
@@ -152,11 +159,17 @@ def run_image_attack(
     dirs = np.empty((cfg.samples, *x.shape))
     samples, term = np.empty_like(dirs), np.empty_like(dirs)
     for weights in all_weights.reshape(-1, cfg.samples, 3):
-        lam, beta, gamma = weights.T[:, :, None, None]
-        # lam * x + beta * prev + gamma * cur, in that order, in place
-        np.multiply(lam, x, out=samples)
-        samples += np.multiply(beta, prev, out=term)
-        samples += np.multiply(gamma, cur, out=term)
+        if pin_current:
+            # 0 * x + 0 * prev + 1 * cur has the bits of cur: the sum
+            # differs from cur only at a -0.0 pixel, and the iterates hold
+            # none, being clamped up to a box bound clipped to [0, 1]
+            samples[:] = cur
+        else:
+            lam, beta, gamma = weights.T[:, :, None, None]
+            # lam * x + beta * prev + gamma * cur, in that order, in place
+            np.multiply(lam, x, out=samples)
+            samples += np.multiply(beta, prev, out=term)
+            samples += np.multiply(gamma, cur, out=term)
         for k, s in enumerate(samples):
             dirs[k] = grad_loss_wrt_image(enc_i, s, grads)
         o = 0  # a lone sample is taken unscored, so its direction is unused
@@ -164,7 +177,7 @@ def run_image_attack(
             np.sign(dirs, out=dirs)
             dirs *= -cfg.step_size  # a sign step along the mismatch gradient
             o = text_guided_select(cur, box, dirs, u, enc_i, projector)
-        prev, cur = cur, _sign_step(cur, samples[o], box, grads, enc_i, cfg)
+        prev, cur = cur, _sign_step(cur, samples[o], box, grads, enc_i, cfg, step)
         iterates.append(cur)
         picks.append((*weights[o].tolist(), o))
     # each step's loss is the mismatch of its iterate, all scored at the end

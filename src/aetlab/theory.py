@@ -124,7 +124,7 @@ def linearized_expected_interaction(c, d, ql: QuadraticLoss):
     """Pair-mean of the first-order interaction of delta = c*g + d*Hg, with
     the H^2 (d^2) term dropped as in the linearization, for each (c, d) pair
     of two equal-length 1-D arrays, evaluated _PAIR_BLOCK pairs per
-    (block, n, n) stack."""
+    (block, n, n) stack in two scratch stacks allocated once per call."""
     c = np.asarray(c, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
     if c.ndim != 1 or c.shape != d.shape:
@@ -134,10 +134,16 @@ def linearized_expected_interaction(c, d, ql: QuadraticLoss):
     gg = np.outer(g, g)
     cross = np.outer(g, hg) + np.outer(hg, g)
     out = np.empty(c.size)
+    scratch = np.empty((2, min(c.size, _PAIR_BLOCK), *H.shape))
     for lo in range(0, c.size, _PAIR_BLOCK):
         cb = c[lo : lo + _PAIR_BLOCK, None, None]
         db = d[lo : lo + _PAIR_BLOCK, None, None]
-        out[lo : lo + cb.shape[0]] = pair_mean(H * (cb * cb * gg + cb * db * cross))
+        m, t = scratch[:, : cb.shape[0]]
+        # H * (c^2 gg + c d cross), in that order
+        np.multiply(cb * cb, gg, out=m)
+        m += np.multiply(cb * db, cross, out=t)
+        m *= H
+        out[lo : lo + cb.shape[0]] = pair_mean(m)
     return out
 
 

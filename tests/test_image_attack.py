@@ -131,16 +131,43 @@ class TestSignStep:
         )
         scaled = {s: factor * g for s, g in grads.items()}
         box = linf_box(tiny_image, fast_cfg.eps_image)
-        want = _sign_step(tiny_image, tiny_image, box, grads, tiny_pair.image, fast_cfg)
-        got = _sign_step(tiny_image, tiny_image, box, scaled, tiny_pair.image, fast_cfg)
+        want = _sign_step(
+            tiny_image, tiny_image, box, grads, tiny_pair.image, fast_cfg, np.empty_like(tiny_image)
+        )
+        got = _sign_step(
+            tiny_image, tiny_image, box, scaled, tiny_pair.image, fast_cfg, np.empty_like(tiny_image)
+        )
         assert np.array_equal(got, want)
         assert np.max(np.abs(got - tiny_image)) == pytest.approx(fast_cfg.step_size)
 
     def test_zero_gradient_gives_no_step(self, tiny_pair, tiny_image, fast_cfg):
         zeros = {s: np.zeros_like(tiny_image) for s in fast_cfg.scales}
         box = linf_box(tiny_image, fast_cfg.eps_image)
-        got = _sign_step(tiny_image, tiny_image, box, zeros, tiny_pair.image, fast_cfg)
+        got = _sign_step(
+            tiny_image, tiny_image, box, zeros, tiny_pair.image, fast_cfg, np.empty_like(tiny_image)
+        )
         assert np.array_equal(got, tiny_image)
+
+    @pytest.mark.parametrize("scales", [(1.0,), (0.5, 0.75, 1.0, 1.25, 1.5)])
+    def test_scratch_contents_do_not_reach_the_result(
+        self, tiny_pair, tiny_image, tiny_u, rng, scales
+    ):
+        # the step overwrites its scratch before reading it, and returns an
+        # array of its own: a NaN-filled scratch gives the bits of the old
+        # fresh-array step, and later writes to the scratch leave them
+        cfg = AttackConfig(scales=scales)
+        grads = table_row(gradient_table(tiny_pair.image, tiny_u[None], tiny_image.shape, scales))
+        at = np.clip(tiny_image + 0.01 * rng.standard_normal(tiny_image.shape), 0.0, 1.0)
+        box = linf_box(tiny_image, cfg.eps_image)
+        total = grads[scales[0]].copy()
+        for s in scales[1:]:
+            total += grads[s]
+        want = linf_project(np.sign(total) * -cfg.step_size + tiny_image, box)
+        buf = np.full_like(tiny_image, np.nan)
+        got = _sign_step(tiny_image, at, box, grads, tiny_pair.image, cfg, buf)
+        assert got.tobytes() == want.tobytes()
+        buf[:] = np.nan
+        assert got.tobytes() == want.tobytes()
 
 
 class TestTextGuidedSelect:
@@ -352,6 +379,48 @@ class TestRunImageAttack:
         )
         assert embs.shape == (steps, 16) and len(trace) == steps
         assert embs[-2:].tobytes() == embed_images(pair.image, (prev, adv), projector).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        steps=st.integers(2, 6),
+        samples=st.integers(1, 4),
+        scales=st.sampled_from([(1.0,), (0.5, 1.0)]),
+        use_projector=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pinned_samples_have_the_bits_of_the_current_iterate(
+        self, steps, samples, scales, use_projector, seed
+    ):
+        # the pinned attack copies the current iterate into its samples in
+        # place of the (0, 0, 1) combination; on an image with exact 0 and 1
+        # pixels both have the bits of the iterate the step starts from
+        pair = base_encoders(5, DatasetDims(8, 8, 16, 64), GeneratorParams(semantic_rank=4))
+        rng = np.random.default_rng(seed)
+        x = np.clip(0.5 + 0.6 * rng.standard_normal((8, 8)), 0.0, 1.0)
+        x[0, :2] = 0.0, 1.0
+        projector = build_projection(rng.standard_normal((5, 16))) if use_projector else None
+        cfg = AttackConfig(steps=steps, samples=samples, scales=scales)
+        caption = (3, 17, 42, 7)
+        seen = []
+
+        def recording_grad(enc_i, x, grads, *scale):
+            if not scale:
+                seen.append(x.copy())
+            return grad_loss_wrt_image(enc_i, x, grads, *scale)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("aetlab.image_attack.grad_loss_wrt_image", recording_grad)
+            run_image_attack(
+                x, *pair_setup(x, caption, pair, projector, cfg), pair, projector, cfg,
+                np.random.default_rng(seed), pin_current=True,
+            )
+        iterates = attack_iterates(x, caption, pair, projector, cfg, seed, pin_current=True)
+        vertex = SimplexWeights(0.0, 0.0, 1.0)
+        assert len(seen) == (steps - 1) * samples
+        for i, s in enumerate(seen):
+            prev, cur = iterates[i // samples], iterates[i // samples + 1]
+            assert s.tobytes() == cur.tobytes()
+            assert s.tobytes() == convex_combine(x, prev, cur, vertex).tobytes()
 
     def test_trace_has_one_record_per_step(self, tiny_pair, tiny_image, tiny_caption, fast_cfg):
         _, _, _, trace = run_image_attack(

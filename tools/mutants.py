@@ -46,8 +46,8 @@ MUTANTS = (
         "every triangle sample replaced by the current image",
         "src/aetlab/image_attack.py",
         "np.multiply(lam, x, out=samples)\n"
-        "        samples += np.multiply(beta, prev, out=term)\n"
-        "        samples += np.multiply(gamma, cur, out=term)\n",
+        "            samples += np.multiply(beta, prev, out=term)\n"
+        "            samples += np.multiply(gamma, cur, out=term)\n",
         "samples[:] = cur\n",
     ),
     Mutant(
@@ -75,10 +75,10 @@ MUTANTS = (
         "scale",
         "sign step at scale 1.0 only",
         "src/aetlab/image_attack.py",
-        "g = np.copy(grad_loss_wrt_image(enc_i, at, grads, cfg.scales[0]))\n"
+        "g = grad_loss_wrt_image(enc_i, at, grads, cfg.scales[0])\n"
         "    for scale in cfg.scales[1:]:\n"
-        "        g += grad_loss_wrt_image(enc_i, at, grads, scale)\n",
-        "g = np.copy(grad_loss_wrt_image(enc_i, at, grads, 1.0))\n",
+        "        g = np.add(g, grad_loss_wrt_image(enc_i, at, grads, scale), out=buf)\n",
+        "g = grad_loss_wrt_image(enc_i, at, grads, 1.0)\n",
     ),
     Mutant(
         "projector",
