@@ -140,11 +140,10 @@ def run_image_attack(
     noise, which leaves the RNG where per-step draws would; a run with
     steps=t from the same RNG state draws a prefix of them, so it returns
     this run's iterates t and t-1. pin_current pins every triangle sample
-    to the current adversarial image, the (0, 0, 1) vertex that the trace
-    records, and draws no weights: each sample is a copy of that image,
-    which has the bits of the weighted sum. With samples=1 the loop reduces
-    exactly to the multi-scale sign-gradient baseline, taking each step's
-    lone sample unscored.
+    to the current adversarial image, the (0, 0, 1) vertex, as a copy with
+    the bits of the weighted sum, and draws no weights; with samples=1 the
+    loop reduces exactly to the multi-scale sign-gradient baseline, taking
+    each step's lone sample unscored.
     """
     enc_i = enc_pair.image
     step = np.empty_like(x)  # the sign steps' scratch
@@ -160,9 +159,8 @@ def run_image_attack(
     samples, term = np.empty_like(dirs), np.empty_like(dirs)
     for weights in all_weights.reshape(-1, cfg.samples, 3):
         if pin_current:
-            # 0 * x + 0 * prev + 1 * cur has the bits of cur: the sum
-            # differs from cur only at a -0.0 pixel, and the iterates hold
-            # none, being clamped up to a box bound clipped to [0, 1]
+            # the bits of 0 * x + 0 * prev + 1 * cur, as the iterates, clamped
+            # up to bounds clipped to [0, 1], hold no -0.0 pixel
             samples[:] = cur
         else:
             lam, beta, gamma = weights.T[:, :, None, None]
