@@ -250,6 +250,19 @@ def pair_setup(x, caption, enc_pair, projector, cfg):
     return u[0], grads, linf_box(x, cfg.eps_image)
 
 
+def box_corner(x, grads, cfg):
+    """The corner of x's budget box opposite the sign of G, one pair's
+    gradient rows summed over cfg.scales: clip01(x - eps * sign(G)).
+
+    Under the dot loss G does not depend on the image, so every sign step
+    moves each pixel step_size towards this corner, and a pixel that
+    reaches it stays. Once steps * step_size exceeds the box's width
+    2 * eps, the final image is this corner, bit for bit, whatever the
+    noise start, the triangle samples and the selection were."""
+    g = sum(grads[s] for s in cfg.scales)
+    return np.clip(x - cfg.eps_image * np.sign(g), 0.0, 1.0)
+
+
 def table_row(grads, p=0):
     """Row p of a gradient_table: one pair's {scale: (H, W)} table."""
     return {s: g[p] for s, g in grads.items()}
