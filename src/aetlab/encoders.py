@@ -2,8 +2,8 @@
 
 The image encoder is a linear map on flattened pixels; the text encoder
 averages per-token embedding rows. Both are deterministic and immutable, and
-every gradient of the dot-product loss is analytic. The harness generates
-their weights: the dataset's base pair and the perturbed pool built from it.
+the attacks' loss on them (PairLoss) has an analytic gradient. The harness
+generates their weights: the dataset's base pair and the pool built from it.
 """
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import all_finite, matvec_rows, scale_augment_adjoint, validate_image
+from .core import all_finite, matvec_rows, scale_augment_adjoint, similarity, validate_image
 
 
 @dataclass(frozen=True)
@@ -111,21 +111,11 @@ def embed_images(
 def gradient_table(
     enc_i: LinearImageEncoder, U: np.ndarray, shape: tuple[int, int], scales
 ) -> dict[float, np.ndarray]:
-    """The gradients w.r.t. an (H, W) image x, at each scale s, of the
-    similarity of the scale-augmented, projected image embedding
-    P W augment_s(x) with each caption's projected embedding, a row of the
-    (n, d) stack U: the adjoint chain augment_s^T(W^T u) / d, as one
-    (n, H, W) stack per scale.
-
-    The loss is bilinear, so the gradient does not depend on the image and
-    one table row serves every gradient of a pair. The table always holds
-    scale 1.0, the identity augmentation, whose entry is the
-    back-projection W^T u / d itself, one matvec_rows call; each other
-    scale costs one adjoint call on the stack. Each row keeps the bits of
-    the one-row table in any batch. The projector is already folded into
-    U, since <P a, P b> = <a, P b> for the symmetric idempotent P. Every
-    stack is read-only, so grad_loss_wrt_image can hand out its rows.
-    """
+    """The PairLoss gradients augment_s^T(W^T u) / d of the (n, d) caption
+    directions U, one read-only (n, H, W) stack per scale s. Scale 1.0, the
+    identity augmentation, is always there: the back-projection W^T u / d,
+    one matvec_rows call; each other scale costs one adjoint call on the
+    stack. Each row keeps the bits of the one-row table in any batch."""
     back = (matvec_rows(enc_i.weight.T, U) / enc_i.embed_dim).reshape(len(U), *shape)
     table = {1.0: back}
     for s in scales:
@@ -136,16 +126,42 @@ def gradient_table(
     return table
 
 
-def grad_loss_wrt_image(
-    enc_i: LinearImageEncoder, x: np.ndarray, grads: dict[float, np.ndarray], scale: float = 1.0
-) -> np.ndarray:
-    """Exact gradient of the similarity w.r.t. x at one scale: the entry
-    of grads, one pair's row {s: t[p]} of gradient_table, as it is; the
-    table's rows are read-only, so a caller that sums gradients copies one."""
+@dataclass(frozen=True)
+class PairLoss:
+    """The attack's loss on one pair: the similarity (core.similarity) of
+    the projected embedding P W augment_s(x) of an image x with the
+    caption's projected direction u, a (d,) row of embed_captions.
+
+    The similarity is a dot product, so the loss is bilinear and its
+    gradient w.r.t. x does not depend on x: grads holds it per scale,
+    {s: (H, W)}, the pair's read-only rows of gradient_table. P is folded
+    into u, since <P a, P b> = <a, P b> for the symmetric idempotent P."""
+
+    image: LinearImageEncoder
+    u: np.ndarray
+    grads: dict[float, np.ndarray]
+    projector: np.ndarray | None
+
+    def __post_init__(self):
+        if self.u.ndim != 1:
+            raise ValueError("need a (d,) text direction")
+
+    def embed(self, images) -> np.ndarray:
+        """(n, d) embeddings of an (n, H, W) stack, as the loss sees them."""
+        return embed_images(self.image, images, self.projector)
+
+    def similarity(self, rows, direction: np.ndarray) -> list[float]:
+        """The loss's similarity of each (d,) embedding row with a direction."""
+        return similarity(rows, direction)
+
+
+def grad_loss_wrt_image(loss: PairLoss, x: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """Exact gradient of the loss w.r.t. x at one scale: its read-only row
+    of loss.grads, as it is, so a caller that sums gradients copies one."""
     x = validate_image(x)
-    if x.size != enc_i.weight.shape[1]:
+    if x.size != loss.image.weight.shape[1]:
         raise ValueError("image shape does not match encoder")
-    g = grads[scale]
+    g = loss.grads[scale]
     if g.shape != x.shape:
         raise ValueError("image shape does not match gradient table")
     return g

@@ -35,6 +35,7 @@ from .encoders import (
     BagOfWordsTextEncoder,
     EncoderPair,
     LinearImageEncoder,
+    PairLoss,
     embed_captions,
     embed_images,
     embed_pairs,
@@ -470,10 +471,11 @@ def attack_pairs(
 
     Before the first pair, the variant, the projector and the word-neighbour
     table are resolved, and each pair input that the attack does not change
-    is built for all N pairs in one stacked call: the text directions (N, d),
-    their gradient tables {scale: (N, H, W)}, the budget boxes (two
-    (N, H, W) stacks) and the clean embeddings (N, d), O(N * S * H * W)
-    memory for S scales; a scale that collapses an image axis raises there.
+    is built for all N pairs in one stacked call: the text directions (N, d)
+    and their gradient tables {scale: (N, H, W)}, whose rows make each
+    pair's PairLoss, the budget boxes (two (N, H, W) stacks) and the clean
+    embeddings (N, d), O(N * S * H * W) memory for S scales; a scale that
+    collapses an image axis raises there.
     Caption candidates and their embedding rows are built per block of B =
     _CAPTION_BLOCK pairs when its first pair is consumed, one
     build_word_candidates and one embed_captions call on B * (1 + L * k)
@@ -489,19 +491,17 @@ def attack_pairs(
     projector = surrogate_projector(ds, surrogate, cfg, stream) if use_projector else None
     near = word_neighbours(surrogate.text, run_cfg.word_list_size)
     u = embed_captions(surrogate.text, ds.captions, projector)
-    grads = gradient_table(surrogate.image, u, shape, run_cfg.scales)
+    table = gradient_table(surrogate.image, u, shape, run_cfg.scales)
     lo, hi = linf_box(np.stack(ds.images), run_cfg.eps_image)
     clean = embed_images(surrogate.image, ds.images, projector)
 
     def attack(p: int, cands: np.ndarray, cand_embs: np.ndarray):
-        x = ds.images[p]
+        x, box = ds.images[p], (lo[p], hi[p])
         seq = np.random.SeedSequence([cfg.master_seed, stream, p])
         rng = np.random.Generator(np.random.PCG64(seq))  # default_rng(seq), undispatched
-        grads_p = {s: g[p] for s, g in grads.items()}
-        adv_img, _, embs, trace = run_image_attack(
-            x, u[p], grads_p, (lo[p], hi[p]), surrogate, projector, run_cfg, rng, pin_current
-        )
-        adv_cap, _ = run_text_attack(cands, cand_embs, clean[p], embs[-2], embs[-1], run_cfg)
+        loss = PairLoss(surrogate.image, u[p], {s: g[p] for s, g in table.items()}, projector)
+        adv_img, _, embs, trace = run_image_attack(x, loss, box, run_cfg, rng, pin_current)
+        adv_cap, _ = run_text_attack(cands, cand_embs, clean[p], embs[-2], embs[-1], loss, run_cfg)
         return adv_img, adv_cap, trace
 
     def block(start: int):

@@ -8,18 +8,16 @@ adversarial point (a lone sample is taken unscored, its direction unused),
 then steps the current adversarial image along the multi-scale sign
 gradient at the selected sample and projects back into the L-inf budget.
 
-The optimized objective is the image-text mismatch, i.e. the negated
-(optionally subspace-projected) core.similarity: driving the true pair's
-similarity down is what breaks retrieval. The caption enters only through
-its (projected) text direction u and that direction's gradient table (one
-pixel-space gradient per scale), which the caller builds for all pairs at
-once (see harness.attack_pairs), as it does the L-inf budget box. All
-(T-1)*m triangle weights are drawn once per attack. The m triangle samples
-of a step and their directions (a buffer each per attack) and their
-feasible candidates are (m, H, W) stacks, and every sign step of an attack
-works in one (H, W) scratch array; the T iterates are embedded
-once, on the (T, H, W) stack, for their trace losses, and their rows are
-returned for the caption attack.
+The optimized objective is the image-text mismatch, the negated
+encoders.PairLoss: driving the true pair's similarity down is what breaks
+retrieval. The loss holds the caption's embedding and gradient rows, which
+the caller builds for all pairs at once (see harness.attack_pairs), as it
+does the L-inf budget box. All (T-1)*m triangle weights are drawn once per
+attack. The m triangle samples of a step and their directions (a buffer
+each per attack) and their feasible candidates are (m, H, W) stacks, and
+every sign step of an attack works in one (H, W) scratch array; the T
+iterates are embedded once, on the (T, H, W) stack, for their trace losses,
+and their rows are returned for the caption attack.
 """
 from __future__ import annotations
 
@@ -27,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import REGION_ASSIGNMENTS, AttackConfig, linf_project, similarity, validate_simplex
-from .encoders import EncoderPair, LinearImageEncoder, embed_images, grad_loss_wrt_image
+from .core import REGION_ASSIGNMENTS, AttackConfig, linf_project, validate_simplex
+from .encoders import PairLoss, grad_loss_wrt_image
 
 @dataclass(frozen=True)
 class StepRecord:
@@ -73,20 +71,19 @@ def _sign_step(
     x: np.ndarray,
     at: np.ndarray,
     box: tuple[np.ndarray, np.ndarray],
-    grads: dict[float, np.ndarray],
-    enc_i: LinearImageEncoder,
+    loss: PairLoss,
     cfg: AttackConfig,
     buf: np.ndarray,
 ) -> np.ndarray:
-    """x plus a sign step along the mismatch gradient, the negated
-    similarity gradient summed over cfg.scales at the point `at`, projected
-    into the budget box (see core.linf_box), as a fresh array. buf, an
-    array of x's shape, is scratch that the step overwrites and the result
-    does not share: the scales are summed into it left to right, or with
-    one scale the read-only row is signed straight into it."""
-    g = grad_loss_wrt_image(enc_i, at, grads, cfg.scales[0])
+    """x plus a sign step along the mismatch gradient, the negated loss
+    gradient summed over cfg.scales at the point `at`, projected into the
+    budget box (see core.linf_box), as a fresh array. buf, an array of x's
+    shape, is scratch that the step overwrites and the result does not
+    share: the scales are summed into it left to right, or with one scale
+    the read-only row is signed straight into it."""
+    g = grad_loss_wrt_image(loss, at, cfg.scales[0])
     for scale in cfg.scales[1:]:
-        g = np.add(g, grad_loss_wrt_image(enc_i, at, grads, scale), out=buf)
+        g = np.add(g, grad_loss_wrt_image(loss, at, scale), out=buf)
     np.sign(g, out=buf)
     buf *= -cfg.step_size
     buf += x
@@ -94,47 +91,33 @@ def _sign_step(
 
 
 def text_guided_select(
-    cur: np.ndarray,
-    box: tuple[np.ndarray, np.ndarray],
-    directions: np.ndarray,
-    u: np.ndarray,
-    enc_i: LinearImageEncoder,
-    projector: np.ndarray | None,
+    cur: np.ndarray, box: tuple[np.ndarray, np.ndarray], directions: np.ndarray, loss: PairLoss
 ) -> int:
     """Index of the direction whose feasible application to the current
-    adversarial image cur, projected into the budget box, most increases
-    the mismatch, i.e. gives the lowest similarity with u; ties go to the
-    lowest index.
-
-    The stack of feasible candidates is embedded with embed_images and
-    scored with one similarity call.
-    """
-    if len(directions) == 0 or u.ndim != 1:
-        raise ValueError("need nonempty directions and a (d,) text direction")
-    sims = similarity(embed_images(enc_i, linf_project(cur + directions, box), projector), u)
+    adversarial image cur, projected into the budget box, gives the lowest
+    loss (the largest mismatch), ties to the lowest index; the stack of
+    feasible candidates is embedded and scored with one call each."""
+    if len(directions) == 0:
+        raise ValueError("need nonempty directions")
+    sims = loss.similarity(loss.embed(linf_project(cur + directions, box)), loss.u)
     return sims.index(min(sims))
 
 
 def run_image_attack(
     x: np.ndarray,
-    u: np.ndarray,
-    grads: dict[float, np.ndarray],
+    loss: PairLoss,
     box: tuple[np.ndarray, np.ndarray],
-    enc_pair: EncoderPair,
-    projector: np.ndarray | None,
     cfg: AttackConfig,
     rng: np.random.Generator,
     pin_current: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[StepRecord]]:
     """Full T-step attack on the clean image x; returns the final and
-    second-to-last adversarial images, the (T, d) projected embeddings of
-    the T iterates, whose last two rows (the caption attack's) have the
-    bits of embedding those two images alone, and one StepRecord per step.
-    u is the caption's (projected) text direction, grads its gradient table
-    {scale: (H, W)} over cfg.scales (one pair's row of
-    encoders.gradient_table) and box = core.linf_box(x, cfg.eps_image).
-    Step 1 is a multi-scale sign step from a Gaussian-noise start in the
-    budget.
+    second-to-last adversarial images, the (T, d) loss embeddings of the T
+    iterates, whose last two rows (the caption attack's) have the bits of
+    embedding those two images alone, and one StepRecord per step. loss is
+    the pair's encoders.PairLoss over cfg.scales and box =
+    core.linf_box(x, cfg.eps_image). Step 1 is a multi-scale sign step from
+    a Gaussian-noise start in the budget.
 
     The triangle weights of steps 2..T are drawn together after the start
     noise, which leaves the RNG where per-step draws would; a run with
@@ -145,10 +128,9 @@ def run_image_attack(
     loop reduces exactly to the multi-scale sign-gradient baseline, taking
     each step's lone sample unscored.
     """
-    enc_i = enc_pair.image
     step = np.empty_like(x)  # the sign steps' scratch
     prev = linf_project(x + cfg.eps_image * rng.standard_normal(x.shape), box)
-    cur = _sign_step(prev, prev, box, grads, enc_i, cfg, step)
+    cur = _sign_step(prev, prev, box, loss, cfg, step)
     iterates, picks = [cur], [(0.0, 0.0, 1.0, -1)]
     n_rows = (cfg.steps - 1) * cfg.samples
     if pin_current:
@@ -169,17 +151,17 @@ def run_image_attack(
             samples += np.multiply(beta, prev, out=term)
             samples += np.multiply(gamma, cur, out=term)
         for k, s in enumerate(samples):
-            dirs[k] = grad_loss_wrt_image(enc_i, s, grads)
+            dirs[k] = grad_loss_wrt_image(loss, s)
         o = 0  # a lone sample is taken unscored, so its direction is unused
         if cfg.samples > 1:
             np.sign(dirs, out=dirs)
             dirs *= -cfg.step_size  # a sign step along the mismatch gradient
-            o = text_guided_select(cur, box, dirs, u, enc_i, projector)
-        prev, cur = cur, _sign_step(cur, samples[o], box, grads, enc_i, cfg, step)
+            o = text_guided_select(cur, box, dirs, loss)
+        prev, cur = cur, _sign_step(cur, samples[o], box, loss, cfg, step)
         iterates.append(cur)
         picks.append((*weights[o].tolist(), o))
     # each step's loss is the mismatch of its iterate, all scored at the end
-    embs = embed_images(enc_i, iterates, projector)
-    sims = similarity(embs, u)
+    embs = loss.embed(iterates)
+    sims = loss.similarity(embs, loss.u)
     trace = [StepRecord(t, -s, *pick) for t, (s, pick) in enumerate(zip(sims, picks), start=1)]
     return cur, prev, embs, trace

@@ -8,14 +8,15 @@ image attack (weighted mismatch against the clean, previous-step, and final
 adversarial image). The candidates and their embedding rows do not depend
 on the image, so harness.attack_pairs builds them per block of pairs, and
 it embeds the three images with the same projector; run_text_attack only
-scores those rows, with one shared-text similarity call per image.
+scores those rows, with one shared-text call of the pair loss's
+similarity per image.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .core import AttackConfig, first_k, matvec_rows, similarity
-from .encoders import BagOfWordsTextEncoder
+from .core import AttackConfig, first_k, matvec_rows
+from .encoders import BagOfWordsTextEncoder, PairLoss
 
 # Not called here: perfbench/tracing.py wraps these names at this import site.
 from .encoders import encode_image, encode_text  # noqa: F401
@@ -73,6 +74,7 @@ def run_text_attack(
     clean_emb: np.ndarray,
     prev_emb: np.ndarray,
     cur_emb: np.ndarray,
+    loss: PairLoss,
     cfg: AttackConfig,
 ) -> tuple[Caption, bool]:
     """Full caption attack; returns the selected caption and whether a
@@ -81,10 +83,10 @@ def run_text_attack(
     embed_captions; clean_emb, prev_emb and cur_emb are the (d,) rows of
     the clean, previous and final adversarial images, embedded with the
     same projector as cand_embs (rows of another dimension raise
-    ValueError). The first maximum score wins: ties go to the original
-    caption (candidate 0, which no substitution reproduces), then to the
-    lowest index."""
-    sims = [similarity(cand_embs, emb) for emb in (clean_emb, prev_emb, cur_emb)]
+    ValueError), which the pair's loss scores. The first maximum score
+    wins: ties go to the original caption (candidate 0, which no
+    substitution reproduces), then to the lowest index."""
+    sims = [loss.similarity(cand_embs, emb) for emb in (clean_emb, prev_emb, cur_emb)]
     scores = [score_text_candidate(s, cfg) for s in zip(*sims)]
     best = scores.index(max(scores))
     return tuple(candidates[best].tolist()), best != 0

@@ -15,7 +15,7 @@ from aetlab.core import (
     scale_augment_adjoint,
     validate_image,
 )
-from aetlab.encoders import embed_captions, embed_images, encode_text, gradient_table
+from aetlab.encoders import PairLoss, embed_captions, embed_images, encode_text, gradient_table
 from aetlab.harness import (
     ExperimentReport,
     attack_success_rate,
@@ -242,12 +242,12 @@ def run_image_attack_per_sample(x, caption, enc_pair, projector, cfg, rng, force
 
 
 def pair_setup(x, caption, enc_pair, projector, cfg):
-    """(u, grads, box) of one pair, the inputs run_image_attack takes after
-    x: the one-row calls of the stacked kernels harness.attack_pairs calls
+    """(loss, box) of one pair, the inputs run_image_attack takes after x:
+    the one-row calls of the stacked kernels harness.attack_pairs calls
     once per surrogate."""
     u = embed_captions(enc_pair.text, [caption], projector)
     grads = table_row(gradient_table(enc_pair.image, u, x.shape, cfg.scales))
-    return u[0], grads, linf_box(x, cfg.eps_image)
+    return PairLoss(enc_pair.image, u[0], grads, projector), linf_box(x, cfg.eps_image)
 
 
 def box_corner(x, grads, cfg):
@@ -291,8 +291,7 @@ def attack_iterates(x, caption, enc_pair, projector, cfg, seed, pin_current=Fals
     start = linf_project(x + cfg.eps_image * noise, linf_box(x, cfg.eps_image))
     setup = pair_setup(x, caption, enc_pair, projector, cfg)
     runs = [
-        run_image_attack(x, *setup, enc_pair, projector, replace(cfg, steps=t),
-                         np.random.default_rng(seed), pin_current)
+        run_image_attack(x, *setup, replace(cfg, steps=t), np.random.default_rng(seed), pin_current)
         for t in range(2, cfg.steps + 1)
     ]
     return [start, runs[0][1], *(cur for cur, _, _, _ in runs)]

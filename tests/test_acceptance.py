@@ -15,6 +15,7 @@ from scipy.stats import spearmanr
 
 from aetlab.core import AttackConfig, DEFAULT_SCALES
 from aetlab.encoders import (
+    PairLoss,
     embed_captions,
     grad_loss_wrt_image,
     gradient_table,
@@ -207,7 +208,7 @@ def test_criterion_5_gradient_fidelity(capsys):
             projector = build_projection(rng.standard_normal((5, 16)))
         u = embed_captions(pair.text, [caption], projector)[0]
         grads = table_row(gradient_table(pair.image, u[None], x.shape, (scale,)))
-        analytic = grad_loss_wrt_image(pair.image, x, grads, scale)
+        analytic = grad_loss_wrt_image(PairLoss(pair.image, u, grads, projector), x, scale)
         fd = finite_difference_grad(
             lambda z: pair_loss(pair, z, caption, projector, scale), x
         )
@@ -231,15 +232,15 @@ def test_criterion_6_attack_feasibility(capsys):
     for p in range(ds.n_pairs):
         x, cap = ds.images[p], ds.captions[p]
         seed = np.random.SeedSequence([0, 0, p])
-        adv, prev, _, _ = run_image_attack(x, *pair_setup(x, cap, ds.base, projector, cfg),
-                                           ds.base, projector, cfg, np.random.default_rng(seed))
+        loss, box = pair_setup(x, cap, ds.base, projector, cfg)
+        adv, prev, _, _ = run_image_attack(x, loss, box, cfg, np.random.default_rng(seed))
         iterates = attack_iterates(x, cap, ds.base, projector, cfg, seed)
         eps_ok &= np.array_equal(iterates[-1], adv) and np.array_equal(iterates[-2], prev)
         for inter in iterates:
             eps_ok &= float(np.max(np.abs(inter - x))) <= cfg.eps_image + 1e-12
             eps_ok &= inter.min() >= 0.0 and inter.max() <= 1.0
         adv_cap, _ = run_text_attack(*caption_rows(cap, ds.base, projector, near),
-                                     *image_rows(ds.base, projector, x, prev, adv), cfg)
+                                     *image_rows(ds.base, projector, x, prev, adv), loss, cfg)
         text_ok &= sum(a != b for a, b in zip(adv_cap, cap)) <= 1
     elapsed = time.time() - start
     ok = eps_ok and text_ok and elapsed < 120.0
@@ -260,7 +261,7 @@ def test_criterion_7_sga_regression(capsys):
         cfg = AttackConfig(steps=int(rng.integers(2, 11)), samples=1)
         seed = int(rng.integers(1 << 30))
         a, prev_a, _, _ = run_image_attack(
-            x, *pair_setup(x, caption, pair, None, cfg), pair, None, cfg,
+            x, *pair_setup(x, caption, pair, None, cfg), cfg,
             np.random.default_rng(seed), pin_current=True,
         )
         b, prev_b = run_sga_attack(

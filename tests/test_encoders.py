@@ -19,6 +19,7 @@ from aetlab.core import (
 from aetlab.encoders import (
     BagOfWordsTextEncoder,
     LinearImageEncoder,
+    PairLoss,
     embed_captions,
     embed_images,
     embed_pairs,
@@ -265,7 +266,8 @@ class TestGradients:
             projector = build_projection(emb)
         u = embed_captions(tiny_pair.text, [tiny_caption], projector)[0]
         grads = table_row(gradient_table(tiny_pair.image, u[None], tiny_image.shape, (scale,)))
-        analytic = grad_loss_wrt_image(tiny_pair.image, tiny_image, grads, scale)
+        loss = PairLoss(tiny_pair.image, u, grads, projector)
+        analytic = grad_loss_wrt_image(loss, tiny_image, scale)
         fd = finite_difference_grad(
             lambda z: pair_loss(tiny_pair, z, tiny_caption, projector, scale),
             tiny_image,
@@ -282,7 +284,7 @@ class TestGradients:
             gradient_table(tiny_pair.image, u[None], tiny_image.shape, DEFAULT_SCALES)
         )
         assert np.array_equal(
-            -grad_loss_wrt_image(tiny_pair.image, tiny_image, grads, scale),
+            -grad_loss_wrt_image(PairLoss(tiny_pair.image, u, grads, projector), tiny_image, scale),
             mismatch_grad_per_call(tiny_image, u, tiny_pair.image, scale),
         )
 
@@ -316,7 +318,7 @@ class TestGradients:
         u = embed_captions(tiny_pair.text, [tiny_caption], None)[0]
         grads = table_row(gradient_table(tiny_pair.image, u[None], tiny_image.shape, (1.0,)))
         back_copy = grads[1.0].copy()
-        g = grad_loss_wrt_image(tiny_pair.image, tiny_image, grads, 1.0)
+        g = grad_loss_wrt_image(PairLoss(tiny_pair.image, u, grads, None), tiny_image, 1.0)
         assert np.array_equal(g, scale_augment_adjoint(back_copy, (8, 8), 1.0))
         with pytest.raises(ValueError, match="read-only"):
             g += 1.0
@@ -343,7 +345,7 @@ class TestGradients:
         bad[2, 3] = np.nan
         for x in (bad, np.ones((8, 9)), np.ones(64), np.ones((4, 16))):
             with pytest.raises(ValueError):
-                grad_loss_wrt_image(tiny_pair.image, x, grads, scale)
+                grad_loss_wrt_image(PairLoss(tiny_pair.image, u, grads, None), x, scale)
 
     @pytest.mark.parametrize("scale", DEFAULT_SCALES)
     @settings(max_examples=40, deadline=None)
@@ -353,7 +355,7 @@ class TestGradients:
         grads = table_row(gradient_table(enc, np.ones((1, 16)), (8, 8), DEFAULT_SCALES))
         x = planted(data, (8, 8), st.floats(allow_nan=False, allow_infinity=False), bad)
         with pytest.raises(ValueError, match=r"^image has non-finite pixels$"):
-            grad_loss_wrt_image(enc, x, grads, scale)
+            grad_loss_wrt_image(PairLoss(enc, np.ones(16), grads, None), x, scale)
 
     @pytest.mark.parametrize("scale", DEFAULT_SCALES)
     @settings(max_examples=40, deadline=None)
@@ -364,11 +366,39 @@ class TestGradients:
         x = planted(data, (8, 8), st.floats(allow_nan=False, allow_infinity=False), edge)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert grad_loss_wrt_image(enc, x, grads, scale).tobytes() == grads[scale].tobytes()
+            loss = PairLoss(enc, np.ones(16), grads, None)
+            assert grad_loss_wrt_image(loss, x, scale).tobytes() == grads[scale].tobytes()
 
     def test_finite_difference_requires_positive_step(self, tiny_image):
         with pytest.raises(ValueError):
             finite_difference_grad(lambda z: 0.0, tiny_image, step=0.0)
+
+
+class TestPairLoss:
+    def test_text_direction_is_checked_where_the_loss_is_built(self, tiny_pair, tiny_caption):
+        u = embed_captions(tiny_pair.text, [tiny_caption], None)
+        grads = table_row(gradient_table(tiny_pair.image, u, (8, 8), (1.0,)))
+        for bad in (u, u[0, :, None], np.float64(1.0)):
+            with pytest.raises(ValueError, match=r"need a \(d,\) text direction"):
+                PairLoss(tiny_pair.image, np.asarray(bad), grads, None)
+        assert PairLoss(tiny_pair.image, u[0], grads, None).u.shape == (16,)
+
+    @pytest.mark.parametrize("use_projector", [False, True])
+    def test_loss_values_are_the_image_loss(
+        self, tiny_pair, tiny_image, tiny_caption, rng, use_projector
+    ):
+        # each embedded image scored against the loss's direction has the
+        # bits of the forward loss that the gradient table differentiates
+        projector = build_projection(rng.standard_normal((5, 16))) if use_projector else None
+        u = embed_captions(tiny_pair.text, [tiny_caption], projector)[0]
+        grads = table_row(gradient_table(tiny_pair.image, u[None], (8, 8), (1.0,)))
+        loss = PairLoss(tiny_pair.image, u, grads, projector)
+        images = np.stack([tiny_image, 1.0 - tiny_image, np.roll(tiny_image, 3)])
+        embs = loss.embed(images)
+        assert embs.tobytes() == embed_images(tiny_pair.image, images, projector).tobytes()
+        assert loss.similarity(embs, loss.u) == [
+            image_loss(tiny_pair.image, x, u, projector) for x in images
+        ]
 
 
 def tiny_base(seed: int, semantic_rank: int = 4):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aetlab.core import REGION_ASSIGNMENTS, AttackConfig, linf_box, linf_project
-from aetlab.encoders import embed_captions, embed_images, grad_loss_wrt_image, gradient_table
+from aetlab.encoders import PairLoss, embed_captions, embed_images, grad_loss_wrt_image, gradient_table
 from aetlab.image_attack import (
     _sign_step,
     run_image_attack,
@@ -100,8 +100,9 @@ def tiny_u(tiny_pair, tiny_caption):
 
 
 @pytest.fixture
-def tiny_grads(tiny_pair, tiny_image, tiny_u):
-    return table_row(gradient_table(tiny_pair.image, tiny_u[None], tiny_image.shape, (1.0,)))
+def tiny_loss(tiny_pair, tiny_image, tiny_u):
+    grads = table_row(gradient_table(tiny_pair.image, tiny_u[None], tiny_image.shape, (1.0,)))
+    return PairLoss(tiny_pair.image, tiny_u, grads, None)
 
 
 class TestObjective:
@@ -112,8 +113,8 @@ class TestObjective:
                 tiny_pair, tiny_image, tiny_caption, projector
             )
 
-    def test_step_along_gradient_increases_mismatch(self, tiny_pair, tiny_image, tiny_u, tiny_grads):
-        g = -grad_loss_wrt_image(tiny_pair.image, tiny_image, tiny_grads)
+    def test_step_along_gradient_increases_mismatch(self, tiny_pair, tiny_image, tiny_u, tiny_loss):
+        g = -grad_loss_wrt_image(tiny_loss, tiny_image)
         before = mismatch_value(tiny_image, tiny_u, tiny_pair.image, None)
         after = mismatch_value(tiny_image + 1e-4 * g, tiny_u, tiny_pair.image, None)
         assert after > before
@@ -132,19 +133,22 @@ class TestSignStep:
         scaled = {s: factor * g for s, g in grads.items()}
         box = linf_box(tiny_image, fast_cfg.eps_image)
         want = _sign_step(
-            tiny_image, tiny_image, box, grads, tiny_pair.image, fast_cfg, np.empty_like(tiny_image)
+            tiny_image, tiny_image, box, PairLoss(tiny_pair.image, tiny_u, grads, None), fast_cfg,
+            np.empty_like(tiny_image),
         )
         got = _sign_step(
-            tiny_image, tiny_image, box, scaled, tiny_pair.image, fast_cfg, np.empty_like(tiny_image)
+            tiny_image, tiny_image, box, PairLoss(tiny_pair.image, tiny_u, scaled, None), fast_cfg,
+            np.empty_like(tiny_image),
         )
         assert np.array_equal(got, want)
         assert np.max(np.abs(got - tiny_image)) == pytest.approx(fast_cfg.step_size)
 
-    def test_zero_gradient_gives_no_step(self, tiny_pair, tiny_image, fast_cfg):
+    def test_zero_gradient_gives_no_step(self, tiny_pair, tiny_image, tiny_u, fast_cfg):
         zeros = {s: np.zeros_like(tiny_image) for s in fast_cfg.scales}
         box = linf_box(tiny_image, fast_cfg.eps_image)
         got = _sign_step(
-            tiny_image, tiny_image, box, zeros, tiny_pair.image, fast_cfg, np.empty_like(tiny_image)
+            tiny_image, tiny_image, box, PairLoss(tiny_pair.image, tiny_u, zeros, None), fast_cfg,
+            np.empty_like(tiny_image),
         )
         assert np.array_equal(got, tiny_image)
 
@@ -164,39 +168,37 @@ class TestSignStep:
             total += grads[s]
         want = linf_project(np.sign(total) * -cfg.step_size + tiny_image, box)
         buf = np.full_like(tiny_image, np.nan)
-        got = _sign_step(tiny_image, at, box, grads, tiny_pair.image, cfg, buf)
+        got = _sign_step(tiny_image, at, box, PairLoss(tiny_pair.image, tiny_u, grads, None), cfg, buf)
         assert got.tobytes() == want.tobytes()
         buf[:] = np.nan
         assert got.tobytes() == want.tobytes()
 
 
 class TestTextGuidedSelect:
-    def test_picks_argmax_direction(self, tiny_pair, tiny_image, tiny_u, tiny_grads, fast_cfg):
+    def test_picks_argmax_direction(self, tiny_pair, tiny_image, tiny_u, tiny_loss, fast_cfg):
         good = fast_cfg.step_size * normalized_sign(
-            -grad_loss_wrt_image(tiny_pair.image, tiny_image, tiny_grads)
+            -grad_loss_wrt_image(tiny_loss, tiny_image)
         )
         bad = -good
         assert text_guided_select(
-            tiny_image, linf_box(tiny_image, fast_cfg.eps_image), np.stack([bad, good]), tiny_u,
-            tiny_pair.image, None,
+            tiny_image, linf_box(tiny_image, fast_cfg.eps_image), np.stack([bad, good]), tiny_loss
         ) == 1
 
-    def test_tie_goes_to_lowest_index(self, tiny_pair, tiny_image, tiny_u, fast_cfg):
+    def test_tie_goes_to_lowest_index(self, tiny_pair, tiny_image, tiny_loss, fast_cfg):
         d = np.zeros((2,) + tiny_image.shape)
         assert text_guided_select(
-            tiny_image, linf_box(tiny_image, fast_cfg.eps_image), d, tiny_u, tiny_pair.image, None
+            tiny_image, linf_box(tiny_image, fast_cfg.eps_image), d, tiny_loss
         ) == 0
 
     def test_selection_evaluates_feasible_candidate(
-        self, tiny_pair, tiny_image, tiny_u, tiny_grads, fast_cfg
+        self, tiny_pair, tiny_image, tiny_u, tiny_loss, fast_cfg
     ):
         # a huge direction must be judged by its projected (feasible) effect
-        g = -grad_loss_wrt_image(tiny_pair.image, tiny_image, tiny_grads)
+        g = -grad_loss_wrt_image(tiny_loss, tiny_image)
         huge = 100.0 * normalized_sign(g)
         small = fast_cfg.step_size * normalized_sign(g)
         idx = text_guided_select(
-            tiny_image, linf_box(tiny_image, fast_cfg.eps_image), np.stack([huge, small]), tiny_u,
-            tiny_pair.image, None,
+            tiny_image, linf_box(tiny_image, fast_cfg.eps_image), np.stack([huge, small]), tiny_loss
         )
         cand_huge = linf_project(tiny_image + huge, linf_box(tiny_image, fast_cfg.eps_image))
         cand_small = linf_project(tiny_image + small, linf_box(tiny_image, fast_cfg.eps_image))
@@ -207,14 +209,14 @@ class TestTextGuidedSelect:
         assert idx == int(np.argmax(vals))
 
     def test_tie_between_later_rows_goes_to_the_lower(
-        self, tiny_pair, tiny_image, tiny_u, tiny_grads, fast_cfg
+        self, tiny_pair, tiny_image, tiny_u, tiny_loss, fast_cfg
     ):
         good = fast_cfg.step_size * normalized_sign(
-            -grad_loss_wrt_image(tiny_pair.image, tiny_image, tiny_grads)
+            -grad_loss_wrt_image(tiny_loss, tiny_image)
         )
         d = np.stack([-good, good, -good, good])
         assert text_guided_select(
-            tiny_image, linf_box(tiny_image, fast_cfg.eps_image), d, tiny_u, tiny_pair.image, None
+            tiny_image, linf_box(tiny_image, fast_cfg.eps_image), d, tiny_loss
         ) == 1
 
     @pytest.mark.parametrize("use_projector", [False, True])
@@ -226,14 +228,15 @@ class TestTextGuidedSelect:
         # coarse grid so that exact ties occur
         cfg = AttackConfig(eps_image=0.5, step_size=0.25)
         projector = build_projection(rng.standard_normal((5, 16))) if use_projector else None
-        u = embed_captions(tiny_pair.text, [tiny_caption], projector)[0]
+        loss = pair_setup(tiny_image, tiny_caption, tiny_pair, projector, cfg)[0]
+        u = loss.u
         for _ in range(20):
             dirs = 0.25 * rng.integers(-1, 2, size=(6, 8, 8)).astype(float)
             dirs[rng.integers(6)] = dirs[rng.integers(6)]
             cands = linf_project(tiny_image + dirs, linf_box(tiny_image, cfg.eps_image))
             vals = [mismatch_value(c, u, tiny_pair.image, projector) for c in cands]
             assert text_guided_select(
-                tiny_image, linf_box(tiny_image, cfg.eps_image), dirs, u, tiny_pair.image, projector
+                tiny_image, linf_box(tiny_image, cfg.eps_image), dirs, loss
             ) == vals.index(max(vals))
 
     @pytest.mark.parametrize("use_projector", [False, True])
@@ -245,41 +248,41 @@ class TestTextGuidedSelect:
         # candidates of a pixel-major stack flatten to strided rows
         cfg = AttackConfig(eps_image=0.5, step_size=0.25)
         projector = build_projection(rng.standard_normal((5, 16))) if use_projector else None
-        u = embed_captions(tiny_pair.text, [tiny_caption], projector)[0]
-        box = linf_box(tiny_image, cfg.eps_image)
+        loss, box = pair_setup(tiny_image, tiny_caption, tiny_pair, projector, cfg)
         for _ in range(20):
             dirs = 0.25 * rng.integers(-1, 2, size=(6, 8, 8)).astype(float)
             dirs[rng.integers(6)] = dirs[rng.integers(6)]
-            want = text_guided_select(tiny_image, box, dirs, u, tiny_pair.image, projector)
+            want = text_guided_select(tiny_image, box, dirs, loss)
             for layout in (
                 np.asfortranarray(dirs),
                 np.repeat(dirs, 2, axis=0)[::2],
                 np.ascontiguousarray(dirs.transpose(1, 2, 0)).transpose(2, 0, 1),
             ):
                 assert layout.flags.c_contiguous is False
-                assert text_guided_select(tiny_image, box, layout, u, tiny_pair.image, projector) == want
+                assert text_guided_select(tiny_image, box, layout, loss) == want
 
-    def test_nan_candidate_rejected(self, tiny_pair, tiny_image, tiny_u, fast_cfg):
+    def test_nan_candidate_rejected(self, tiny_pair, tiny_image, tiny_loss, fast_cfg):
         d = np.zeros((3,) + tiny_image.shape)
         d[2, 4, 5] = np.nan
         with pytest.raises(ValueError):
-            text_guided_select(
-                tiny_image, linf_box(tiny_image, fast_cfg.eps_image), d, tiny_u, tiny_pair.image, None
-            )
+            text_guided_select(tiny_image, linf_box(tiny_image, fast_cfg.eps_image), d, tiny_loss)
 
-    def test_mismatched_text_direction_rejected(self, tiny_pair, tiny_image, tiny_u, fast_cfg):
+    def test_mismatched_text_direction_rejected(
+        self, tiny_pair, tiny_image, tiny_u, tiny_loss, fast_cfg
+    ):
         d = np.zeros((2,) + tiny_image.shape)
         for u in (tiny_u[:-1], tiny_u[None]):
             with pytest.raises(ValueError):
                 text_guided_select(
-                    tiny_image, linf_box(tiny_image, fast_cfg.eps_image), d, u, tiny_pair.image, None
+                    tiny_image, linf_box(tiny_image, fast_cfg.eps_image), d,
+                    PairLoss(tiny_pair.image, u, tiny_loss.grads, None),
                 )
 
-    def test_empty_directions_rejected(self, tiny_pair, tiny_image, tiny_u, fast_cfg):
+    def test_empty_directions_rejected(self, tiny_pair, tiny_image, tiny_loss, fast_cfg):
         with pytest.raises(ValueError):
             text_guided_select(
                 tiny_image, linf_box(tiny_image, fast_cfg.eps_image),
-                np.zeros((0,) + tiny_image.shape), tiny_u, tiny_pair.image, None,
+                np.zeros((0,) + tiny_image.shape), tiny_loss,
             )
 
 
@@ -287,7 +290,7 @@ class TestRunImageAttack:
     def test_budget_and_range_invariants(self, tiny_pair, tiny_image, tiny_caption, fast_cfg):
         adv, prev, _, trace = run_image_attack(
             tiny_image, *pair_setup(tiny_image, tiny_caption, tiny_pair, None, fast_cfg),
-            tiny_pair, None, fast_cfg, np.random.default_rng(0)
+            fast_cfg, np.random.default_rng(0)
         )
         iterates = attack_iterates(tiny_image, tiny_caption, tiny_pair, None, fast_cfg, 0)
         assert len(iterates) == fast_cfg.steps + 1
@@ -308,8 +311,8 @@ class TestRunImageAttack:
             x, cap = ds.images[p], ds.captions[p]
             seed = np.random.SeedSequence([0, 0, p])
             runs = [
-                run_image_attack(x, *pair_setup(x, cap, ds.base, projector, cfg), ds.base,
-                                 projector, replace(cfg, steps=t),
+                run_image_attack(x, *pair_setup(x, cap, ds.base, projector, cfg),
+                                 replace(cfg, steps=t),
                                  np.random.default_rng(seed), pin_current)
                 for t in range(2, cfg.steps + 1)
             ]
@@ -331,15 +334,15 @@ class TestRunImageAttack:
         cfg = replace(fast_cfg, region=region)
         seen = []
 
-        def recording_grad(enc_i, x, grads, *scale):
+        def recording_grad(loss, x, *scale):
             if not scale:
                 seen.append(x.copy())
-            return grad_loss_wrt_image(enc_i, x, grads, *scale)
+            return grad_loss_wrt_image(loss, x, *scale)
 
         monkeypatch.setattr("aetlab.image_attack.grad_loss_wrt_image", recording_grad)
         run_image_attack(
             tiny_image, *pair_setup(tiny_image, tiny_caption, tiny_pair, None, cfg),
-            tiny_pair, None, cfg, np.random.default_rng(5),
+            cfg, np.random.default_rng(5),
         )
         monkeypatch.undo()
         iterates = attack_iterates(tiny_image, tiny_caption, tiny_pair, None, cfg, 5)
@@ -374,7 +377,7 @@ class TestRunImageAttack:
         projector = build_projection(rng.standard_normal((5, 16))) if use_projector else None
         cfg = AttackConfig(steps=steps, samples=samples, scales=(0.5, 1.0), region=region)
         adv, prev, embs, trace = run_image_attack(
-            x, *pair_setup(x, (3, 17, 42, 7), pair, projector, cfg), pair, projector, cfg,
+            x, *pair_setup(x, (3, 17, 42, 7), pair, projector, cfg), cfg,
             rng, pin_current,
         )
         assert embs.shape == (steps, 16) and len(trace) == steps
@@ -403,15 +406,15 @@ class TestRunImageAttack:
         caption = (3, 17, 42, 7)
         seen = []
 
-        def recording_grad(enc_i, x, grads, *scale):
+        def recording_grad(loss, x, *scale):
             if not scale:
                 seen.append(x.copy())
-            return grad_loss_wrt_image(enc_i, x, grads, *scale)
+            return grad_loss_wrt_image(loss, x, *scale)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("aetlab.image_attack.grad_loss_wrt_image", recording_grad)
             run_image_attack(
-                x, *pair_setup(x, caption, pair, projector, cfg), pair, projector, cfg,
+                x, *pair_setup(x, caption, pair, projector, cfg), cfg,
                 np.random.default_rng(seed), pin_current=True,
             )
         iterates = attack_iterates(x, caption, pair, projector, cfg, seed, pin_current=True)
@@ -425,7 +428,7 @@ class TestRunImageAttack:
     def test_trace_has_one_record_per_step(self, tiny_pair, tiny_image, tiny_caption, fast_cfg):
         _, _, _, trace = run_image_attack(
             tiny_image, *pair_setup(tiny_image, tiny_caption, tiny_pair, None, fast_cfg),
-            tiny_pair, None, fast_cfg, np.random.default_rng(0),
+            fast_cfg, np.random.default_rng(0),
         )
         assert [r.step for r in trace] == list(range(1, fast_cfg.steps + 1))
         assert trace[0].chosen_index == -1
@@ -435,18 +438,18 @@ class TestRunImageAttack:
     def test_deterministic(self, tiny_pair, tiny_image, tiny_caption, fast_cfg):
         a, _, _, _ = run_image_attack(
             tiny_image, *pair_setup(tiny_image, tiny_caption, tiny_pair, None, fast_cfg),
-            tiny_pair, None, fast_cfg, np.random.default_rng(42),
+            fast_cfg, np.random.default_rng(42),
         )
         b, _, _, _ = run_image_attack(
             tiny_image, *pair_setup(tiny_image, tiny_caption, tiny_pair, None, fast_cfg),
-            tiny_pair, None, fast_cfg, np.random.default_rng(42),
+            fast_cfg, np.random.default_rng(42),
         )
         np.testing.assert_array_equal(a, b)
 
     def test_attack_increases_mismatch(self, tiny_pair, tiny_image, tiny_caption, fast_cfg):
         adv, _, _, _ = run_image_attack(
             tiny_image, *pair_setup(tiny_image, tiny_caption, tiny_pair, None, fast_cfg),
-            tiny_pair, None, fast_cfg, np.random.default_rng(0),
+            fast_cfg, np.random.default_rng(0),
         )
         u = embed_captions(tiny_pair.text, [tiny_caption], None)[0]
         assert mismatch_value(adv, u, tiny_pair.image, None) > mismatch_value(
@@ -457,7 +460,7 @@ class TestRunImageAttack:
         cfg = AttackConfig(steps=6, samples=1, master_seed=0)
         via_triangle, prev_t, _, _ = run_image_attack(
             tiny_image, *pair_setup(tiny_image, tiny_caption, tiny_pair, None, cfg),
-            tiny_pair, None, cfg, np.random.default_rng(13), pin_current=True,
+            cfg, np.random.default_rng(13), pin_current=True,
         )
         direct, prev_d = run_sga_attack(
             tiny_image, tiny_caption, tiny_pair, None, cfg, np.random.default_rng(13)
@@ -472,7 +475,7 @@ class TestRunImageAttack:
         rng = np.random.default_rng(2)
         _, _, _, trace = run_image_attack(
             tiny_image, *pair_setup(tiny_image, tiny_caption, tiny_pair, None, cfg),
-            tiny_pair, None, cfg, rng, pin_current=True,
+            cfg, rng, pin_current=True,
         )
         for rec in trace[1:]:
             assert (rec.lam, rec.beta, rec.gamma, rec.chosen_index) == (0.0, 0.0, 1.0, 0)

@@ -119,9 +119,9 @@ class TestBoxCornerUnderDot:
         projector = surrogate_projector(ds, surrogate, cfg, 1) if use_projector else None
         corners = []
         for x, cap in zip(ds.images, ds.captions):
-            _, grads, _ = pair_setup(x, cap, surrogate, projector, run_cfg)
-            assert np.all(sum(grads[s] for s in run_cfg.scales) != 0)
-            corners.append(box_corner(x, grads, run_cfg))
+            loss, _ = pair_setup(x, cap, surrogate, projector, run_cfg)
+            assert np.all(sum(loss.grads[s] for s in run_cfg.scales) != 0)
+            corners.append(box_corner(x, loss.grads, run_cfg))
 
         def images(steps):
             pairs = attack_pairs(ds, surrogate, replace(cfg, steps=steps), variant, 1)

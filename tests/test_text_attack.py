@@ -30,6 +30,7 @@ from oracles import (
     caption_rows,
     enumerate_text_candidates,
     image_rows,
+    pair_setup,
     pair_similarity,
     run_text_attack_per_candidate,
     select_adversarial_text,
@@ -291,7 +292,8 @@ class TestRunTextAttack:
         near = word_neighbours(tiny_pair.text, cfg.word_list_size)
         embs = image_rows(tiny_pair, None, tiny_image, prev, cur)
         rows = caption_rows(tiny_caption, tiny_pair, None, near)
-        chosen, changed = run_text_attack(*rows, *embs, cfg)
+        loss = pair_setup(tiny_image, tiny_caption, tiny_pair, None, cfg)[0]
+        chosen, changed = run_text_attack(*rows, *embs, loss, cfg)
         assert hamming(chosen, tiny_caption) <= 1
         assert changed == (chosen != tiny_caption)
 
@@ -302,7 +304,8 @@ class TestRunTextAttack:
         near = word_neighbours(tiny_pair.text, cfg.word_list_size)
         chosen, _ = run_text_attack(
             *caption_rows(tiny_caption, tiny_pair, None, near),
-            *image_rows(tiny_pair, None, tiny_image, tiny_image, tiny_image), cfg,
+            *image_rows(tiny_pair, None, tiny_image, tiny_image, tiny_image),
+            pair_setup(tiny_image, tiny_caption, tiny_pair, None, cfg)[0], cfg,
         )
         clean = encode_image(tiny_pair.image, tiny_image)
         embs = np.stack([clean, clean, clean])
@@ -314,11 +317,13 @@ class TestRunTextAttack:
         near = word_neighbours(tiny_pair.text, cfg.word_list_size)
         a, _ = run_text_attack(
             *caption_rows(tiny_caption, tiny_pair, None, near),
-            *image_rows(tiny_pair, None, tiny_image, tiny_image, tiny_image), cfg,
+            *image_rows(tiny_pair, None, tiny_image, tiny_image, tiny_image),
+            pair_setup(tiny_image, tiny_caption, tiny_pair, None, cfg)[0], cfg,
         )
         b, _ = run_text_attack(
             *caption_rows(tiny_caption, tiny_pair, None, near),
-            *image_rows(tiny_pair, None, tiny_image, tiny_image, tiny_image), cfg,
+            *image_rows(tiny_pair, None, tiny_image, tiny_image, tiny_image),
+            pair_setup(tiny_image, tiny_caption, tiny_pair, None, cfg)[0], cfg,
         )
         assert a == b
 
@@ -331,7 +336,8 @@ class TestRunTextAttack:
             with pytest.raises(ValueError):
                 run_text_attack(
                     *caption_rows(tiny_caption, tiny_pair, None, near),
-                    *image_rows(tiny_pair, projector, tiny_image, tiny_image, tiny_image), cfg,
+                    *image_rows(tiny_pair, projector, tiny_image, tiny_image, tiny_image),
+                    pair_setup(tiny_image, tiny_caption, tiny_pair, None, cfg)[0], cfg,
                 )
 
     @pytest.mark.parametrize("use_projector", [False, True])
@@ -349,7 +355,8 @@ class TestRunTextAttack:
                 )
                 embs = image_rows(tiny_pair, projector, tiny_image, prev, cur)
                 rows = caption_rows(tiny_caption, tiny_pair, projector, near)
-                assert run_text_attack(*rows, *embs, cfg) == (
+                loss = pair_setup(tiny_image, tiny_caption, tiny_pair, projector, cfg)[0]
+                assert run_text_attack(*rows, *embs, loss, cfg) == (
                     run_text_attack_per_candidate(
                         tiny_caption, tiny_image, prev, cur, tiny_pair, projector, cfg
                     )
@@ -376,7 +383,8 @@ class TestCaptionTies:
         near = word_neighbours(pair.text, cfg.word_list_size)
         embs = image_rows(pair, None, tiny_image, tiny_image, cur)
         rows = caption_rows(caption, pair, None, near)
-        assert run_text_attack(*rows, *embs, cfg) == (caption, False)
+        loss = pair_setup(tiny_image, caption, pair, None, cfg)[0]
+        assert run_text_attack(*rows, *embs, loss, cfg) == (caption, False)
 
     def test_tie_without_original_takes_lowest_index(self, tiny_image, rng):
         # 12 tokens on 3 rows: each substitution ties with the three other
@@ -390,7 +398,8 @@ class TestCaptionTies:
             near = word_neighbours(pair.text, cfg.word_list_size)
             img_rows = image_rows(pair, None, tiny_image, tiny_image, cur)
             rows = caption_rows(caption, pair, None, near)
-            chosen, changed = run_text_attack(*rows, *img_rows, cfg)
+            loss = pair_setup(tiny_image, caption, pair, None, cfg)[0]
+            chosen, changed = run_text_attack(*rows, *img_rows, loss, cfg)
             embs = np.stack([encode_image(pair.image, x) for x in (tiny_image, tiny_image, cur)])
             cands = enumerate_text_candidates(caption, pair.text, 11)
             scores = [score(encode_text(pair.text, c), embs, cfg) for c in cands]

@@ -75,10 +75,10 @@ MUTANTS = (
         "scale",
         "sign step at scale 1.0 only",
         "src/aetlab/image_attack.py",
-        "g = grad_loss_wrt_image(enc_i, at, grads, cfg.scales[0])\n"
+        "g = grad_loss_wrt_image(loss, at, cfg.scales[0])\n"
         "    for scale in cfg.scales[1:]:\n"
-        "        g = np.add(g, grad_loss_wrt_image(enc_i, at, grads, scale), out=buf)\n",
-        "g = grad_loss_wrt_image(enc_i, at, grads, 1.0)\n",
+        "        g = np.add(g, grad_loss_wrt_image(loss, at, scale), out=buf)\n",
+        "g = grad_loss_wrt_image(loss, at, 1.0)\n",
     ),
     Mutant(
         "projector",
