@@ -2,8 +2,8 @@
 
 The image encoder is a linear map on flattened pixels; the text encoder
 averages per-token embedding rows. Both are deterministic and immutable, and
-the attacks' loss on them (PairLoss) has an analytic gradient. The harness
-generates their weights: the dataset's base pair and the pool built from it.
+their attack loss, PairLoss, has an analytic gradient. The harness generates
+their weights: the dataset's base pair and the perturbed pool built from it.
 """
 from __future__ import annotations
 

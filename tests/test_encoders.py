@@ -383,23 +383,6 @@ class TestPairLoss:
                 PairLoss(tiny_pair.image, np.asarray(bad), grads, None)
         assert PairLoss(tiny_pair.image, u[0], grads, None).u.shape == (16,)
 
-    @pytest.mark.parametrize("use_projector", [False, True])
-    def test_loss_values_are_the_image_loss(
-        self, tiny_pair, tiny_image, tiny_caption, rng, use_projector
-    ):
-        # each embedded image scored against the loss's direction has the
-        # bits of the forward loss that the gradient table differentiates
-        projector = build_projection(rng.standard_normal((5, 16))) if use_projector else None
-        u = embed_captions(tiny_pair.text, [tiny_caption], projector)[0]
-        grads = table_row(gradient_table(tiny_pair.image, u[None], (8, 8), (1.0,)))
-        loss = PairLoss(tiny_pair.image, u, grads, projector)
-        images = np.stack([tiny_image, 1.0 - tiny_image, np.roll(tiny_image, 3)])
-        embs = loss.embed(images)
-        assert embs.tobytes() == embed_images(tiny_pair.image, images, projector).tobytes()
-        assert loss.similarity(embs, loss.u) == [
-            image_loss(tiny_pair.image, x, u, projector) for x in images
-        ]
-
 
 def tiny_base(seed: int, semantic_rank: int = 4):
     """The base pair of a dataset of 8x8 images, d = 16 and 64 tokens."""
