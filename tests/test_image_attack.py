@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aetlab.core import REGION_ASSIGNMENTS, AttackConfig, linf_box, linf_project
-from aetlab.encoders import PairLoss, embed_captions, embed_images, grad_loss_wrt_image, gradient_table
+from aetlab.encoders import (
+    PairLoss,
+    embed_captions,
+    embed_images,
+    grad_loss_wrt_image,
+    gradient_table,
+)
 from aetlab.image_attack import (
     _sign_step,
     run_image_attack,
@@ -168,7 +174,8 @@ class TestSignStep:
             total += grads[s]
         want = linf_project(np.sign(total) * -cfg.step_size + tiny_image, box)
         buf = np.full_like(tiny_image, np.nan)
-        got = _sign_step(tiny_image, at, box, PairLoss(tiny_pair.image, tiny_u, grads, None), cfg, buf)
+        loss = PairLoss(tiny_pair.image, tiny_u, grads, None)
+        got = _sign_step(tiny_image, at, box, loss, cfg, buf)
         assert got.tobytes() == want.tobytes()
         buf[:] = np.nan
         assert got.tobytes() == want.tobytes()
