@@ -37,7 +37,7 @@ from .harness import (
     write_report,
 )
 from .subspace import DegenerateCorpusError
-from .theory import MIN_T_MAX, QuadraticLoss, TheoremReport, verify_theorem
+from .theory import MIN_T_MAX, TheoremReport, random_quadratic, verify_theorem
 
 # Not called here: perfbench/tracing.py wraps these names at this import site.
 from .encoders import encode_text  # noqa: F401
@@ -103,11 +103,8 @@ def build_attack_config(args, variant: str | None = None) -> AttackConfig:
     came from."""
     values, source = {}, {}
     if args.config is not None:
-        for key, raw in matio.load_keyvalues(args.config).items():
-            if key not in _CONFIG_PARSERS:
-                raise ValueError(f"{args.config}: unknown config key {key!r}")
-            values[key] = matio.parse_value(args.config, key, raw, _CONFIG_PARSERS[key])
-            source[key] = f"config key {key!r} in {args.config}"
+        values = matio.load_record(args.config, _CONFIG_PARSERS, "config", required=False)
+        source = {key: f"config key {key!r} in {args.config}" for key in values}
     for name in _CONFIG_PARSERS:
         flag_val = getattr(args, name)
         if flag_val is not None:
@@ -191,12 +188,8 @@ def cmd_theory(args) -> int:
         if not 0 <= value <= 1:  # a NaN fails too
             return _usage_exit(f"{flag} must be in [0, 1], got {value!r}")
     rng = np.random.default_rng(args.seed)
-    reports = []
-    for _ in range(args.instances):
-        g = rng.standard_normal(args.dim)
-        h = rng.standard_normal((args.dim, args.dim))
-        ql = QuadraticLoss(g, (h + h.T) / 2.0)
-        reports.append(verify_theorem(ql, args.beta, args.gamma, t_max=args.t_max))
+    draws = (random_quadratic(rng, args.dim) for _ in range(args.instances))
+    reports = [verify_theorem(ql, args.beta, args.gamma, t_max=args.t_max) for ql in draws]
     # one column per scalar report field, after the instance
     hints = get_type_hints(TheoremReport)
     columns = [f.name for f in fields(TheoremReport) if hints[f.name] is not np.ndarray]

@@ -11,7 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import all_finite, matvec_rows, scale_augment_adjoint, similarity, validate_image
+from .core import (
+    all_finite, first_k, matvec_rows, scale_augment_adjoint, similarity, validate_image
+)
 
 
 @dataclass(frozen=True)
@@ -85,6 +87,13 @@ def embed_captions(enc: BagOfWordsTextEncoder, captions, projector=None) -> np.n
         txt += enc.table[col]
     txt /= tokens.shape[1]
     return txt if projector is None else matvec_rows(projector, txt)
+
+
+def top_tokens(enc: BagOfWordsTextEncoder, rows: np.ndarray, k: int) -> np.ndarray:
+    """The k tokens of highest score table @ r of each (d,) row r, in order
+    (ties to the lowest index), each row with the bits of its own call."""
+    scores = matvec_rows(enc.table, rows)
+    return first_k(np.negative(scores, out=scores), k)
 
 
 def embed_pairs(enc: EncoderPair, images, captions) -> tuple[np.ndarray, np.ndarray]:

@@ -7,7 +7,7 @@ latent, so the clean dataset retrieves at exact R@1 while leaving
 margins small enough for budgeted attacks to flip ranks.
 
 Every SeedSequence of the package is built here, one per random stream of
-the lab (the theory command's instances alone come from --seed directly):
+the lab (theory's draw takes its instances from cli's default_rng(--seed)):
 - [seed, 0xDA7A]: the dataset's attempts, one stream of d-vectors drawn
   in blocks of at most _DRAW_BLOCK: the pairs', then the held-out texts',
   which start on the unused tail of the last pair block;
@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import matio
-from .core import AttackConfig, first_k, linf_box, matvec_rows, similarity
+from .core import AttackConfig, linf_box, matvec_rows, similarity
 from .encoders import (
     BagOfWordsTextEncoder,
     EncoderPair,
@@ -40,6 +40,7 @@ from .encoders import (
     embed_images,
     embed_pairs,
     gradient_table,
+    top_tokens,
 )
 from .image_attack import StepRecord, run_image_attack
 from .subspace import build_projection, sample_corpus
@@ -163,13 +164,6 @@ def _unit_rows(z: np.ndarray) -> np.ndarray:
     return z / np.sqrt(np.matmul(z[:, None, :], z[:, :, None])[:, :, 0])
 
 
-def _top_tokens(table: np.ndarray, z: np.ndarray, length: int) -> np.ndarray:
-    """The (b, length) captions of b unit latent rows: the tokens of highest
-    score table @ z, in order, ties to the lowest index."""
-    scores = matvec_rows(table, z)
-    return first_k(np.negative(scores, out=scores), length)
-
-
 def _fixed_points(
     text: BagOfWordsTextEncoder, z0: np.ndarray, length: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -187,14 +181,14 @@ def _fixed_points(
     best matches in both retrieval directions, barring ties in the last
     bits."""
     z = _unit_rows(z0)
-    caps = _top_tokens(text.table, z, length)
+    caps = top_tokens(text, z, length)
     confirmed = np.zeros(len(z), dtype=bool)
     live = np.arange(len(z))
     for _ in range(_FIXED_POINT_ITERS):
         if not live.size:
             break
         z[live] = _unit_rows(embed_captions(text, caps[live]))
-        nxt = _top_tokens(text.table, z[live], length)
+        nxt = top_tokens(text, z[live], length)
         same = (nxt == caps[live]).all(axis=1)
         confirmed[live[same]] = True
         live = live[~same]
@@ -300,7 +294,7 @@ def synth_dataset(
         )
 
     def held_out_attempts(z0):
-        caps = _top_tokens(base.text.table, _unit_rows(z0), gen.held_out_len)
+        caps = top_tokens(base.text, _unit_rows(z0), gen.held_out_len)
         return map(tuple, caps.tolist()), repeat(None)
 
     held, _, _ = _distinct_attempts(rng, tail, budget, gen.held_out, held_out_attempts)
@@ -329,31 +323,20 @@ def save_dataset_descriptor(ds: SyntheticDataset, path: str | Path) -> None:
 
 
 def load_dataset_descriptor(path: str | Path) -> SyntheticDataset:
-    """The dataset a descriptor names. Its keys must be exactly those that
-    save_dataset_descriptor writes; each value is parsed with the type of
-    its field's default."""
-    kv = matio.load_keyvalues(path)
-    groups = (DatasetDims, GeneratorParams)
-    known = ["seed", "n_pairs", *(f.name for cls in groups for f in fields(cls))]
-    for key in kv:
-        if key not in known:
-            raise ValueError(f"{path}: unknown descriptor key {key!r}")
-    for key in known:
-        if key not in kv:
-            raise ValueError(f"{path}: missing descriptor key {key!r}")
-
-    def value(key, kind):
-        return matio.parse_value(path, key, kv[key], kind)
-
+    """The dataset a descriptor names: exactly the keys save_dataset_descriptor
+    writes, each value parsed with the type of its field's default."""
     def seed(raw: str) -> int:
         if (n := int(raw)) < 0:
             raise ValueError("seed must be a non-negative integer")
         return n
 
-    head = value("seed", seed), value("n_pairs", int)
-    args = [{f.name: value(f.name, type(f.default)) for f in fields(cls)} for cls in groups]
+    groups = (DatasetDims, GeneratorParams)
+    parsers = {"seed": seed, "n_pairs": int}
+    parsers.update((f.name, type(f.default)) for cls in groups for f in fields(cls))
+    v = matio.load_record(path, parsers, "descriptor", required=True)
     try:  # a parsed value out of range names the file too
-        return synth_dataset(*head, *(cls(**a) for cls, a in zip(groups, args)))
+        dims, gen = (cls(**{f.name: v[f.name] for f in fields(cls)}) for cls in groups)
+        return synth_dataset(v["seed"], v["n_pairs"], dims, gen)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

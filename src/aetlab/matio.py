@@ -54,13 +54,23 @@ def load_keyvalues(path: str | Path) -> dict[str, str]:
     return out
 
 
-def parse_value(path: str | Path, key: str, raw: str, parse):
-    """parse(raw) for the value of key in the key=value file at path; a
-    value it rejects is a ValueError that names the key and the file."""
-    try:
-        return parse(raw)
-    except ValueError as exc:
-        raise ValueError(f"{path}: bad value {raw!r} for key {key!r}: {exc}") from None
+def load_record(path: str | Path, parsers: dict, kind: str, required: bool) -> dict:
+    """{key: parsers[key](value)} of the key=value file at path. Errors name
+    the file: unknown keys, then missing ones if required, then values."""
+    kv = load_keyvalues(path)
+    for key in kv:
+        if key not in parsers:
+            raise ValueError(f"{path}: unknown {kind} key {key!r}")
+    for key in parsers if required else ():
+        if key not in kv:
+            raise ValueError(f"{path}: missing {kind} key {key!r}")
+    out = {}
+    for key, raw in kv.items():
+        try:
+            out[key] = parsers[key](raw)
+        except ValueError as exc:
+            raise ValueError(f"{path}: bad value {raw!r} for key {key!r}: {exc}") from None
+    return out
 
 
 def save_csv(header, rows, path: str | Path) -> None:

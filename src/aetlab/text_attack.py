@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import AttackConfig, first_k, matvec_rows
-from .encoders import BagOfWordsTextEncoder, PairLoss
+from .core import AttackConfig
+from .encoders import BagOfWordsTextEncoder, PairLoss, top_tokens
 
 # Not called here: perfbench/tracing.py wraps these names at this import site.
 from .encoders import encode_image, encode_text  # noqa: F401
@@ -28,12 +28,10 @@ _NEIGHBOUR_BLOCK = 64
 
 
 def word_neighbours(enc: BagOfWordsTextEncoder, word_list_size: int) -> np.ndarray:
-    """The (V, k) table of every token's substitutes: row v holds the first
-    k tokens of the stable argsort of -(table @ table[v]) (ties to the lowest
-    index), without v itself; k is word_list_size, capped at V - 1. Each
-    block of rows is scored with one row-wise product, so each row keeps the
-    bits of the per-token product, and only the first k + 1 entries of each
-    row's order are selected, with one core.first_k call."""
+    """The (V, k) table of every token's substitutes: row v holds the
+    top_tokens order of table[v] (ties to the lowest index) without v
+    itself, cut to k = min(word_list_size, V - 1); one top_tokens call per
+    block of rows."""
     if word_list_size < 0:
         raise ValueError("word_list_size must be >= 0")
     table = enc.table
@@ -41,7 +39,7 @@ def word_neighbours(enc: BagOfWordsTextEncoder, word_list_size: int) -> np.ndarr
     near = np.empty((len(table), k), dtype=np.int64)
     for lo in range(0, len(table), _NEIGHBOUR_BLOCK):
         hi = min(lo + _NEIGHBOUR_BLOCK, len(table))
-        order = first_k(-matvec_rows(table, table[lo:hi]), k + 1)
+        order = top_tokens(enc, table[lo:hi], k + 1)
         # skip v itself: from its place on, each entry is the next one
         skip = np.cumsum(order[:, :k] == np.arange(lo, hi)[:, None], axis=1)
         near[lo:hi] = np.take_along_axis(order, np.arange(k) + skip, axis=1)

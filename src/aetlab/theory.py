@@ -45,6 +45,13 @@ class QuadraticLoss:
         return self.g.size
 
 
+def random_quadratic(rng: np.random.Generator, n: int) -> QuadraticLoss:
+    """`aetlab theory`'s instance: g, then H0, standard normal from rng; H = (H0 + H0^T)/2."""
+    g = rng.standard_normal(n)
+    h = rng.standard_normal((n, n))
+    return QuadraticLoss(g, (h + h.T) / 2.0)
+
+
 @dataclass(frozen=True)
 class UpdateCoefficients:
     """Per-step linearized coefficients: proposed (a, b, c, d) and baseline

@@ -37,9 +37,9 @@ from aetlab.image_attack import run_image_attack, sample_sub_triangle
 from aetlab.subspace import build_projection
 from aetlab.text_attack import run_text_attack, word_neighbours
 from aetlab.theory import (
-    QuadraticLoss,
     closed_form_coefficients,
     interaction_moments,
+    random_quadratic,
     verify_theorem,
 )
 from oracles import (
@@ -150,9 +150,7 @@ def test_criterion_3_theorem_ordering(capsys):
     ok = True
     worst_cubic = 0.0
     while checked < 50:
-        g = rng.standard_normal(12)
-        h = rng.standard_normal((12, 12))
-        ql = QuadraticLoss(g, (h + h.T) / 2.0)
+        ql = random_quadratic(rng, 12)
         _, b_m = interaction_moments(ql)
         if b_m <= 0:
             continue
@@ -178,9 +176,7 @@ def test_criterion_4_exact_vs_linearized(capsys):
     start = time.time()
     slopes = []
     for _ in range(5):
-        g = rng.standard_normal(10)
-        h = rng.standard_normal((10, 10))
-        ql = QuadraticLoss(g, (h + h.T) / 2.0)
+        ql = random_quadratic(rng, 10)
         beta = float(rng.uniform(0.0, 0.5))
         gamma = float(rng.uniform(0.0, 0.5))
         t = int(rng.integers(5, 11))

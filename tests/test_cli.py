@@ -25,9 +25,13 @@ from aetlab.harness import (
     DatasetDims,
     GeneratorParams,
     craft_adversarial_pairs,
+    default_model_pool,
     load_dataset_descriptor,
+    run_transfer_experiment,
     surrogate_projector,
+    write_report,
 )
+from aetlab.theory import random_quadratic, verify_theorem
 
 SMALL_SYNTH = [
     "--pairs", "6", "--height", "8", "--width", "8", "--embed-dim", "16",
@@ -344,6 +348,19 @@ class TestTransfer:
         assert rows[0] == ["surrogate", "target", "tr_asr", "ir_asr", "alpha_mean", "seed"]
         assert len(rows) == 1 + 4  # 2x2 cells
 
+    def test_report_is_the_library_report(self, dataset_file, tmp_path):
+        out, expect = tmp_path / "report.csv", tmp_path / "expect.csv"
+        rc = main([
+            "transfer", "--seed", "5", "--dataset", str(dataset_file), "--models", "2",
+            "--steps", "3", "--samples", "2", "--scales", "1.0", "--out", str(out),
+        ])
+        assert rc == EXIT_OK
+        ds = load_dataset_descriptor(dataset_file)
+        cfg = AttackConfig(master_seed=5, steps=3, samples=2, scales=(1.0,))
+        pool = default_model_pool(ds, n_models=2)
+        write_report(run_transfer_experiment(ds, pool, cfg, "saaet"), expect)
+        assert out.read_bytes() == expect.read_bytes()
+
     @pytest.mark.parametrize(
         "flag, value, field",
         [("--noise", "-1", "rel_noise"), ("--noise", "nan", "rel_noise"),
@@ -393,6 +410,23 @@ class TestTheory:
                            "ordering_ok,cubic_proposed,cubic_baseline,passed").split(",")
         assert len(rows) == 4
         assert all(row[-1] == "True" for row in rows[1:])
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_rows_are_the_library_reports(self, tmp_path, seed):
+        # instances come from theory's draw on default_rng(--seed), in order
+        out = tmp_path / "theory.csv"
+        rc = main(["theory", "--seed", str(seed), "--instances", "3", "--dim", "8",
+                   "--t-max", "20", "--out", str(out)])
+        assert rc == EXIT_OK
+        with open(out, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        rng = np.random.default_rng(seed)
+        for k, row in enumerate(rows):
+            rep = verify_theorem(random_quadratic(rng, 8), 0.25, 0.25, t_max=20)
+            values = [getattr(rep, name) for name in header[1:]]
+            cells = [repr(v) if isinstance(v, float) else str(v) for v in values]
+            assert row == [str(k), *cells]
+        assert len(rows) == 3
 
     def test_zero_instances_is_usage_error(self, tmp_path, capsys):
         rc = main(["theory", "--seed", "0", "--instances", "0",
@@ -618,6 +652,18 @@ class TestConfigPrecedence:
             assert rc == EXIT_USAGE
             err = capsys.readouterr().err
             assert str(cfg_file) in err and repr(line.split("=")[0]) in err
+
+    def test_unknown_config_key_is_reported_before_a_bad_value(
+        self, dataset_file, tmp_path, capsys
+    ):
+        # as in a descriptor: unknown keys first, then values in file order
+        cfg_file = tmp_path / "cfg.txt"
+        cfg_file.write_text("steps=3.5\nwarp_factor=9\n")
+        rc = main(["attack", "--seed", "5", "--dataset", str(dataset_file),
+                   "--config", str(cfg_file), "--out-dir", str(tmp_path / "adv")])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"error: {cfg_file}: unknown config key 'warp_factor'\n"
 
 
 def output_args(command, tmp_path) -> tuple[list[str], Path]:

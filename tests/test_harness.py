@@ -272,6 +272,21 @@ class TestSynthDataset:
         with pytest.raises(ValueError):
             load_dataset_descriptor(path)
 
+    def test_descriptor_missing_key_is_named(self, small_ds, tmp_path):
+        path = tmp_path / "ds.txt"
+        save_dataset_descriptor(small_ds, path)
+        path.write_text(path.read_text().replace("held_out=10\n", ""))
+        with pytest.raises(ValueError, match=r"ds\.txt: missing descriptor key 'held_out'$"):
+            load_dataset_descriptor(path)
+
+    def test_descriptor_unknown_key_is_reported_before_a_missing_one(self, small_ds, tmp_path):
+        path = tmp_path / "ds.txt"
+        save_dataset_descriptor(small_ds, path)
+        text = path.read_text().replace("held_out=10\n", "")
+        path.write_text(text + "latent_scal=0.9\n")
+        with pytest.raises(ValueError, match=r"ds\.txt: unknown descriptor key 'latent_scal'$"):
+            load_dataset_descriptor(path)
+
     def test_descriptor_negative_seed_names_key_and_file(self, small_ds, tmp_path):
         path = tmp_path / "ds.txt"
         save_dataset_descriptor(small_ds, path)

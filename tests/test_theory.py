@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from aetlab import theory
 from aetlab.theory import (
     QuadraticLoss,
     TheoremReport,
@@ -26,11 +27,8 @@ from oracles import (
 
 
 def random_quadratic(seed, n=8):
-    """An instance drawn the way `aetlab theory` draws one."""
-    r = np.random.default_rng(seed)
-    g = r.standard_normal(n)
-    h = r.standard_normal((n, n))
-    return QuadraticLoss(g, (h + h.T) / 2.0)
+    """The instance `aetlab theory --seed seed --dim n` draws first."""
+    return theory.random_quadratic(np.random.default_rng(seed), n)
 
 
 class TestQuadraticLoss:

@@ -18,7 +18,10 @@ For seeds 7 and 18 (13 pairs, d = 64, a 3-model pool) the hash covers:
   region="C"``) and each of the variants saaet, dra, sga and subtriangle-C:
   every pair that ``attack_pairs`` yields on the first two pool models as
   streams 0 and 1 (the image's bytes, the caption and the trace), and the
-  reports of ``run_transfer_experiment`` on the whole pool.
+  reports of ``run_transfer_experiment`` on the whole pool;
+- the CSV that ``aetlab theory --seed S`` writes with its default sizes,
+  run in-process through ``cli.main`` into a temporary directory, and its
+  exit code.
 
 Arrays enter by shape, dtype and bytes, floats by their hex form, so a
 difference in the last bit changes the hash. It is not part of tier-1 and
@@ -27,7 +30,10 @@ takes a few seconds.
 from __future__ import annotations
 
 import hashlib
+import io
 import sys
+import tempfile
+from contextlib import redirect_stdout
 from dataclasses import fields, is_dataclass
 from numbers import Integral
 from pathlib import Path
@@ -36,6 +42,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from aetlab import cli  # noqa: E402
 from aetlab.core import AttackConfig  # noqa: E402
 from aetlab.harness import (  # noqa: E402
     DatasetDims,
@@ -89,6 +96,10 @@ def main() -> int:
                 for stream, surrogate in enumerate(pool[:2]):
                     feed(h, list(attack_pairs(ds, surrogate, cfg, variant, stream)))
                 feed(h, run_transfer_experiment(ds, pool, cfg, variant))
+        with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()):
+            out = Path(tmp) / "theory.csv"
+            code = cli.main(["theory", "--seed", str(seed), "--out", str(out)])
+            feed(h, [code, out.read_text()])
     print(h.hexdigest())
     return 0
 
