@@ -91,7 +91,7 @@ def embed_captions(enc: BagOfWordsTextEncoder, captions, projector=None) -> np.n
 
 def top_tokens(enc: BagOfWordsTextEncoder, rows: np.ndarray, k: int) -> np.ndarray:
     """The k tokens of highest score table @ r of each (d,) row r, in order
-    (ties to the lowest index), each row with the bits of its own call."""
+    (ties to the lowest index), each row as if it were scored alone."""
     scores = matvec_rows(enc.table, rows)
     return first_k(np.negative(scores, out=scores), k)
 

@@ -333,10 +333,10 @@ def load_dataset_descriptor(path: str | Path) -> SyntheticDataset:
     groups = (DatasetDims, GeneratorParams)
     parsers = {"seed": seed, "n_pairs": int}
     parsers.update((f.name, type(f.default)) for cls in groups for f in fields(cls))
-    v = matio.load_record(path, parsers, "descriptor", required=True)
+    rec = matio.load_record(path, parsers, "descriptor", required=True)
     try:  # a parsed value out of range names the file too
-        dims, gen = (cls(**{f.name: v[f.name] for f in fields(cls)}) for cls in groups)
-        return synth_dataset(v["seed"], v["n_pairs"], dims, gen)
+        dims, gen = (cls(**{f.name: rec[f.name] for f in fields(cls)}) for cls in groups)
+        return synth_dataset(rec["seed"], rec["n_pairs"], dims, gen)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
