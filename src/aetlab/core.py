@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -84,6 +83,8 @@ class AttackConfig:
             raise ValueError("corpus_proportion must be in (0, 1]")
         if not self.scales or not all(0 < s < math.inf for s in self.scales):
             raise ValueError("scales must be a nonempty tuple of finite positive values")
+        if not self.master_seed >= 0:
+            raise ValueError("master_seed must be a non-negative integer")
         if self.region not in REGION_ASSIGNMENTS:
             raise ValueError(f"unknown sub-triangle region {self.region!r}")
 
@@ -148,8 +149,8 @@ def first_k(keys: np.ndarray, k: int) -> np.ndarray:
     smallest keys, which are then ordered by (key, index). A row whose k-th
     key ties a key outside the picks (or is NaN) cannot tell which of the
     tied indices come first, and takes the full stable argsort instead."""
-    if k >= keys.shape[1]:
-        return np.argsort(keys, axis=1, kind="stable")[:, :k]
+    if not 0 <= k <= keys.shape[1]:
+        raise ValueError(f"first_k needs 0 <= k <= V, got k = {k}, V = {keys.shape[1]}")
     if k == 0:
         return np.empty((len(keys), 0), dtype=np.intp)
     picks = np.sort(np.argpartition(keys, k - 1, axis=1)[:, :k], axis=1)
@@ -181,30 +182,26 @@ def linf_project(candidate: np.ndarray, box: tuple[np.ndarray, np.ndarray]) -> n
     return np.minimum(out, hi, out=out)
 
 
-@lru_cache(maxsize=None)
 def _interp_matrix(n_out: int, n_in: int) -> np.ndarray:
     """1-D bilinear interpolation matrix mapping length n_in to n_out.
 
     Endpoint-aligned sampling; each row is a convex combination of at most
     two neighbouring input samples, so constants are preserved exactly.
     """
-    m = np.zeros((n_out, n_in))
     if n_in == 1:
-        m[:, 0] = 1.0
-        return m
+        return np.ones((n_out, 1))
+    m = np.zeros((n_out, n_in))
     if n_out == 1:
         pos = np.array([(n_in - 1) / 2.0])
     else:
         pos = np.arange(n_out) * (n_in - 1) / (n_out - 1)
-    lo = np.floor(pos).astype(int)
-    lo = np.minimum(lo, n_in - 2)
+    lo = np.minimum(np.floor(pos).astype(int), n_in - 2)
     frac = pos - lo
     m[np.arange(n_out), lo] = 1.0 - frac
     m[np.arange(n_out), lo + 1] = frac
     return m
 
 
-@lru_cache(maxsize=None)
 def _roundtrip_matrix(n: int, scale: float) -> np.ndarray:
     """Composite resize n -> round(scale*n) -> n along one axis."""
     n_mid = int(round(scale * n))
@@ -222,6 +219,4 @@ def scale_augment_adjoint(g: np.ndarray, shape: tuple[int, int], scale: float) -
     h, w = shape
     if g.shape[-2:] != (h, w):
         raise ValueError("adjoint input shape mismatch")
-    ar = _roundtrip_matrix(h, scale)
-    ac = _roundtrip_matrix(w, scale)
-    return ar.T @ g @ ac
+    return _roundtrip_matrix(h, scale).T @ g @ _roundtrip_matrix(w, scale)

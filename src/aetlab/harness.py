@@ -115,7 +115,9 @@ class GeneratorParams:
 
 @dataclass(frozen=True)
 class SyntheticDataset:
-    images: tuple[np.ndarray, ...]
+    """Image-caption pairs, the images one read-only (n, H, W) stack, and held-out texts."""
+
+    images: np.ndarray
     captions: tuple[Caption, ...]
     held_out_texts: tuple[Caption, ...]
     seed: int
@@ -124,7 +126,7 @@ class SyntheticDataset:
     gen: GeneratorParams
 
     def __post_init__(self):
-        if len(self.images) != len(self.captions) or not self.images:
+        if len(self.images) != len(self.captions) or not self.captions:
             raise ValueError("need equally many images and captions, at least one")
         tokens = np.array(list(chain.from_iterable(chain(self.captions, self.held_out_texts))))
         if not np.all((tokens >= 0) & (tokens < self.dims.vocab_size)):  # NaN fails too
@@ -171,8 +173,9 @@ def _fixed_points(
     unit start z0/|z0| of its row: caption = top-L tokens for the latent
     and latent = unit caption embedding, for at most _FIXED_POINT_ITERS
     updates of the latent. Returns the (b, d) latents, the (b, L) captions
-    and which rows a top-L evaluation confirmed as a fixed point; each row
-    has the bits of its attempt run alone.
+    and which rows a top-L evaluation confirmed as a fixed point. Every
+    round runs on the whole block; a fixed point repeats its own bits, so
+    each row has the bits of its attempt run alone.
 
     At a confirmed fixed point (z, c), c's embedding scores z with the mean
     of the L highest token scores, which no other caption exceeds; and z is
@@ -180,19 +183,14 @@ def _fixed_points(
     higher (Cauchy-Schwarz). So distinct confirmed pairs are strict mutual
     best matches in both retrieval directions, barring ties in the last
     bits."""
-    z = _unit_rows(z0)
-    caps = top_tokens(text, z, length)
-    confirmed = np.zeros(len(z), dtype=bool)
-    live = np.arange(len(z))
+    caps = top_tokens(text, _unit_rows(z0), length)
     for _ in range(_FIXED_POINT_ITERS):
-        if not live.size:
+        z = _unit_rows(embed_captions(text, caps))
+        nxt = top_tokens(text, z, length)
+        confirmed = (nxt == caps).all(axis=1)
+        if confirmed.all():
             break
-        z[live] = _unit_rows(embed_captions(text, caps[live]))
-        nxt = top_tokens(text, z[live], length)
-        same = (nxt == caps[live]).all(axis=1)
-        confirmed[live[same]] = True
-        live = live[~same]
-        caps[live] = nxt[~same]
+        caps = nxt
     return z, caps, confirmed
 
 
@@ -303,7 +301,8 @@ def synth_dataset(
     pixels = matvec_rows(decoder, np.array(list(pairs.values())))
     pixels *= gen.latent_scale  # in place: the images are the only (n, H*W) array
     pixels += 0.5
-    images = tuple(np.clip(pixels, 0.0, 1.0, out=pixels).reshape(n_pairs, dims.height, dims.width))
+    images = np.clip(pixels, 0.0, 1.0, out=pixels).reshape(n_pairs, dims.height, dims.width)
+    images.flags.writeable = False
     return SyntheticDataset(
         images=images,
         captions=tuple(pairs),
@@ -475,7 +474,7 @@ def attack_pairs(
     near = word_neighbours(surrogate.text, run_cfg.word_list_size)
     u = embed_captions(surrogate.text, ds.captions, projector)
     table = gradient_table(surrogate.image, u, shape, run_cfg.scales)
-    lo, hi = linf_box(np.stack(ds.images), run_cfg.eps_image)
+    lo, hi = linf_box(ds.images, run_cfg.eps_image)
     clean = embed_images(surrogate.image, ds.images, projector)
 
     def attack(p: int, cands: np.ndarray, cand_embs: np.ndarray):
@@ -579,6 +578,7 @@ def mean_diagonal_asr(reports) -> float:
 
 
 def mean_transfer_alpha(reports) -> float:
+    """Mean transfer alpha (alpha_metric) over off-diagonal (transfer) cells."""
     return _cell_mean(reports, "alpha_mean", diagonal=False)
 
 

@@ -106,6 +106,12 @@ class TestAttackConfig:
         with pytest.raises(TypeError if "text_budget" in kwargs else ValueError):
             AttackConfig(**kwargs)
 
+    def test_negative_master_seed_rejected_where_built(self):
+        # the per-pair SeedSequence would reject it only at the first pair
+        with pytest.raises(ValueError, match="^master_seed must be a non-negative integer$"):
+            AttackConfig(master_seed=-1)
+        assert AttackConfig(master_seed=0).master_seed == 0
+
 
 class TestSimilarity:
     def test_dot_product_oracle(self, rng):
@@ -313,6 +319,11 @@ class TestFirstK:
         order = np.argsort(keys, axis=1, kind="stable")
         for k in range(v + 1):
             assert np.array_equal(first_k(keys, k), order[:, :k])
+
+    @pytest.mark.parametrize("k", [-1, 4])
+    def test_k_outside_zero_to_v_raises(self, k):
+        with pytest.raises(ValueError, match=f"k = {k}, V = 3"):
+            first_k(np.array([[3.0, 1.0, 2.0]]), k)
 
 
 class TestFiniteness:

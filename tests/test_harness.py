@@ -94,6 +94,17 @@ class TestSynthDataset:
         assert len(small_ds.held_out_texts) == 10
         assert all(len(t) == 12 for t in small_ds.held_out_texts)
 
+    def test_images_are_one_read_only_stack(self, small_ds, tmp_path):
+        images = small_ds.images
+        assert type(images) is np.ndarray and images.dtype == np.float64
+        assert images.shape == (8, 8, 8) and images.flags.c_contiguous
+        with pytest.raises(ValueError, match="read-only"):
+            images[0][0, 0] = 7.0
+        save_dataset_descriptor(small_ds, tmp_path / "ds.txt")
+        loaded = load_dataset_descriptor(tmp_path / "ds.txt").images
+        assert loaded.shape == images.shape and loaded.tobytes() == images.tobytes()
+        assert not loaded.flags.writeable
+
     def test_captions_unique(self, small_ds):
         assert len(set(small_ds.captions)) == small_ds.n_pairs
 

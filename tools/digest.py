@@ -88,7 +88,9 @@ def main() -> int:
     for seed in SEEDS:
         ds = synth_dataset(seed, N_PAIRS, DatasetDims(embed_dim=64))
         base = ds.base
-        feed(h, [ds.images, ds.captions, ds.held_out_texts, base.image.weight, base.text.table])
+        # the image stack by its rows, as when the images were a tuple of arrays
+        images = list(ds.images)
+        feed(h, [images, ds.captions, ds.held_out_texts, base.image.weight, base.text.table])
         pool = default_model_pool(ds, n_models=N_MODELS)
         for overrides in CONFIGS:
             cfg = AttackConfig(master_seed=seed, **overrides)
