@@ -88,7 +88,7 @@ def main() -> int:
     for seed in SEEDS:
         ds = synth_dataset(seed, N_PAIRS, DatasetDims(embed_dim=64))
         base = ds.base
-        # the image stack by its rows, as when the images were a tuple of arrays
+        # the stack's rows hash as a tuple of (H, W) images does, so older trees hash alike
         images = list(ds.images)
         feed(h, [images, ds.captions, ds.held_out_texts, base.image.weight, base.text.table])
         pool = default_model_pool(ds, n_models=N_MODELS)
